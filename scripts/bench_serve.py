@@ -418,11 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    # The serving default: host-shaped backend unless the operator chose.
-    os.environ.setdefault("REPRO_EXEC_BACKEND", "auto")
-
     from repro import obs
-    from repro.exec import resolve_backend_name
     from repro.serve import ServeConfig
 
     obs.reset_metrics()
@@ -447,7 +443,6 @@ def main(argv: list[str] | None = None) -> int:
         "quick": args.quick,
         "dataset": dataset_key,
         "cpus": os.cpu_count(),
-        "backend": resolve_backend_name(),
         "config": {
             "max_batch": config.max_batch,
             "max_delay_us": config.max_delay_us,
@@ -477,7 +472,6 @@ def main(argv: list[str] | None = None) -> int:
             "timestamp": time.time(),
             "quick": args.quick,
             "cpus": report["cpus"],
-            "backend": report["backend"],
             "batched_rps": thr["batched"]["requests_per_s"],
             "unbatched_rps": thr["unbatched"]["requests_per_s"],
             "speedup": thr["speedup"],
@@ -489,8 +483,7 @@ def main(argv: list[str] | None = None) -> int:
         })
 
     thr = report["throughput"]
-    print(f"backend={report['backend']} ({report['cpus']} cpu(s)), "
-          f"dataset {dataset_key}")
+    print(f"{report['cpus']} cpu(s), dataset {dataset_key}")
     print(f"closed-loop: batched {thr['batched']['requests_per_s']:8.1f} req/s "
           f"(occupancy {thr['batched']['mean_occupancy']:.1f}), "
           f"unbatched {thr['unbatched']['requests_per_s']:8.1f} req/s "

@@ -19,24 +19,15 @@ of the parallel configurations.  On a single-core host the parallel
 runs cannot beat serial (the report records ``cpus`` so the CI gate
 scales its expectation to the runner).
 
-``--backends thread,process,compiled`` runs the numerics-backend sweep
-(PR 7): the same fit + sweep once per backend at a fixed worker count,
-asserting bit-identity against the first (reference) backend and
-reporting each backend's wall-clock speedup.  Unavailable backends
-(e.g. ``compiled`` without numba) still run via their documented
-fallback and must still be bit-identical.
-
-Writes ``BENCH_pr2.json`` (or ``BENCH_pr3.json`` with ``--workers``,
-``BENCH_pr7.json`` with ``--backends``) with the timings, speedups and
-cache/engine counters, plus a ``metrics.json`` snapshot of the
-``repro.obs`` registry.
+Writes ``BENCH_pr2.json`` (or ``BENCH_pr3.json`` with ``--workers``)
+with the timings, speedups and cache/engine counters, plus a
+``metrics.json`` snapshot of the ``repro.obs`` registry.
 
 Usage::
 
     PYTHONPATH=src python scripts/bench_wallclock.py --quick
     PYTHONPATH=src python scripts/bench_wallclock.py --check   # CI gate
     PYTHONPATH=src python scripts/bench_wallclock.py --workers 1,2,4 --check
-    PYTHONPATH=src python scripts/bench_wallclock.py --backends thread,process,compiled --check
 """
 
 from __future__ import annotations
@@ -242,117 +233,6 @@ def _bench_workers(worker_counts: list[int], *, quick: bool) -> dict:
     }
 
 
-def _bench_backends(backends: list[str], *, quick: bool) -> dict:
-    """The PR 7 sweep: identical work on each numerics backend, timed.
-
-    The thread backend (first in the list) is the reference; every other
-    backend must reproduce its kernel outputs, training losses and
-    simulated times bit-for-bit, and is additionally timed on the same
-    GCN fit + Fig-4 sweep so the report carries honest speedup numbers
-    for the runner's core count.
-    """
-    import os
-
-    import numpy as np
-
-    from repro.exec import available_backends, exec_workers, get_engine
-    from repro.sparse import load_dataset
-
-    dataset_key = "G0" if quick else "G2"
-    epochs = 6 if quick else 10
-    kernels = ("gnnone", "dgl") if quick else ("gnnone", "dgl", "cusparse", "ge-spmm")
-    dims = (16, 32) if quick else (6, 16, 32, 64)
-    # Always engage the parallel path (4 shards) even on small hosts:
-    # bit-identity is only meaningful when the pools actually run, and
-    # the speedup gate already scales itself to the core count.
-    workers = 4
-
-    coo = load_dataset(dataset_key).coo
-    csr = coo if coo.is_csr_ordered() else coo.sort_csr_order()
-    rng = np.random.default_rng(7)
-    vals = rng.standard_normal(coo.nnz)
-    X = rng.standard_normal((coo.num_cols, 32))
-    Xr = rng.standard_normal((coo.num_rows, 32))
-    el = rng.standard_normal(coo.num_rows)
-    er = rng.standard_normal(coo.num_cols)
-    spmm_ref = get_engine().spmm(coo, vals, X)
-    sddmm_ref = get_engine().sddmm(coo, Xr, X)
-    alpha_ref = get_engine().gat_alpha(csr, el, er)
-
-    runs = {}
-    for backend in backends:
-        with exec_workers(workers, min_parallel_nnz=0, backend=backend):
-            eng = get_engine()
-            outputs_identical = bool(
-                np.array_equal(eng.spmm(coo, vals, X), spmm_ref)
-                and np.array_equal(eng.sddmm(coo, Xr, X), sddmm_ref)
-                and np.array_equal(eng.gat_alpha(csr, el, er), alpha_ref)
-            )
-            fit = _fit_for_workers(dataset_key, epochs=epochs, feature_length=32,
-                                   hidden=8)
-            sweep = _sweep_for_workers(dataset_key, dims, kernels)
-        runs[backend] = {
-            "backend": backend,
-            "workers": workers,
-            "outputs_identical_to_serial": outputs_identical,
-            "gcn_fit": fit,
-            "fig4_sweep": sweep,
-        }
-
-    base = runs[backends[0]]
-    for backend in backends[1:]:
-        run = runs[backend]
-        run["losses_identical"] = run["gcn_fit"]["losses"] == base["gcn_fit"]["losses"]
-        run["sim_us_identical"] = (
-            run["gcn_fit"]["sim_us"] == base["gcn_fit"]["sim_us"]
-            and run["fig4_sweep"]["sim_us"] == base["fig4_sweep"]["sim_us"]
-        )
-        run["fit_speedup"] = base["gcn_fit"]["wall_s"] / run["gcn_fit"]["wall_s"]
-        run["sweep_speedup"] = (
-            base["fig4_sweep"]["warm_pass_s"] / run["fig4_sweep"]["warm_pass_s"]
-        )
-    return {
-        "dataset": dataset_key,
-        "backends": backends,
-        "available": available_backends(),
-        "workers": workers,
-        "cpus": os.cpu_count(),
-        "runs": runs,
-    }
-
-
-def _check_backends(report: dict) -> list[str]:
-    """CI assertions for the backends sweep, scaled to the runner's cores.
-
-    Bit-identity is unconditional.  The >= 1.5x speedup floor only binds
-    on runners with >= 4 cores (a 1-core container cannot beat its own
-    serial run); there the gate is identity-only, and the report still
-    records the measured numbers.
-    """
-    problems = []
-    backends = report["backends"]
-    for backend in backends:
-        run = report["runs"][backend]
-        if not run["outputs_identical_to_serial"]:
-            problems.append(f"backend={backend}: outputs differ from serial")
-        if backend != backends[0]:
-            if not run["losses_identical"]:
-                problems.append(f"backend={backend}: training losses differ")
-            if not run["sim_us_identical"]:
-                problems.append(f"backend={backend}: simulated times differ")
-    cpus = report["cpus"] or 1
-    if len(backends) > 1 and cpus >= 4:
-        best = max(
-            max(report["runs"][b]["fit_speedup"], report["runs"][b]["sweep_speedup"])
-            for b in backends[1:]
-        )
-        if best < 1.5:
-            problems.append(
-                f"best backend speedup {best:.2f}x < 1.5x ({cpus} cpus)"
-            )
-    return problems
-
-
 def _check_workers(report: dict) -> list[str]:
     """CI assertions for the workers sweep, scaled to the runner's cores."""
     problems = []
@@ -412,68 +292,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated worker counts (e.g. 1,2,4): run "
                              "the execution-engine sweep instead of the "
                              "plan-cache one (writes BENCH_pr3.json)")
-    parser.add_argument("--backends", default=None,
-                        help="comma-separated backend names (e.g. "
-                             "thread,process,compiled): run the numerics-"
-                             "backend sweep (writes BENCH_pr7.json); the "
-                             "first name is the bit-identity reference")
     args = parser.parse_args(argv)
 
     from repro import obs
 
     obs.reset_metrics()
-
-    if args.backends:
-        backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-        out = "BENCH_pr7.json" if args.out == "BENCH_pr2.json" else args.out
-        report = {
-            "benchmark": "numerics-backend wall-clock (PR 7)",
-            "quick": args.quick,
-            **_bench_backends(backends, quick=args.quick),
-        }
-        Path(out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        obs.write_metrics_json(args.metrics)
-        if args.trajectory:
-            _append_trajectory(args.trajectory, {
-                "benchmark": "exec-backends",
-                "timestamp": time.time(),
-                "quick": args.quick,
-                "cpus": report["cpus"],
-                "workers": report["workers"],
-                "backends": backends,
-                "available": report["available"],
-                "fit_speedups": {
-                    b: report["runs"][b].get("fit_speedup")
-                    for b in backends[1:]
-                },
-                "sweep_speedups": {
-                    b: report["runs"][b].get("sweep_speedup")
-                    for b in backends[1:]
-                },
-                "fit_wall_s": {
-                    b: report["runs"][b]["gcn_fit"]["wall_s"] for b in backends
-                },
-            })
-        for backend in backends:
-            run = report["runs"][backend]
-            extra = ""
-            if backend != backends[0]:
-                extra = (f"  fit {run['fit_speedup']:.2f}x, "
-                         f"sweep {run['sweep_speedup']:.2f}x vs {backends[0]}")
-            avail = "" if report["available"].get(backend, False) else " (fallback)"
-            print(f"backend={backend}{avail}: "
-                  f"fit {run['gcn_fit']['wall_s'] * 1e3:8.1f} ms, "
-                  f"warm sweep {run['fig4_sweep']['warm_pass_s'] * 1e3:8.1f} ms, "
-                  f"outputs identical: {run['outputs_identical_to_serial']}{extra}")
-        print(f"cpus={report['cpus']}, workers={report['workers']}; "
-              f"wrote {out} and {args.metrics}")
-        if args.check:
-            problems = _check_backends(report)
-            if problems:
-                print("CHECK FAILED: " + "; ".join(problems), file=sys.stderr)
-                return 1
-            print("CHECK OK")
-        return 0
 
     if args.workers:
         counts = [int(w) for w in args.workers.split(",") if w.strip()]

@@ -74,9 +74,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--profile", default="chaos_profile.txt",
                         help="deep-profile report rendered from the chaos "
                              "trace ('' disables)")
-    parser.add_argument("--backend", default=None,
-                        help="numerics backend for the chaos phase "
-                             "(thread|process|compiled; default: env/thread)")
     args = parser.parse_args(argv)
     seed = int(os.environ.get("REPRO_FAULT_SEED", "1337") or "1337")
 
@@ -92,8 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     with contextlib.ExitStack() as stack:
         stack.enter_context(obs.trace_to(args.trace))
         stack.enter_context(fault_profile("chaos", seed=seed))
-        stack.enter_context(exec_workers(CHAOS_WORKERS, min_parallel_nnz=1,
-                                         backend=args.backend))
+        stack.enter_context(exec_workers(CHAOS_WORKERS, min_parallel_nnz=1))
         tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="chaos-ckpt-"))
         chaos_sweep, chaos_train = run_phase(checkpoint_dir=tmp)
     fired = {name: metrics.counter(name).value - v for name, v in before.items()}
@@ -143,8 +139,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"warning: {dropped} corrupt trace line(s) skipped",
                   file=sys.stderr)
 
-    print(f"chaos check (seed {seed}, {CHAOS_WORKERS} workers, "
-          f"backend {args.backend or 'default'}):")
+    print(f"chaos check (seed {seed}, {CHAOS_WORKERS} workers):")
     for name, count in fired.items():
         print(f"  {name}: {count:.0f}")
     print(f"  sweep rows compared: {len(base_sweep.rows)}")

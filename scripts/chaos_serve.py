@@ -575,8 +575,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=int(os.environ.get("REPRO_FAULT_SEED", "1337") or 1337))
     args = parser.parse_args(argv)
 
-    os.environ.setdefault("REPRO_EXEC_BACKEND", "auto")
-
     from repro import obs
 
     from repro.resilience.faults import no_faults

@@ -2,30 +2,15 @@
 
 Shards each kernel launch's value-dependent half (the numerics left on
 the warm path by the structural plan cache) into NNZ-balanced row
-blocks executed concurrently on a pluggable numerics backend,
+blocks executed concurrently on the engine's thread pool,
 bit-identical to the serial path.  ``REPRO_EXEC_WORKERS`` (default 1)
-turns it on; ``REPRO_EXEC_BACKEND`` picks the mechanism (``thread`` —
-the default pool, ``process`` — shared-memory resident shards on a
-spawn process pool, ``compiled`` — numba-JIT whole-launch kernels with
-an eager numpy fallback, ``auto`` — thread on hosts with fewer than
-four CPUs, process otherwise).
+turns it on.
 
 Importing this package also installs the fork-safety hooks
 (:mod:`repro.exec.forksafe`): a forked child drops the inherited
 engine/executor and gets fresh plan-cache, injector and span state.
 """
 
-from repro.exec.backends import (
-    AUTO_MIN_CPUS,
-    DEFAULT_BACKEND,
-    NUMBA_AVAILABLE,
-    NumericsBackend,
-    available_backends,
-    backend_names,
-    create_backend,
-    resolve_auto_backend,
-    resolve_backend_name,
-)
 from repro.exec.engine import (
     DEFAULT_MIN_PARALLEL_NNZ,
     BufferPool,
@@ -47,21 +32,12 @@ from repro.exec.sharding import (
 register_fork_hooks()
 
 __all__ = [
-    "AUTO_MIN_CPUS",
-    "DEFAULT_BACKEND",
     "DEFAULT_MIN_PARALLEL_NNZ",
-    "NUMBA_AVAILABLE",
     "BufferPool",
     "ExecutionEngine",
-    "NumericsBackend",
-    "available_backends",
-    "backend_names",
-    "create_backend",
     "exec_workers",
     "get_engine",
     "register_fork_hooks",
-    "resolve_auto_backend",
-    "resolve_backend_name",
     "resolve_workers",
     "set_exec_workers",
     "RowBlock",

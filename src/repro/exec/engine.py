@@ -1,28 +1,18 @@
 """Sharded parallel execution engine for host-side kernel numerics.
 
-After the structural plan cache (PR 2), a warm kernel launch runs
-*only* its numerics — one serial scipy/NumPy call.  This module makes
-that remaining half scale on multi-core hosts: each launch's numerics
-run as NNZ-balanced row blocks (:mod:`repro.exec.sharding`) on a
-pluggable :class:`~repro.exec.backends.NumericsBackend`, each block
-writing its own rows/edges of a pooled pre-allocated output buffer.
-``REPRO_EXEC_BACKEND`` selects the mechanism:
-
-* ``thread`` (default) — the persistent ``ThreadPoolExecutor``; scipy's
-  CSR loops and the SDDMM gather release the GIL, so blocks overlap.
-* ``process`` — a spawn process pool over shared-memory resident
-  shards (:mod:`repro.exec.backends.process`): graph structure uploads
-  once per structure token, steady-state launches ship zero graph
-  bytes, and scaling is no longer GIL-bound.
-* ``compiled`` — numba-JIT whole-launch kernels
-  (:mod:`repro.exec.backends.compiled`) when numba is importable, the
-  exact eager numpy numerics otherwise.
+After the structural plan cache, a warm kernel launch runs *only* its
+numerics — one serial scipy/NumPy call.  This module makes that
+remaining half scale on multi-core hosts: each launch's numerics run as
+NNZ-balanced row blocks (:mod:`repro.exec.sharding`) on the engine's
+persistent ``ThreadPoolExecutor``, each block writing its own
+rows/edges of a pooled pre-allocated output buffer.  scipy's CSR loops
+and the SDDMM gather release the GIL, so blocks overlap.
 
 Correctness invariant: row blocks never share an output row (SpMM/SpMV)
 and NZE ranges never share an output edge (SDDMM), so no atomics are
-needed and every backend's output is **bit-identical** to the serial
-path (the parity property suite pins all three).  Simulated device
-times are untouched — the engine only reorganizes host work.
+needed and every sharded output is **bit-identical** to the serial
+path (the parity property suite pins it).  Simulated device times are
+untouched — the engine only reorganizes host work.
 
 ``REPRO_EXEC_WORKERS`` selects the worker count (default 1 = the serial
 path, so all simulated-time figures are unchanged);
@@ -30,22 +20,18 @@ path, so all simulated-time figures are unchanged);
 fan-out overhead would dominate.  The engine also exposes
 :meth:`ExecutionEngine.map` for embarrassingly parallel sweeps (the
 bench harness runs independent ``(dataset, F)`` points through it);
-``map`` always runs on the engine's *thread* pool — sweep closures are
-not picklable — and launches issued from inside a map worker are
-pinned serial, so sweep-level parallelism never oversubscribes a
-second shard pool (thread or process) per worker.
+launches issued from inside a map worker are pinned serial, so
+sweep-level parallelism never nests a second fan-out into the pool.
 
 Resilience (:mod:`repro.resilience`): each shard gets a bounded retry
 budget (``REPRO_EXEC_RETRIES``, exponential backoff on stalls and
 worker exceptions); a shard that exhausts it — or a sharded output
 that fails the finite-value guard — degrades the *launch* to the exact
-serial numerics, which stay bit-identical to the fault-free run.  A
-dead worker process (``BrokenProcessPool``) rebuilds the pool and
-follows the same retry/degrade path as a thread fault.  Repeated
-launch failures mark the pool unhealthy and route every subsequent
-launch serially until :meth:`ExecutionEngine.reset_health`.  Every
-recovery emits ``resilience.retry`` / ``resilience.degraded`` counters
-and obs events, so chaos runs are auditable from the trace.
+serial numerics, which stay bit-identical to the fault-free run.
+Repeated launch failures mark the pool unhealthy and route every
+subsequent launch serially until :meth:`ExecutionEngine.reset_health`.
+Every recovery emits ``resilience.retry`` / ``resilience.degraded``
+counters and obs events, so chaos runs are auditable from the trace.
 """
 
 from __future__ import annotations
@@ -54,6 +40,7 @@ import contextlib
 import contextvars
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
@@ -62,12 +49,6 @@ import numpy as np
 from repro import obs
 from repro.errors import ConfigError, ShardExecutionError
 from repro.exec import numerics
-from repro.exec.backends import create_backend, resolve_backend_name
-from repro.exec.backends.base import (  # noqa: F401 - re-exported for compat
-    RETRY_BACKOFF_MAX_S,
-    RETRY_BACKOFF_S,
-    ShardLaunch,
-)
 from repro.exec.sharding import RowBlock, ShardPlan, edge_range_bounds, row_shard_plan
 from repro.resilience import faults, validation
 from repro.sparse.coo import COOMatrix
@@ -89,6 +70,10 @@ DEFAULT_RETRIES = 2
 #: consecutive failed parallel launches before the pool is deemed
 #: unhealthy and everything degrades to serial until reset_health()
 UNHEALTHY_AFTER = 3
+
+#: base backoff before a shard retry; doubles per attempt, capped below
+RETRY_BACKOFF_S = 0.001
+RETRY_BACKOFF_MAX_S = 0.05
 
 
 def _env_int(name: str, default: int) -> int:
@@ -163,15 +148,71 @@ class BufferPool:
             self._issued.clear()
 
 
+def run_shard_with_retries(
+    engine: "ExecutionEngine",
+    kind: str,
+    block: RowBlock,
+    body: Callable[[RowBlock], None],
+    block_reset: Callable[[RowBlock], None] | None = None,
+) -> float:
+    """One shard with a bounded retry budget and exponential backoff.
+
+    Returns the successful attempt's wall milliseconds (fed into the
+    launch's measured-imbalance attribution).  Each attempt gets its own
+    ``exec.shard`` span labelled with the executing thread.  Injected
+    faults consume a fresh injector occurrence per attempt, so transient
+    failures clear on retry exactly like flaky real workers; a shard
+    that fails every attempt raises :class:`ShardExecutionError` and the
+    launch degrades to serial.
+    """
+    injector = faults.get_injector()
+    metrics = obs.get_metrics()
+    last_error: BaseException | None = None
+    for attempt in range(engine.max_attempts):
+        try:
+            t0 = time.perf_counter()
+            with obs.span(
+                "exec.shard", kind=kind, shard=block.index,
+                rows=block.num_rows, nnz=block.nnz, attempt=attempt,
+                worker=threading.current_thread().name,
+            ):
+                if injector.enabled:
+                    injector.maybe_raise(
+                        "exec.worker_raise", kind=kind, shard=block.index
+                    )
+                    injector.maybe_stall(
+                        "exec.shard_stall", kind=kind, shard=block.index
+                    )
+                body(block)
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            metrics.histogram("exec.shard_wall_ms").observe(wall_ms)
+            return wall_ms
+        except Exception as e:  # noqa: BLE001 - bounded retry, then typed raise
+            last_error = e
+            if attempt + 1 >= engine.max_attempts:
+                break
+            metrics.counter("resilience.retry").inc()
+            obs.event(
+                "resilience.retry", kind=kind, shard=block.index,
+                attempt=attempt, error=type(e).__name__,
+            )
+            if block_reset is not None:
+                block_reset(block)
+            time.sleep(min(RETRY_BACKOFF_S * 2**attempt, RETRY_BACKOFF_MAX_S))
+    raise ShardExecutionError(
+        f"shard {block.index} ({kind}) failed after "
+        f"{engine.max_attempts} attempts: {last_error}"
+    ) from last_error
+
+
 class ExecutionEngine:
-    """Persistent runner for sharded kernel numerics on a backend."""
+    """Persistent runner for sharded kernel numerics on a thread pool."""
 
     def __init__(
         self,
         workers: int | None = None,
         *,
         min_parallel_nnz: int | None = None,
-        backend: str | None = None,
     ):
         self.workers = resolve_workers() if workers is None else max(1, int(workers))
         self.min_parallel_nnz = (
@@ -187,13 +228,11 @@ class ExecutionEngine:
         self._health_lock = threading.Lock()
         self._consecutive_failures = 0
         self._unhealthy = False
-        name = resolve_backend_name() if backend is None else str(backend).lower()
-        self.backend = create_backend(name, self)
         obs.get_metrics().gauge("exec.workers").set(self.workers)
 
     # ------------------------------------------------------------- pool
     def _ensure_executor(self) -> ThreadPoolExecutor:
-        """The engine's *thread* pool (thread-backend shards, ``map``)."""
+        """The engine's thread pool (shards and ``map`` points)."""
         if self._executor is None:
             with self._executor_lock:
                 if self._executor is None:
@@ -215,14 +254,12 @@ class ExecutionEngine:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=wait)
-        self.backend.shutdown(wait=wait)
         self.pool.clear()
 
     def _parallel_ok(self, nnz: int) -> bool:
-        if self.backend.needs_workers and self.workers <= 1:
-            return False
         return (
-            nnz >= self.min_parallel_nnz
+            self.workers > 1
+            and nnz >= self.min_parallel_nnz
             and not self._in_worker()
             and not self._unhealthy
         )
@@ -258,7 +295,7 @@ class ExecutionEngine:
         """Account one launch-level degrade-to-serial recovery."""
         self._record_launch_failure()
         obs.get_metrics().counter("resilience.degraded").inc()
-        obs.event("resilience.degraded", kind=kind, reason=reason, backend=self.backend.name)
+        obs.event("resilience.degraded", kind=kind, reason=reason)
 
     # ---------------------------------------------------------- kernels
     def spmm(self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -287,27 +324,20 @@ class ExecutionEngine:
         *,
         negative_slope: float = 0.2,
     ) -> np.ndarray:
-        """Fused-GAT edge softmax (scores + segment softmax), backend-routed.
+        """Fused-GAT edge softmax (scores + segment softmax), serial.
 
-        ``A`` must be CSR-ordered (the fused kernels sort first).  The
-        compiled backend JITs the score pass; every backend keeps the
-        segment-sum and ``exp`` on the same numpy kernels, so alpha is
-        bit-identical across backends.
+        ``A`` must be CSR-ordered (the fused kernels sort first).
         """
         el = np.asarray(el, dtype=np.float64)
         er = np.asarray(er, dtype=np.float64)
-        return self.backend.gat_alpha(A, el, er, negative_slope=negative_slope)
-
-    def _csr_blocks(self, A: COOMatrix) -> tuple[ShardPlan | None, list[RowBlock]]:
-        """Shard plan + blocks for a row-parallel launch on this backend."""
-        if self.backend.whole_launch:
-            return None, [RowBlock(0, 0, A.num_rows, 0, A.nnz)]
-        plan = row_shard_plan(A, self.workers)
-        return plan, plan.nonempty_blocks()
+        return numerics.gat_edge_softmax_serial(
+            A, el, er, negative_slope=negative_slope
+        )
 
     def _sharded_csr(self, kind: str, A: COOMatrix, edge_values, X) -> np.ndarray:
-        plan, blocks = self._csr_blocks(A)
-        if not self.backend.whole_launch and len(blocks) <= 1:
+        plan = row_shard_plan(A, self.workers)
+        blocks = plan.nonempty_blocks()
+        if len(blocks) <= 1:
             obs.get_metrics().counter("exec.launch.serial").inc()
             return numerics.csr_spmm_serial(A, edge_values, X)
         indptr, cols, perm = A.csr_arrays()
@@ -317,30 +347,28 @@ class ExecutionEngine:
         injector = faults.get_injector()
         if injector.enabled and injector.fire("exec.value_nan", kind=kind):
             # Corrupt a *scratch copy* of the edge values: the sharded
-            # result will carry the NaN, the finite-output guard below
+            # result will carry the NaN, the finite-output guard
             # catches it, and the serial recompute uses the originals.
             data = np.array(data, dtype=np.float64)
             data[injector.value_index("exec.value_nan", data.shape[0])] = np.nan
         Xc = np.ascontiguousarray(X)
         shape = (A.num_rows,) if Xc.ndim == 1 else (A.num_rows, Xc.shape[1])
         out = self.pool.acquire(shape, zero=True)
-        launch = ShardLaunch(
-            kind=kind, op="csr", blocks=blocks, out=out,
-            structure_token=A.structure_token,
-            indptr=indptr, cols=cols, data=data, X=Xc, num_cols=A.num_cols,
+
+        def run_block(b: RowBlock) -> None:
+            numerics.csr_block_spmm(
+                indptr, cols, data, Xc, out,
+                b.row_start, b.row_end, b.nnz_start, b.nnz_end, A.num_cols,
+            )
+
+        def reset_block(b: RowBlock) -> None:
+            # CSR blocks accumulate, so a retried block's rows re-zero.
+            out[b.row_start : b.row_end] = 0.0
+
+        return self._launch(
+            kind, plan, blocks, run_block, reset_block, out, injector,
+            lambda: numerics.csr_spmm_serial(A, edge_values, X),
         )
-        try:
-            self._run_blocks(plan, launch)
-        except ShardExecutionError as e:
-            self._degrade(kind, f"shard-failure: {e}")
-            self.pool.release(out)
-            return numerics.csr_spmm_serial(A, edge_values, X)
-        if self._needs_output_guard(injector) and not validation.check_finite_output(out):
-            self._degrade(kind, "non-finite-output")
-            self.pool.release(out)
-            return numerics.csr_spmm_serial(A, edge_values, X)
-        self._record_launch_success()
-        return out
 
     def sddmm(self, A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """``W[e] = <X[row_e], Y[col_e]>`` in the caller's edge order."""
@@ -352,10 +380,7 @@ class ExecutionEngine:
         # Per-edge outputs: row-aligned NZE ranges when the COO is
         # CSR-ordered (the common case — same blocks as SpMM), plain
         # equal ranges otherwise.  Either way output slices are disjoint.
-        if self.backend.whole_launch:
-            plan = None
-            blocks = [RowBlock(0, 0, 0, 0, A.nnz)]
-        elif A.is_csr_ordered():
+        if A.is_csr_ordered():
             plan = row_shard_plan(A, self.workers)
             blocks = plan.nonempty_blocks()
         else:
@@ -366,7 +391,7 @@ class ExecutionEngine:
                 for i in range(len(bounds) - 1)
                 if bounds[i + 1] > bounds[i]
             ]
-        if not self.backend.whole_launch and len(blocks) <= 1:
+        if len(blocks) <= 1:
             obs.get_metrics().counter("exec.launch.serial").inc()
             return numerics.sddmm_serial(A, X, Y)
         injector = faults.get_injector()
@@ -378,23 +403,15 @@ class ExecutionEngine:
             edge = injector.value_index("exec.value_nan", A.nnz)
             Xs[int(A.rows[edge]), 0] = np.nan
         out = self.pool.acquire((A.nnz,), zero=False)
-        launch = ShardLaunch(
-            kind="sddmm", op="sddmm", blocks=blocks, out=out,
-            structure_token=A.structure_token,
-            rows=A.rows, cols=A.cols, X=Xs, Y=Y,
+
+        def run_block(b: RowBlock) -> None:
+            numerics.sddmm_block(A.rows, A.cols, Xs, Y, out, b.nnz_start, b.nnz_end)
+
+        # SDDMM slices are overwritten, so a retry needs no reset.
+        return self._launch(
+            "sddmm", plan, blocks, run_block, None, out, injector,
+            lambda: numerics.sddmm_serial(A, X, Y),
         )
-        try:
-            self._run_blocks(plan, launch)
-        except ShardExecutionError as e:
-            self._degrade("sddmm", f"shard-failure: {e}")
-            self.pool.release(out)
-            return numerics.sddmm_serial(A, X, Y)
-        if self._needs_output_guard(injector) and not validation.check_finite_output(out):
-            self._degrade("sddmm", "non-finite-output")
-            self.pool.release(out)
-            return numerics.sddmm_serial(A, X, Y)
-        self._record_launch_success()
-        return out
 
     def release(self, buf: np.ndarray) -> bool:
         """Give an engine-produced output buffer back to the pool."""
@@ -407,29 +424,80 @@ class ExecutionEngine:
         (``REPRO_VALIDATE=full``) — the scan is O(output)."""
         return injector.armed("exec.value_nan") or validation.validation_level() == "full"
 
-    def _run_blocks(self, plan: ShardPlan | None, launch: ShardLaunch) -> None:
-        """One parallel launch on the backend, wrapped in accounting."""
+    def _launch(
+        self,
+        kind: str,
+        plan: ShardPlan | None,
+        blocks: list[RowBlock],
+        run_block: Callable[[RowBlock], None],
+        reset_block: Callable[[RowBlock], None] | None,
+        out: np.ndarray,
+        injector: faults.FaultInjector,
+        serial: Callable[[], np.ndarray],
+    ) -> np.ndarray:
+        """One sharded launch into ``out``; degrades to ``serial()``."""
+        try:
+            self._run_blocks(kind, plan, blocks, run_block, reset_block)
+        except ShardExecutionError as e:
+            reason = f"shard-failure: {e}"
+        else:
+            if not (
+                self._needs_output_guard(injector)
+                and not validation.check_finite_output(out)
+            ):
+                self._record_launch_success()
+                return out
+            reason = "non-finite-output"
+        self._degrade(kind, reason)
+        self.pool.release(out)
+        return serial()
+
+    def _run_blocks(
+        self,
+        kind: str,
+        plan: ShardPlan | None,
+        blocks: list[RowBlock],
+        run_block: Callable[[RowBlock], None],
+        reset_block: Callable[[RowBlock], None] | None,
+    ) -> None:
+        """Fan every block out to the pool, wrapped in accounting."""
         metrics = obs.get_metrics()
         metrics.counter("exec.launch.parallel").inc()
         imbalance = plan.imbalance if plan is not None else 1.0
         metrics.histogram("exec.shard_imbalance").observe(imbalance)
-        blocks = launch.blocks
         with obs.span(
-            "exec.parallel", kind=launch.kind, backend=self.backend.name,
-            workers=self.workers, shards=len(blocks), shard_imbalance=imbalance,
+            "exec.parallel", kind=kind, workers=self.workers,
+            shards=len(blocks), shard_imbalance=imbalance,
         ) as sp:
-            shard_ms = self.backend.run_blocks(launch)
-            launch.shard_wall_ms = shard_ms
-            if shard_ms:
-                # Measured (wall) imbalance alongside the planned NNZ
-                # imbalance: the timeline/profile views compare the two
-                # to show whether the NNZ balancer predicts stragglers.
-                mean_ms = sum(shard_ms) / len(shard_ms)
-                sp.set(
-                    shard_wall_ms_max=max(shard_ms),
-                    shard_wall_ms_mean=mean_ms,
-                    measured_imbalance=max(shard_ms) / mean_ms if mean_ms > 0 else 1.0,
+            executor = self._ensure_executor()
+            futures = [
+                executor.submit(
+                    contextvars.copy_context().run, run_shard_with_retries,
+                    self, kind, b, run_block, reset_block,
                 )
+                for b in blocks
+            ]
+            # Drain every future before surfacing a failure: a straggler
+            # shard must never keep writing into a buffer the caller has
+            # already released back to the pool.
+            errors: list[BaseException] = []
+            shard_ms: list[float] = []
+            for f in futures:
+                try:
+                    shard_ms.append(f.result())
+                except Exception as e:  # noqa: BLE001 - collected, re-raised below
+                    errors.append(e)
+            if errors:
+                raise errors[0]
+            # Measured (wall) imbalance alongside the planned NNZ
+            # imbalance: the timeline/profile views compare the two to
+            # show whether the NNZ balancer predicts stragglers.
+            mean_ms = sum(shard_ms) / len(shard_ms)
+            sp.set(
+                shard_wall_ms_max=max(shard_ms),
+                shard_wall_ms_mean=mean_ms,
+                measured_imbalance=max(shard_ms) / mean_ms if mean_ms > 0 else 1.0,
+            )
 
     def map(
         self,
@@ -443,11 +511,7 @@ class ExecutionEngine:
         Order-preserving.  Falls back to a plain loop with one worker,
         a single item, or when called from inside an engine worker
         thread (so sweep-level and shard-level parallelism never nest
-        into a deadlock on the shared pool).  Always runs on the
-        engine's *thread* pool regardless of the shard backend — sweep
-        closures are not picklable, and the in-worker pin above keeps a
-        process backend from fanning a second pool out of every map
-        worker.
+        into a deadlock on the shared pool).
         """
         items = list(items)
         if self.workers <= 1 or len(items) <= 1 or self._in_worker():
@@ -489,17 +553,10 @@ def set_exec_workers(workers: int | None) -> None:
 
 
 @contextlib.contextmanager
-def exec_workers(
-    workers: int,
-    *,
-    min_parallel_nnz: int | None = None,
-    backend: str | None = None,
-):
+def exec_workers(workers: int, *, min_parallel_nnz: int | None = None):
     """Temporarily swap in an engine with the given worker count (tests)."""
     global _default
-    override = ExecutionEngine(
-        workers, min_parallel_nnz=min_parallel_nnz, backend=backend
-    )
+    override = ExecutionEngine(workers, min_parallel_nnz=min_parallel_nnz)
     with _default_lock:
         prev, _default = _default, override
     try:

@@ -12,18 +12,11 @@ these deadlocks or mis-parents the child's first launch.
 ``repro.exec``) that resets all of it:
 
 * the global engine is dropped, so the child lazily builds a fresh one
-  (new executor, new backend, new shared-memory store — a forked child
-  must never unlink its parent's resident segments, which
-  :class:`~repro.exec.backends.process._Seg` additionally guards by
-  creator pid);
+  with a new executor;
 * the plan cache gets a fresh ``RLock`` (entries are plain data and
   remain valid);
 * the fault injector's locks are replaced, schedules kept;
 * the obs span contextvar is cleared.
-
-The process backend's *spawn* workers get the complementary treatment
-in their initializer (:func:`repro.exec.backends.process._worker_init`):
-pinned serial, injector disabled, shared-memory attachment untracked.
 """
 
 from __future__ import annotations

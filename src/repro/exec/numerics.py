@@ -13,17 +13,15 @@ per row block over absolute ``indptr`` slices of the *same* shared
 sequence, so block outputs match the serial sweep bit-for-bit.  SDDMM
 accumulates each edge dot in ascending feature order — one elementwise
 ``out += X[:, k] * Y[:, k]`` pass per feature — which is the *defined*
-summation order every backend reproduces: per-edge dots are independent
-of batching (thread/process blocks), and a scalar ``for k`` loop (the
-numba backend) performs the identical add sequence.  ``np.einsum``
-would be marginally faster here but uses SIMD partial accumulators, so
-its last-bit results are not reproducible by a scalar kernel — the
-cross-backend bit-identity gate is worth the extra feature passes.
+summation order: per-edge dots are independent of how edges are split
+into blocks, and a scalar ``for k`` loop would perform the identical add
+sequence.  ``np.einsum`` would be marginally faster here but uses SIMD
+partial accumulators, so its last-bit results are not reproducible by a
+scalar kernel — a pinned order is worth the extra feature passes.
 
 The fused-GAT edge softmax keeps ``np.maximum.reduceat`` (max is
 association-free), ``np.add.reduceat`` and ``np.exp`` as its canonical
-kernels; compiled backends may re-implement the elementwise pieces but
-must reuse numpy for the pairwise segment sum and libm ``exp``.
+kernels.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ def _gathered_dot(Xg: np.ndarray, Yg: np.ndarray) -> np.ndarray:
 
     One elementwise pass per feature pins the accumulation order: for
     every row the adds happen in ascending ``k``, exactly the sequence
-    a scalar ``for k`` loop (numba) performs — see the module docstring.
+    a scalar ``for k`` loop performs — see the module docstring.
     """
     out = np.zeros(Xg.shape[0], dtype=np.result_type(Xg.dtype, Yg.dtype, np.float64))
     for k in range(Xg.shape[1]):
@@ -143,8 +141,7 @@ def gat_edge_softmax_serial(
     """Fused-GAT edge pipeline: leaky-relu scores + per-row softmax.
 
     ``A`` must be CSR-ordered so each row's edges form one contiguous
-    segment.  This is the canonical alpha every backend must match
-    bit-for-bit; the segment reductions deliberately stay on numpy's
+    segment.  The segment reductions deliberately stay on numpy's
     ``reduceat`` kernels (see module docstring).
     """
     rows, cols = A.rows, A.cols

@@ -30,11 +30,9 @@ The default :meth:`compute` routes through the sharded execution engine
 (:mod:`repro.exec`) — serial and bit-identical to the reference
 numerics at the default ``REPRO_EXEC_WORKERS=1``, executed as
 concurrent row blocks on multi-core hosts — so baselines get the
-replay-cost/recompute-numerics treatment without per-kernel code.  The
-engine in turn dispatches to the numerics backend selected by
-``REPRO_EXEC_BACKEND`` (thread pool, shared-memory process pool, or
-numba-compiled kernels); kernels never see the difference because every
-backend is bit-identical by construction.
+replay-cost/recompute-numerics treatment without per-kernel code.
+Kernels never see the difference because sharded numerics are
+bit-identical to serial by construction.
 """
 
 from __future__ import annotations

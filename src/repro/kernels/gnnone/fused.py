@@ -54,10 +54,9 @@ def fused_gat_attention_numerics(
     from repro.exec import get_engine
     from repro.kernels.gnnone.spmm import csr_replay_spmm
 
-    # Both halves route through the execution engine's backend: the
-    # compiled backend JITs the score pass, the process/thread backends
-    # shard the aggregation SpMM — alpha and Y stay bit-identical to
-    # the serial numerics on every backend.
+    # Both halves route through the execution engine, which shards the
+    # aggregation SpMM — alpha and Y stay bit-identical to the serial
+    # numerics at every worker count.
     alpha = get_engine().gat_alpha(coo, el, er, negative_slope=negative_slope)
     Y = csr_replay_spmm(coo, alpha, np.asarray(X, dtype=np.float64))
     return alpha, Y

@@ -16,9 +16,8 @@ answers the next two questions a kernel engineer asks:
   concurrent sweep points) into per-worker lanes;
   :func:`format_timeline` renders them as an ASCII gantt, making shard
   imbalance and stragglers visible straight from the trace file.  The
-  lanes key on each span's ``worker`` attribute, so the process backend
-  — whose shard spans are labeled ``pid:<N>`` after the worker process
-  that ran them — gets one row per pool process with no extra wiring.
+  lanes key on each span's ``worker`` attribute (the executing
+  ``repro-exec`` thread's name).
 """
 
 from __future__ import annotations

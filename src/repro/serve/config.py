@@ -28,6 +28,7 @@ injected fault sequence leaves at least one fault-free attempt.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -61,6 +62,8 @@ def _env_float(name: str, default: float, *, minimum: float = 0.0) -> float:
         raise ConfigError(
             f"{_ENV_PREFIX}{name} must be a number, got {raw!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{_ENV_PREFIX}{name} must be finite, got {raw!r}")
     if value < minimum:
         raise ConfigError(f"{_ENV_PREFIX}{name} must be >= {minimum}, got {value}")
     return value
@@ -77,7 +80,15 @@ def _env_bool(name: str, default: bool) -> bool:
     raw = os.environ.get(_ENV_PREFIX + name)
     if raw is None or raw.strip() == "":
         return default
-    return raw.strip().lower() not in ("0", "false", "off", "no")
+    value = raw.strip().lower()
+    if value in ("1", "true", "on", "yes"):
+        return True
+    if value in ("0", "false", "off", "no"):
+        return False
+    raise ConfigError(
+        f"{_ENV_PREFIX}{name} must be one of 1/true/on/yes or 0/false/off/no, "
+        f"got {raw!r}"
+    )
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,8 @@ trained model + feature matrix) resident, admits requests into a
 bounded :class:`~repro.serve.scheduler.DeadlineScheduler`, and a single
 drain task coalesces whatever is pending — up to ``max_batch``
 requests, lingering at most ``max_delay_us`` for stragglers — into one
-fused launch through the normal kernel path, so the plan cache, shard
-fan-out and active ``REPRO_EXEC_BACKEND`` are amortized per *batch*
-instead of per request.
+fused launch through the normal kernel path, so the plan cache and
+shard fan-out are amortized per *batch* instead of per request.
 
 Two request kinds cover the serving surface:
 
@@ -60,7 +59,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-import os
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -93,8 +92,6 @@ from repro.serve.scheduler import (
 #: chaos site consulted once per fused launch and once per unbatched
 #: attempt (see :mod:`repro.resilience.faults`).
 FAULT_SITE = "serve.batch_fail"
-
-_ENV_BACKEND = "REPRO_EXEC_BACKEND"
 
 
 def _bucket(width: int) -> int:
@@ -215,10 +212,6 @@ class InferenceService:
             fast = await service.propagate(column, priority="interactive",
                                            deadline_ms=50.0)
             logits = await service.predict([7, 9, 23])   # model rows
-
-    The service installs ``REPRO_EXEC_BACKEND=auto`` when the variable
-    is unset — the host-shaped backend choice is the serving default —
-    and never overrides an explicit setting.
     """
 
     def __init__(
@@ -252,12 +245,6 @@ class InferenceService:
         self._inflight: list[_Request] = []
         self._running = False
         self._default_priority = resolve_priority(self.config.default_priority)
-        # Serving default: host-shaped backend, unless the operator
-        # already chose one (empty counts as unset, matching the
-        # resolver).  Done before the first launch can create the
-        # global engine, which reads the variable once.
-        if not os.environ.get(_ENV_BACKEND, "").strip():
-            os.environ[_ENV_BACKEND] = "auto"
 
     # ------------------------------------------------------------ lifecycle
 
@@ -426,6 +413,15 @@ class InferenceService:
         )
         if deadline_ms is None:
             deadline_ms = self.config.timeout_ms
+        elif (
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, numbers.Real)
+            or not math.isfinite(deadline_ms)
+        ):
+            # NaN would poison the EDF heap's ordering; True is an int.
+            raise ConfigError(
+                f"deadline_ms must be a finite number, got {deadline_ms!r}"
+            )
         if deadline_ms is not None and deadline_ms <= 0:
             deadline_ms = None  # 0 disables, matching REPRO_SERVE_TIMEOUT_MS
         loop = asyncio.get_running_loop()

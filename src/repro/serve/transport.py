@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import signal
 import time
 from collections import OrderedDict, deque
@@ -338,7 +339,12 @@ class ServeTransport:
         priority = frame.get("priority")
         tenant = str(frame.get("tenant", ""))
         try:
-            if deadline_ms is not None and not isinstance(deadline_ms, (int, float)):
+            # json.loads yields floats for NaN/Infinity, and bool is an int.
+            if deadline_ms is not None and (
+                isinstance(deadline_ms, bool)
+                or not isinstance(deadline_ms, (int, float))
+                or not math.isfinite(deadline_ms)
+            ):
                 raise ProtocolError(f"bad deadline_ms {deadline_ms!r}")
             if injector.fire(FAULT_DEADLINE_STORM, op=op):
                 deadline_ms = STORM_DEADLINE_MS

@@ -1,6 +1,5 @@
 """Sharded execution engine: bit-identity, shard plans, pool, fan-out."""
 
-import contextlib
 import os
 import threading
 
@@ -14,16 +13,12 @@ from repro.core import get_plan_cache, set_plan_cache_enabled
 from repro.errors import ConfigError
 from repro.exec import (
     DEFAULT_MIN_PARALLEL_NNZ,
-    NUMBA_AVAILABLE,
     BufferPool,
     ExecutionEngine,
-    available_backends,
-    backend_names,
     build_row_shard_plan,
     edge_range_bounds,
     exec_workers,
     get_engine,
-    resolve_backend_name,
     resolve_workers,
     row_shard_plan,
     set_exec_workers,
@@ -35,12 +30,10 @@ from repro.exec.numerics import (
 )
 from repro.kernels.gnnone import GnnOneSDDMM, GnnOneSpMM, GnnOneSpMV, segment_sum_spmm
 from repro.nn import GCN, GraphData, Trainer, synthesize
-from repro.resilience import fault_profile, no_faults
+from repro.resilience import no_faults
 from repro.sparse import COOMatrix
 from repro.sparse.datasets import load_dataset
 from repro.sparse.partition import nnz_balanced_row_blocks
-
-BACKENDS = ["thread", "process", "compiled"]
 
 
 @pytest.fixture(autouse=True)
@@ -146,6 +139,150 @@ class TestBitIdentity:
         serial = csr_spmm_serial(coo, vals, X)
         with exec_workers(4, min_parallel_nnz=0):
             np.testing.assert_array_equal(get_engine().spmm(coo, vals, X), serial)
+
+    def test_worker_sweep_bit_identical(self, medium_graph):
+        rng = np.random.default_rng(23)
+        vals = rng.standard_normal(medium_graph.nnz)
+        X = rng.standard_normal((medium_graph.num_cols, 4))
+        Xr = rng.standard_normal((medium_graph.num_rows, 4))
+        serial = csr_spmm_serial(medium_graph, vals, X)
+        serial_sd = sddmm_serial(medium_graph, Xr, X)
+        for workers in range(1, 6):
+            with exec_workers(workers, min_parallel_nnz=0) as eng:
+                np.testing.assert_array_equal(eng.spmm(medium_graph, vals, X), serial)
+                np.testing.assert_array_equal(
+                    eng.sddmm(medium_graph, Xr, X), serial_sd
+                )
+
+    def test_repeated_launches_stay_identical(self, medium_graph):
+        """Later launches reuse the memoized shard plan and pooled buffers."""
+        rng = np.random.default_rng(17)
+        vals = rng.standard_normal(medium_graph.nnz)
+        X = rng.standard_normal((medium_graph.num_cols, 8))
+        serial = csr_spmm_serial(medium_graph, vals, X)
+        with exec_workers(3, min_parallel_nnz=0) as eng:
+            for _ in range(3):
+                out = eng.spmm(medium_graph, vals, X)
+                np.testing.assert_array_equal(out, serial)
+                eng.release(out)
+
+    def test_gat_alpha_equals_serial(self, medium_graph):
+        rng = np.random.default_rng(5)
+        coo = (
+            medium_graph
+            if medium_graph.is_csr_ordered()
+            else medium_graph.sort_csr_order()
+        )
+        el = rng.standard_normal(coo.num_rows)
+        er = rng.standard_normal(coo.num_cols)
+        with exec_workers(3, min_parallel_nnz=0) as eng:
+            alpha = eng.gat_alpha(coo, el, er)
+        np.testing.assert_array_equal(alpha, gat_edge_softmax_serial(coo, el, er))
+
+
+
+@st.composite
+def graph_and_dim(draw):
+    n = draw(st.integers(2, 40))
+    nnz = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coo = COOMatrix.from_edges(
+        n, n, rng.integers(0, n, nnz), rng.integers(0, n, nnz)
+    )
+    F = draw(st.sampled_from([1, 3, 8, 16]))
+    return coo, F, rng
+
+
+@pytest.fixture(scope="module", params=[3], ids=["thread"])
+def backend_engine(request):
+    """One thread-pool engine shared by every launch in TestBackendParity.
+
+    Module scope keeps the pool, its memoized shard plans and pooled
+    buffers alive across many graphs, unlike the per-test engines of
+    TestBitIdentity.
+    """
+    eng = ExecutionEngine(request.param, min_parallel_nnz=0)
+    yield eng
+    eng.shutdown()
+
+
+class TestBackendParity:
+    """A long-lived engine must keep matching the serial numerics bit-for-bit."""
+
+    @given(data=graph_and_dim())
+    @settings(max_examples=15, deadline=None)
+    def test_spmm_parity(self, backend_engine, data):
+        coo, F, rng = data
+        vals = rng.standard_normal(coo.nnz)
+        X = rng.standard_normal((coo.num_cols, F))
+        np.testing.assert_array_equal(
+            backend_engine.spmm(coo, vals, X), csr_spmm_serial(coo, vals, X)
+        )
+
+    @given(data=graph_and_dim())
+    @settings(max_examples=15, deadline=None)
+    def test_sddmm_parity(self, backend_engine, data):
+        coo, F, rng = data
+        X = rng.standard_normal((coo.num_rows, F))
+        Y = rng.standard_normal((coo.num_cols, F))
+        np.testing.assert_array_equal(
+            backend_engine.sddmm(coo, X, Y), sddmm_serial(coo, X, Y)
+        )
+
+    @given(data=graph_and_dim())
+    @settings(max_examples=15, deadline=None)
+    def test_spmv_parity(self, backend_engine, data):
+        coo, _, rng = data
+        vals = rng.standard_normal(coo.nnz)
+        x = rng.standard_normal(coo.num_cols)
+        np.testing.assert_array_equal(
+            backend_engine.spmv(coo, vals, x), csr_spmm_serial(coo, vals, x)
+        )
+
+    def test_empty_graph(self, backend_engine):
+        empty = COOMatrix.from_edges(5, 5, np.zeros(0, int), np.zeros(0, int))
+        np.testing.assert_array_equal(
+            backend_engine.spmm(empty, np.zeros(0), np.ones((5, 3))),
+            np.zeros((5, 3)),
+        )
+        assert backend_engine.sddmm(empty, np.ones((5, 3)), np.ones((5, 3))).shape == (0,)
+
+    def test_single_hub_row(self, backend_engine):
+        nnz = 64
+        coo = COOMatrix.from_edges(
+            8, 8, np.zeros(nnz, int), np.arange(nnz, dtype=int) % 8
+        )
+        vals = np.linspace(0.5, 2.0, coo.nnz)
+        X = np.arange(8.0 * 4).reshape(8, 4)
+        np.testing.assert_array_equal(
+            backend_engine.spmm(coo, vals, X), csr_spmm_serial(coo, vals, X)
+        )
+
+    def test_unsorted_sddmm(self, backend_engine):
+        coo = COOMatrix(6, 6, np.array([4, 0, 2, 0, 3]), np.array([1, 3, 2, 0, 5]))
+        assert not coo.is_csr_ordered()
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((6, 8))
+        Y = rng.standard_normal((6, 8))
+        np.testing.assert_array_equal(
+            backend_engine.sddmm(coo, X, Y), sddmm_serial(coo, X, Y)
+        )
+
+    def test_training_parity(self, backend_engine):
+        """A short GCN fit produces identical losses serial and sharded."""
+        dataset = load_dataset("G0")
+        data = synthesize(dataset, feature_length=16, seed=2)
+
+        def fit():
+            model = GCN(data.feature_length, 16, data.num_classes,
+                        backend="gnnone", seed=1)
+            return Trainer(model, GraphData(dataset.coo), data, lr=0.02).fit(2)
+
+        serial = fit()
+        with exec_workers(backend_engine.workers, min_parallel_nnz=0):
+            parallel = fit()
+        assert [r.loss for r in parallel.history] == [r.loss for r in serial.history]
+        assert parallel.test_acc == serial.test_acc
 
 
 class TestShardPlans:
@@ -310,12 +447,8 @@ class TestFanout:
         assert par["attrs"]["shards"] == len(shards)
         assert par["attrs"]["shard_imbalance"] >= 1.0
         assert {s["attrs"]["shard"] for s in shards} == set(range(len(shards)))
-        # thread pool names its workers repro-exec-N; the process backend
-        # labels shards with the pool pid; compiled runs label the JIT state
-        assert all(
-            s["attrs"]["worker"].startswith(("repro-exec", "pid:", "numba", "eager"))
-            for s in shards
-        )
+        # the thread pool names its workers repro-exec-N
+        assert all(s["attrs"]["worker"].startswith("repro-exec") for s in shards)
         counters = obs.get_metrics().snapshot()["counters"]
         assert counters["exec.launch.parallel"] == 1
 
@@ -468,246 +601,6 @@ class TestConcurrentPlanCache:
         assert cache.hits + cache.misses >= 8
 
 
-# ------------------------------------------------------------- backends
-@pytest.fixture(scope="module", params=BACKENDS)
-def backend_engine(request):
-    """One engine per backend, shared across the parity tests.
-
-    Module scope keeps the process backend's spawn pool (and its
-    resident shared-memory graph segments) alive across tests — the
-    steady-state the backend is designed for.
-    """
-    eng = ExecutionEngine(3, min_parallel_nnz=0, backend=request.param)
-    yield eng
-    eng.shutdown()
-
-
-@st.composite
-def graph_and_dim(draw):
-    n = draw(st.integers(2, 40))
-    nnz = draw(st.integers(0, 200))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    coo = COOMatrix.from_edges(
-        n, n, rng.integers(0, n, nnz), rng.integers(0, n, nnz)
-    )
-    F = draw(st.sampled_from([1, 3, 8, 16]))
-    return coo, F, rng
-
-
-class TestBackendParity:
-    """Every backend must match the serial numerics bit-for-bit."""
-
-    @given(data=graph_and_dim())
-    @settings(max_examples=15, deadline=None)
-    def test_spmm_parity(self, backend_engine, data):
-        coo, F, rng = data
-        vals = rng.standard_normal(coo.nnz)
-        X = rng.standard_normal((coo.num_cols, F))
-        np.testing.assert_array_equal(
-            backend_engine.spmm(coo, vals, X), csr_spmm_serial(coo, vals, X)
-        )
-
-    @given(data=graph_and_dim())
-    @settings(max_examples=15, deadline=None)
-    def test_sddmm_parity(self, backend_engine, data):
-        coo, F, rng = data
-        X = rng.standard_normal((coo.num_rows, F))
-        Y = rng.standard_normal((coo.num_cols, F))
-        np.testing.assert_array_equal(
-            backend_engine.sddmm(coo, X, Y), sddmm_serial(coo, X, Y)
-        )
-
-    @given(data=graph_and_dim())
-    @settings(max_examples=15, deadline=None)
-    def test_spmv_parity(self, backend_engine, data):
-        coo, _, rng = data
-        vals = rng.standard_normal(coo.nnz)
-        x = rng.standard_normal(coo.num_cols)
-        np.testing.assert_array_equal(
-            backend_engine.spmv(coo, vals, x), csr_spmm_serial(coo, vals, x)
-        )
-
-    def test_empty_graph(self, backend_engine):
-        empty = COOMatrix.from_edges(5, 5, np.zeros(0, int), np.zeros(0, int))
-        np.testing.assert_array_equal(
-            backend_engine.spmm(empty, np.zeros(0), np.ones((5, 3))),
-            np.zeros((5, 3)),
-        )
-        assert backend_engine.sddmm(empty, np.ones((5, 3)), np.ones((5, 3))).shape == (0,)
-
-    def test_single_hub_row(self, backend_engine):
-        nnz = 64
-        coo = COOMatrix.from_edges(
-            8, 8, np.zeros(nnz, int), np.arange(nnz, dtype=int) % 8
-        )
-        vals = np.linspace(0.5, 2.0, coo.nnz)
-        X = np.arange(8.0 * 4).reshape(8, 4)
-        np.testing.assert_array_equal(
-            backend_engine.spmm(coo, vals, X), csr_spmm_serial(coo, vals, X)
-        )
-
-    def test_unsorted_sddmm(self, backend_engine):
-        coo = COOMatrix(6, 6, np.array([4, 0, 2, 0, 3]), np.array([1, 3, 2, 0, 5]))
-        assert not coo.is_csr_ordered()
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((6, 8))
-        Y = rng.standard_normal((6, 8))
-        np.testing.assert_array_equal(
-            backend_engine.sddmm(coo, X, Y), sddmm_serial(coo, X, Y)
-        )
-
-    def test_gat_alpha_parity(self, backend_engine, medium_graph):
-        rng = np.random.default_rng(5)
-        coo = (
-            medium_graph
-            if medium_graph.is_csr_ordered()
-            else medium_graph.sort_csr_order()
-        )
-        el = rng.standard_normal(coo.num_rows)
-        er = rng.standard_normal(coo.num_cols)
-        np.testing.assert_array_equal(
-            backend_engine.gat_alpha(coo, el, er),
-            gat_edge_softmax_serial(coo, el, er),
-        )
-
-    def test_repeated_launches_stay_identical(self, backend_engine, medium_graph):
-        """Second launch hits the resident-graph path on the process backend."""
-        rng = np.random.default_rng(17)
-        vals = rng.standard_normal(medium_graph.nnz)
-        X = rng.standard_normal((medium_graph.num_cols, 8))
-        serial = csr_spmm_serial(medium_graph, vals, X)
-        for _ in range(3):
-            np.testing.assert_array_equal(
-                backend_engine.spmm(medium_graph, vals, X), serial
-            )
-
-    def test_training_parity(self, backend_engine):
-        """A short GCN fit produces identical losses on every backend."""
-        dataset = load_dataset("G0")
-        data = synthesize(dataset, feature_length=16, seed=2)
-
-        def fit():
-            model = GCN(data.feature_length, 16, data.num_classes,
-                        backend="gnnone", seed=1)
-            return Trainer(model, GraphData(dataset.coo), data, lr=0.02).fit(2)
-
-        serial = fit()
-        with exec_workers(
-            3, min_parallel_nnz=0, backend=backend_engine.backend.name
-        ):
-            parallel = fit()
-        assert [r.loss for r in parallel.history] == [r.loss for r in serial.history]
-        assert parallel.test_acc == serial.test_acc
-
-
-class TestProcessBackend:
-    """Process-specific behavior: residency, recovery, chaos, map pin."""
-
-    def test_worker_sweep_bit_identical(self, medium_graph):
-        rng = np.random.default_rng(23)
-        vals = rng.standard_normal(medium_graph.nnz)
-        X = rng.standard_normal((medium_graph.num_cols, 4))
-        Xr = rng.standard_normal((medium_graph.num_rows, 4))
-        serial = csr_spmm_serial(medium_graph, vals, X)
-        serial_sd = sddmm_serial(medium_graph, Xr, X)
-        for workers in range(1, 6):
-            eng = ExecutionEngine(workers, min_parallel_nnz=0, backend="process")
-            try:
-                np.testing.assert_array_equal(
-                    eng.spmm(medium_graph, vals, X), serial
-                )
-                np.testing.assert_array_equal(
-                    eng.sddmm(medium_graph, Xr, X), serial_sd
-                )
-            finally:
-                eng.shutdown()
-
-    def test_graph_resident_across_launches(self, medium_graph):
-        rng = np.random.default_rng(29)
-        vals = rng.standard_normal(medium_graph.nnz)
-        X = rng.standard_normal((medium_graph.num_cols, 4))
-        eng = ExecutionEngine(2, min_parallel_nnz=0, backend="process")
-        obs.reset_metrics()
-        try:
-            for _ in range(3):
-                eng.spmm(medium_graph, vals, X)
-        finally:
-            eng.shutdown()
-        counters = obs.get_metrics().snapshot()["counters"]
-        assert counters.get("exec.shm.graph_upload", 0) == 1
-        assert counters.get("exec.shm.graph_hit", 0) == 2
-
-    def test_shard_spans_carry_worker_pid(self, medium_graph):
-        rng = np.random.default_rng(31)
-        vals = rng.standard_normal(medium_graph.nnz)
-        X = rng.standard_normal((medium_graph.num_cols, 4))
-        eng = ExecutionEngine(2, min_parallel_nnz=0, backend="process")
-        try:
-            with obs.capture() as records:
-                eng.spmm(medium_graph, vals, X)
-        finally:
-            eng.shutdown()
-        (par,) = [r for r in records if r["name"] == "exec.parallel"]
-        assert par["attrs"]["backend"] == "process"
-        shards = [r for r in records if r["name"] == "exec.shard"]
-        assert shards
-        assert all(s["attrs"]["worker"].startswith("pid:") for s in shards)
-
-    def test_worker_death_recovers(self, medium_graph):
-        """Kill a live worker; the next launch rebuilds the pool."""
-        rng = np.random.default_rng(37)
-        vals = rng.standard_normal(medium_graph.nnz)
-        X = rng.standard_normal((medium_graph.num_cols, 4))
-        serial = csr_spmm_serial(medium_graph, vals, X)
-        eng = ExecutionEngine(2, min_parallel_nnz=0, backend="process")
-        try:
-            np.testing.assert_array_equal(eng.spmm(medium_graph, vals, X), serial)
-            executor = eng.backend._ensure_executor()
-            with contextlib.suppress(Exception):
-                executor.submit(os._exit, 1).result(timeout=30)
-            np.testing.assert_array_equal(eng.spmm(medium_graph, vals, X), serial)
-            assert eng.healthy
-        finally:
-            eng.shutdown()
-
-    def test_storm_profile_bit_identical(self, medium_graph):
-        """Parent-side fault injection retries without corrupting output."""
-        rng = np.random.default_rng(41)
-        vals = rng.standard_normal(medium_graph.nnz)
-        X = rng.standard_normal((medium_graph.num_cols, 4))
-        serial = csr_spmm_serial(medium_graph, vals, X)
-        metrics = obs.get_metrics()
-        before = metrics.counter("resilience.retry").value
-        with fault_profile("storm", seed=1234):
-            eng = ExecutionEngine(3, min_parallel_nnz=0, backend="process")
-            try:
-                for _ in range(4):
-                    np.testing.assert_array_equal(
-                        eng.spmm(medium_graph, vals, X), serial
-                    )
-            finally:
-                eng.shutdown()
-        assert metrics.counter("resilience.retry").value > before
-
-    def test_map_pinned_to_threads(self, medium_graph):
-        """map() stays on the thread pool; nested launches go serial."""
-        rng = np.random.default_rng(43)
-        vals = rng.standard_normal(medium_graph.nnz)
-        X = rng.standard_normal((medium_graph.num_cols, 4))
-        serial = csr_spmm_serial(medium_graph, vals, X)
-
-        def point(_):
-            return get_engine().spmm(medium_graph, vals, X)
-
-        with exec_workers(2, min_parallel_nnz=0, backend="process"):
-            with obs.capture() as records:
-                outs = get_engine().map(point, range(4))
-        for out in outs:
-            np.testing.assert_array_equal(out, serial)
-        points = [r for r in records if r["name"] == "exec.point"]
-        assert all(p["attrs"]["worker"].startswith("repro-exec") for p in points)
-
-
 class TestForkSafety:
     def test_forked_child_gets_fresh_engine(self, medium_graph):
         if not hasattr(os, "fork"):
@@ -737,46 +630,3 @@ class TestForkSafety:
             # Parent state survives the fork untouched.
             np.testing.assert_array_equal(eng.spmm(medium_graph, vals, X), serial)
 
-
-class TestBackendConfig:
-    def test_default_backend_is_thread(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        assert resolve_backend_name() == "thread"
-        eng = ExecutionEngine()
-        assert eng.backend.name == "thread"
-        eng.shutdown()
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "process")
-        assert resolve_backend_name() == "process"
-        eng = ExecutionEngine(2)
-        assert eng.backend.name == "process"
-        eng.shutdown()
-
-    def test_invalid_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "gpu")
-        with pytest.raises(ConfigError):
-            resolve_backend_name()
-        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        with pytest.raises(ConfigError):
-            ExecutionEngine(backend="gpu")
-
-    def test_available_backends(self):
-        avail = available_backends()
-        assert avail["thread"] and avail["process"]
-        assert avail["compiled"] == NUMBA_AVAILABLE
-        assert set(avail) == set(backend_names())
-
-    def test_compiled_without_workers_still_parallelizes(self, medium_graph):
-        """The compiled backend ignores the worker gate (needs_workers=False)."""
-        rng = np.random.default_rng(53)
-        vals = rng.standard_normal(medium_graph.nnz)
-        X = rng.standard_normal((medium_graph.num_cols, 4))
-        eng = ExecutionEngine(1, min_parallel_nnz=0, backend="compiled")
-        try:
-            with obs.capture() as records:
-                out = eng.spmm(medium_graph, vals, X)
-        finally:
-            eng.shutdown()
-        np.testing.assert_array_equal(out, csr_spmm_serial(medium_graph, vals, X))
-        assert any(r["name"] == "exec.parallel" for r in records)

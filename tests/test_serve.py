@@ -26,7 +26,7 @@ from repro.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.exec import backend_names, exec_workers, resolve_auto_backend
+from repro.exec import exec_workers
 from repro.nn import GCN, GraphData
 from repro.nn.tensor import Tensor
 from repro.resilience.faults import fault_profile
@@ -89,14 +89,14 @@ class TestBatchingEquivalence:
                 )
         assert service.stats.requests == len(payloads)
 
-    @pytest.mark.parametrize("backend", sorted(backend_names()))
-    def test_batched_equals_serial_on_every_backend(self, small_graph, backend):
-        """The fused launch is backend-agnostic: same bits everywhere."""
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_batched_equals_serial_at_every_worker_count(self, small_graph, workers):
+        """The fused launch is shard-agnostic: same bits at any fan-out."""
         graph = _graph(small_graph)
         rng = np.random.default_rng(5)
         columns = [rng.standard_normal(graph.num_vertices) for _ in range(6)]
         refs = [_serial(graph, c) for c in columns]
-        with exec_workers(2, min_parallel_nnz=0, backend=backend):
+        with exec_workers(workers, min_parallel_nnz=0):
             results, _ = _run(_serve_all(graph, columns))
         for ref, result in zip(refs, results):
             np.testing.assert_array_equal(ref, result)
@@ -304,40 +304,6 @@ class TestServeObservability:
         assert obs.serve_summary(records)["shed"] > 0
 
 
-class TestAutoBackend:
-    def test_resolution_by_cpu_count(self):
-        assert resolve_auto_backend(1) == "thread"
-        assert resolve_auto_backend(3) == "thread"
-        assert resolve_auto_backend(4) == "process"
-        assert resolve_auto_backend(64) == "process"
-
-    def test_env_auto_resolves_concrete(self, monkeypatch):
-        from repro.exec import resolve_backend_name
-
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "auto")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert resolve_backend_name() == "thread"
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert resolve_backend_name() == "process"
-
-    def test_unknown_backend_still_rejected(self, monkeypatch):
-        from repro.exec import resolve_backend_name
-
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "gpu")
-        with pytest.raises(ConfigError, match="auto"):
-            resolve_backend_name()
-
-    def test_service_installs_auto_default(self, small_graph, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        serve.InferenceService(_graph(small_graph))
-        assert os.environ["REPRO_EXEC_BACKEND"] == "auto"
-
-    def test_service_respects_explicit_backend(self, small_graph, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "compiled")
-        serve.InferenceService(_graph(small_graph))
-        assert os.environ["REPRO_EXEC_BACKEND"] == "compiled"
-
-
 class TestServeConfig:
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "8")
@@ -359,12 +325,20 @@ class TestServeConfig:
             ("REPRO_SERVE_MAX_BATCH", "lots"),
             ("REPRO_SERVE_QUEUE_DEPTH", "-1"),
             ("REPRO_SERVE_TIMEOUT_MS", "soon"),
+            ("REPRO_SERVE_TIMEOUT_MS", "nan"),
+            ("REPRO_SERVE_TIMEOUT_MS", "inf"),
+            ("REPRO_SERVE_BATCHING", "flase"),
         ],
     )
     def test_bad_env_rejected(self, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
         with pytest.raises(ConfigError):
             serve.ServeConfig.from_env()
+
+    def test_service_leaves_environ_unchanged(self, small_graph):
+        before = dict(os.environ)
+        serve.InferenceService(_graph(small_graph))
+        assert dict(os.environ) == before
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigError):

@@ -10,6 +10,7 @@ graceful shutdown accounts for every admitted request.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -608,6 +609,55 @@ class TestDeadlinePropagation:
             typed += not isinstance(r, np.ndarray)
         # at least one went through a deadline path, not silent success
         assert typed + stats.deadline_shed + stats.timeouts >= 1
+
+    def test_non_finite_and_boolean_deadlines_are_refused(self, small_graph, rng):
+        """json.loads turns NaN/Infinity into floats and true into an int."""
+        graph = GraphData(small_graph)
+        header, payload = protocol.array_header(
+            rng.standard_normal(graph.num_vertices)
+        )
+
+        async def main():
+            service = serve.InferenceService(graph)
+            answers = []
+            async with ServeTransport(service, port=0) as transport:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", transport.port
+                )
+                await protocol.write_frame(writer, protocol.hello_frame())
+                await protocol.read_frame(reader)
+                for i, literal in enumerate(("NaN", "Infinity", "-Infinity", "true")):
+                    body = (
+                        f'{{"op":"propagate","id":"r{i}","deadline_ms":{literal},'
+                        f'"payload":{json.dumps(header)},"bin":{len(payload)}}}'
+                    ).encode()
+                    writer.write(len(body).to_bytes(4, "big") + body + bytes(payload))
+                    await writer.drain()
+                    answers.append((await protocol.read_frame(reader))[0])
+                writer.close()
+            return answers, service.stats.requests
+
+        with no_faults():
+            answers, admitted = _run(main())
+        assert [a["error"]["code"] for a in answers] == ["transport.protocol"] * 4
+        assert admitted == 0
+
+    def test_in_process_deadline_must_be_finite(self, small_graph, rng):
+        graph = GraphData(small_graph)
+        column = rng.standard_normal(graph.num_vertices)
+
+        async def main():
+            service = serve.InferenceService(graph)
+            async with service:
+                for bad in (float("nan"), float("inf"), True):
+                    with pytest.raises(ConfigError, match="deadline_ms"):
+                        service.submit_nowait(
+                            "propagate", column[:, None], deadline_ms=bad
+                        )
+                return service.stats.requests
+
+        with no_faults():
+            assert _run(main()) == 0
 
     def test_priority_is_validated_over_the_wire(self, small_graph, rng):
         graph = GraphData(small_graph)
