@@ -91,17 +91,15 @@ def export_splits(trace_path: Path, out_dir: Path) -> dict:
     }
 
 
-def train_and_eval(splits: dict, model_path: Path, *, algorithm: str,
-                   seed: int):
+def train_and_eval(splits: dict, model_path: Path, *, seed: int):
     """(model, report) from the exported splits."""
     from repro.tune.model import evaluate_model, train_model
 
     train_records = _read_records(splits["train_path"])
     val_records = _read_records(splits["val_path"])
-    model = train_model(train_records, algorithm=algorithm, seed=seed)
+    model = train_model(train_records, seed=seed)
     model.save(model_path)
     out = {
-        "algorithm": algorithm,
         "seed": seed,
         "artifact": str(model_path),
         "n_train": len(train_records),
@@ -218,8 +216,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="cumulative headline-numbers file ('' disables)")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless the acceptance gates hold")
-    parser.add_argument("--algorithm", choices=("ridge", "gbr"),
-                        default="ridge")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--artifacts", default=None,
                         help="directory to keep trace/datasets/model in "
@@ -238,9 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     splits = export_splits(trace, work)
     print(f"dataset: {splits['n_train']} train / {splits['n_val']} val "
           f"record(s) ({sweep_wall:.1f} s sweep)")
-    model, model_report = train_and_eval(
-        splits, model_path, algorithm=args.algorithm, seed=args.seed
-    )
+    model, model_report = train_and_eval(splits, model_path, seed=args.seed)
     print(f"model: train corr {model_report['train']['rank_correlation']:.3f}"
           + (f", val corr {model_report['val']['rank_correlation']:.3f}"
              if "val" in model_report else ", no val records"))
@@ -274,7 +268,6 @@ def main(argv: list[str] | None = None) -> int:
             "benchmark": "tune",
             "timestamp": time.time(),
             "cpus": report["cpus"],
-            "algorithm": args.algorithm,
             "val_rank_correlation":
                 model_report.get("val", {}).get("rank_correlation"),
             "max_regret": search["max_regret"],

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 import tempfile
 
-from repro import obs
+from repro import obs, settings
 from repro.bench.harness import run_experiment
 from repro.core import clear_plan_cache
+from repro.errors import ConfigError
 from repro.exec import exec_workers
 from repro.nn import GCN, GraphData, Trainer, synthesize
 from repro.resilience import fault_profile, no_faults
@@ -42,6 +42,8 @@ from repro.sparse.datasets import load_dataset
 TRAIN_EPOCHS = 3
 INTERRUPT_AFTER = 2
 CHAOS_WORKERS = 4
+#: fault seed when ``REPRO_FAULT_SEED`` is unset
+CHAOS_SEED = 1337
 
 
 def make_trainer() -> Trainer:
@@ -75,7 +77,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="deep-profile report rendered from the chaos "
                              "trace ('' disables)")
     args = parser.parse_args(argv)
-    seed = int(os.environ.get("REPRO_FAULT_SEED", "1337") or "1337")
+    try:
+        env_seed = settings.get().fault_seed
+    except ConfigError as e:
+        parser.error(str(e))
+    seed = CHAOS_SEED if env_seed is None else env_seed
 
     with no_faults(), exec_workers(1):
         base_sweep, base_train = run_phase()

@@ -68,6 +68,9 @@ CHAOS_P99_BOUND_MS = 1500.0
 #: worker clients in the chaos segment (PR acceptance: 4).
 CHAOS_WORKERS = 4
 
+#: fault seed when neither ``--seed`` nor ``REPRO_FAULT_SEED`` is set
+CHAOS_SEED = 1337
+
 #: overhead segment: interleaved (in-process, transport) pairs measured
 #: before giving up; early exit on the first pair under the bound.
 OVERHEAD_PAIRS = 4
@@ -571,13 +574,21 @@ def main(argv: list[str] | None = None) -> int:
                         help="obs trace artifact ('' disables)")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless every gate holds")
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("REPRO_FAULT_SEED", "1337") or 1337))
+    parser.add_argument("--seed", type=int, default=None,
+                        help="fault seed (default: REPRO_FAULT_SEED, else "
+                             f"{CHAOS_SEED})")
     args = parser.parse_args(argv)
 
-    from repro import obs
-
+    from repro import obs, settings
+    from repro.errors import ConfigError
     from repro.resilience.faults import no_faults
+
+    if args.seed is None:
+        try:
+            env_seed = settings.get().fault_seed
+        except ConfigError as e:
+            parser.error(str(e))
+        args.seed = CHAOS_SEED if env_seed is None else env_seed
 
     obs.reset_metrics()
     with no_faults():  # fixture + references stay clean under env chaos

@@ -12,8 +12,16 @@ for GNN Kernels* (HPDC 2024), on a simulated GPU substrate:
 * :mod:`repro.obs` — span tracing, metrics, and run-diff tooling.
 """
 
-from repro.core import sddmm, spmm, spmv
-
 __version__ = "1.0.0"
 
 __all__ = ["sddmm", "spmm", "spmv", "__version__"]
+
+
+def __getattr__(name: str):
+    # Resolved on first access, so ``python -m repro.settings`` starts
+    # without loading the kernel stack.
+    if name in ("sddmm", "spmm", "spmv"):
+        from repro import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -2,7 +2,7 @@
 
 from repro.core.api import run_sddmm, run_spmm, run_spmv, sddmm, spmm, spmv
 from repro.core.autotune import TuneResult, autotune, clear_tune_cache
-from repro.core.engine import UnifiedLoadPlan, plan_unified_load
+from repro.core.loadplan import UnifiedLoadPlan, plan_unified_load
 from repro.core.plancache import (
     PlanCache,
     clear_plan_cache,

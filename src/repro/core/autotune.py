@@ -23,8 +23,8 @@ times depend on the topology, not the operand values, so one operand
 draw is shared by every trial config and the whole :class:`TuneResult`
 is memoized per ``(structure_token, kind, feature_length, device)``
 (plus the searched space and resolved strategy).  The memo is an
-RLock-guarded LRU bounded by ``REPRO_TUNE_CACHE_CAP`` (default 256
-entries) so long multi-graph runs cannot grow it without bound; hits
+RLock-guarded LRU bounded by :data:`TUNE_CACHE_CAP` entries so long
+multi-graph runs cannot grow it without bound; hits
 and misses surface as ``plancache.tune.hit``/``miss`` counters and as
 ``tune.cache_hit``/``tune.cache_miss`` trace events for ``obs
 summary``.  Trials additionally share the structural plan cache
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import obs
+from repro import obs, settings
 from repro.core import plancache
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.kernels.gnnone import (
@@ -63,10 +63,10 @@ DEFAULT_CACHE_SIZES = (32, 64, 128, 256)
 
 STRATEGIES = ("exact", "learned")
 
-#: memo cap when ``REPRO_TUNE_CACHE_CAP`` is unset.  One entry per
-#: (structure, kind, F, device, space, strategy) — 256 covers every
-#: seed-graph sweep in this repo many times over.
-DEFAULT_TUNE_CACHE_CAP = 256
+#: memo cap.  One entry per (structure, kind, F, device, space,
+#: strategy) — 256 covers every seed-graph sweep in this repo many
+#: times over.
+TUNE_CACHE_CAP = 256
 
 #: (structure_token, kind, F, device, cache_sizes, schedules, strategy
 #: token) -> TuneResult, LRU-ordered (oldest first), guarded by _LOCK.
@@ -75,15 +75,6 @@ _LOCK = threading.RLock()
 
 #: artifact path -> (mtime_ns, CostModel), for env-resolved models
 _MODEL_CACHE: dict[str, tuple[int, "CostModel"]] = {}
-
-
-def _cache_cap() -> int:
-    raw = os.environ.get("REPRO_TUNE_CACHE_CAP", "")
-    try:
-        cap = int(raw) if raw else DEFAULT_TUNE_CACHE_CAP
-    except ValueError:
-        cap = DEFAULT_TUNE_CACHE_CAP
-    return max(1, cap)
 
 
 def clear_tune_cache() -> None:
@@ -110,16 +101,11 @@ class TuneResult:
 
 
 def resolve_strategy(strategy: str | None = None) -> str:
-    """The effective tuning strategy: explicit arg, else ``REPRO_TUNE``.
-
-    An explicit argument is validated strictly; an unrecognized env
-    value degrades to ``exact`` (env vars should never break tuning).
-    """
+    """The effective tuning strategy: explicit arg, else ``REPRO_TUNE``."""
     if strategy is not None:
         check_in(strategy, "strategy", STRATEGIES)
         return strategy
-    env = os.environ.get("REPRO_TUNE", "").strip().lower()
-    return env if env in STRATEGIES else "exact"
+    return settings.get().tune
 
 
 def _resolve_model(model: "CostModel | None") -> "CostModel | None":
@@ -130,7 +116,7 @@ def _resolve_model(model: "CostModel | None") -> "CostModel | None":
     """
     if model is not None:
         return model
-    path = os.environ.get("REPRO_TUNE_MODEL", "").strip()
+    path = settings.get().tune_model
     if not path:
         return None
     try:
@@ -153,13 +139,12 @@ def _resolve_model(model: "CostModel | None") -> "CostModel | None":
     return loaded
 
 
-def _model_token(model: "CostModel") -> tuple:
+def _model_token(model: "CostModel") -> str:
     """A stable memo-key fingerprint of a trained model's parameters."""
-    digest = hashlib.blake2b(
+    return hashlib.blake2b(
         np.ascontiguousarray(model.params, dtype=np.float64).tobytes(),
         digest_size=8,
     ).hexdigest()
-    return (model.algorithm, digest)
 
 
 def autotune(
@@ -242,8 +227,7 @@ def autotune(
         with _LOCK:
             _TUNE_CACHE[memo_key] = result
             _TUNE_CACHE.move_to_end(memo_key)
-            cap = _cache_cap()
-            while len(_TUNE_CACHE) > cap:
+            while len(_TUNE_CACHE) > TUNE_CACHE_CAP:
                 _TUNE_CACHE.popitem(last=False)
                 obs.get_metrics().counter("plancache.tune.evict").inc()
     return result

@@ -1,4 +1,4 @@
-"""Unified data-load engine: plan introspection for the two-stage design.
+"""Unified data-load plan: introspection for the two-stage design.
 
 The kernels build their Stage-1/Stage-2 plans internally; this module
 exposes the same planning as a standalone object so users (and the

@@ -37,8 +37,8 @@ equally value-independent and memoize here alongside the cost/trace
 entries, under keys whose kind tag (``"shard"``) can never collide with
 a kernel launch.
 
-Disable with ``REPRO_PLAN_CACHE=0`` (debugging the simulation pipeline)
-or programmatically via :func:`set_plan_cache_enabled`.
+Disable with ``REPRO_PLAN_CACHE=off`` (debugging the simulation
+pipeline) or programmatically via :func:`set_plan_cache_enabled`.
 
 Integrity: when ``REPRO_VALIDATE=full`` — or whenever the fault
 injector's ``plancache.poison`` site is armed — every stored entry
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import os
 import pickle
 import threading
 import zlib
@@ -62,7 +61,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Iterator
 
-from repro import obs
+from repro import obs, settings
 from repro.gpusim.cost import CostReport
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import KernelTrace
@@ -73,9 +72,7 @@ from repro.obs import get_metrics
 #: hundred distinct (kernel, dataset, F) points.
 DEFAULT_CAPACITY = 512
 
-_ENV_SWITCH = "REPRO_PLAN_CACHE"
-
-#: tri-state programmatic override: None = follow the env switch.
+#: tri-state programmatic override: None = follow ``REPRO_PLAN_CACHE``.
 _enabled_override: bool | None = None
 
 
@@ -83,7 +80,7 @@ def plan_cache_enabled() -> bool:
     """Is structural memoization active for this process?"""
     if _enabled_override is not None:
         return _enabled_override
-    return os.environ.get(_ENV_SWITCH, "1").lower() not in ("0", "false", "off")
+    return settings.get().plan_cache
 
 
 def set_plan_cache_enabled(enabled: bool | None) -> None:

@@ -15,16 +15,16 @@ path (the parity property suite pins it).  Simulated device times are
 untouched — the engine only reorganizes host work.
 
 ``REPRO_EXEC_WORKERS`` selects the worker count (default 1 = the serial
-path, so all simulated-time figures are unchanged);
-``REPRO_EXEC_MIN_NNZ`` (default 4096) keeps tiny launches serial where
-fan-out overhead would dominate.  The engine also exposes
+path, so all simulated-time figures are unchanged); launches below
+:data:`DEFAULT_MIN_PARALLEL_NNZ` NZEs stay serial where fan-out overhead
+would dominate.  The engine also exposes
 :meth:`ExecutionEngine.map` for embarrassingly parallel sweeps (the
 bench harness runs independent ``(dataset, F)`` points through it);
 launches issued from inside a map worker are pinned serial, so
 sweep-level parallelism never nests a second fan-out into the pool.
 
 Resilience (:mod:`repro.resilience`): each shard gets a bounded retry
-budget (``REPRO_EXEC_RETRIES``, exponential backoff on stalls and
+budget (:data:`SHARD_RETRIES`, exponential backoff on stalls and
 worker exceptions); a shard that exhausts it — or a sharded output
 that fails the finite-value guard — degrades the *launch* to the exact
 serial numerics, which stay bit-identical to the fault-free run.
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,8 +45,8 @@ from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-from repro import obs
-from repro.errors import ConfigError, ShardExecutionError
+from repro import obs, settings
+from repro.errors import ShardExecutionError
 from repro.exec import numerics
 from repro.exec.sharding import RowBlock, ShardPlan, edge_range_bounds, row_shard_plan
 from repro.resilience import faults, validation
@@ -56,16 +55,12 @@ from repro.sparse.coo import COOMatrix
 T = TypeVar("T")
 R = TypeVar("R")
 
-_ENV_WORKERS = "REPRO_EXEC_WORKERS"
-_ENV_MIN_NNZ = "REPRO_EXEC_MIN_NNZ"
-_ENV_RETRIES = "REPRO_EXEC_RETRIES"
-
 #: below this NZE count a launch stays serial (fan-out costs ~10us per
 #: shard; a 4k-NZE SpMM's numerics are in the same ballpark)
 DEFAULT_MIN_PARALLEL_NNZ = 4096
 
 #: per-shard attempts beyond the first (bounded retry budget)
-DEFAULT_RETRIES = 2
+SHARD_RETRIES = 2
 
 #: consecutive failed parallel launches before the pool is deemed
 #: unhealthy and everything degrades to serial until reset_health()
@@ -76,22 +71,9 @@ RETRY_BACKOFF_S = 0.001
 RETRY_BACKOFF_MAX_S = 0.05
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ConfigError(f"{name} must be non-negative, got {value}")
-    return value
-
-
 def resolve_workers() -> int:
     """Worker count from ``REPRO_EXEC_WORKERS`` (default 1 = serial)."""
-    return max(1, _env_int(_ENV_WORKERS, 1))
+    return max(1, settings.get().exec_workers)
 
 
 class BufferPool:
@@ -215,12 +197,10 @@ class ExecutionEngine:
         min_parallel_nnz: int | None = None,
     ):
         self.workers = resolve_workers() if workers is None else max(1, int(workers))
-        self.min_parallel_nnz = (
-            _env_int(_ENV_MIN_NNZ, DEFAULT_MIN_PARALLEL_NNZ)
-            if min_parallel_nnz is None
-            else int(min_parallel_nnz)
+        self.min_parallel_nnz = int(
+            DEFAULT_MIN_PARALLEL_NNZ if min_parallel_nnz is None else min_parallel_nnz
         )
-        self.max_attempts = 1 + _env_int(_ENV_RETRIES, DEFAULT_RETRIES)
+        self.max_attempts = 1 + SHARD_RETRIES
         self.pool = BufferPool()
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()

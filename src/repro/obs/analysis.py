@@ -115,7 +115,6 @@ def tune_summary(records: Iterable[JsonDict]) -> dict[str, float | int]:
     """
     hits = misses = searches = fallbacks = 0
     trials_avoided = candidates = 0
-    explore_evals = 0
     for rec in records:
         name = rec.get("name", "")
         if rec.get("type") == "event":
@@ -125,20 +124,15 @@ def tune_summary(records: Iterable[JsonDict]) -> dict[str, float | int]:
                 misses += 1
             elif name == "tune.fallback":
                 fallbacks += 1
-        elif rec.get("type") == "span":
+        elif rec.get("type") == "span" and name == "tune.search":
             attrs = rec.get("attrs", {})
-            if name == "tune.search":
-                searches += 1
-                avoided = attrs.get("trials_avoided")
-                if isinstance(avoided, (int, float)):
-                    trials_avoided += int(avoided)
-                cand = attrs.get("candidates")
-                if isinstance(cand, (int, float)):
-                    candidates += int(cand)
-            elif name == "tune.explore":
-                evals = attrs.get("evaluations")
-                if isinstance(evals, (int, float)):
-                    explore_evals += int(evals)
+            searches += 1
+            avoided = attrs.get("trials_avoided")
+            if isinstance(avoided, (int, float)):
+                trials_avoided += int(avoided)
+            cand = attrs.get("candidates")
+            if isinstance(cand, (int, float)):
+                candidates += int(cand)
     return {
         "hits": hits,
         "misses": misses,
@@ -146,7 +140,6 @@ def tune_summary(records: Iterable[JsonDict]) -> dict[str, float | int]:
         "fallbacks": fallbacks,
         "trials_avoided": trials_avoided,
         "candidates": candidates,
-        "explore_evals": explore_evals,
     }
 
 
@@ -163,8 +156,6 @@ def format_tune_line(stats: dict[str, float | int]) -> str:
         )
     if stats["fallbacks"]:
         parts.append(f"{stats['fallbacks']} fallback(s)-to-exact")
-    if stats["explore_evals"]:
-        parts.append(f"{stats['explore_evals']} explorer evaluation(s)")
     return "tune: " + ", ".join(parts)
 
 

@@ -181,7 +181,10 @@ def get_metrics() -> MetricsRegistry:
     Returns a shared no-op registry while the ``REPRO_OBS`` kill switch
     is off, so callers never need their own enabled check.
     """
-    return _default if _spans._enabled else _null
+    enabled = _spans._enabled
+    if enabled is None:
+        enabled = _spans.obs_enabled()
+    return _default if enabled else _null
 
 
 def reset_metrics() -> None:

@@ -29,10 +29,11 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Protocol
+
+from repro import settings
 
 JsonDict = dict[str, Any]
 
@@ -42,31 +43,24 @@ _ids = itertools.count(1)
 #: installed sinks; tracing is enabled iff this is non-empty
 _sinks: list["TraceSink"] = []
 
-_ENV_SWITCH = "REPRO_OBS"
-
-#: tri-state programmatic override: None = follow the env switch.
-_enabled_override: bool | None = None
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(_ENV_SWITCH, "").strip().lower() not in ("off", "0", "false")
-
-
-#: cached kill-switch state, re-read only via :func:`set_obs_enabled` —
-#: the hot paths check this one module-level bool.
-_enabled: bool = _env_enabled()
+#: cached kill-switch state — the hot paths check this one module-level
+#: value.  ``None`` until first resolved from ``REPRO_OBS``
+#: (:mod:`repro.settings`): at the first sink, metrics lookup or
+#: :func:`obs_enabled` call; re-read only via :func:`set_obs_enabled`.
+_enabled: bool | None = None
 
 
 def obs_enabled() -> bool:
     """Is the observability layer active (``REPRO_OBS`` kill switch)?"""
+    if _enabled is None:
+        set_obs_enabled(None)
     return _enabled
 
 
 def set_obs_enabled(enabled: bool | None) -> None:
-    """Force observability on/off; ``None`` re-reads ``REPRO_OBS``."""
-    global _enabled_override, _enabled
-    _enabled_override = enabled
-    _enabled = _env_enabled() if enabled is None else bool(enabled)
+    """Force observability on/off; ``None`` follows the ``REPRO_OBS`` setting."""
+    global _enabled
+    _enabled = settings.get().obs if enabled is None else bool(enabled)
 
 _stack: contextvars.ContextVar[tuple["Span", ...]] = contextvars.ContextVar(
     "repro_obs_span_stack", default=()
@@ -263,6 +257,7 @@ def _emit(record: JsonDict) -> None:
 
 
 def add_sink(sink: TraceSink) -> None:
+    obs_enabled()  # resolve the kill switch before any span can check it
     _sinks.append(sink)
 
 

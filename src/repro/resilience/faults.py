@@ -64,15 +64,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import os
 import threading
 import time
 
-from repro import obs
+from repro import obs, settings
 from repro.errors import ConfigError, FaultInjectedError, ShardStallError
-
-_ENV_PROFILE = "REPRO_FAULT_PROFILE"
-_ENV_SEED = "REPRO_FAULT_SEED"
 
 #: injected stall duration (seconds) — long enough to model a missed
 #: deadline, short enough that chaos test runs stay fast.
@@ -121,7 +117,7 @@ def parse_profile(spec: str | None) -> dict[str, float]:
         return dict(PROFILES[spec])
     if "=" not in spec:
         raise ConfigError(
-            f"{_ENV_PROFILE}={spec!r} is neither a known profile "
+            f"REPRO_FAULT_PROFILE={spec!r} is neither a known profile "
             f"{sorted(PROFILES)} nor a 'site=rate,...' spec"
         )
     rates: dict[str, float] = {}
@@ -241,13 +237,9 @@ _default_lock = threading.Lock()
 
 
 def _from_env() -> FaultInjector:
-    rates = parse_profile(os.environ.get(_ENV_PROFILE))
-    raw_seed = os.environ.get(_ENV_SEED, "0").strip() or "0"
-    try:
-        seed = int(raw_seed)
-    except ValueError:
-        raise ConfigError(f"{_ENV_SEED} must be an integer, got {raw_seed!r}") from None
-    return FaultInjector(rates, seed)
+    env = settings.get()
+    seed = 0 if env.fault_seed is None else env.fault_seed
+    return FaultInjector(parse_profile(env.fault_profile), seed)
 
 
 def get_injector() -> FaultInjector:
@@ -270,7 +262,7 @@ def set_fault_profile(spec: str | None, seed: int = 0) -> FaultInjector:
 
 
 def reset_injector() -> None:
-    """Re-resolve the injector from the environment with fresh schedules."""
+    """Re-resolve the injector from the settings with fresh schedules."""
     global _default
     with _default_lock:
         _default = None

@@ -24,30 +24,21 @@ lookup and scan sharded kernel outputs for non-finite values).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import obs
+from repro import obs, settings
 from repro.errors import GraphValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sparse.coo import COOMatrix
 
-_ENV_LEVEL = "REPRO_VALIDATE"
-_LEVELS = ("off", "basic", "full")
-
 
 def validation_level() -> str:
     """The configured validation level (``off`` / ``basic`` / ``full``)."""
-    level = os.environ.get(_ENV_LEVEL, "basic").strip().lower() or "basic"
-    if level not in _LEVELS:
-        raise GraphValidationError(
-            f"{_ENV_LEVEL} must be one of {_LEVELS}, got {level!r}"
-        )
-    return level
+    return settings.get().validate
 
 
 @dataclass

@@ -3,8 +3,8 @@
 The online half of the paper's data-load argument: one resident
 topology, one plan-cache-warm fused launch per micro-batch, arbitrarily
 many concurrent requests.  See :mod:`repro.serve.service` for the
-architecture, :mod:`repro.serve.config` for the ``REPRO_SERVE_*``
-environment surface, and :mod:`repro.serve.transport` /
+architecture, :mod:`repro.serve.config` for the knobs (and their
+``REPRO_SERVE_*`` variables in :mod:`repro.settings`), and :mod:`repro.serve.transport` /
 :mod:`repro.serve.client` for the networked path (length-prefixed JSON
 frames, idempotent retries, deadline propagation).
 

@@ -99,44 +99,6 @@ def _bucket(width: int) -> int:
     return 1 << max(0, int(width) - 1).bit_length() if width > 1 else 1
 
 
-class AdaptiveBatchLimit:
-    """EWMA queue-depth tracker driving the effective batch cap.
-
-    ``REPRO_SERVE_ADAPTIVE=1``: instead of always collecting up to the
-    static ``max_batch``, the drain loop sizes each batch to clear the
-    *smoothed* backlog in one launch — ``ceil(ewma(qsize)) + 1`` (the
-    ``+1`` is the request already popped), clamped to
-    ``[1, max_batch]``.  Light load degenerates to near-unbatched
-    dispatch (no linger-window latency tax chasing occupancy that isn't
-    there); a deepening queue grows the cap back toward ``max_batch``.
-    The EWMA keeps one stray burst from whipsawing the cap.
-    """
-
-    def __init__(self, max_batch: int, alpha: float):
-        if max_batch < 1:
-            raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
-        if not (0.0 < alpha <= 1.0):
-            raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-        self.max_batch = int(max_batch)
-        self.alpha = float(alpha)
-        self.ewma = 0.0
-        self.observations = 0
-
-    def observe(self, depth: int) -> None:
-        """Fold one queue-depth sample into the smoothed backlog."""
-        depth = max(0, int(depth))
-        if self.observations == 0:
-            self.ewma = float(depth)  # seed at the first sample
-        else:
-            self.ewma = self.alpha * depth + (1.0 - self.alpha) * self.ewma
-        self.observations += 1
-
-    @property
-    def limit(self) -> int:
-        """The current effective batch cap."""
-        return max(1, min(self.max_batch, int(math.ceil(self.ewma)) + 1))
-
-
 @dataclass
 class _Request:
     """One admitted query, waiting on the drain task."""
@@ -515,23 +477,12 @@ class InferenceService:
         assert scheduler is not None
         loop = asyncio.get_running_loop()
         linger = self.config.max_delay_us / 1e6
-        static_limit = self.config.max_batch if self.config.batching else 1
-        controller = (
-            AdaptiveBatchLimit(self.config.max_batch, self.config.adaptive_alpha)
-            if self.config.adaptive and self.config.batching
-            else None
-        )
+        limit = self.config.max_batch if self.config.batching else 1
         while True:
             try:
                 batch = [await scheduler.get()]
             except SchedulerClosed:
                 return  # graceful drain: stop() rejects what remains
-            if controller is None:
-                limit = static_limit
-            else:
-                controller.observe(scheduler.qsize())
-                limit = controller.limit
-                obs.get_metrics().gauge("serve.adaptive_limit").set(limit)
             # Greedy collection under a (max_batch, max_delay) cap.  A
             # ready queue drains without yielding; an empty one gets two
             # event-loop yields so producers woken by the previous

@@ -1,0 +1,205 @@
+"""Process settings: every ``REPRO_*`` environment variable, in one table.
+
+Each field of :class:`Settings` is one variable, with its type, default
+and allowed values.  The environment is parsed lazily, once per process
+on the first :func:`get`, into a frozen :class:`Settings`;
+:func:`reload` re-reads it (tests, long-lived tools).  One vocabulary
+per type:
+
+* booleans accept ``1/true/on/yes`` and ``0/false/off/no`` (any case);
+* choices accept only their listed names (any case);
+* integers and numbers must parse, be finite and respect their minimum;
+* an unset or blank variable takes its default.
+
+Anything else raises :class:`~repro.errors.ConfigError` naming the
+variable, so a typo fails at first use instead of silently falling
+back.  ``REPRO_FAULT_PROFILE`` is kept as text here; its grammar lives
+in :func:`repro.resilience.faults.parse_profile`.
+
+``python -m repro.settings`` prints every variable with its resolved
+value and whether it came from the environment or the default, and
+exits non-zero with the error message on a malformed value.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import sys
+from dataclasses import dataclass, field, fields
+from typing import Any
+
+from repro.errors import ConfigError
+
+_TRUE = ("1", "true", "on", "yes")
+_FALSE = ("0", "false", "off", "no")
+
+
+@dataclass(frozen=True)
+class Var:
+    """One row of the settings table."""
+
+    env: str
+    #: ``bool`` / ``int`` / ``float`` / ``choice`` / ``text``
+    kind: str
+    choices: tuple[str, ...] = ()
+    minimum: float | None = None
+
+    def parse(self, raw: str) -> Any:
+        """The typed value of a non-blank raw string (``ConfigError`` if bad)."""
+        text = raw.strip()
+        if self.kind == "text":
+            return text
+        if self.kind == "bool":
+            if text.lower() in _TRUE:
+                return True
+            if text.lower() in _FALSE:
+                return False
+            raise ConfigError(
+                f"{self.env} must be one of {'/'.join(_TRUE)} or "
+                f"{'/'.join(_FALSE)}, got {raw!r}"
+            )
+        if self.kind == "choice":
+            if text.lower() not in self.choices:
+                raise ConfigError(
+                    f"{self.env} must be one of {'/'.join(self.choices)}, got {raw!r}"
+                )
+            return text.lower()
+        try:
+            value = int(text) if self.kind == "int" else float(text)
+        except ValueError:
+            noun = "an integer" if self.kind == "int" else "a number"
+            raise ConfigError(f"{self.env} must be {noun}, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{self.env} must be finite, got {raw!r}")
+        if self.minimum is not None and value < self.minimum:
+            raise ConfigError(f"{self.env} must be >= {self.minimum:g}, got {raw!r}")
+        return value
+
+
+def _var(env: str, kind: str, default: Any, **row: Any) -> Any:
+    return field(default=default, metadata={"var": Var(env, kind, **row)})
+
+
+@dataclass(frozen=True)
+class Settings:
+    """The resolved value of every ``REPRO_*`` variable."""
+
+    #: threads for sharded kernel numerics (0 and 1 = serial)
+    exec_workers: int = _var("REPRO_EXEC_WORKERS", "int", 1, minimum=0)
+    #: observability kill switch: off = spans and metrics are no-ops
+    obs: bool = _var("REPRO_OBS", "bool", True)
+    #: structural plan cache: off = simulate every launch
+    plan_cache: bool = _var("REPRO_PLAN_CACHE", "bool", True)
+    #: graph validation; full adds plan-cache checksums and output scans
+    validate: str = _var(
+        "REPRO_VALIDATE", "choice", "basic", choices=("off", "basic", "full"))
+    #: autotune strategy; learned = model-pruned (exact without a model)
+    tune: str = _var("REPRO_TUNE", "choice", "exact", choices=("exact", "learned"))
+    #: trained .npz cost-model artifact for ``REPRO_TUNE=learned``
+    tune_model: str | None = _var("REPRO_TUNE_MODEL", "text", None)
+    #: fault injection: chaos, storm, none or ``site=rate,...`` pairs
+    fault_profile: str | None = _var("REPRO_FAULT_PROFILE", "text", None)
+    #: fault schedule seed (unset: 0, or 1337 in the chaos scripts)
+    fault_seed: int | None = _var("REPRO_FAULT_SEED", "int", None)
+    #: dataset stand-in cache (unset: ``~/.cache/repro``)
+    cache_dir: str | None = _var("REPRO_CACHE_DIR", "text", None)
+    #: max requests fused into one launch
+    serve_max_batch: int = _var("REPRO_SERVE_MAX_BATCH", "int", 32, minimum=1)
+    #: max linger for co-batchable requests (a cap, not a target)
+    serve_max_delay_us: int = _var(
+        "REPRO_SERVE_MAX_DELAY_US", "int", 2000, minimum=0)
+    #: admission bound; requests beyond it are shed
+    serve_queue_depth: int = _var("REPRO_SERVE_QUEUE_DEPTH", "int", 256, minimum=1)
+    #: default per-request deadline (0 = none)
+    serve_timeout_ms: float = _var(
+        "REPRO_SERVE_TIMEOUT_MS", "float", 10_000.0, minimum=0)
+    #: per-request retries after a batch degrades
+    serve_retries: int = _var("REPRO_SERVE_RETRIES", "int", 2, minimum=0)
+    #: off = one launch per request (the benchmark baseline)
+    serve_batching: bool = _var("REPRO_SERVE_BATCHING", "bool", True)
+    #: autotune the fused kernel config per width bucket
+    serve_tuned: bool = _var("REPRO_SERVE_TUNED", "bool", False)
+    #: priority class for requests that name none
+    serve_default_priority: str = _var(
+        "REPRO_SERVE_DEFAULT_PRIORITY", "choice", "standard",
+        choices=("interactive", "standard", "bulk"))
+    #: consecutive batch failures that trip the circuit breaker
+    serve_breaker_threshold: int = _var(
+        "REPRO_SERVE_BREAKER_THRESHOLD", "int", 3, minimum=1)
+    #: open-breaker cooldown before a half-open probe
+    serve_breaker_reset_ms: float = _var(
+        "REPRO_SERVE_BREAKER_RESET_MS", "float", 1000.0, minimum=0)
+
+
+#: (field name, row) for every variable, in declaration order
+TABLE: tuple[tuple[str, Var], ...] = tuple(
+    (f.name, f.metadata["var"]) for f in fields(Settings)
+)
+
+
+def names() -> list[str]:
+    """Every ``REPRO_*`` variable the program reads."""
+    return [var.env for _, var in TABLE]
+
+
+def _raw(var: Var) -> str | None:
+    raw = os.environ.get(var.env)
+    return None if raw is None or raw.strip() == "" else raw
+
+
+def _load() -> Settings:
+    values = {}
+    for name, var in TABLE:
+        raw = _raw(var)
+        if raw is not None:
+            values[name] = var.parse(raw)
+    return Settings(**values)
+
+
+_current: Settings | None = None
+
+
+def get() -> Settings:
+    """The process settings, parsed from the environment on first use."""
+    return _current if _current is not None else reload()
+
+
+def reload() -> Settings:
+    """Re-read the environment; the previous settings stay on error."""
+    global _current
+    _current = _load()
+    return _current
+
+
+def describe() -> list[tuple[str, Any, str]]:
+    """``(variable, resolved value, "env" | "default")`` for every row."""
+    resolved = _load()
+    return [
+        (var.env, getattr(resolved, name), "default" if _raw(var) is None else "env")
+        for name, var in TABLE
+    ]
+
+
+def _show(value: Any) -> str:
+    if value is None:
+        return "(unset)"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def main() -> int:
+    try:
+        rows = describe()
+    except ConfigError as e:
+        print(f"repro.settings: {e}", file=sys.stderr)
+        return 2
+    width = max(len(env) for env, _, _ in rows)
+    for env, value, source in rows:
+        print(f"{env:<{width}}  {_show(value):<12}  {source}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

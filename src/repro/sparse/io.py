@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import settings
 from repro.errors import FormatError
 from repro.sparse.convert import symmetrize
 from repro.sparse.coo import COOMatrix
@@ -111,7 +112,7 @@ def parse_matrix_market(text_or_path: str | os.PathLike, *, undirected: bool | N
 
 def cache_dir() -> Path:
     """Directory used to cache generated dataset stand-ins."""
-    root = Path(os.environ.get("REPRO_CACHE_DIR", Path.home() / ".cache" / "repro"))
+    root = Path(settings.get().cache_dir or Path.home() / ".cache" / "repro")
     root.mkdir(parents=True, exist_ok=True)
     return root
 

@@ -1,4 +1,4 @@
-"""repro.tune: learned cost model + input-aware autotuning + explorer.
+"""repro.tune: learned cost model + input-aware autotuning.
 
 The learning layer over the simulated-GPU stack:
 
@@ -6,30 +6,18 @@ The learning layer over the simulated-GPU stack:
   census + kernel config + F + :class:`~repro.gpusim.device.DeviceSpec`
   to model inputs, shared by the offline (JSONL record) and online
   (live candidate) paths;
-* :mod:`repro.tune.model` — dependency-light ridge / gradient-boosted
-  regression on :mod:`repro.obs.dataset` records, with byte-
-  deterministic persisted artifacts;
+* :mod:`repro.tune.model` — dependency-light ridge regression on
+  :mod:`repro.obs.dataset` records, with byte-deterministic persisted
+  artifacts;
 * :mod:`repro.tune.search` — model-pruned autotuning (rank all
   candidates, simulate only the top-k) with a measurable regret
-  contract vs exhaustive :func:`repro.core.autotune.autotune`;
-* :mod:`repro.tune.explore` — ArchGym-style design-space exploration
-  over joint kernel + device knobs with trajectory JSONL output.
+  contract vs exhaustive :func:`repro.core.autotune.autotune`.
 
-CLI: ``python -m repro.tune {train,predict,search,explore,report}``.
+CLI: ``python -m repro.tune {train,predict,search}``.
 Opt-in wiring: ``core.autotune(strategy="learned")`` or
 ``REPRO_TUNE=learned`` (+ ``REPRO_TUNE_MODEL=<artifact>``).
 """
 
-from repro.tune.explore import (
-    STRATEGIES,
-    DesignPoint,
-    DesignSpace,
-    ExploreResult,
-    explore,
-    read_trajectory,
-    trajectory_report,
-    write_trajectory,
-)
 from repro.tune.features import (
     FEATURE_NAMES,
     FEATURE_VERSION,
@@ -40,7 +28,6 @@ from repro.tune.features import (
     target_vector,
 )
 from repro.tune.model import (
-    ALGORITHMS,
     ARTIFACT_VERSION,
     CostModel,
     EvalReport,
@@ -59,21 +46,15 @@ from repro.tune.search import (
 )
 
 __all__ = [
-    "ALGORITHMS",
     "ARTIFACT_VERSION",
     "CostModel",
     "DEFAULT_TOP_K",
-    "DesignPoint",
-    "DesignSpace",
     "EvalReport",
-    "ExploreResult",
     "FEATURE_NAMES",
     "FEATURE_VERSION",
     "RegretReport",
-    "STRATEGIES",
     "SearchResult",
     "evaluate_model",
-    "explore",
     "feature_matrix",
     "featurize_launch",
     "featurize_record",
@@ -82,10 +63,7 @@ __all__ = [
     "measure_regret",
     "parse_config_knobs",
     "rank_candidates",
-    "read_trajectory",
     "spearman",
     "target_vector",
     "train_model",
-    "trajectory_report",
-    "write_trajectory",
 ]

@@ -7,9 +7,6 @@ Usage::
     python -m repro.tune predict --model model.npz --data val.jsonl
     python -m repro.tune search --model model.npz --dataset G3 \\
         --kind spmm --f 32 [--exhaustive]       # pruned autotune
-    python -m repro.tune explore --dataset G3 --kind spmm --f 32 \\
-        --strategy evolve --budget 64 -o traj.jsonl
-    python -m repro.tune report traj.jsonl      # trajectory summary
 
 ``train``/``predict`` consume the flat JSONL datasets exported by
 ``python -m repro.obs dataset`` (optionally pre-split with its
@@ -26,19 +23,7 @@ from pathlib import Path
 
 from repro.obs.dataset import validate_record
 from repro.sparse.datasets import load_dataset
-from repro.tune.explore import (
-    STRATEGIES,
-    DesignSpace,
-    explore,
-    read_trajectory,
-    trajectory_report,
-)
-from repro.tune.model import (
-    ALGORITHMS,
-    evaluate_model,
-    load_model,
-    train_model,
-)
+from repro.tune.model import evaluate_model, load_model, train_model
 from repro.tune.search import DEFAULT_TOP_K, learned_autotune, measure_regret
 
 
@@ -74,12 +59,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not records:
         print(f"[tune] no valid records in {args.data}", file=sys.stderr)
         return 1
-    model = train_model(records, algorithm=args.algorithm, seed=args.seed)
+    model = train_model(records, seed=args.seed)
     out = Path(args.out)
     model.save(out)
     payload = {
         "out": str(out),
-        "algorithm": model.algorithm,
         "n_train": len(records),
         "train": evaluate_model(model, records).to_dict(),
         "meta": model.meta,
@@ -154,36 +138,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_explore(args: argparse.Namespace) -> int:
-    A = load_dataset(args.dataset).coo
-    res = explore(
-        A, args.f, args.kind,
-        strategy=args.strategy, space=DesignSpace(), budget=args.budget,
-        seed=args.seed, device=args.device, trajectory_path=args.out,
-    )
-    payload = {"dataset": args.dataset, "kind": args.kind, "f": args.f,
-               **res.to_dict()}
-    if args.out:
-        payload["trajectory"] = str(args.out)
-    _emit(payload)
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    rows: list[dict] = []
-    for path in args.trajectories:
-        rows.extend(read_trajectory(path))
-    if not rows:
-        print("[tune] no trajectory rows", file=sys.stderr)
-        return 1
-    _emit(trajectory_report(rows))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.tune",
-        description="learned cost model, pruned autotuning, design-space explorer",
+        description="learned cost model and pruned autotuning",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -191,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True, help="training records (JSONL)")
     t.add_argument("--val", default=None, help="held-out records (JSONL)")
     t.add_argument("--out", required=True, help="model artifact path (.npz)")
-    t.add_argument("--algorithm", choices=ALGORITHMS, default="ridge")
     t.add_argument("--seed", type=int, default=0)
     t.set_defaults(fn=_cmd_train)
 
@@ -213,21 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--exhaustive", action="store_true",
                    help="also run exhaustive search and report regret")
     s.set_defaults(fn=_cmd_search)
-
-    e = sub.add_parser("explore", help="design-space exploration")
-    e.add_argument("--dataset", required=True, help="dataset key, e.g. G3")
-    e.add_argument("--kind", choices=("spmm", "sddmm"), default="spmm")
-    e.add_argument("--f", type=int, default=32)
-    e.add_argument("--strategy", choices=STRATEGIES, default="random")
-    e.add_argument("--budget", type=int, default=64)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--device", default=None)
-    e.add_argument("-o", "--out", default=None, help="trajectory JSONL path")
-    e.set_defaults(fn=_cmd_explore)
-
-    r = sub.add_parser("report", help="summarize trajectory JSONL files")
-    r.add_argument("trajectories", nargs="+")
-    r.set_defaults(fn=_cmd_report)
     return p
 
 

@@ -3,16 +3,11 @@
 Trains on the flat JSONL records :mod:`repro.obs.dataset` exports
 (feature half: :mod:`repro.tune.features`; target: ``sim_us``) and
 predicts the simulated time of a launch *without* running the
-simulator.  Two algorithms, both pure numpy:
-
-* ``ridge`` (default) — L2-regularized linear regression on
-  standardized features, solved by normal equations.  The features are
-  log-compressed with explicit config-structure interactions, so the
-  log-space linear model captures the multiplicative cost structure
-  the analytic model actually has.
-* ``gbr`` — gradient-boosted depth-2 regression trees (exact greedy
-  splits over per-feature quantile thresholds), for when the config
-  response is too kinked for the linear model.
+simulator.  The model is pure-numpy ridge regression: L2-regularized
+linear regression on standardized features, solved by normal
+equations.  The features are log-compressed with explicit
+config-structure interactions, so the log-space linear model captures
+the multiplicative cost structure the analytic model actually has.
 
 The target is modeled in log space (``log(sim_us)``): simulated times
 span four orders of magnitude across the dataset registry, and both
@@ -23,8 +18,8 @@ clock, and :meth:`CostModel.save` writes a zip-of-npy (the ``.npz``
 layout) through fixed-timestamp entries, so the same seed + the same
 records produce byte-identical files — the determinism test and the
 perf-regression story both rely on it.  Metadata (feature version,
-names, algorithm, training stats) rides inside the artifact and is
-verified at :func:`load_model` time.
+names, training stats) rides inside the artifact and is verified at
+:func:`load_model` time.
 """
 
 from __future__ import annotations
@@ -44,104 +39,11 @@ from repro.tune.features import FEATURE_NAMES, FEATURE_VERSION, feature_matrix, 
 #: artifact format version (independent of the feature layout version)
 ARTIFACT_VERSION = 1
 
-ALGORITHMS = ("ridge", "gbr")
-
 #: fixed zip entry timestamp: artifacts must be byte-identical runs apart
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 #: floor on modeled times; also the log-transform epsilon
 _TIME_FLOOR_US = 1e-9
-
-
-# --------------------------------------------------------------------------
-# gradient-boosted depth-2 trees (pure numpy, exact greedy quantile splits)
-# --------------------------------------------------------------------------
-
-
-def _best_split(x: np.ndarray, residual: np.ndarray) -> tuple[float, float] | None:
-    """(threshold, sse gain) of the best binary split on one feature."""
-    thresholds = np.unique(np.quantile(x, np.linspace(0.1, 0.9, 9)))
-    best: tuple[float, float] | None = None
-    total = residual.sum()
-    n = residual.size
-    for t in thresholds:
-        left = x <= t
-        nl = int(left.sum())
-        if nl == 0 or nl == n:
-            continue
-        sl = residual[left].sum()
-        sr = total - sl
-        gain = sl * sl / nl + sr * sr / (n - nl)
-        if best is None or gain > best[1]:
-            best = (float(t), float(gain))
-    return best
-
-
-def _fit_stump(
-    X: np.ndarray, residual: np.ndarray, feature_order: np.ndarray
-) -> tuple[int, float, float, float]:
-    """(feature, threshold, left value, right value) greedy depth-1 fit."""
-    best = None
-    for j in feature_order:
-        split = _best_split(X[:, j], residual)
-        if split is None:
-            continue
-        if best is None or split[1] > best[2]:
-            best = (int(j), split[0], split[1])
-    if best is None:  # constant features: predict the mean everywhere
-        mean = float(residual.mean()) if residual.size else 0.0
-        return 0, np.inf, mean, mean
-    j, t, _ = best
-    left = X[:, j] <= t
-    return j, t, float(residual[left].mean()), float(residual[~left].mean())
-
-
-def _fit_gbr(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    n_rounds: int,
-    learning_rate: float,
-    seed: int,
-) -> tuple[np.ndarray, float]:
-    """Boosted depth-2 trees encoded as a flat parameter matrix.
-
-    Each round fits a root stump on the residual, then one refinement
-    stump inside each branch (depth 2).  Row layout per round:
-    ``[j0, t0, jL, tL, vLL, vLR, jR, tR, vRL, vRR]``.
-    """
-    rng = np.random.default_rng(seed)
-    base = float(y.mean()) if y.size else 0.0
-    pred = np.full_like(y, base)
-    rounds = np.zeros((n_rounds, 10), dtype=np.float64)
-    n_features = X.shape[1]
-    for i in range(n_rounds):
-        residual = y - pred
-        # Seeded feature-order shuffle decorrelates successive rounds
-        # deterministically (ties in gain break differently per round).
-        order = rng.permutation(n_features)
-        j0, t0, _, _ = _fit_stump(X, residual, order)
-        left = X[:, j0] <= t0
-        row = [float(j0), t0, 0.0, np.inf, 0.0, 0.0, 0.0, np.inf, 0.0, 0.0]
-        for side, lo in ((left, 2), (~left, 6)):
-            if side.sum() == 0:
-                continue
-            jj, tt, vl, vr = _fit_stump(X[side], residual[side], order)
-            row[lo : lo + 4] = [float(jj), tt, vl, vr]
-        rounds[i] = row
-        pred = pred + learning_rate * _gbr_round_predict(X, rounds[i])
-    return rounds, base
-
-
-def _gbr_round_predict(X: np.ndarray, row: np.ndarray) -> np.ndarray:
-    j0, t0 = int(row[0]), row[1]
-    left = X[:, j0] <= t0
-    out = np.empty(X.shape[0], dtype=np.float64)
-    for side, lo in ((left, 2), (~left, 6)):
-        jj, tt, vl, vr = int(row[lo]), row[lo + 1], row[lo + 2], row[lo + 3]
-        sub = X[side]
-        out[side] = np.where(sub[:, jj] <= tt, vl, vr)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -153,27 +55,18 @@ def _gbr_round_predict(X: np.ndarray, row: np.ndarray) -> np.ndarray:
 class CostModel:
     """A trained launch-time predictor with its persistence metadata."""
 
-    algorithm: str
     #: feature standardization (fit on the training set)
     mean: np.ndarray
     std: np.ndarray
-    #: ridge: (d+1,) weights incl. intercept; gbr: flat round matrix
+    #: (d+1,) ridge weights, intercept last
     params: np.ndarray
-    #: gbr only: initial prediction (training-target mean)
-    base: float = 0.0
-    learning_rate: float = 0.1
     meta: dict[str, Any] = field(default_factory=dict)
 
     def predict_log(self, X: np.ndarray) -> np.ndarray:
         """Predicted ``log(sim_us)`` for an ``(n, d)`` feature matrix."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         Z = (X - self.mean) / self.std
-        if self.algorithm == "ridge":
-            return Z @ self.params[:-1] + self.params[-1]
-        pred = np.full(Z.shape[0], self.base, dtype=np.float64)
-        for row in self.params:
-            pred += self.learning_rate * _gbr_round_predict(Z, row)
-        return pred
+        return Z @ self.params[:-1] + self.params[-1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted simulated microseconds (always positive)."""
@@ -189,9 +82,6 @@ class CostModel:
             artifact_version=ARTIFACT_VERSION,
             feature_version=FEATURE_VERSION,
             feature_names=list(FEATURE_NAMES),
-            algorithm=self.algorithm,
-            base=self.base,
-            learning_rate=self.learning_rate,
         )
         arrays = {"mean": self.mean, "std": self.std, "params": self.params}
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -225,19 +115,18 @@ def load_model(path: str | Path) -> CostModel:
             f"v{meta.get('feature_version')}, this build is v{FEATURE_VERSION} "
             f"— retrain (python -m repro.tune train)"
         )
+    if meta.get("algorithm", "ridge") != "ridge":
+        raise ConfigError(
+            f"tune model artifact {path} is a {meta['algorithm']!r} model; "
+            f"this build reads ridge models only — retrain"
+        )
     if list(meta.get("feature_names", [])) != list(FEATURE_NAMES):
         raise ConfigError(
             f"tune model artifact {path} feature names do not match this "
             f"build's featurizer — retrain"
         )
     return CostModel(
-        algorithm=str(meta.get("algorithm", "ridge")),
-        mean=arrays["mean"],
-        std=arrays["std"],
-        params=arrays["params"],
-        base=float(meta.get("base", 0.0)),
-        learning_rate=float(meta.get("learning_rate", 0.1)),
-        meta=meta,
+        mean=arrays["mean"], std=arrays["std"], params=arrays["params"], meta=meta
     )
 
 
@@ -249,15 +138,10 @@ def load_model(path: str | Path) -> CostModel:
 def train_model(
     records: Sequence[dict[str, Any]],
     *,
-    algorithm: str = "ridge",
     seed: int = 0,
     l2: float = 1e-3,
-    n_rounds: int = 300,
-    learning_rate: float = 0.1,
 ) -> CostModel:
     """Fit a :class:`CostModel` on dataset records (deterministic)."""
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
     if not records:
         raise ConfigError("cannot train a cost model on zero records")
     X = feature_matrix(records)
@@ -271,20 +155,11 @@ def train_model(
         "n_records": int(len(records)),
         "l2": l2,
     }
-    if algorithm == "ridge":
-        A = np.hstack([Z, np.ones((Z.shape[0], 1))])
-        d = A.shape[1]
-        reg = l2 * np.eye(d)
-        reg[-1, -1] = 0.0  # never shrink the intercept
-        params = np.linalg.solve(A.T @ A + reg, A.T @ y)
-        return CostModel("ridge", mean, std, params, meta=meta)
-    rounds, base = _fit_gbr(
-        Z, y, n_rounds=n_rounds, learning_rate=learning_rate, seed=seed
-    )
-    meta["n_rounds"] = n_rounds
-    return CostModel(
-        "gbr", mean, std, rounds, base=base, learning_rate=learning_rate, meta=meta
-    )
+    A = np.hstack([Z, np.ones((Z.shape[0], 1))])
+    reg = l2 * np.eye(A.shape[1])
+    reg[-1, -1] = 0.0  # never shrink the intercept
+    params = np.linalg.solve(A.T @ A + reg, A.T @ y)
+    return CostModel(mean, std, params, meta=meta)
 
 
 def spearman(a: np.ndarray, b: np.ndarray) -> float:

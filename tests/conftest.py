@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import settings
 from repro.core import clear_plan_cache, clear_tune_cache
 from repro.exec import get_engine
 from repro.resilience import reset_injector
@@ -25,6 +26,38 @@ def _cold_plan_cache():
     yield
     clear_plan_cache()
     clear_tune_cache()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_settings():
+    """Re-read the environment after each test.
+
+    Settings are parsed once and cached; a test that changed a
+    ``REPRO_*`` variable (its monkeypatch is undone before this runs)
+    must not leak the cached value into the next test.
+    """
+    yield
+    settings.reload()
+
+
+@pytest.fixture()
+def repro_env(monkeypatch):
+    """Set ``REPRO_*`` variables for one test and reload the settings.
+
+    ``repro_env(REPRO_TUNE="learned", REPRO_TUNE_MODEL=None)`` sets the
+    first and unsets the second; a malformed value raises
+    :class:`~repro.errors.ConfigError` from the reload.
+    """
+
+    def apply(**values: str | None) -> settings.Settings:
+        for name, value in values.items():
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        return settings.reload()
+
+    return apply
 
 
 @pytest.fixture(autouse=True)

@@ -383,26 +383,24 @@ class TestBufferPool:
 
 
 class TestEngineConfig:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC_WORKERS", raising=False)
+    def test_default_is_serial(self, repro_env):
+        repro_env(REPRO_EXEC_WORKERS=None)
         assert resolve_workers() == 1
         assert ExecutionEngine().workers == 1
 
-    def test_env_worker_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_WORKERS", "4")
+    def test_env_worker_count(self, repro_env):
+        repro_env(REPRO_EXEC_WORKERS="4")
         assert resolve_workers() == 4
         assert ExecutionEngine().workers == 4
 
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            resolve_workers()
-        monkeypatch.setenv("REPRO_EXEC_WORKERS", "-2")
-        with pytest.raises(ConfigError):
-            resolve_workers()
+    def test_env_rejects_garbage(self, repro_env):
+        with pytest.raises(ConfigError, match="REPRO_EXEC_WORKERS"):
+            repro_env(REPRO_EXEC_WORKERS="many")
+        with pytest.raises(ConfigError, match="REPRO_EXEC_WORKERS"):
+            repro_env(REPRO_EXEC_WORKERS="-2")
 
-    def test_zero_means_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_WORKERS", "0")
+    def test_zero_means_serial(self, repro_env):
+        repro_env(REPRO_EXEC_WORKERS="0")
         assert resolve_workers() == 1
 
     def test_min_nnz_keeps_small_launches_serial(self, rng):

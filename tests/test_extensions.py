@@ -133,8 +133,8 @@ class TestGraphIO:
         with pytest.raises(FormatError):
             gio.parse_matrix_market("not a header\n1 1 0\n")
 
-    def test_cached_loader(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_cached_loader(self, tmp_path, repro_env):
+        repro_env(REPRO_CACHE_DIR=str(tmp_path))
         calls = []
 
         def builder(seed):

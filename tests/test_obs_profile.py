@@ -250,15 +250,15 @@ class TestKillSwitch:
         assert snap["counters"].get("c", 0) == 0
         assert "h" not in snap["histograms"]
 
-    def test_env_switch(self, monkeypatch):
+    def test_env_switch(self, repro_env):
         from repro.obs import spans
 
-        monkeypatch.setenv("REPRO_OBS", "off")
-        set_obs_enabled(None)  # re-read the env
+        repro_env(REPRO_OBS="off")
+        set_obs_enabled(None)  # re-read the setting
         try:
             assert not spans.obs_enabled()
         finally:
-            monkeypatch.delenv("REPRO_OBS")
+            repro_env(REPRO_OBS=None)
             set_obs_enabled(None)
         assert spans.obs_enabled()
 

@@ -203,8 +203,8 @@ class TestKeyInvalidation:
 
 
 class TestCacheSwitches:
-    def test_env_switch_disables(self, small_graph, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
+    def test_env_switch_disables(self, small_graph, rng, repro_env):
+        repro_env(REPRO_PLAN_CACHE="0")
         assert not plan_cache_enabled()
         vals = rng.standard_normal(small_graph.nnz)
         X = rng.standard_normal((small_graph.num_cols, 8))
@@ -214,8 +214,8 @@ class TestCacheSwitches:
         cache = get_plan_cache()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
-    def test_programmatic_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
+    def test_programmatic_override_beats_env(self, repro_env):
+        repro_env(REPRO_PLAN_CACHE="0")
         set_plan_cache_enabled(True)
         try:
             assert plan_cache_enabled()

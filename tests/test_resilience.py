@@ -179,14 +179,13 @@ class TestValidationBoundary:
         ensure_structure_validated(small_graph)
         assert counter.value == after_first >= before
 
-    def test_validation_level_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VALIDATE", raising=False)
+    def test_validation_level_env(self, repro_env):
+        repro_env(REPRO_VALIDATE=None)
         assert validation_level() == "basic"
-        monkeypatch.setenv("REPRO_VALIDATE", "full")
+        repro_env(REPRO_VALIDATE="FULL")
         assert validation_level() == "full"
-        monkeypatch.setenv("REPRO_VALIDATE", "paranoid")
-        with pytest.raises(GraphValidationError):
-            validation_level()
+        with pytest.raises(ConfigError, match="REPRO_VALIDATE"):
+            repro_env(REPRO_VALIDATE="paranoid")
 
     def test_check_finite_output(self):
         assert check_finite_output(np.ones(4))

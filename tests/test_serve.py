@@ -305,35 +305,18 @@ class TestServeObservability:
 
 
 class TestServeConfig:
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "8")
-        monkeypatch.setenv("REPRO_SERVE_MAX_DELAY_US", "500")
-        monkeypatch.setenv("REPRO_SERVE_BATCHING", "0")
+    def test_from_env(self, repro_env):
+        repro_env(REPRO_SERVE_MAX_BATCH="8", REPRO_SERVE_MAX_DELAY_US="500",
+                  REPRO_SERVE_BATCHING="0", REPRO_SERVE_TUNED=None)
         config = serve.ServeConfig.from_env()
         assert config.max_batch == 8
         assert config.max_delay_us == 500
         assert config.batching is False
+        assert config.tuned is False
 
-    def test_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "8")
+    def test_overrides_beat_env(self, repro_env):
+        repro_env(REPRO_SERVE_MAX_BATCH="8")
         assert serve.ServeConfig.from_env(max_batch=4).max_batch == 4
-
-    @pytest.mark.parametrize(
-        "name,value",
-        [
-            ("REPRO_SERVE_MAX_BATCH", "0"),
-            ("REPRO_SERVE_MAX_BATCH", "lots"),
-            ("REPRO_SERVE_QUEUE_DEPTH", "-1"),
-            ("REPRO_SERVE_TIMEOUT_MS", "soon"),
-            ("REPRO_SERVE_TIMEOUT_MS", "nan"),
-            ("REPRO_SERVE_TIMEOUT_MS", "inf"),
-            ("REPRO_SERVE_BATCHING", "flase"),
-        ],
-    )
-    def test_bad_env_rejected(self, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(ConfigError):
-            serve.ServeConfig.from_env()
 
     def test_service_leaves_environ_unchanged(self, small_graph):
         before = dict(os.environ)
@@ -346,75 +329,8 @@ class TestServeConfig:
         with pytest.raises(ConfigError):
             serve.ServeConfig(retries=-1)
 
-    def test_adaptive_off_by_default(self, monkeypatch):
-        for name in ("REPRO_SERVE_ADAPTIVE", "REPRO_SERVE_TUNED"):
-            monkeypatch.delenv(name, raising=False)
-        config = serve.ServeConfig.from_env()
-        assert config.adaptive is False
-        assert config.tuned is False
 
-    def test_adaptive_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_ADAPTIVE", "1")
-        monkeypatch.setenv("REPRO_SERVE_ADAPTIVE_ALPHA", "0.5")
-        config = serve.ServeConfig.from_env()
-        assert config.adaptive is True
-        assert config.adaptive_alpha == 0.5
-
-    def test_adaptive_alpha_validated(self):
-        with pytest.raises(ConfigError):
-            serve.ServeConfig(adaptive_alpha=0.0)
-        with pytest.raises(ConfigError):
-            serve.ServeConfig(adaptive_alpha=1.5)
-
-
-class TestAdaptiveBatching:
-    def test_controller_seeds_then_smooths(self):
-        from repro.serve.service import AdaptiveBatchLimit
-
-        ctl = AdaptiveBatchLimit(32, alpha=0.5)
-        ctl.observe(10)
-        assert ctl.ewma == 10.0  # first sample seeds, not decays from 0
-        ctl.observe(0)
-        assert ctl.ewma == 5.0
-        assert ctl.limit == 6  # ceil(5) + 1, under the cap
-
-    def test_controller_clamps_to_bounds(self):
-        from repro.serve.service import AdaptiveBatchLimit
-
-        ctl = AdaptiveBatchLimit(8, alpha=1.0)
-        ctl.observe(0)
-        assert ctl.limit == 1  # idle queue -> effectively unbatched
-        ctl.observe(500)
-        assert ctl.limit == 8  # deep backlog -> the static cap
-
-    def test_controller_validation(self):
-        from repro.serve.service import AdaptiveBatchLimit
-
-        with pytest.raises(ConfigError):
-            AdaptiveBatchLimit(0, alpha=0.5)
-        with pytest.raises(ConfigError):
-            AdaptiveBatchLimit(8, alpha=0.0)
-
-    def test_adaptive_service_still_bit_identical(self, small_graph, rng):
-        graph = _graph(small_graph)
-        payloads = [rng.standard_normal(graph.num_vertices) for _ in range(12)]
-        refs = [_serial(graph, p) for p in payloads]
-        config = serve.ServeConfig(adaptive=True, adaptive_alpha=0.3,
-                                   max_batch=4, max_delay_us=500)
-        results, service = _run(_serve_all(graph, payloads, config))
-        for got, want in zip(results, refs):
-            np.testing.assert_array_equal(got, want)
-        assert service.stats.requests == len(payloads)
-
-    def test_adaptive_limit_gauge_exported(self, small_graph, rng):
-        obs.reset_metrics()
-        graph = _graph(small_graph)
-        payloads = [rng.standard_normal(graph.num_vertices) for _ in range(6)]
-        config = serve.ServeConfig(adaptive=True, max_batch=4)
-        _run(_serve_all(graph, payloads, config))
-        limit = obs.get_metrics().gauge("serve.adaptive_limit").value
-        assert 1 <= limit <= 4
-
+class TestTunedService:
     def test_tuned_service_still_bit_identical(self, small_graph, rng):
         # tuned=True swaps in the autotuned config; responses must still
         # match the default-config serial reference bit-for-bit (the
