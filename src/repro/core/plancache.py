@@ -37,6 +37,14 @@ equally value-independent and memoize here alongside the cost/trace
 entries, under keys whose kind tag (``"shard"``) can never collide with
 a kernel launch.
 
+A second, much smaller map (:meth:`PlanCache.memo_lookup` /
+:meth:`PlanCache.memo_store`) holds value results keyed on operand
+*identity* — the kernel layer's reference outputs
+(:func:`repro.kernels.base.reference_spmm`).  Each slot keeps its
+operand objects alive and re-checks them with ``is``, so an id can never
+be recycled into a false hit; the caller decides what may be memoized.
+:func:`clear_plan_cache` empties both maps.
+
 Disable with ``REPRO_PLAN_CACHE=off`` (debugging the simulation
 pipeline) or programmatically via :func:`set_plan_cache_enabled`.
 
@@ -71,6 +79,10 @@ from repro.obs import get_metrics
 #: (a few arrays of per-warp counters); benchmarks sweep at most a few
 #: hundred distinct (kernel, dataset, F) points.
 DEFAULT_CAPACITY = 512
+
+#: Value-memo slots per process.  Each holds one reference output (up to
+#: an ``(N, F)`` dense block); a sweep pass revisits three operand sets.
+MEMO_CAPACITY = 8
 
 #: tri-state programmatic override: None = follow ``REPRO_PLAN_CACHE``.
 _enabled_override: bool | None = None
@@ -188,6 +200,7 @@ class PlanCache:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[PlanKey, _Slot]" = OrderedDict()
+        self._memo: "OrderedDict[Hashable, tuple[tuple, object]]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -259,9 +272,31 @@ class PlanCache:
                       reason="explicit")
         return present
 
+    def memo_lookup(self, key: Hashable, operands: tuple) -> object | None:
+        """The value stored under ``key`` for these very operand objects."""
+        with self._lock:
+            slot = self._memo.get(key)
+            if slot is None or any(a is not b for a, b in zip(slot[0], operands)):
+                return None
+            self._memo.move_to_end(key)
+            return slot[1]
+
+    def memo_store(self, key: Hashable, operands: tuple, value: object) -> None:
+        """Memoize ``value`` for ``operands``, evicting beyond :data:`MEMO_CAPACITY`."""
+        with self._lock:
+            self._memo[key] = (operands, value)
+            self._memo.move_to_end(key)
+            while len(self._memo) > MEMO_CAPACITY:
+                self._memo.popitem(last=False)
+
+    def memo_size(self) -> int:
+        with self._lock:
+            return len(self._memo)
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._memo.clear()
             self.hits = 0
             self.misses = 0
             self.invalidations = 0
@@ -295,7 +330,7 @@ def get_plan_cache() -> PlanCache:
 
 
 def clear_plan_cache() -> None:
-    """Drop all cached launches and reset hit/miss accounting."""
+    """Drop all cached launches and memoized values; reset hit/miss accounting."""
     _default.clear()
 
 

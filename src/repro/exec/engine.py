@@ -374,18 +374,19 @@ class ExecutionEngine:
         if len(blocks) <= 1:
             obs.get_metrics().counter("exec.launch.serial").inc()
             return numerics.sddmm_serial(A, X, Y)
+        # Feature-major operands, transposed once for every block.
+        XT, YT = numerics.feature_major(X), numerics.feature_major(Y)
         injector = faults.get_injector()
-        Xs = X
         if injector.enabled and injector.fire("exec.value_nan", kind="sddmm"):
-            # Corrupt a scratch copy of one gathered operand row; the
+            # Corrupt a scratch copy of one gathered operand entry; the
             # finite-output guard recovers with the pristine originals.
-            Xs = np.array(X, dtype=np.float64)
+            XT = np.array(XT)
             edge = injector.value_index("exec.value_nan", A.nnz)
-            Xs[int(A.rows[edge]), 0] = np.nan
+            XT[0, int(A.rows[edge])] = np.nan
         out = self.pool.acquire((A.nnz,), zero=False)
 
         def run_block(b: RowBlock) -> None:
-            numerics.sddmm_block(A.rows, A.cols, Xs, Y, out, b.nnz_start, b.nnz_end)
+            numerics.sddmm_block(A.rows, A.cols, XT, YT, out, b.nnz_start, b.nnz_end)
 
         # SDDMM slices are overwritten, so a retry needs no reset.
         return self._launch(

@@ -10,12 +10,20 @@ Bit-identity argument: scipy's ``csr @ dense`` is one C loop per row
 accumulating NZEs in CSR order (``csr_matvecs``); running the same loop
 per row block over absolute ``indptr`` slices of the *same* shared
 ``cols``/``vals`` arrays performs the identical per-row instruction
-sequence, so block outputs match the serial sweep bit-for-bit.  SDDMM
-accumulates each edge dot in ascending feature order — one elementwise
-``out += X[:, k] * Y[:, k]`` pass per feature — which is the *defined*
-summation order: per-edge dots are independent of how edges are split
-into blocks, and a scalar ``for k`` loop would perform the identical add
-sequence.  ``np.einsum`` would be marginally faster here but uses SIMD
+sequence, so block outputs match the serial sweep bit-for-bit.
+
+SDDMM accumulates each edge dot in ascending feature order — one
+elementwise ``out += XT[k][rows] * YT[k][cols]`` pass per feature — which
+is the *defined* summation order: per-edge dots are independent of how
+edges are split into blocks, and a scalar ``for k`` loop would perform
+the identical add sequence.  The operands are gathered feature-major:
+``X.T``/``Y.T`` are made contiguous once per launch, so pass ``k`` reads
+one contiguous feature column of length ``num_rows`` (cache-resident for
+the graphs here) at the edge indices, instead of first materialising
+row-major ``(nnz, F)`` gathers and then reading them back one strided
+column at a time.  Each pass multiplies and adds the same two values per
+edge as before, in the same ``k`` order, so the result is unchanged to
+the last bit.  ``np.einsum`` would be marginally faster but uses SIMD
 partial accumulators, so its last-bit results are not reproducible by a
 scalar kernel — a pinned order is worth the extra feature passes.
 
@@ -48,23 +56,29 @@ def csr_spmm_serial(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.
     return M @ np.asarray(X)
 
 
-def _gathered_dot(Xg: np.ndarray, Yg: np.ndarray) -> np.ndarray:
-    """Row-wise dot of two gathered (n, F) operands, feature-ascending.
+def feature_major(X: np.ndarray) -> np.ndarray:
+    """``X.T`` as a C-contiguous ``(F, n)`` array: row ``k`` is feature ``k``."""
+    return np.ascontiguousarray(np.asarray(X).T)
+
+
+def _feature_major_dot(
+    XT: np.ndarray, YT: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """``out[e] = sum_k XT[k, rows[e]] * YT[k, cols[e]]``, ascending ``k``.
 
     One elementwise pass per feature pins the accumulation order: for
-    every row the adds happen in ascending ``k``, exactly the sequence
+    every edge the adds happen in ascending ``k``, exactly the sequence
     a scalar ``for k`` loop performs — see the module docstring.
     """
-    out = np.zeros(Xg.shape[0], dtype=np.result_type(Xg.dtype, Yg.dtype, np.float64))
-    for k in range(Xg.shape[1]):
-        out += Xg[:, k] * Yg[:, k]
+    out = np.zeros(rows.shape[0], dtype=np.result_type(XT.dtype, YT.dtype, np.float64))
+    for k in range(XT.shape[0]):
+        out += XT[k][rows] * YT[k][cols]
     return out
 
 
 def sddmm_serial(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``W[e] = <X[row_e], Y[col_e]>`` in the caller's edge order."""
-    X, Y = np.asarray(X), np.asarray(Y)
-    return _gathered_dot(X[A.rows], Y[A.cols])
+    return _feature_major_dot(feature_major(X), feature_major(Y), A.rows, A.cols)
 
 
 def csr_block_spmm(
@@ -120,15 +134,19 @@ def csr_block_spmm(
 def sddmm_block(
     rows: np.ndarray,
     cols: np.ndarray,
-    X: np.ndarray,
-    Y: np.ndarray,
+    XT: np.ndarray,
+    YT: np.ndarray,
     out: np.ndarray,
     nnz_start: int,
     nnz_end: int,
 ) -> None:
-    """Fill edges ``[nnz_start, nnz_end)`` of the gathered-dot SDDMM."""
+    """Fill edges ``[nnz_start, nnz_end)`` of the SDDMM.
+
+    ``XT``/``YT`` are the launch's :func:`feature_major` operands, built
+    once by the caller and shared by every block.
+    """
     s = slice(nnz_start, nnz_end)
-    out[s] = _gathered_dot(X[rows[s]], Y[cols[s]])
+    out[s] = _feature_major_dot(XT, YT, rows[s], cols[s])
 
 
 def gat_edge_softmax_serial(

@@ -23,21 +23,31 @@ def conflict_degree(target_rows: np.ndarray, window: int = 256) -> float:
     window size for a single hot row (e.g. a celebrity vertex in a
     power-law graph).
     """
-    rows = np.asarray(target_rows)
+    rows = np.asarray(target_rows, dtype=np.int64).ravel()
     n = rows.size
     if n == 0:
         return 1.0
-    degrees = np.empty(0, dtype=np.float64)
-    chunks = []
-    for start in range(0, n, window):
-        chunk = rows[start : start + window]
-        _, counts = np.unique(chunk, return_counts=True)
-        # Each atomic in a group of size c waits behind c-1 others on
-        # average /2, but we report the raw mean group size; the cost
-        # model applies its own per-extra-colliding-op charge.
-        chunks.append(float((counts * counts).sum() / counts.sum()))
-    degrees = np.asarray(chunks)
-    return float(degrees.mean()) if degrees.size else 1.0
+    # All windows at once: pad the last one with a sentinel row, sort
+    # each window, and read the per-row collision counts c off the run
+    # lengths.  Each atomic in a group of size c waits behind c-1 others
+    # on average /2, but we report the raw mean group size sum(c^2)/sum(c);
+    # the cost model applies its own per-extra-colliding-op charge.
+    n_windows = -(-n // window)
+    pad = n_windows * window - n
+    keys = np.concatenate([rows, np.full(pad, rows.max() + 1, dtype=np.int64)])
+    keys = np.sort(keys.reshape(n_windows, window), axis=1)
+    new_run = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=new_run[:, 1:])
+    starts = np.flatnonzero(new_run)
+    runs = np.diff(np.append(starts, keys.size))
+    # Integer-valued float sums below 2**53 are exact, so each window's
+    # degree is the same IEEE quotient the per-window count formula gives.
+    sum_sq = np.bincount(starts // window, weights=runs * runs, minlength=n_windows)
+    sizes = np.full(n_windows, float(window))
+    if pad:
+        sum_sq[-1] -= pad * pad  # the sentinel run
+        sizes[-1] = window - pad
+    return float((sum_sq / sizes).mean())
 
 
 def atomics_per_warp(

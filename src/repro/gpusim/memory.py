@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.device import SECTOR_BYTES
+from repro.utils.arrays import sorted_distinct
 
 
 def streaming_sectors(num_elements: int | np.ndarray, elem_bytes: int) -> np.ndarray:
@@ -48,7 +49,7 @@ def unique_per_warp(
     warp_ids = np.asarray(warp_ids, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.int64)
     combined = warp_ids * (keys.max() + 1) + keys
-    uniq = np.unique(combined)
+    uniq = sorted_distinct(combined)
     return per_warp_counts((uniq // (keys.max() + 1)).astype(np.int64), n_warps)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.utils.arrays import sorted_distinct
 
 #: Shared memory is organized as 32 banks of 4-byte words.
 NUM_BANKS = 32
@@ -41,13 +42,10 @@ def bank_conflict_factor(word_offsets: np.ndarray) -> float:
     offsets = np.asarray(word_offsets, dtype=np.int64)
     if offsets.size == 0:
         return 1.0
-    banks = offsets % NUM_BANKS
-    # Broadcast detection: identical words do not conflict.
-    factor = 0
-    for bank in np.unique(banks):
-        words = np.unique(offsets[banks == bank])
-        factor = max(factor, len(words))
-    return float(max(factor, 1))
+    # Broadcast detection: identical words do not conflict, so the
+    # replay count is the most distinct words any one bank serves.
+    words = sorted_distinct(offsets)
+    return float(max(int(np.bincount(words % NUM_BANKS).max()), 1))
 
 
 def strided_conflict_factor(stride_words: int) -> float:

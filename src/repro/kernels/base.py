@@ -40,7 +40,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -383,15 +383,63 @@ class SpMVKernel(KernelCacheMixin, abc.ABC):
         ...
 
 
+def _read_only(a: object) -> bool:
+    """Can no one write ``a``'s values through numpy?
+
+    True when ``a`` and every ``.base`` below it are read-only arrays
+    and the last one owns its memory.  A read-only view of a writeable
+    array is *not* read-only: its base can still change.
+    """
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _memoized_reference(
+    kind: str, A: COOMatrix, operands: tuple, compute: Callable[[], np.ndarray]
+) -> np.ndarray:
+    """``compute()`` once per (topology, operand objects); a fresh copy per call.
+
+    Sim-only baselines return the reference output as their result, so
+    a figure sweep asks for the same reference once per baseline on the
+    same shared read-only operands.  Results are memoized in the plan
+    cache's identity memo (cleared by ``clear_plan_cache``) only when
+    every operand is read-only down its whole ``.base`` chain; anything
+    writeable could change between calls and always recomputes.
+    """
+    if not all(_read_only(op) for op in operands):
+        return compute()
+    cache = _plan_cache().get_plan_cache()
+    key = (kind, A.structure_token, *map(id, operands))
+    metrics = obs.get_metrics()
+    hit = cache.memo_lookup(key, operands)
+    if hit is not None:
+        metrics.counter("kernels.reference_memo.hit").inc()
+        return hit.copy()
+    metrics.counter("kernels.reference_memo.miss").inc()
+    out = compute()
+    out.setflags(write=False)
+    cache.memo_store(key, operands, out)
+    return out.copy()
+
+
 def reference_spmm(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Ground-truth SpMM via scipy (used by baselines and tests)."""
-    return A.to_scipy(np.asarray(edge_values, dtype=np.float64)).tocsr() @ np.asarray(X)
+    return _memoized_reference(
+        "spmm", A, (edge_values, X),
+        lambda: A.to_scipy(np.asarray(edge_values, dtype=np.float64)).tocsr()
+        @ np.asarray(X),
+    )
 
 
 def reference_sddmm(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Ground-truth SDDMM: per-edge dot products (vectorized gather)."""
     X, Y = np.asarray(X), np.asarray(Y)
-    return np.einsum("ef,ef->e", X[A.rows], Y[A.cols])
+    return _memoized_reference(
+        "sddmm", A, (X, Y), lambda: np.einsum("ef,ef->e", X[A.rows], Y[A.cols])
+    )
 
 
 def reference_spmv(A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from repro.gpusim.memory import feature_row_sectors
 from repro.gpusim.trace import KernelTrace
 from repro.kernels.gnnone.scheduler import SchedulePlan
 from repro.kernels.gnnone.stage1 import Stage1Plan
+from repro.utils.arrays import sorted_distinct
 
 
 def _warp_feature_sectors(
@@ -64,7 +65,7 @@ def record_stage2_spmm(
     nze_per_warp = s1.chunks.chunk_sizes.astype(np.float64)
     if cols is not None and sched.consecutive and len(cols):
         combined = sched.slice_of_nze * (int(cols.max()) + 1) + cols.astype(np.int64)
-        uniq_slices = np.unique(combined) // (int(cols.max()) + 1)
+        uniq_slices = sorted_distinct(combined) // (int(cols.max()) + 1)
         groups = shape.groups_per_warp
         distinct = np.bincount(
             (uniq_slices // groups).astype(np.int64), minlength=sched.n_warps

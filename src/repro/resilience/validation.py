@@ -31,6 +31,7 @@ import numpy as np
 
 from repro import obs, settings
 from repro.errors import GraphValidationError
+from repro.utils.arrays import sorted_distinct
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sparse.coo import COOMatrix
@@ -148,7 +149,7 @@ def validate_graph(
         if report.csr_ordered:
             report.duplicate_edges = int(np.count_nonzero(key[1:] == key[:-1]))
         else:
-            report.duplicate_edges = int(report.nnz - np.unique(key).size)
+            report.duplicate_edges = int(report.nnz - sorted_distinct(key).size)
 
     if report.index_in_range and coo.num_rows:
         occupied = np.zeros(coo.num_rows, dtype=bool)

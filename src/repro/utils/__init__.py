@@ -1,5 +1,6 @@
-"""Shared utilities: validation helpers, RNG management, timing, logging."""
+"""Shared utilities: validation helpers, array helpers, RNG management, timing."""
 
+from repro.utils.arrays import sorted_distinct
 from repro.utils.validation import (
     check_array,
     check_dtype,
@@ -19,6 +20,7 @@ __all__ = [
     "check_positive",
     "check_shape",
     "default_rng",
+    "sorted_distinct",
     "spawn_rng",
     "Timer",
 ]

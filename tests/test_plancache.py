@@ -1,6 +1,8 @@
 """Structural plan cache: replay fidelity, key invalidation, fast paths."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,9 +17,9 @@ from repro.core import (
     plan_cache_enabled,
     set_plan_cache_enabled,
 )
-from repro.core.plancache import CachedLaunch, PlanCache, plan_key
+from repro.core.plancache import MEMO_CAPACITY, CachedLaunch, PlanCache, plan_key
 from repro.gpusim import A100, V100
-from repro.kernels.base import reference_spmm
+from repro.kernels.base import reference_sddmm, reference_spmm
 from repro.kernels.gnnone import (
     GnnOneConfig,
     GnnOneSDDMM,
@@ -356,3 +358,149 @@ class TestSpmvAndSddmmCaching:
         warm = kernel(small_graph, Xr, Yc)
         assert warm.time_us == cold.time_us
         assert get_plan_cache().hits >= 1
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _memo_counters():
+    counters = obs.get_metrics().snapshot()["counters"]
+    return (
+        counters.get("kernels.reference_memo.hit", 0),
+        counters.get("kernels.reference_memo.miss", 0),
+    )
+
+
+class TestReferenceMemo:
+    """One reference output per read-only operand set until the cache clears."""
+
+    def test_read_only_operands_hit(self, small_graph, rng):
+        vals, X = _read_only(
+            rng.standard_normal(small_graph.nnz),
+            rng.standard_normal((small_graph.num_cols, 8)),
+        )
+        Xr, = _read_only(rng.standard_normal((small_graph.num_rows, 8)))
+        obs.reset_metrics()
+        first = reference_spmm(small_graph, vals, X)
+        second = reference_spmm(small_graph, vals, X)
+        assert _memo_counters() == (1, 1)
+        np.testing.assert_array_equal(first, second)
+        assert first is not second and second.flags.writeable
+        reference_sddmm(small_graph, Xr, X)
+        sd = reference_sddmm(small_graph, Xr, X)
+        assert _memo_counters() == (2, 2)
+        np.testing.assert_array_equal(
+            sd, np.einsum("ef,ef->e", Xr[small_graph.rows], X[small_graph.cols])
+        )
+
+    def test_mutated_writeable_operand_recomputes(self, small_graph, rng):
+        vals = rng.standard_normal(small_graph.nnz)
+        X = rng.standard_normal((small_graph.num_cols, 4))
+        obs.reset_metrics()
+        before = reference_spmm(small_graph, vals, X)
+        X *= 2.0
+        after = reference_spmm(small_graph, vals, X)
+        np.testing.assert_allclose(after, 2.0 * before)
+        assert _memo_counters() == (0, 0)
+        assert get_plan_cache().memo_size() == 0
+
+    def test_read_only_view_of_writeable_base_is_not_memoized(self, small_graph, rng):
+        base = rng.standard_normal((small_graph.num_cols, 4))
+        view = base[:, :]
+        view.setflags(write=False)
+        vals, = _read_only(rng.standard_normal(small_graph.nnz))
+        before = reference_spmm(small_graph, vals, view)
+        base[:] = 0.0
+        np.testing.assert_array_equal(
+            reference_spmm(small_graph, vals, view), np.zeros_like(before)
+        )
+        assert get_plan_cache().memo_size() == 0
+
+    def test_mutating_a_returned_array_does_not_leak(self, small_graph, rng):
+        Xr, Yc = _read_only(
+            rng.standard_normal((small_graph.num_rows, 4)),
+            rng.standard_normal((small_graph.num_cols, 4)),
+        )
+        first = reference_sddmm(small_graph, Xr, Yc)
+        expect = first.copy()
+        first[:] = np.nan
+        second = reference_sddmm(small_graph, Xr, Yc)
+        np.testing.assert_array_equal(second, expect)
+        second[:] = np.nan
+        np.testing.assert_array_equal(reference_sddmm(small_graph, Xr, Yc), expect)
+
+    def test_memo_stays_at_its_bound(self, small_graph, rng):
+        vals, = _read_only(rng.standard_normal(small_graph.nnz))
+        operands = [
+            _read_only(rng.standard_normal((small_graph.num_cols, 2)))[0]
+            for _ in range(MEMO_CAPACITY + 3)
+        ]
+        for X in operands:
+            reference_spmm(small_graph, vals, X)
+            assert get_plan_cache().memo_size() <= MEMO_CAPACITY
+        assert get_plan_cache().memo_size() == MEMO_CAPACITY
+        obs.reset_metrics()
+        reference_spmm(small_graph, vals, operands[0])      # evicted: recompute
+        reference_spmm(small_graph, vals, operands[-1])     # most recent: hit
+        assert _memo_counters() == (1, 1)
+
+    def test_clear_plan_cache_empties_the_memo(self, small_graph, rng):
+        vals, X = _read_only(
+            rng.standard_normal(small_graph.nnz),
+            rng.standard_normal((small_graph.num_cols, 4)),
+        )
+        reference_spmm(small_graph, vals, X)
+        assert get_plan_cache().memo_size() == 1
+        clear_plan_cache()
+        assert get_plan_cache().memo_size() == 0
+        obs.reset_metrics()
+        reference_spmm(small_graph, vals, X)
+        assert _memo_counters() == (0, 1)
+
+    def test_concurrent_references_stay_exact_and_bounded(self, small_graph, rng):
+        """More threads than cores, more operand sets than slots, and clears."""
+        vals, = _read_only(rng.standard_normal(small_graph.nnz))
+        sets = [
+            _read_only(rng.standard_normal((small_graph.num_cols, 3)))[0]
+            for _ in range(MEMO_CAPACITY + 4)
+        ]
+        expected = [reference_spmm(small_graph, vals, X.copy()) for X in sets]
+        errors, barrier = [], threading.Barrier(8)
+
+        def worker(seed):
+            pick = np.random.default_rng(seed)
+            barrier.wait()
+            try:
+                for step in range(150):
+                    i = int(pick.integers(len(sets)))
+                    got = reference_spmm(small_graph, vals, sets[i])
+                    assert np.array_equal(got, expected[i])
+                    got[:] = np.nan  # must not reach any other caller
+                    if step % 50 == 49:
+                        clear_plan_cache()
+            except Exception as e:          # pragma: no cover - failure path
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert get_plan_cache().memo_size() <= MEMO_CAPACITY
+
+    def test_identity_slot_rejects_a_different_object(self):
+        cache = PlanCache()
+        a, b = np.zeros(3), np.zeros(3)
+        cache.memo_store(("k",), (a,), "value")
+        assert cache.memo_lookup(("k",), (a,)) == "value"
+        assert cache.memo_lookup(("k",), (b,)) is None
