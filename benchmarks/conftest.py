@@ -2,15 +2,18 @@
 
 Every benchmark regenerates one of the paper's tables/figures.  Full
 sweeps (the exact dataset list of the paper) are expensive; by default
-the suite runs the quick subset.  Set ``REPRO_BENCH_FULL=1`` to sweep
-everything Figs 3-4 style (minutes, matches EXPERIMENTS.md).
+the suite runs the quick subset.  Pass ``--full`` to sweep everything
+Figs 3-4 style (minutes, matches EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
+
+
+def pytest_addoption(parser):
+    parser.addoption("--full", action="store_true",
+                     help="run the paper's full sweeps instead of the quick subset")
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -29,8 +32,8 @@ def _cold_plan_cache():
 
 
 @pytest.fixture(scope="session")
-def quick_mode() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "0") != "1"
+def quick_mode(request) -> bool:
+    return not request.config.getoption("--full")
 
 
 @pytest.fixture(scope="session")

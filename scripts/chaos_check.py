@@ -1,21 +1,25 @@
-"""Chaos gate: a faulted parallel run must match the fault-free serial run.
+"""Chaos gate: a faulted run must match the fault-free run bit for bit.
 
-Runs the fig04 quick sweep and a 3-epoch GCN training twice —
+Runs the fig04 quick sweep (a cold pass, then a warm pass that replays
+every launch plan from the plan cache) and a 3-epoch GCN training
+twice —
 
-* baseline: injection off, serial engine (1 worker);
+* baseline: injection off;
 * chaos: ``chaos`` fault profile (seed ``REPRO_FAULT_SEED``, default
-  1337), 4 workers, training interrupted after 2 epochs and resumed
-  from its checkpoint —
+  1337), training interrupted after 2 epochs and resumed from its
+  checkpoint —
 
-and asserts the chaos run is **bit-identical**: every sweep row equal,
-every epoch loss equal, same test accuracy.  It then asserts the chaos
-run actually exercised the recovery paths (>=1 shard retry, >=1
-degrade-to-serial, >=1 checkpoint restore), so a regression that
-silently disables injection fails the gate too.
+and asserts the chaos run is **bit-identical**: every sweep row of both
+passes equal, every epoch loss equal, same test accuracy.  It then
+asserts the chaos run actually exercised the recovery paths (>=1
+plan-cache invalidation, >=1 checkpoint restore), so a regression that
+silently disables injection fails the gate too.  The warm sweep pass is
+what reaches ``plancache.poison``: the site is consulted on every cache
+hit, and a cold pass has none.
 
 The chaos phase streams an obs trace to ``--trace`` (default
 ``chaos_trace.jsonl``) for ``python -m repro.obs summary``, and the
-deep profiler renders that trace's per-kernel breakdown and worker
+deep profiler renders that trace's per-kernel breakdown and
 timeline to ``--profile`` (default ``chaos_profile.txt``).
 
 Usage::
@@ -34,14 +38,14 @@ from repro import obs, settings
 from repro.bench.harness import run_experiment
 from repro.core import clear_plan_cache
 from repro.errors import ConfigError
-from repro.exec import exec_workers
 from repro.nn import GCN, GraphData, Trainer, synthesize
 from repro.resilience import fault_profile, no_faults
 from repro.sparse.datasets import load_dataset
 
 TRAIN_EPOCHS = 3
 INTERRUPT_AFTER = 2
-CHAOS_WORKERS = 4
+#: sweep passes per phase: a cold one, then a warm plan-cache replay
+SWEEP_PASSES = 2
 #: fault seed when ``REPRO_FAULT_SEED`` is unset
 CHAOS_SEED = 1337
 
@@ -54,9 +58,9 @@ def make_trainer() -> Trainer:
 
 
 def run_phase(checkpoint_dir: str | None = None):
-    """One sweep + one training run under whatever profile is active."""
+    """Cold + warm sweeps and one training run under the active profile."""
     clear_plan_cache()
-    sweep = run_experiment("fig04", quick=True)
+    sweeps = [run_experiment("fig04", quick=True) for _ in range(SWEEP_PASSES)]
     if checkpoint_dir is None:
         train = make_trainer().fit(TRAIN_EPOCHS)
     else:
@@ -66,7 +70,7 @@ def run_phase(checkpoint_dir: str | None = None):
         train = make_trainer().fit(
             TRAIN_EPOCHS, checkpoint_dir=checkpoint_dir, resume=True
         )
-    return sweep, train
+    return sweeps, train
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,30 +87,30 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(e))
     seed = CHAOS_SEED if env_seed is None else env_seed
 
-    with no_faults(), exec_workers(1):
-        base_sweep, base_train = run_phase()
+    with no_faults():
+        base_sweeps, base_train = run_phase()
 
     metrics = obs.get_metrics()
     before = {
         name: metrics.counter(name).value
-        for name in ("resilience.fault_injected", "resilience.retry",
-                     "resilience.degraded", "resilience.checkpoint_restore")
+        for name in ("resilience.fault_injected", "resilience.plan_invalidated",
+                     "resilience.checkpoint_restore")
     }
     with contextlib.ExitStack() as stack:
         stack.enter_context(obs.trace_to(args.trace))
         stack.enter_context(fault_profile("chaos", seed=seed))
-        stack.enter_context(exec_workers(CHAOS_WORKERS, min_parallel_nnz=1))
         tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="chaos-ckpt-"))
-        chaos_sweep, chaos_train = run_phase(checkpoint_dir=tmp)
+        chaos_sweeps, chaos_train = run_phase(checkpoint_dir=tmp)
     fired = {name: metrics.counter(name).value - v for name, v in before.items()}
 
     failures: list[str] = []
-    if chaos_sweep.rows != base_sweep.rows:
-        bad = sum(a != b for a, b in zip(base_sweep.rows, chaos_sweep.rows))
-        failures.append(
-            f"fig04 sweep diverged under chaos: {bad} row(s) differ "
-            f"(and {len(chaos_sweep.failures())} error row(s))"
-        )
+    for n, (base_sweep, chaos_sweep) in enumerate(zip(base_sweeps, chaos_sweeps)):
+        if chaos_sweep.rows != base_sweep.rows:
+            bad = sum(a != b for a, b in zip(base_sweep.rows, chaos_sweep.rows))
+            failures.append(
+                f"fig04 sweep pass {n + 1} diverged under chaos: {bad} row(s) "
+                f"differ (and {len(chaos_sweep.failures())} error row(s))"
+            )
     base_losses = [r.loss for r in base_train.history]
     chaos_losses = [r.loss for r in chaos_train.history]
     if chaos_losses != base_losses:
@@ -118,14 +122,13 @@ def main(argv: list[str] | None = None) -> int:
             f"test accuracy diverged: {base_train.test_acc} "
             f"vs {chaos_train.test_acc}"
         )
-    for name in ("resilience.retry", "resilience.degraded",
-                 "resilience.checkpoint_restore"):
+    for name in ("resilience.plan_invalidated", "resilience.checkpoint_restore"):
         if fired[name] < 1:
             failures.append(f"chaos run never exercised {name} (seed {seed})")
 
     if args.profile:
         # The same trace the summary reads also feeds the deep profiler:
-        # the chaos run's per-kernel breakdown and worker timeline land
+        # the chaos run's per-kernel breakdown and timeline land
         # next to the trace as a build artifact.
         from pathlib import Path
 
@@ -145,10 +148,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"warning: {dropped} corrupt trace line(s) skipped",
                   file=sys.stderr)
 
-    print(f"chaos check (seed {seed}, {CHAOS_WORKERS} workers):")
+    print(f"chaos check (seed {seed}):")
     for name, count in fired.items():
         print(f"  {name}: {count:.0f}")
-    print(f"  sweep rows compared: {len(base_sweep.rows)}")
+    print(f"  sweep rows compared: {sum(len(s.rows) for s in base_sweeps)}")
     print(f"  epoch losses compared: {len(base_losses)}")
     print(f"  trace: {args.trace}")
     if args.profile:
@@ -157,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("chaos run is bit-identical to the fault-free serial baseline")
+    print("chaos run is bit-identical to the fault-free baseline")
     return 0
 
 

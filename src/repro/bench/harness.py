@@ -10,14 +10,9 @@ Every sweep point emits an :mod:`repro.obs` span (``bench.spmm`` /
 ``bench.sddmm``) keyed by kernel × dataset × feature length, carrying
 the simulated time or the OOM/launch-failure outcome — the per-point
 record ``python -m repro.obs diff`` compares across runs.
-
-Sweep points are independent of each other, so figure experiments run
-them through the sharded execution engine (:func:`sweep_points`): with
-``REPRO_EXEC_WORKERS > 1`` the (dataset, dim) grid executes
-concurrently on the engine's worker pool while row order stays
-deterministic.  Kernel numerics invoked *inside* a concurrently
-executed point degrade to serial automatically, so the pool never
-deadlocks on nested parallelism.
+Figure experiments run their (dataset, dim) grids through
+:func:`sweep_points`, which records a failing point as an error row
+instead of aborting the figure.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ import numpy as np
 from repro import obs
 from repro.core import plancache
 from repro.errors import BenchmarkError, KernelLaunchError
-from repro.exec import get_engine
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.kernels.registry import sddmm_kernel, spmm_kernel
 from repro.nn.memory import USABLE_FRACTION
@@ -84,14 +78,7 @@ def sweep_points(
     label: str = "bench.sweep",
     error_row: Callable[[object, Exception], object] | None = None,
 ) -> list:
-    """Run independent sweep points, concurrently when the engine allows.
-
-    ``fn(point)`` is applied to every point through
-    :meth:`repro.exec.ExecutionEngine.map` — order-preserving, so a
-    figure's row order is identical at every worker count.  The
-    enclosing span records the effective worker count alongside the
-    grid size; each point's own ``bench.*`` span is emitted from the
-    worker thread with correct parent linkage.
+    """Apply ``fn`` to every point in order, under one ``label`` span.
 
     With ``error_row``, a point that raises no longer aborts the sweep:
     the exception is recorded (``bench.point_failures`` counter and a
@@ -102,21 +89,19 @@ def sweep_points(
     before.
     """
     points = list(points)
-    engine = get_engine()
-
-    def guarded(point):
-        try:
-            return fn(point)
-        except Exception as e:  # noqa: BLE001 - recorded, surfaced in the row
-            if error_row is None:
-                raise
-            obs.get_metrics().counter("bench.point_failures").inc()
-            obs.event("bench.point_error", label=label, point=repr(point),
-                      error=f"{type(e).__name__}: {e}")
-            return error_row(point, e)
-
-    with obs.span(label, points=len(points), workers=engine.workers):
-        return engine.map(guarded, points, label=label)
+    rows = []
+    with obs.span(label, points=len(points)):
+        for point in points:
+            try:
+                rows.append(fn(point))
+            except Exception as e:  # noqa: BLE001 - recorded, surfaced in the row
+                if error_row is None:
+                    raise
+                obs.get_metrics().counter("bench.point_failures").inc()
+                obs.event("bench.point_error", label=label, point=repr(point),
+                          error=f"{type(e).__name__}: {e}")
+                rows.append(error_row(point, e))
+    return rows
 
 
 def kernel_fits(kernel, spec: DatasetSpec, feature_length: int, device: DeviceSpec) -> bool:
@@ -166,9 +151,6 @@ def time_spmm(
             sp.set(outcome="launch-error")
             return None
         time_us = result.time_us
-        # The sweep only reads the simulated time; hand the output
-        # buffer back so the next launch of this shape skips allocation.
-        get_engine().release(result.output)
         sp.set(outcome="ok").add_sim_us(time_us)
         return time_us
 
@@ -191,7 +173,6 @@ def time_sddmm(
             sp.set(outcome="launch-error")
             return None
         time_us = result.time_us
-        get_engine().release(result.output)
         sp.set(outcome="ok").add_sim_us(time_us)
         return time_us
 

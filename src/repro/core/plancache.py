@@ -32,11 +32,6 @@ numerics (see :mod:`repro.kernels.base`), so outputs always track the
 actual input values.  Kernel-launch failures are not cached — an
 invalid configuration re-raises from the real pipeline every time.
 
-The execution engine's row-shard plans (:mod:`repro.exec.sharding`) are
-equally value-independent and memoize here alongside the cost/trace
-entries, under keys whose kind tag (``"shard"``) can never collide with
-a kernel launch.
-
 A second, much smaller map (:meth:`PlanCache.memo_lookup` /
 :meth:`PlanCache.memo_store`) holds value results keyed on operand
 *identity* — the kernel layer's reference outputs
@@ -187,10 +182,9 @@ def _key_kind(key: PlanKey) -> str:
 class PlanCache:
     """LRU map from structural launch keys to cached cost/trace pairs.
 
-    Thread-safe: the execution engine (:mod:`repro.exec`) consults the
-    global cache from its worker threads (shard plans memoize here, and
-    concurrent bench sweep points look up launch structures), so every
-    lookup/store/evict runs under one re-entrant lock.  ``move_to_end``
+    Thread-safe: the inference service (:mod:`repro.serve`) launches
+    kernels from its executor threads while other threads may do the
+    same, so every lookup/store/evict runs under one re-entrant lock.  ``move_to_end``
     during a concurrent ``store``'s eviction sweep would otherwise
     corrupt the ``OrderedDict``.
     """
@@ -259,18 +253,6 @@ class PlanCache:
                 self._entries.popitem(last=False)
             size = len(self._entries)
         get_metrics().gauge("plancache.size").set(size)
-
-    def invalidate(self, key: PlanKey) -> bool:
-        """Drop one entry (e.g. a shard plan that failed validation)."""
-        with self._lock:
-            present = self._entries.pop(key, None) is not None
-            if present:
-                self.invalidations += 1
-        if present:
-            get_metrics().counter("resilience.plan_invalidated").inc()
-            obs.event("resilience.plan_invalidated", kind=_key_kind(key),
-                      reason="explicit")
-        return present
 
     def memo_lookup(self, key: Hashable, operands: tuple) -> object | None:
         """The value stored under ``key`` for these very operand objects."""

@@ -102,18 +102,6 @@ class FaultInjectedError(ResilienceError):
     code = "resilience.fault_injected"
 
 
-class ShardStallError(ResilienceError):
-    """A shard exceeded its execution deadline (stalled worker)."""
-
-    code = "resilience.shard_stall"
-
-
-class ShardExecutionError(ResilienceError):
-    """A shard kept failing after its bounded retry budget was spent."""
-
-    code = "resilience.shard_failed"
-
-
 class PlanCacheCorruptionError(ResilienceError):
     """A plan-cache entry failed its integrity check (checksum mismatch)."""
 
@@ -225,8 +213,6 @@ ERROR_CODES: dict[str, type[ReproError]] = {
         GraphValidationError,
         ResilienceError,
         FaultInjectedError,
-        ShardStallError,
-        ShardExecutionError,
         PlanCacheCorruptionError,
         TrainingDivergedError,
         ServeError,

@@ -1,18 +1,17 @@
 """Fork-safety hooks for the execution stack.
 
-A ``fork()`` while the engine is live hands the child a corpse: the
-thread-pool executor's worker threads do not survive the fork, the
-plan-cache ``RLock`` (or the fault injector's lock) may have been held
-by a thread that no longer exists, and the obs span stack points at
-spans whose ``__exit__`` will only ever run in the parent.  Any of
-these deadlocks or mis-parents the child's first launch.
+A ``fork()`` from a threaded process (the inference service runs
+launches on executor threads) hands the child locks in whatever state
+the parent's threads left them: the plan-cache ``RLock`` (or the fault
+injector's lock) may have been held by a thread that no longer exists,
+and the obs span stack points at spans whose ``__exit__`` will only
+ever run in the parent.  Any of these deadlocks or mis-parents the
+child's first launch.
 
 :func:`register_fork_hooks` installs one ``os.register_at_fork``
 ``after_in_child`` hook (idempotent; imported as a side effect of
 ``repro.exec``) that resets all of it:
 
-* the global engine is dropped, so the child lazily builds a fresh one
-  with a new executor;
 * the plan cache gets a fresh ``RLock`` (entries are plain data and
   remain valid);
 * the fault injector's locks are replaced, schedules kept;
@@ -22,19 +21,15 @@ these deadlocks or mis-parents the child's first launch.
 from __future__ import annotations
 
 import os
-import threading
 
 _registered = False
 
 
 def _after_fork_in_child() -> None:
     from repro.core import plancache
-    from repro.exec import engine as engine_mod
     from repro.obs import spans
     from repro.resilience import faults
 
-    engine_mod._default = None
-    engine_mod._default_lock = threading.Lock()
     plancache.reset_lock_after_fork()
     faults.reset_locks_after_fork()
     spans.reset_context_after_fork()

@@ -1,22 +1,16 @@
-"""Serial and per-block kernel numerics shared by the execution engine.
+"""Serial kernel numerics behind the execution engine.
 
-The serial functions are the exact numerics the kernels ran before the
-engine existed (moved here from ``repro.kernels.gnnone.spmm`` so the
-engine does not import the kernel layer); the block functions compute
-one row block / NZE range of the same result, writing into a caller
-slice of the pooled output buffer.
-
-Bit-identity argument: scipy's ``csr @ dense`` is one C loop per row
-accumulating NZEs in CSR order (``csr_matvecs``); running the same loop
-per row block over absolute ``indptr`` slices of the *same* shared
-``cols``/``vals`` arrays performs the identical per-row instruction
-sequence, so block outputs match the serial sweep bit-for-bit.
+These are the exact numerics the kernels ran before the engine existed
+(moved here from ``repro.kernels.gnnone.spmm`` so the engine does not
+import the kernel layer).  SpMM and SpMV are scipy's ``csr @ dense``
+over the memoized CSR structural view: one C loop per row accumulating
+NZEs in CSR order.
 
 SDDMM accumulates each edge dot in ascending feature order — one
 elementwise ``out += XT[k][rows] * YT[k][cols]`` pass per feature — which
-is the *defined* summation order: per-edge dots are independent of how
-edges are split into blocks, and a scalar ``for k`` loop would perform
-the identical add sequence.  The operands are gathered feature-major:
+is the *defined* summation order: each edge's dot is independent of
+every other edge, and a scalar ``for k`` loop would perform the
+identical add sequence.  The operands are gathered feature-major:
 ``X.T``/``Y.T`` are made contiguous once per launch, so pass ``k`` reads
 one contiguous feature column of length ``num_rows`` (cache-resident for
 the graphs here) at the edge indices, instead of first materialising
@@ -37,11 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.coo import COOMatrix
-
-try:  # scipy >= 1.8 private module (stable for a decade; guarded anyway)
-    from scipy.sparse import _sparsetools as _st
-except ImportError:  # pragma: no cover - ancient scipy
-    _st = None
 
 
 def csr_spmm_serial(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -79,74 +68,6 @@ def _feature_major_dot(
 def sddmm_serial(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``W[e] = <X[row_e], Y[col_e]>`` in the caller's edge order."""
     return _feature_major_dot(feature_major(X), feature_major(Y), A.rows, A.cols)
-
-
-def csr_block_spmm(
-    indptr: np.ndarray,
-    cols: np.ndarray,
-    data: np.ndarray,
-    X: np.ndarray,
-    out: np.ndarray,
-    row_start: int,
-    row_end: int,
-    nnz_start: int,
-    nnz_end: int,
-    num_cols: int,
-) -> None:
-    """Accumulate rows ``[row_start, row_end)`` of ``A_w @ X`` into ``out``.
-
-    ``out`` rows must be zero on entry (the C kernel accumulates).  The
-    ``indptr`` slice keeps its absolute values so ``cols``/``data`` stay
-    the full shared arrays — a zero-copy view of the block.
-    """
-    n_rows = row_end - row_start
-    y = out[row_start:row_end]
-    if n_rows <= 0:
-        return
-    if _st is not None:
-        if X.ndim == 1:
-            _st.csr_matvec(
-                n_rows, num_cols, indptr[row_start : row_end + 1], cols, data, X, y
-            )
-        else:
-            _st.csr_matvecs(
-                n_rows,
-                num_cols,
-                X.shape[1],
-                indptr[row_start : row_end + 1],
-                cols,
-                data,
-                X.ravel(),
-                y.ravel(),
-            )
-        return
-    # Fallback: rebase the indptr slice and let scipy build the block.
-    import scipy.sparse as sp  # pragma: no cover - exercised only w/o _sparsetools
-
-    block_ptr = indptr[row_start : row_end + 1].astype(np.int64) - nnz_start
-    M = sp.csr_matrix(
-        (data[nnz_start:nnz_end], cols[nnz_start:nnz_end], block_ptr),
-        shape=(n_rows, num_cols),
-    )
-    y[...] = M @ X
-
-
-def sddmm_block(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    XT: np.ndarray,
-    YT: np.ndarray,
-    out: np.ndarray,
-    nnz_start: int,
-    nnz_end: int,
-) -> None:
-    """Fill edges ``[nnz_start, nnz_end)`` of the SDDMM.
-
-    ``XT``/``YT`` are the launch's :func:`feature_major` operands, built
-    once by the caller and shared by every block.
-    """
-    s = slice(nnz_start, nnz_end)
-    out[s] = _feature_major_dot(XT, YT, rows[s], cols[s])
 
 
 def gat_edge_softmax_serial(

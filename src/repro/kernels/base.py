@@ -26,13 +26,9 @@ Each invocation is two independent halves:
 (:mod:`repro.core.plancache`): a warm launch replays the cached
 :class:`CostReport`/trace and runs only the numerics, skipping Stage-1
 planning, scheduling, trace recording and ``estimate_cost`` entirely.
-The default :meth:`compute` routes through the sharded execution engine
-(:mod:`repro.exec`) — serial and bit-identical to the reference
-numerics at the default ``REPRO_EXEC_WORKERS=1``, executed as
-concurrent row blocks on multi-core hosts — so baselines get the
-replay-cost/recompute-numerics treatment without per-kernel code.
-Kernels never see the difference because sharded numerics are
-bit-identical to serial by construction.
+The default :meth:`compute` routes through the execution engine
+(:mod:`repro.exec`), so baselines get the replay-cost/recompute-numerics
+treatment without per-kernel code.
 """
 
 from __future__ import annotations

@@ -54,9 +54,7 @@ def fused_gat_attention_numerics(
     from repro.exec import get_engine
     from repro.kernels.gnnone.spmm import csr_replay_spmm
 
-    # Both halves route through the execution engine, which shards the
-    # aggregation SpMM — alpha and Y stay bit-identical to the serial
-    # numerics at every worker count.
+    # Both halves route through the execution engine.
     alpha = get_engine().gat_alpha(coo, el, er, negative_slope=negative_slope)
     Y = csr_replay_spmm(coo, alpha, np.asarray(X, dtype=np.float64))
     return alpha, Y

@@ -50,10 +50,7 @@ class GnnOneSDDMM(SDDMMKernel):
 
     def compute(self, A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         # Numerics follow the caller's edge order (the trace uses the
-        # CSR-ordered view, which is cost-equivalent).  The engine
-        # shards the gathered dot over disjoint NZE ranges when
-        # REPRO_EXEC_WORKERS > 1; per-edge outputs keep it bit-identical
-        # to gathered_dot_sddmm.
+        # CSR-ordered view, which is cost-equivalent).
         from repro.exec import get_engine
 
         return get_engine().sddmm(A, X, Y)

@@ -53,10 +53,7 @@ def csr_replay_spmm(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.
     Same per-row, ascending-column accumulation as
     :func:`segment_sum_spmm`, but runs in fused scipy C loops instead of
     materializing the ``|E| x F`` product matrix and reducing it per
-    segment.  Routed through the sharded execution engine
-    (:mod:`repro.exec`): serial at the default ``REPRO_EXEC_WORKERS=1``,
-    executed as concurrent NNZ-balanced row blocks (bit-identical — row
-    blocks never share an output row) on multi-core hosts.
+    segment.  Routed through the execution engine (:mod:`repro.exec`).
     ``segment_sum_spmm`` stays the validation-grade mirror of the kernel
     arithmetic; the property suite pins the two together.
     """

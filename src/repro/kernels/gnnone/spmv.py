@@ -33,8 +33,7 @@ class GnnOneSpMV(SpMVKernel):
     def compute(self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.ndarray:
         # Per-row sequential accumulation over the memoized CSR view —
         # identical on warm and cold paths since `execute` delegates
-        # here, and engine-sharded by row block when REPRO_EXEC_WORKERS
-        # is set (F=1 slice of the SpMM split; bit-identical).
+        # here.
         from repro.exec import get_engine
 
         return get_engine().spmv(A, edge_values, np.asarray(x, dtype=np.float64))

@@ -6,7 +6,7 @@ Usage::
     python -m repro.obs tree t.jsonl             # indented span tree
     python -m repro.obs diff old.jsonl new.jsonl # per-kernel regressions
     python -m repro.obs profile t.jsonl          # deep per-kernel breakdown
-    python -m repro.obs timeline t.jsonl         # per-worker shard gantt
+    python -m repro.obs timeline t.jsonl         # per-worker span gantt
     python -m repro.obs dataset t1.jsonl t2.jsonl -o features.jsonl
     python -m repro.obs baseline t.jsonl ... -o baselines/quick.json
     python -m repro.obs regress baselines/quick.json t.jsonl --fail-on-regress
@@ -94,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_timeline = sub.add_parser(
-        "timeline", help="per-worker shard timeline (ASCII gantt)"
+        "timeline", help="per-worker span timeline (ASCII gantt)"
     )
     p_timeline.add_argument("trace", help="JSONL trace file")
     p_timeline.add_argument(

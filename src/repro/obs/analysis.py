@@ -163,12 +163,9 @@ def format_tune_line(stats: dict[str, float | int]) -> str:
 #: order the summary line reports them.
 RESILIENCE_EVENTS = (
     "resilience.fault_injected",
-    "resilience.retry",
-    "resilience.degraded",
     "resilience.plan_invalidated",
     "resilience.checkpoint_save",
     "resilience.checkpoint_restore",
-    "resilience.pool_unhealthy",
 )
 
 
@@ -193,15 +190,11 @@ def format_resilience_line(counts: dict[str, int]) -> str:
         return "resilience: no faults injected, no recoveries in trace"
     parts = [
         f"{counts['resilience.fault_injected']} fault(s) injected",
-        f"{counts['resilience.retry']} shard retry(ies)",
-        f"{counts['resilience.degraded']} degrade(s)-to-serial",
         f"{counts['resilience.plan_invalidated']} plan invalidation(s)",
         f"{counts['resilience.checkpoint_restore']} checkpoint restore(s)",
     ]
     if counts["resilience.checkpoint_save"]:
         parts.append(f"{counts['resilience.checkpoint_save']} checkpoint save(s)")
-    if counts["resilience.pool_unhealthy"]:
-        parts.append(f"{counts['resilience.pool_unhealthy']} pool bench(es)")
     return "resilience: " + ", ".join(parts)
 
 

@@ -11,13 +11,11 @@ answers the next two questions a kernel engineer asks:
   warm-launch share, and wall-vs-simulated time — the per-kernel
   breakdown table of ``python -m repro.obs profile``.
 
-* **What did each worker do, when?**  :func:`timeline_lanes` groups the
-  execution engine's per-shard spans (and the bench harness's
-  concurrent sweep points) into per-worker lanes;
-  :func:`format_timeline` renders them as an ASCII gantt, making shard
-  imbalance and stragglers visible straight from the trace file.  The
-  lanes key on each span's ``worker`` attribute (the executing
-  ``repro-exec`` thread's name).
+* **What did each worker do, when?**  :func:`timeline_lanes` groups
+  spans into per-worker lanes — the inference service's executor
+  threads by their ``worker`` attribute, everything else on ``main`` —
+  and :func:`format_timeline` renders them as an ASCII gantt, making
+  stragglers visible straight from the trace file.
 """
 
 from __future__ import annotations
@@ -214,7 +212,7 @@ def timeline_lanes(records: Iterable[JsonDict]) -> dict[str, list[LaneEntry]]:
         name = str(rec.get("name", ""))
         if worker is None:
             if name.startswith(
-                ("kernel.", "bench.", "train.epoch", "exec.parallel", "serve.")
+                ("kernel.", "bench.", "train.epoch", "serve.")
             ):
                 worker = "main"
             else:
@@ -228,7 +226,7 @@ def timeline_lanes(records: Iterable[JsonDict]) -> dict[str, list[LaneEntry]]:
         attrs = rec.get("attrs", {})
         bits = [str(rec["name"])]
         for attr in (
-            "kind", "kernel", "shard", "index", "dataset", "f", "epoch",
+            "kind", "kernel", "index", "dataset", "f", "epoch",
             "tenant", "occupancy",
         ):
             if attrs.get(attr) is not None:

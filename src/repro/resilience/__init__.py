@@ -10,21 +10,19 @@ Three legs, threaded through every execution layer:
   scipy/NumPy tracebacks surface from kernel internals.
 * **Fault injector** (:mod:`repro.resilience.faults`) — a seeded,
   ``REPRO_FAULT_PROFILE``/``REPRO_FAULT_SEED``-configurable injector
-  that corrupts shard plans, flips operand values to NaN, raises and
-  stalls inside execution-engine workers, poisons plan-cache entries
-  and corrupts training losses — deterministically, so chaos CI
-  failures replay locally.
-* **Recovery paths** — per-shard bounded retry with exponential
-  backoff and launch-level degrade-to-serial in
-  :mod:`repro.exec.engine`; checksum-verified plan-cache entries with
+  that poisons plan-cache entries, corrupts training losses, fails
+  serve batches and disturbs the network transport —
+  deterministically, so chaos CI failures replay locally.
+* **Recovery paths** — checksum-verified plan-cache entries with
   invalidate-and-recompute in :mod:`repro.core.plancache`; epoch
   checkpoints, resume, and a NaN/Inf loss guard with rollback in
   :mod:`repro.nn.trainer` (state capture in
-  :mod:`repro.resilience.checkpoint`).
+  :mod:`repro.resilience.checkpoint`); degrade-to-unbatched with
+  per-request retries in :mod:`repro.serve.service`.
 
 Every recovery emits ``resilience.*`` counters and obs events
-(``fault_injected`` / ``retry`` / ``degraded`` / ``plan_invalidated`` /
-``checkpoint_restore``), surfaced by ``python -m repro.obs summary``.
+(``fault_injected`` / ``plan_invalidated`` / ``checkpoint_restore``),
+surfaced by ``python -m repro.obs summary``.
 """
 
 from repro.resilience.checkpoint import CheckpointManager, TrainSnapshot
@@ -40,7 +38,6 @@ from repro.resilience.faults import (
 )
 from repro.resilience.validation import (
     ValidationReport,
-    check_finite_output,
     ensure_structure_validated,
     validate_graph,
     validation_level,
@@ -58,7 +55,6 @@ __all__ = [
     "reset_injector",
     "set_fault_profile",
     "ValidationReport",
-    "check_finite_output",
     "ensure_structure_validated",
     "validate_graph",
     "validation_level",

@@ -23,12 +23,6 @@ harnesses bound blast radius so recovery is testable at all.
 Sites wired through the stack (all opt-in via profile rates):
 
 ========================  =====================================================
-``exec.worker_raise``     raise :class:`FaultInjectedError` inside a shard
-``exec.shard_stall``      stall a shard past its deadline (sleeps, then raises
-                          :class:`ShardStallError`)
-``exec.value_nan``        flip one operand value of a sharded launch to NaN
-                          (caught by the engine's finite-output guard)
-``shard.plan_corrupt``    corrupt a cached shard plan's row boundaries
 ``plancache.poison``      flip a plan-cache entry's checksum so the next
                           lookup detects corruption and recomputes
 ``train.loss_corrupt``    corrupt the epoch loss to NaN (exercises the
@@ -52,7 +46,7 @@ Sites wired through the stack (all opt-in via profile rates):
 Configuration::
 
     REPRO_FAULT_PROFILE=chaos          # named profile, or ""/none = off
-    REPRO_FAULT_PROFILE="exec.worker_raise=0.5,train.loss_corrupt=1"
+    REPRO_FAULT_PROFILE="plancache.poison=0.5,train.loss_corrupt=1"
     REPRO_FAULT_SEED=1337              # replay seed (default 0)
 
 Every fired fault increments ``resilience.fault_injected`` and emits a
@@ -65,14 +59,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import threading
-import time
 
 from repro import obs, settings
-from repro.errors import ConfigError, FaultInjectedError, ShardStallError
-
-#: injected stall duration (seconds) — long enough to model a missed
-#: deadline, short enough that chaos test runs stay fast.
-STALL_SECONDS = 0.002
+from repro.errors import ConfigError, FaultInjectedError
 
 #: Named profiles.  ``chaos`` is the CI leg: every site armed at rates
 #: that fire within a quick sweep + short training run but leave the
@@ -80,10 +69,6 @@ STALL_SECONDS = 0.002
 PROFILES: dict[str, dict[str, float]] = {
     "none": {},
     "chaos": {
-        "exec.worker_raise": 0.15,
-        "exec.shard_stall": 0.08,
-        "exec.value_nan": 0.12,
-        "shard.plan_corrupt": 0.05,
         "plancache.poison": 0.03,
         "train.loss_corrupt": 0.45,
         "serve.batch_fail": 0.2,
@@ -93,10 +78,6 @@ PROFILES: dict[str, dict[str, float]] = {
         "net.slow_peer": 0.1,
     },
     "storm": {
-        "exec.worker_raise": 0.5,
-        "exec.shard_stall": 0.25,
-        "exec.value_nan": 0.4,
-        "shard.plan_corrupt": 0.25,
         "plancache.poison": 0.2,
         "train.loss_corrupt": 0.8,
         "serve.batch_fail": 0.5,
@@ -138,8 +119,8 @@ def parse_profile(spec: str | None) -> dict[str, float]:
 
 #: default cap on consecutive fires of one site — keep this no larger
 #: than the smallest recovery budget in the stack (the trainer's
-#: ``MAX_ROLLBACKS`` and the engine's retry count) so every injected
-#: failure is recoverable by design.
+#: ``MAX_ROLLBACKS`` and the service's per-request retries) so every
+#: injected failure is recoverable by design.
 DEFAULT_MAX_BURST = 2
 
 
@@ -202,25 +183,10 @@ class FaultInjector:
                       occurrence=occurrence, **attrs)
         return fired
 
-    def value_index(self, site: str, n: int) -> int:
-        """Deterministic corruption position in an ``n``-element array."""
-        digest = hashlib.blake2b(
-            f"{self.seed}:{site}:index".encode(), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big") % max(1, n)
-
     def maybe_raise(self, site: str, **attrs) -> None:
         """Raise :class:`FaultInjectedError` when the site fires."""
         if self.fire(site, **attrs):
             raise FaultInjectedError(f"injected fault at {site} ({attrs})")
-
-    def maybe_stall(self, site: str, **attrs) -> None:
-        """Model a stalled shard: sleep, then raise :class:`ShardStallError`."""
-        if self.fire(site, **attrs):
-            time.sleep(STALL_SECONDS)
-            raise ShardStallError(
-                f"injected stall at {site} exceeded deadline ({attrs})"
-            )
 
     def reset(self) -> None:
         """Restart every site's occurrence schedule (per-test determinism)."""

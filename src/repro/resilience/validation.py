@@ -1,7 +1,7 @@
 """Graph validation boundary: typed reports instead of deep tracebacks.
 
 Everything downstream of a :class:`~repro.sparse.coo.COOMatrix` —
-plan-cache keys, shard plans, scipy CSR views, kernel traces — assumes
+plan-cache keys, scipy CSR views, kernel traces — assumes
 the structural contract of the CSR-ordered COO: indices in range,
 entries sorted by (row, col), no NaN leaking in through features.  A
 violation used to surface as an ``IndexError`` from scipy internals or
@@ -19,7 +19,7 @@ first launch on a topology.
 ``REPRO_VALIDATE`` selects the level: ``off`` (skip the boundary),
 ``basic`` (default: structure at dispatch, features at training entry)
 or ``full`` (additionally verify plan-cache entry checksums on every
-lookup and scan sharded kernel outputs for non-finite values).
+lookup).
 """
 
 from __future__ import annotations
@@ -192,8 +192,3 @@ def ensure_structure_validated(coo: "COOMatrix") -> None:
     report.raise_if_invalid()
     obs.get_metrics().counter("resilience.graphs_validated").inc()
     object.__setattr__(coo, _VALIDATED_ATTR, True)
-
-
-def check_finite_output(out: np.ndarray) -> bool:
-    """Fast full-array finiteness scan used by the engine's output guard."""
-    return bool(np.isfinite(out).all())

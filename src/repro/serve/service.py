@@ -7,8 +7,8 @@ trained model + feature matrix) resident, admits requests into a
 bounded :class:`~repro.serve.scheduler.DeadlineScheduler`, and a single
 drain task coalesces whatever is pending — up to ``max_batch``
 requests, lingering at most ``max_delay_us`` for stragglers — into one
-fused launch through the normal kernel path, so the plan cache and
-shard fan-out are amortized per *batch* instead of per request.
+fused launch through the normal kernel path, so the plan-cache lookup
+and launch overhead are amortized per *batch* instead of per request.
 
 Two request kinds cover the serving surface:
 

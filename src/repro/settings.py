@@ -13,16 +13,19 @@ per type:
 
 Anything else raises :class:`~repro.errors.ConfigError` naming the
 variable, so a typo fails at first use instead of silently falling
-back.  ``REPRO_FAULT_PROFILE`` is kept as text here; its grammar lives
+back.  So does any ``REPRO_*`` variable that is not in the table (a
+misspelt name, or one the program no longer reads), whatever its
+value.  ``REPRO_FAULT_PROFILE`` is kept as text here; its grammar lives
 in :func:`repro.resilience.faults.parse_profile`.
 
 ``python -m repro.settings`` prints every variable with its resolved
 value and whether it came from the environment or the default, and
-exits non-zero with the error message on a malformed value.
+exits 2 with the error message on a malformed value or unknown name.
 """
 
 from __future__ import annotations
 
+import difflib
 import math
 import os
 import sys
@@ -85,13 +88,11 @@ def _var(env: str, kind: str, default: Any, **row: Any) -> Any:
 class Settings:
     """The resolved value of every ``REPRO_*`` variable."""
 
-    #: threads for sharded kernel numerics (0 and 1 = serial)
-    exec_workers: int = _var("REPRO_EXEC_WORKERS", "int", 1, minimum=0)
     #: observability kill switch: off = spans and metrics are no-ops
     obs: bool = _var("REPRO_OBS", "bool", True)
     #: structural plan cache: off = simulate every launch
     plan_cache: bool = _var("REPRO_PLAN_CACHE", "bool", True)
-    #: graph validation; full adds plan-cache checksums and output scans
+    #: graph validation; full adds plan-cache checksums
     validate: str = _var(
         "REPRO_VALIDATE", "choice", "basic", choices=("off", "basic", "full"))
     #: autotune strategy; learned = model-pruned (exact without a model)
@@ -148,7 +149,18 @@ def _raw(var: Var) -> str | None:
     return None if raw is None or raw.strip() == "" else raw
 
 
+def _check_names() -> None:
+    """``ConfigError`` naming the first set ``REPRO_*`` variable not in the table."""
+    known = names()
+    for env in sorted(os.environ):
+        if env.startswith("REPRO_") and env not in known:
+            close = difflib.get_close_matches(env, known, n=1)
+            hint = f"; did you mean {close[0]}?" if close else ""
+            raise ConfigError(f"{env} is not a repro setting{hint}")
+
+
 def _load() -> Settings:
+    _check_names()
     values = {}
     for name, var in TABLE:
         raw = _raw(var)

@@ -103,29 +103,6 @@ def consecutive_slice_ids(
     return chunk_of_nze * n_groups + group
 
 
-def nnz_balanced_row_blocks(indptr: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Row boundaries cutting the CSR row space into NNZ-balanced blocks.
-
-    Returns ``n_blocks + 1`` non-decreasing row indices ``b`` such that
-    block ``k`` owns rows ``[b[k], b[k+1])`` and each block holds as
-    close to ``nnz / n_blocks`` NZEs as whole-row granularity allows.
-    Blocks may be empty (a single hub row can exceed the ideal share);
-    callers must tolerate ``b[k] == b[k+1]``.  This is the host-side
-    analogue of GE-SpMM's row-split decomposition: blocks never share an
-    output row, so block-parallel SpMM/SpMV needs no atomics and stays
-    bit-identical to the serial sweep.
-    """
-    if n_blocks <= 0:
-        raise ConfigError("n_blocks must be positive")
-    indptr = np.asarray(indptr, dtype=np.int64)
-    num_rows = indptr.size - 1
-    total = int(indptr[-1]) if indptr.size else 0
-    targets = (total * np.arange(1, n_blocks, dtype=np.int64)) // n_blocks
-    cuts = np.searchsorted(indptr, targets, side="left")
-    bounds = np.concatenate(([0], np.minimum(cuts, num_rows), [num_rows]))
-    return np.maximum.accumulate(bounds)
-
-
 @dataclass(frozen=True)
 class RowWarpAssignment:
     """Vertex-parallel mapping: warp i handles row i (possibly looped)."""

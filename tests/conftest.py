@@ -7,7 +7,6 @@ import pytest
 
 from repro import settings
 from repro.core import clear_plan_cache, clear_tune_cache
-from repro.exec import get_engine
 from repro.resilience import reset_injector
 from repro.sparse import COOMatrix, generators
 
@@ -66,14 +65,11 @@ def _fresh_injector():
 
     The injector's fire schedule is a pure function of (seed, site,
     occurrence index); resetting the counters makes each test see the
-    same deterministic schedule regardless of test ordering.  Engine
-    health is reset too so one chaos test can't degrade the next.
+    same deterministic schedule regardless of test ordering.
     """
     reset_injector()
-    get_engine().reset_health()
     yield
     reset_injector()
-    get_engine().reset_health()
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import ExecutionEngine
-from repro.exec.numerics import feature_major, sddmm_block, sddmm_serial
+from repro.exec import get_engine
+from repro.exec.numerics import sddmm_serial
 from repro.gpusim.atomics import conflict_degree
 from repro.gpusim.sharedmem import NUM_BANKS, bank_conflict_factor
 from repro.resilience import no_faults
@@ -101,36 +101,23 @@ def sddmm_case(draw):
 
 @given(case=sddmm_case())
 @settings(max_examples=80, deadline=None)
-def test_sddmm_serial_and_blocks_equal_row_major_oracle(case):
-    A, X, Y, rng = case
+def test_sddmm_serial_equals_row_major_oracle(case):
+    A, X, Y, _ = case
     expect = oracle_sddmm(A, X, Y)
     got = sddmm_serial(A, X, Y)
     assert got.dtype == expect.dtype
     assert np.array_equal(got, expect)
-    # Any split of the edges into blocks fills the same bits.
-    cuts = np.sort(rng.integers(0, A.nnz + 1, 3))
-    bounds = [0, *cuts.tolist(), A.nnz]
-    out = np.full(A.nnz, np.nan)
-    XT, YT = feature_major(X), feature_major(Y)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sddmm_block(A.rows, A.cols, XT, YT, out, lo, hi)
-    assert np.array_equal(out, expect)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @given(case=sddmm_case())
 @settings(max_examples=40, deadline=None)
-def test_engine_sddmm_equals_row_major_oracle(workers, case):
+def test_engine_sddmm_equals_row_major_oracle(case):
     A, X, Y, _ = case
     # The engine computes in float64 whatever the input precision.
     expect = oracle_sddmm(A, X.astype(np.float64), Y.astype(np.float64))
-    engine = ExecutionEngine(workers, min_parallel_nnz=0)
-    try:
-        with no_faults():
-            got = engine.sddmm(A, X, Y)
-        assert np.array_equal(got, expect)
-    finally:
-        engine.shutdown()
+    with no_faults():
+        got = get_engine().sddmm(A, X, Y)
+    assert np.array_equal(got, expect)
 
 
 def test_sddmm_named_edge_cases():

@@ -20,16 +20,13 @@ from repro.errors import (
     GraphValidationError,
     TrainingDivergedError,
 )
-from repro.exec import exec_workers, row_shard_plan
-from repro.exec.numerics import csr_spmm_serial, sddmm_serial
-from repro.exec.sharding import plan_is_valid
+from repro.kernels.gnnone import GnnOneSpMM
 from repro.nn import GCN, GraphData, Trainer, synthesize
 from repro.resilience import (
     CheckpointManager,
     FaultInjector,
     TrainSnapshot,
     ValidationReport,
-    check_finite_output,
     ensure_structure_validated,
     fault_profile,
     no_faults,
@@ -50,18 +47,18 @@ def _spmm_operands(coo, F, seed=0):
 # --------------------------------------------------------------- injector
 class TestFaultInjector:
     def test_schedule_is_a_pure_function_of_the_seed(self):
-        a = FaultInjector({"exec.worker_raise": 0.3}, seed=99)
-        b = FaultInjector({"exec.worker_raise": 0.3}, seed=99)
-        seq_a = [a.fire("exec.worker_raise") for _ in range(200)]
-        seq_b = [b.fire("exec.worker_raise") for _ in range(200)]
+        a = FaultInjector({"net.conn_drop": 0.3}, seed=99)
+        b = FaultInjector({"net.conn_drop": 0.3}, seed=99)
+        seq_a = [a.fire("net.conn_drop") for _ in range(200)]
+        seq_b = [b.fire("net.conn_drop") for _ in range(200)]
         assert seq_a == seq_b
         assert any(seq_a) and not all(seq_a)
 
     def test_different_seeds_differ(self):
-        a = FaultInjector({"exec.worker_raise": 0.3}, seed=1)
-        b = FaultInjector({"exec.worker_raise": 0.3}, seed=2)
-        assert [a.fire("exec.worker_raise") for _ in range(200)] != [
-            b.fire("exec.worker_raise") for _ in range(200)
+        a = FaultInjector({"net.conn_drop": 0.3}, seed=1)
+        b = FaultInjector({"net.conn_drop": 0.3}, seed=2)
+        assert [a.fire("net.conn_drop") for _ in range(200)] != [
+            b.fire("net.conn_drop") for _ in range(200)
         ]
 
     @given(
@@ -124,7 +121,7 @@ class TestFaultInjector:
     def test_no_faults_disables_everything(self):
         with no_faults() as inj:
             assert not inj.enabled
-            assert not inj.fire("exec.worker_raise")
+            assert not inj.fire("net.conn_drop")
 
 
 # ------------------------------------------------------------- validation
@@ -187,10 +184,6 @@ class TestValidationBoundary:
         with pytest.raises(ConfigError, match="REPRO_VALIDATE"):
             repro_env(REPRO_VALIDATE="paranoid")
 
-    def test_check_finite_output(self):
-        assert check_finite_output(np.ones(4))
-        assert not check_finite_output(np.array([1.0, np.nan]))
-
     def test_graphdata_warm_rejects_nan_features(self, small_graph):
         features = np.ones((small_graph.num_rows, 3))
         features[0, 0] = np.nan
@@ -198,143 +191,8 @@ class TestValidationBoundary:
             GraphData(small_graph).warm(features)
 
 
-# ---------------------------------------------------------- engine recovery
-class TestEngineRecovery:
-    @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=15, deadline=None)
-    def test_storm_spmm_is_bit_identical_to_fault_free(self, seed):
-        """The tentpole property: every injected fault along the sharded
-        SpMM path recovers to the exact fault-free serial result."""
-        rng = np.random.default_rng(4)
-        coo = COOMatrix.from_edges(
-            60, 60, rng.integers(0, 60, 600), rng.integers(0, 60, 600)
-        ).sort_csr_order()
-        w, X = _spmm_operands(coo, 8)
-        with no_faults():
-            expect = csr_spmm_serial(coo, w, X)
-        with exec_workers(3, min_parallel_nnz=1):
-            with fault_profile("storm", seed=seed):
-                from repro.exec import get_engine
-
-                got = get_engine().spmm(coo, w, X)
-        assert np.array_equal(got, expect)
-
-    @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=10, deadline=None)
-    def test_storm_sddmm_is_bit_identical_to_fault_free(self, seed):
-        rng = np.random.default_rng(5)
-        coo = COOMatrix.from_edges(
-            50, 50, rng.integers(0, 50, 400), rng.integers(0, 50, 400)
-        ).sort_csr_order()
-        X = rng.standard_normal((50, 6))
-        Y = rng.standard_normal((50, 6))
-        with no_faults():
-            expect = sddmm_serial(coo, X, Y)
-        with exec_workers(3, min_parallel_nnz=1):
-            with fault_profile("storm", seed=seed):
-                from repro.exec import get_engine
-
-                got = get_engine().sddmm(coo, X, Y)
-        assert np.array_equal(got, expect)
-
-    def test_value_nan_caught_by_output_guard(self, medium_graph):
-        coo = medium_graph.sort_csr_order()
-        w, X = _spmm_operands(coo, 4)
-        with no_faults():
-            expect = csr_spmm_serial(coo, w, X)
-        degraded = obs.get_metrics().counter("resilience.degraded")
-        before = degraded.value
-        with exec_workers(3, min_parallel_nnz=1) as engine:
-            with fault_profile("exec.value_nan=1.0", seed=0):
-                got = engine.spmm(coo, w, X)
-        assert np.array_equal(got, expect)
-        assert degraded.value > before
-
-    def test_exhausted_retries_degrade_to_serial(self, medium_graph):
-        """A shard whose every attempt fails (burst bound lifted) pulls
-        the launch down to the exact serial numerics."""
-        coo = medium_graph.sort_csr_order()
-        w, X = _spmm_operands(coo, 4)
-        with no_faults():
-            expect = csr_spmm_serial(coo, w, X)
-        metrics = obs.get_metrics()
-        retries0 = metrics.counter("resilience.retry").value
-        degraded0 = metrics.counter("resilience.degraded").value
-        with exec_workers(3, min_parallel_nnz=1) as engine:
-            with fault_profile("exec.worker_raise=1.0", seed=0) as inj:
-                inj.max_burst = 10**9  # make the fault persistent
-                got = engine.spmm(coo, w, X)
-        assert np.array_equal(got, expect)
-        assert metrics.counter("resilience.retry").value > retries0
-        assert metrics.counter("resilience.degraded").value > degraded0
-
-    def test_transient_fault_recovers_within_retry_budget(self, medium_graph):
-        """With the default burst bound (2) a rate-1.0 raise site fails
-        two attempts and succeeds on the third — retries, no degrade."""
-        coo = medium_graph.sort_csr_order()
-        w, X = _spmm_operands(coo, 4)
-        with no_faults():
-            expect = csr_spmm_serial(coo, w, X)
-        with exec_workers(2, min_parallel_nnz=1) as engine:
-            with fault_profile("exec.worker_raise=1.0", seed=0):
-                got = engine.spmm(coo, w, X)
-            assert engine.healthy
-        assert np.array_equal(got, expect)
-
-    def test_pool_goes_unhealthy_then_serial_until_reset(self, medium_graph):
-        coo = medium_graph.sort_csr_order()
-        w, X = _spmm_operands(coo, 4)
-        metrics = obs.get_metrics()
-        with exec_workers(3, min_parallel_nnz=1) as engine:
-            with fault_profile("exec.worker_raise=1.0", seed=0) as inj:
-                inj.max_burst = 10**9
-                for _ in range(3):
-                    engine.spmm(coo, w, X)  # 3 consecutive degrades
-                assert not engine.healthy
-                serial0 = metrics.counter("exec.launch.serial").value
-                got = engine.spmm(coo, w, X)  # routed serially: no shards
-                assert metrics.counter("exec.launch.serial").value == serial0 + 1
-            with no_faults():
-                assert np.array_equal(got, csr_spmm_serial(coo, w, X))
-            engine.reset_health()
-            assert engine.healthy
-
-    def test_stall_site_raises_typed_error_and_recovers(self, medium_graph):
-        coo = medium_graph.sort_csr_order()
-        w, X = _spmm_operands(coo, 4)
-        with no_faults():
-            expect = csr_spmm_serial(coo, w, X)
-        with exec_workers(2, min_parallel_nnz=1) as engine:
-            with fault_profile("exec.shard_stall=1.0", seed=3):
-                got = engine.spmm(coo, w, X)
-        assert np.array_equal(got, expect)
-
-
 # ------------------------------------------------- plan & cache integrity
 class TestPlanAndCacheIntegrity:
-    def test_corrupted_shard_plan_is_rebuilt(self, medium_graph):
-        coo = medium_graph.sort_csr_order()
-        clean = row_shard_plan(coo, 4)  # populates the cache
-        assert plan_is_valid(clean, coo)
-        invalidated = obs.get_metrics().counter("resilience.plan_invalidated")
-        before = invalidated.value
-        with fault_profile("shard.plan_corrupt=1.0", seed=0):
-            rebuilt = row_shard_plan(coo, 4)  # hit fires, corrupts, rebuilds
-        assert plan_is_valid(rebuilt, coo)
-        assert invalidated.value > before
-        assert rebuilt.n_blocks == clean.n_blocks
-
-    def test_plan_is_valid_rejects_corruption(self, medium_graph):
-        coo = medium_graph.sort_csr_order()
-        plan = row_shard_plan(coo, 4)
-        bad = type(plan)(
-            n_workers=plan.n_workers,
-            row_starts=plan.row_starts.copy(),
-            nnz_starts=plan.nnz_starts.copy(),
-        )
-        bad.row_starts[1] = bad.row_starts[-1] + 1
-        assert not plan_is_valid(bad, coo)
-
     def test_poisoned_cache_entry_recomputes(self):
         cache = get_plan_cache()
         key = ("tok", "kern", "spmm", 8, None)
@@ -525,34 +383,32 @@ class TestObsResilienceSummary:
         records = [
             {"type": "event", "name": "resilience.fault_injected"},
             {"type": "event", "name": "resilience.fault_injected"},
-            {"type": "event", "name": "resilience.retry"},
-            {"type": "event", "name": "resilience.degraded"},
-            {"type": "span", "name": "resilience.retry"},  # not an event
+            {"type": "event", "name": "resilience.plan_invalidated"},
+            {"type": "event", "name": "resilience.checkpoint_restore"},
+            {"type": "span", "name": "resilience.plan_invalidated"},  # not an event
             {"type": "event", "name": "other.event"},
         ]
         counts = obs.resilience_summary(records)
         assert counts["resilience.fault_injected"] == 2
-        assert counts["resilience.retry"] == 1
-        assert counts["resilience.degraded"] == 1
-        assert counts["resilience.checkpoint_restore"] == 0
+        assert counts["resilience.plan_invalidated"] == 1
+        assert counts["resilience.checkpoint_restore"] == 1
+        assert counts["resilience.checkpoint_save"] == 0
 
     def test_format_line(self):
         counts = obs.resilience_summary([])
         assert "no faults" in obs.format_resilience_line(counts)
         counts["resilience.fault_injected"] = 3
-        counts["resilience.retry"] = 2
+        counts["resilience.plan_invalidated"] = 2
         line = obs.format_resilience_line(counts)
-        assert "3 fault(s) injected" in line and "2 shard retry(ies)" in line
+        assert "3 fault(s) injected" in line and "2 plan invalidation(s)" in line
 
     def test_chaos_run_events_land_in_the_trace(self, medium_graph):
-        coo = medium_graph.sort_csr_order()
-        w, X = _spmm_operands(coo, 4)
+        w, X = _spmm_operands(medium_graph, 4)
+        kernel = GnnOneSpMM()
         with obs.capture() as records:
-            with exec_workers(3, min_parallel_nnz=1) as engine:
-                with fault_profile("exec.worker_raise=1.0", seed=0) as inj:
-                    inj.max_burst = 10**9
-                    engine.spmm(coo, w, X)
+            with fault_profile("plancache.poison=1.0", seed=0):
+                kernel(medium_graph, w, X)  # cold: stores a checksummed plan
+                kernel(medium_graph, w, X)  # warm: poison fires, plan recomputed
         counts = obs.resilience_summary(records)
         assert counts["resilience.fault_injected"] > 0
-        assert counts["resilience.retry"] > 0
-        assert counts["resilience.degraded"] > 0
+        assert counts["resilience.plan_invalidated"] > 0

@@ -26,7 +26,6 @@ from repro.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.exec import exec_workers
 from repro.nn import GCN, GraphData
 from repro.nn.tensor import Tensor
 from repro.resilience.faults import fault_profile
@@ -88,18 +87,6 @@ class TestBatchingEquivalence:
                     result[:, j], _serial(graph, payload[:, j])
                 )
         assert service.stats.requests == len(payloads)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_batched_equals_serial_at_every_worker_count(self, small_graph, workers):
-        """The fused launch is shard-agnostic: same bits at any fan-out."""
-        graph = _graph(small_graph)
-        rng = np.random.default_rng(5)
-        columns = [rng.standard_normal(graph.num_vertices) for _ in range(6)]
-        refs = [_serial(graph, c) for c in columns]
-        with exec_workers(workers, min_parallel_nnz=0):
-            results, _ = _run(_serve_all(graph, columns))
-        for ref, result in zip(refs, results):
-            np.testing.assert_array_equal(ref, result)
 
     def test_single_request_matches_direct_launch(self, small_graph, rng):
         graph = _graph(small_graph)
@@ -251,16 +238,6 @@ class TestTenantNamespaces:
         namespaces = {key[0] for key in get_plan_cache()._entries}
         assert {"acme", "globex"} <= namespaces
         assert current_namespace() == ""  # scope never leaks
-
-    def test_shard_plans_stay_shared(self, small_graph, rng):
-        graph = _graph(small_graph)
-        column = rng.standard_normal(graph.num_vertices)
-        with exec_workers(2, min_parallel_nnz=0):
-            _run(_serve_all(graph, [column], tenants=["acme"]))
-        shard_namespaces = {
-            key[0] for key in get_plan_cache()._entries if key[3] == "shard"
-        }
-        assert shard_namespaces <= {""}
 
 
 class TestServeObservability:

@@ -26,8 +26,12 @@ ROOT = Path(__file__).resolve().parents[1]
         ("REPRO_TUNE", "lerned"),
         ("REPRO_TUNE", "bogus"),
         ("REPRO_VALIDATE", "paranoid"),
+        # names not in the table fail whatever their value: a misspelt
+        # name, and a variable the program no longer reads
+        ("REPRO_PLAN_CAHCE", "off"),
         ("REPRO_EXEC_WORKERS", "two"),
         ("REPRO_EXEC_WORKERS", "-2"),
+        ("REPRO_EXEC_WORKERS", "4"),
         ("REPRO_FAULT_SEED", "abc"),
         ("REPRO_SERVE_MAX_BATCH", "0"),
         ("REPRO_SERVE_MAX_BATCH", "lots"),
@@ -67,7 +71,7 @@ def test_blank_means_default_and_settings_are_cached(monkeypatch):
 
 def test_failed_reload_keeps_the_previous_settings(monkeypatch):
     before = settings.reload()
-    monkeypatch.setenv("REPRO_EXEC_WORKERS", "two")
+    monkeypatch.setenv("REPRO_FAULT_SEED", "two")
     with pytest.raises(ConfigError):
         settings.reload()
     assert settings.get() is before
@@ -75,20 +79,27 @@ def test_failed_reload_keeps_the_previous_settings(monkeypatch):
 
 def test_cli_prints_every_variable_and_rejects_bad_values():
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(PYTHONPATH=str(ROOT / "src"), REPRO_EXEC_WORKERS="3")
+    env.update(PYTHONPATH=str(ROOT / "src"), REPRO_SERVE_MAX_BATCH="3")
     run = [sys.executable, "-m", "repro.settings"]
     out = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
     rows = [line.split() for line in out.stdout.splitlines()]
     assert [row[0] for row in rows] == settings.names()
-    assert ["REPRO_EXEC_WORKERS", "3", "env"] in rows
+    assert ["REPRO_SERVE_MAX_BATCH", "3", "env"] in rows
     assert ["REPRO_OBS", "true", "default"] in rows
 
     env["REPRO_FAULT_SEED"] = "abc"
     out = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
-    assert out.returncode != 0
+    assert out.returncode == 2
     assert "REPRO_FAULT_SEED must be an integer" in out.stderr
+
+    del env["REPRO_FAULT_SEED"]
+    env["REPRO_PLAN_CAHCE"] = "off"
+    out = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "REPRO_PLAN_CAHCE is not a repro setting" in out.stderr
+    assert "did you mean REPRO_PLAN_CACHE?" in out.stderr
 
 
 @pytest.mark.parametrize("script", ["chaos_check.py", "chaos_serve.py"])
