@@ -16,10 +16,10 @@ End-to-end exercise of :mod:`repro.tune`:
 5. **search** — model-pruned search vs exhaustive on every sweep point:
    per-point regret, trials avoided, and cold-cache wall time both ways.
 
-Writes ``BENCH_pr9.json`` plus a SHA-stamped ``BENCH_trajectory.json``
-entry.  ``--check`` turns the PR's acceptance criteria into exit
-status: val rank-correlation >= 0.8, regret <= 5% on every point with
-at most 3 simulated candidates, and a positive trials-avoided yield.
+Writes ``BENCH_pr9.json``.  ``--check`` turns the PR's acceptance
+criteria into exit status: val rank-correlation >= 0.8, regret <= 5% on
+every point with at most 3 simulated candidates, and a positive
+trials-avoided yield.
 
 Usage::
 
@@ -212,8 +212,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_pr9.json",
                         help="result JSON path (default: BENCH_pr9.json)")
-    parser.add_argument("--trajectory", default="BENCH_trajectory.json",
-                        help="cumulative headline-numbers file ('' disables)")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless the acceptance gates hold")
     parser.add_argument("--seed", type=int, default=0)
@@ -261,21 +259,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n",
                               encoding="utf-8")
-    if args.trajectory:
-        from repro.bench.trajectory import append_trajectory
-
-        append_trajectory(args.trajectory, {
-            "benchmark": "tune",
-            "timestamp": time.time(),
-            "cpus": report["cpus"],
-            "val_rank_correlation":
-                model_report.get("val", {}).get("rank_correlation"),
-            "max_regret": search["max_regret"],
-            "top_k_hit_rate": search["top_k_hit_rate"],
-            "trials_avoided": search["trials_avoided"],
-            "wall_speedup": search["wall_speedup"],
-        })
-
     if args.check:
         problems = check_gates(report)
         if problems:

@@ -2,39 +2,33 @@
 """Network-level chaos gate for the serving path (PR 10).
 
 Runs :class:`repro.serve.ServeTransport` + :class:`repro.serve.ServeClient`
-through five segments and turns the PR's acceptance criteria into exit
+through four segments and turns the PR's acceptance criteria into exit
 status:
 
-1. **overhead** — fault-free closed loop on a predict workload,
-   in-process vs over the transport (same event loop, so the only
-   difference *is* the transport machinery).  Modes are interleaved in
-   pairs and the gate takes the best pair: scheduler/thermal noise on a
-   shared runner only ever inflates the ratio, so the minimum is the
-   honest estimate of what the machinery costs.  Gate: best pair
-   <= ``OVERHEAD_BOUND`` of in-process throughput.
-2. **chaos** — 4 worker clients under the ``chaos`` profile
+1. **chaos** — 4 worker clients under the ``chaos`` profile
    (``net.conn_drop``, ``net.partial_write``, ``net.slow_peer``,
    ``serve.deadline_storm``, ``serve.batch_fail`` all armed).  Gate:
    every response is **bit-identical** to the serial reference or a
    **typed** ``repro`` error — zero silent corruptions, zero untyped
    escapes — the client retry path fired >= 1x, and successful-request
    p99 stays under ``CHAOS_P99_BOUND_MS``.
-3. **deadline** — a saturated service plus already-hopeless bulk
+2. **deadline** — a saturated service plus already-hopeless bulk
    requests.  Gate: the scheduler sheds expired requests *before*
    launch (``deadline_shed`` >= 1 server-side, clients see typed
    deadline/timeout errors).
-4. **breaker** — a directed total-failure storm (``serve.batch_fail=1``,
+3. **breaker** — a directed total-failure storm (``serve.batch_fail=1``,
    ``retries=0``) trips the breaker; clients then fast-fail typed; the
    profile clears and the cooldown probe closes it.  Gate: trip,
    half-open and close each observed >= 1x, plus >= 1 fast-fail.
-5. **drain** — graceful shutdown mid-traffic.  Gate: every in-flight
+4. **drain** — graceful shutdown mid-traffic.  Gate: every in-flight
    request resolves (bit-identical result or typed
    ``serve.closed`` rejection), nothing lost, >= 1 typed rejection
    observed.
 
 The run streams an obs trace (``--trace``, default
 ``chaos_serve_trace.jsonl``) for ``python -m repro.obs summary`` and
-writes a ``CHAOS_serve.json`` report.
+writes a ``CHAOS_serve.json`` report.  Wall-clock serving speed is
+measured by ``e2ebench/run.py``, not here.
 
 Usage::
 
@@ -56,10 +50,6 @@ from pathlib import Path
 
 import numpy as np
 
-#: max acceptable fault-free throughput cost of the transport hop
-#: (fraction of in-process requests/sec given up).
-OVERHEAD_BOUND = 0.10
-
 #: p99 bound for *successful* requests under chaos — generous (CI
 #: runners are slow; injected stalls and retry backoff are part of the
 #: measurement); the point is catching unbounded queueing, not an SLO.
@@ -71,30 +61,16 @@ CHAOS_WORKERS = 4
 #: fault seed when neither ``--seed`` nor ``REPRO_FAULT_SEED`` is set
 CHAOS_SEED = 1337
 
-#: overhead segment: interleaved (in-process, transport) pairs measured
-#: before giving up; early exit on the first pair under the bound.
-OVERHEAD_PAIRS = 4
-
 
 def _build_fixture(quick: bool, seed: int):
-    from repro.nn import GCN, GraphData, synthesize
+    from repro.nn import GraphData
     from repro.sparse import load_dataset
 
     dataset_key = "G0" if quick else "G2"
-    dataset = load_dataset(dataset_key)
-    # feature_length=96 makes one fused forward cost enough that the
-    # overhead segment measures the transport against a real inference
-    # workload, not against an empty loop.
-    data = synthesize(dataset, feature_length=96, seed=seed)
-    graph = GraphData(dataset.coo).warm(data.features)
-    model = GCN(data.feature_length, 96, data.num_classes, seed=seed)
-    model.eval()
+    graph = GraphData(load_dataset(dataset_key).coo).warm()
     rng = np.random.default_rng(seed)
     columns = rng.standard_normal((32, graph.num_vertices))
-    id_pool = [
-        rng.integers(0, graph.num_vertices, size=16) for _ in range(64)
-    ]
-    return dataset_key, graph, data, model, columns, id_pool
+    return dataset_key, graph, columns
 
 
 def _serial_reference(graph, columns) -> list[np.ndarray]:
@@ -111,8 +87,7 @@ class ServerThread:
     """A transport + service on a dedicated thread with its own loop.
 
     Keeps the server's event loop out of the client loop's way — the
-    closest single-process stand-in for a real remote server — and is
-    what makes the overhead segment a fair comparison.
+    closest single-process stand-in for a real remote server.
     """
 
     def __init__(self, graph, config):
@@ -181,97 +156,6 @@ def server(graph, **config_overrides):
 # ------------------------------------------------------------- segment 1
 
 
-def _closed_loop(mode: str, graph, data, model, id_pool, *,
-                 clients: int, per_client: int) -> float:
-    """Wall time for ``clients`` concurrent closed loops of predicts.
-
-    Both modes run on the *same* event loop with identical service
-    config, so transport mode differs from in-process mode by exactly
-    the machinery under test: framing, the socket round trip, and the
-    server-side request handling.
-    """
-    from repro.serve import (
-        InferenceService, ServeClient, ServeConfig, ServeTransport,
-    )
-
-    config = ServeConfig.from_env(max_batch=8, max_delay_us=300)
-
-    def service():
-        return InferenceService(
-            graph, model=model, features=data.features, config=config
-        )
-
-    async def closed_loops(call):
-        await call(id_pool[0])  # warm the fused path off the clock
-        t0 = time.perf_counter()
-
-        async def one(cid):
-            for i in range(per_client):
-                await call(id_pool[(cid + i) % len(id_pool)])
-
-        await asyncio.gather(*[one(c) for c in range(clients)])
-        return time.perf_counter() - t0
-
-    async def main():
-        if mode == "inproc":
-            async with service() as svc:
-                return await closed_loops(svc.predict)
-        transport = ServeTransport(service(), port=0)
-        async with transport:
-            async with ServeClient(port=transport.port) as client:
-                return await closed_loops(client.predict)
-
-    return asyncio.run(main())
-
-
-def segment_overhead(graph, data, model, id_pool, *, quick: bool) -> dict:
-    """Interleaved (in-process, transport) pairs; gate on the best pair.
-
-    The deep client pool keeps the server-side queue non-empty, so
-    socket round trips overlap the fused forward instead of landing on
-    the batch-formation critical path.  A short thread switch interval
-    keeps the executor thread (which runs the forward) from starving
-    the event loop's IO for whole batches at a time.
-    """
-    from repro.resilience.faults import no_faults
-
-    clients, per_client = (32, 15) if quick else (32, 25)
-    n = clients * per_client
-    pairs = []
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(0.0005)
-    try:
-        with no_faults():
-            for _ in range(OVERHEAD_PAIRS):
-                wall_i = _closed_loop(
-                    "inproc", graph, data, model, id_pool,
-                    clients=clients, per_client=per_client,
-                )
-                wall_t = _closed_loop(
-                    "transport", graph, data, model, id_pool,
-                    clients=clients, per_client=per_client,
-                )
-                pairs.append({
-                    "inproc_rps": n / wall_i,
-                    "transport_rps": n / wall_t,
-                    "overhead": max(0.0, 1.0 - wall_i / wall_t),
-                })
-                if pairs[-1]["overhead"] <= OVERHEAD_BOUND:
-                    break  # noise only inflates; one clean pair settles it
-    finally:
-        sys.setswitchinterval(old_interval)
-    best = min(pairs, key=lambda p: p["overhead"])
-    return {
-        "requests_per_mode": n,
-        "clients": clients,
-        "pairs": pairs,
-        **best,
-    }
-
-
-# ------------------------------------------------------------- segment 2
-
-
 def segment_chaos(graph, columns, refs, *, quick: bool, seed: int) -> dict:
     from repro import obs
     from repro.errors import ReproError
@@ -332,7 +216,7 @@ def segment_chaos(graph, columns, refs, *, quick: bool, seed: int) -> dict:
     }
 
 
-# ------------------------------------------------------------- segment 3
+# ------------------------------------------------------------- segment 2
 
 
 def segment_deadline(graph, columns, refs, *, quick: bool) -> dict:
@@ -397,7 +281,7 @@ def segment_deadline(graph, columns, refs, *, quick: bool) -> dict:
     }
 
 
-# ------------------------------------------------------------- segment 4
+# ------------------------------------------------------------- segment 3
 
 
 def segment_breaker(graph, columns, *, quick: bool, seed: int) -> dict:
@@ -454,7 +338,7 @@ def segment_breaker(graph, columns, *, quick: bool, seed: int) -> dict:
     }
 
 
-# ------------------------------------------------------------- segment 5
+# ------------------------------------------------------------- segment 4
 
 
 def segment_drain(graph, columns, refs, *, quick: bool) -> dict:
@@ -509,12 +393,6 @@ def segment_drain(graph, columns, refs, *, quick: bool) -> dict:
 
 def _check_report(report: dict) -> list[str]:
     problems = []
-    ov = report["overhead"]
-    if ov["overhead"] > OVERHEAD_BOUND:
-        problems.append(
-            f"fault-free transport overhead {ov['overhead']:.0%} > "
-            f"{OVERHEAD_BOUND:.0%} of in-process throughput"
-        )
     ch = report["chaos"]
     if ch["corrupt"]:
         problems.append(f"chaos: {ch['corrupt']} silently corrupted response(s)")
@@ -592,9 +470,7 @@ def main(argv: list[str] | None = None) -> int:
 
     obs.reset_metrics()
     with no_faults():  # fixture + references stay clean under env chaos
-        dataset_key, graph, data, model, columns, id_pool = _build_fixture(
-            args.quick, seed=0
-        )
+        dataset_key, graph, columns = _build_fixture(args.quick, seed=0)
         refs = _serial_reference(graph, columns)
     report = {
         "benchmark": "serve transport chaos gate (PR 10)",
@@ -603,11 +479,6 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "cpus": os.cpu_count(),
     }
-    # The overhead pairs run outside the trace: span emission per rpc
-    # would tax only the transport side of the comparison.
-    report["overhead"] = segment_overhead(
-        graph, data, model, id_pool, quick=args.quick
-    )
     trace_cm = obs.trace_to(args.trace) if args.trace else contextlib.nullcontext()
     with trace_cm:
         report["chaos"] = segment_chaos(
@@ -621,12 +492,8 @@ def main(argv: list[str] | None = None) -> int:
 
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
-    ov, ch = report["overhead"], report["chaos"]
+    ch = report["chaos"]
     print(f"dataset {dataset_key}, seed {args.seed}")
-    print(f"overhead: in-process {ov['inproc_rps']:8.1f} req/s, "
-          f"transport {ov['transport_rps']:8.1f} req/s "
-          f"-> {ov['overhead']:.1%} overhead "
-          f"(best of {len(ov['pairs'])} pair(s))")
     typed_total = sum(ch["typed_errors"].values())
     print(f"chaos ({ch['workers']} workers): {ch['ok']} bit-identical, "
           f"{typed_total} typed error(s) {ch['typed_errors']}, "

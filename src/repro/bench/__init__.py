@@ -8,12 +8,8 @@ from repro.bench.harness import (
     time_spmm,
 )
 from repro.bench.report import ExperimentResult, render_table
-from repro.bench.trajectory import append_trajectory, git_sha, load_trajectory
 
 __all__ = [
-    "append_trajectory",
-    "git_sha",
-    "load_trajectory",
     "FEATURE_LENGTHS",
     "experiment_ids",
     "run_experiment",

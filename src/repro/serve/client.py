@@ -160,8 +160,12 @@ class ServeClient:
         priority: str | None = None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
-        """Remote :meth:`InferenceService.predict` (read-only result)."""
-        ids = np.atleast_1d(np.asarray(node_ids, dtype=np.int64))
+        """Remote :meth:`InferenceService.predict` (read-only result).
+
+        Ids travel in their own dtype: the server rejects non-integer
+        ids with a typed error instead of the client truncating them.
+        """
+        ids = np.atleast_1d(np.asarray(node_ids))
         header, payload = protocol.array_header(ids)
         frame = {"op": "predict", "payload": header, "tenant": tenant}
         return await self._call(

@@ -36,8 +36,6 @@ class ServeConfig:
     timeout_ms: float = 10_000.0
     #: per-request attempts after a failed batch = 1 + retries
     retries: int = 2
-    #: False serves every request as its own launch (the A/B baseline)
-    batching: bool = True
     #: autotune the fused launch's GNNOne config per batch width
     #: (``core.autotune`` — honors ``REPRO_TUNE`` for learned search)
     tuned: bool = False
@@ -82,7 +80,6 @@ class ServeConfig:
             "queue_depth": env.serve_queue_depth,
             "timeout_ms": env.serve_timeout_ms,
             "retries": env.serve_retries,
-            "batching": env.serve_batching,
             "tuned": env.serve_tuned,
             "default_priority": env.serve_default_priority,
             "breaker_threshold": env.serve_breaker_threshold,

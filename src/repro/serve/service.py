@@ -282,15 +282,7 @@ class InferenceService:
     ) -> np.ndarray:
         """One step of normalized aggregation ``Y = Â X`` for the caller's
         feature column(s); shape ``(|V|,)`` or ``(|V|, k)``, mirrored back."""
-        x = np.asarray(columns, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
-        if x.ndim != 2 or x.shape[0] != self.graph.num_vertices:
-            raise ConfigError(
-                f"propagate columns must be (|V|,) or (|V|, k) with "
-                f"|V|={self.graph.num_vertices}, got {np.shape(columns)}"
-            )
+        x, squeeze = self.validate_columns(columns)
         return await self._submit(
             "propagate", x, tenant, squeeze,
             priority=priority, deadline_ms=deadline_ms,
@@ -305,21 +297,51 @@ class InferenceService:
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         """Model logits for the queried node(s) from resident features."""
+        ids, squeeze = self.validate_ids(node_ids)
+        return await self._submit(
+            "predict", ids, tenant, squeeze,
+            priority=priority, deadline_ms=deadline_ms,
+        )
+
+    def validate_columns(self, columns) -> tuple[np.ndarray, bool]:
+        """``(x, squeeze)``: propagate columns as a float ``(|V|, k)`` array.
+
+        ``squeeze`` records a 1-D input, whose answer is 1-D again.  The
+        one check for in-process and wire requests alike.
+        """
+        x = np.asarray(columns, dtype=np.float64)
+        squeeze = x.ndim == 1
+        if squeeze:
+            x = x[:, None]
+        if x.ndim != 2 or x.shape[0] != self.graph.num_vertices:
+            raise ConfigError(
+                f"propagate columns must be (|V|,) or (|V|, k) with "
+                f"|V|={self.graph.num_vertices}, got {np.shape(columns)}"
+            )
+        return x, squeeze
+
+    def validate_ids(self, node_ids) -> tuple[np.ndarray, bool]:
+        """``(ids, squeeze)``: predict node ids as a 1-D int64 array.
+
+        ``squeeze`` records a scalar input.  Ids must already be
+        integers: a float, bool or string id is rejected rather than
+        truncated or parsed into some other node's row.
+        """
         if self.model is None or self.features is None:
             raise ConfigError("predict requires a service with model= and features=")
-        squeeze = np.isscalar(node_ids) or getattr(node_ids, "ndim", 1) == 0
-        ids = np.atleast_1d(np.asarray(node_ids, dtype=np.int64))
+        ids = np.asarray(node_ids)
+        squeeze = ids.ndim == 0
+        ids = np.atleast_1d(ids)
         if ids.ndim != 1 or ids.size == 0:
-            raise ConfigError(f"node_ids must be non-empty 1-D, got {np.shape(ids)}")
+            raise ConfigError(f"node_ids must be non-empty 1-D, got {ids.shape}")
+        if ids.dtype.kind not in "iu":
+            raise ConfigError(f"node ids must be integers, got dtype {ids.dtype}")
         if ids.min() < 0 or ids.max() >= self.graph.num_vertices:
             raise ConfigError(
                 f"node ids must be in [0, {self.graph.num_vertices}), "
                 f"got range [{ids.min()}, {ids.max()}]"
             )
-        return await self._submit(
-            "predict", ids, tenant, squeeze,
-            priority=priority, deadline_ms=deadline_ms,
-        )
+        return ids.astype(np.int64, copy=False), squeeze
 
     def health(self) -> dict[str, Any]:
         """Liveness/readiness snapshot (what the transport probes serve).
@@ -477,7 +499,7 @@ class InferenceService:
         assert scheduler is not None
         loop = asyncio.get_running_loop()
         linger = self.config.max_delay_us / 1e6
-        limit = self.config.max_batch if self.config.batching else 1
+        limit = self.config.max_batch
         while True:
             try:
                 batch = [await scheduler.get()]
@@ -632,7 +654,7 @@ class InferenceService:
         return results
 
     def _run_single(self, kind: str, req: _Request, injector) -> Any:
-        """Unbatched execution with retries (the degraded/baseline path)."""
+        """Unbatched execution with retries (the degraded path)."""
         metrics = obs.get_metrics()
         attempts = 1 + self.config.retries
         for attempt in range(attempts):

@@ -349,36 +349,13 @@ class ServeTransport:
             if injector.fire(FAULT_DEADLINE_STORM, op=op):
                 deadline_ms = STORM_DEADLINE_MS
             payload = protocol.decode_payload(frame.get("payload"), attachment)
-            if op == "propagate":
-                x = payload.astype(float, copy=False)
-                squeeze = x.ndim == 1
-                if squeeze:
-                    x = x[:, None]
-                if x.ndim != 2 or x.shape[0] != self.service.graph.num_vertices:
-                    raise ConfigError(
-                        f"propagate columns must be (|V|,) or (|V|, k) with "
-                        f"|V|={self.service.graph.num_vertices}, got {payload.shape}"
-                    )
-                return self.service.submit_nowait(
-                    "propagate", x, tenant=tenant, priority=priority,
-                    deadline_ms=deadline_ms, squeeze=squeeze,
-                )
-            # predict: node ids ride as an integer array
-            if self.service.model is None or self.service.features is None:
-                raise ConfigError(
-                    "predict requires a service with model= and features="
-                )
-            squeeze = payload.ndim == 0
-            ids = payload.reshape(-1).astype("int64", copy=False)
-            if ids.size == 0:
-                raise ConfigError("node_ids must be non-empty")
-            if ids.min() < 0 or ids.max() >= self.service.graph.num_vertices:
-                raise ConfigError(
-                    f"node ids must be in [0, {self.service.graph.num_vertices}), "
-                    f"got range [{ids.min()}, {ids.max()}]"
-                )
+            validate = (
+                self.service.validate_columns if op == "propagate"
+                else self.service.validate_ids
+            )
+            x, squeeze = validate(payload)
             return self.service.submit_nowait(
-                "predict", ids, tenant=tenant, priority=priority,
+                op, x, tenant=tenant, priority=priority,
                 deadline_ms=deadline_ms, squeeze=squeeze,
             )
         except ReproError as e:

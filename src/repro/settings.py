@@ -117,8 +117,6 @@ class Settings:
         "REPRO_SERVE_TIMEOUT_MS", "float", 10_000.0, minimum=0)
     #: per-request retries after a batch degrades
     serve_retries: int = _var("REPRO_SERVE_RETRIES", "int", 2, minimum=0)
-    #: off = one launch per request (the benchmark baseline)
-    serve_batching: bool = _var("REPRO_SERVE_BATCHING", "bool", True)
     #: autotune the fused kernel config per width bucket
     serve_tuned: bool = _var("REPRO_SERVE_TUNED", "bool", False)
     #: priority class for requests that name none

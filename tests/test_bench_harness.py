@@ -11,6 +11,7 @@ from repro.bench.report import (
     render_table,
     speedup_cell,
 )
+from repro.core import clear_plan_cache, get_plan_cache
 from repro.errors import BenchmarkError
 
 
@@ -77,9 +78,14 @@ class TestTimingHelpers:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_timing_helpers_consistent_with_cache(self):
-        # Two calls for the same point must report identical simulated time.
-        assert time_spmm("gnnone", "G3", 16) == time_spmm("gnnone", "G3", 16)
+    @pytest.mark.parametrize("f", [16, 32])
+    @pytest.mark.parametrize("kernel", ["gnnone", "dgl"])
+    def test_timing_helpers_consistent_with_cache(self, kernel, f):
+        # A cold call and its warm plan-cache replay report identical
+        # simulated time.
+        clear_plan_cache()
+        assert time_spmm(kernel, "G3", f) == time_spmm(kernel, "G3", f)
+        assert get_plan_cache().stats()["plancache_hits"] > 0
 
 
 class TestSpeedupCells:
@@ -117,82 +123,3 @@ class TestReport:
     def test_render_formats_numbers(self):
         text = render_table("t", ["x"], [{"x": 123456.0}, {"x": 0.123}, {"x": None}])
         assert "123,456" in text and "0.123" in text and "-" in text
-
-
-class TestTrajectory:
-    def test_entries_stamped_with_sha(self, tmp_path):
-        from repro.bench.trajectory import append_trajectory, load_trajectory
-
-        path = tmp_path / "BENCH_trajectory.json"
-        entry = append_trajectory(path, {"benchmark": "serve", "speedup": 2.0})
-        assert "sha" in entry
-        assert load_trajectory(path) == [entry]
-
-    def test_rerun_same_sha_replaces(self, tmp_path):
-        from repro.bench.trajectory import append_trajectory, load_trajectory
-
-        path = tmp_path / "BENCH_trajectory.json"
-        append_trajectory(path, {"benchmark": "serve", "speedup": 2.0})
-        append_trajectory(path, {"benchmark": "serve", "speedup": 3.0})
-        trajectory = load_trajectory(path)
-        assert len(trajectory) == 1
-        assert trajectory[0]["speedup"] == 3.0
-
-    def test_distinct_benchmarks_accumulate(self, tmp_path):
-        from repro.bench.trajectory import append_trajectory, load_trajectory
-
-        path = tmp_path / "BENCH_trajectory.json"
-        append_trajectory(path, {"benchmark": "serve", "speedup": 2.0})
-        append_trajectory(path, {"benchmark": "plan-cache", "speedup": 1.4})
-        assert len(load_trajectory(path)) == 2
-
-    def test_legacy_unstamped_entries_preserved(self, tmp_path):
-        import json
-
-        from repro.bench.trajectory import append_trajectory, load_trajectory
-
-        path = tmp_path / "BENCH_trajectory.json"
-        legacy = [{"benchmark": "serve", "speedup": 1.0}]  # pre-SHA era
-        path.write_text(json.dumps(legacy), encoding="utf-8")
-        append_trajectory(path, {"benchmark": "serve", "speedup": 2.0})
-        trajectory = load_trajectory(path)
-        assert len(trajectory) == 2
-        assert trajectory[0] == legacy[0]
-
-    def test_corrupt_file_restarts_list(self, tmp_path):
-        from repro.bench.trajectory import append_trajectory, load_trajectory
-
-        path = tmp_path / "BENCH_trajectory.json"
-        path.write_text("{not json", encoding="utf-8")
-        append_trajectory(path, {"benchmark": "serve"})
-        assert len(load_trajectory(path)) == 1
-
-    def test_torn_tail_salvages_complete_entries(self, tmp_path, capsys):
-        """A write torn mid-entry keeps every complete prior entry."""
-        import json
-
-        from repro.bench.trajectory import load_trajectory
-
-        path = tmp_path / "BENCH_trajectory.json"
-        entries = [{"benchmark": f"b{i}", "speedup": float(i)} for i in range(3)]
-        text = json.dumps(entries, indent=2)
-        path.write_text(text[: text.rfind("{") + 20], encoding="utf-8")
-        salvaged = load_trajectory(path)
-        assert salvaged == entries[:2]
-        assert "salvaged 2 complete entries" in capsys.readouterr().err
-
-    def test_non_record_entries_are_quarantined_with_warning(
-        self, tmp_path, capsys
-    ):
-        import json
-
-        from repro.bench.trajectory import load_trajectory
-
-        path = tmp_path / "BENCH_trajectory.json"
-        path.write_text(
-            json.dumps([{"benchmark": "ok"}, "junk", 42, {"benchmark": "ok2"}]),
-            encoding="utf-8",
-        )
-        loaded = load_trajectory(path)
-        assert [e["benchmark"] for e in loaded] == ["ok", "ok2"]
-        assert "quarantined 2 non-record" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import clear_plan_cache, get_plan_cache
 from repro.gpusim.device import A100
 from repro.nn import (
     GAT,
@@ -124,9 +125,14 @@ class TestTrainer:
         assert times["gnnone"] < times["dgl"]
 
     def test_projection(self, train_setup):
+        # Projection is exact because epoch 0 simulates every launch cold
+        # and later epochs replay the cached plans at the same sim time.
         graph, data = train_setup
+        clear_plan_cache()
         model = GCN(data.feature_length, 8, data.num_classes, seed=1)
-        result = Trainer(model, graph, data).fit(2)
+        result = Trainer(model, graph, data).fit(3)
+        assert [r.sim_us for r in result.history] == [result.history[0].sim_us] * 3
+        assert get_plan_cache().stats()["plancache_hits"] > 0
         assert result.total_sim_us(200) == pytest.approx(200 * result.epoch_sim_us)
 
     def test_buckets_populated(self, train_setup):

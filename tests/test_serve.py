@@ -28,7 +28,7 @@ from repro.errors import (
 )
 from repro.nn import GCN, GraphData
 from repro.nn.tensor import Tensor
-from repro.resilience.faults import fault_profile
+from repro.resilience.faults import fault_profile, no_faults
 from repro.serve.service import _bucket
 
 
@@ -64,6 +64,28 @@ class TestBucket:
             1, 2, 4, 4, 8, 8, 16, 32, 32,
         ]
 
+    def test_warmed_buckets_absorb_mixed_width_traffic(self, small_graph, rng):
+        """Warming every power-of-two width up to the widest possible
+        batch leaves mixed-width traffic with zero plan-cache misses."""
+        graph = _graph(small_graph)
+        config = serve.ServeConfig(max_batch=4, max_delay_us=50_000)
+        # Every batch total is a multiple of 3, never a power of two, so
+        # only bucketing maps it onto a warmed width.
+        widths = [3, 6, 3, 3, 6, 6, 3, 6, 3]
+        payloads = [rng.standard_normal((graph.num_vertices, w)) for w in widths]
+        cache = get_plan_cache()
+        with no_faults():
+            width = 1
+            while width <= _bucket(config.max_batch * max(widths)):
+                x = np.zeros((graph.num_vertices, width))
+                core.spmm(graph.coo, graph.gcn_edge_values, x)
+                width *= 2
+            before = cache.stats()
+            _run(_serve_all(graph, payloads, config))
+        after = cache.stats()
+        assert after["plancache_hits"] > before["plancache_hits"]
+        assert after["plancache_misses"] == before["plancache_misses"]
+
 
 class TestBatchingEquivalence:
     @given(
@@ -97,7 +119,7 @@ class TestBatchingEquivalence:
     def test_unbatched_mode_also_identical(self, small_graph, rng):
         graph = _graph(small_graph)
         columns = [rng.standard_normal(graph.num_vertices) for _ in range(4)]
-        config = serve.ServeConfig(batching=False)
+        config = serve.ServeConfig(max_batch=1)
         results, service = _run(_serve_all(graph, columns, config))
         for column, result in zip(columns, results):
             np.testing.assert_array_equal(result, _serial(graph, column))
@@ -193,11 +215,21 @@ class TestAdmissionControl:
 
     def test_shape_validation(self, small_graph, rng):
         graph = _graph(small_graph)
+        features = rng.standard_normal((graph.num_vertices, 4))
+        model = GCN(4, 4, 3, seed=0)
+        # Non-integer ids are rejected, never truncated or parsed into
+        # another node's row.
+        bad_ids = [[1.7], np.array([2.9]), True, ["3"], np.array([1], object)]
 
         async def main():
-            async with serve.InferenceService(graph) as service:
+            async with serve.InferenceService(
+                graph, model=model, features=features
+            ) as service:
                 with pytest.raises(ConfigError, match="columns"):
                     await service.propagate(rng.standard_normal(7))
+                for ids in bad_ids:
+                    with pytest.raises(ConfigError, match="integers"):
+                        await service.predict(ids)
 
         _run(main())
 
@@ -284,11 +316,10 @@ class TestServeObservability:
 class TestServeConfig:
     def test_from_env(self, repro_env):
         repro_env(REPRO_SERVE_MAX_BATCH="8", REPRO_SERVE_MAX_DELAY_US="500",
-                  REPRO_SERVE_BATCHING="0", REPRO_SERVE_TUNED=None)
+                  REPRO_SERVE_TUNED=None)
         config = serve.ServeConfig.from_env()
         assert config.max_batch == 8
         assert config.max_delay_us == 500
-        assert config.batching is False
         assert config.tuned is False
 
     def test_overrides_beat_env(self, repro_env):

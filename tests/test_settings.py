@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("REPRO_EXEC_WORKERS", "two"),
         ("REPRO_EXEC_WORKERS", "-2"),
         ("REPRO_EXEC_WORKERS", "4"),
+        ("REPRO_SERVE_BATCHING", "flase"),
         ("REPRO_FAULT_SEED", "abc"),
         ("REPRO_SERVE_MAX_BATCH", "0"),
         ("REPRO_SERVE_MAX_BATCH", "lots"),
@@ -39,7 +40,6 @@ ROOT = Path(__file__).resolve().parents[1]
         ("REPRO_SERVE_TIMEOUT_MS", "soon"),
         ("REPRO_SERVE_TIMEOUT_MS", "nan"),
         ("REPRO_SERVE_TIMEOUT_MS", "inf"),
-        ("REPRO_SERVE_BATCHING", "flase"),
         ("REPRO_SERVE_DEFAULT_PRIORITY", "urgent"),
     ],
 )

@@ -296,6 +296,9 @@ class TestTransportRoundTrip:
                         *[client.propagate(c) for c in columns],
                         *[client.predict([i, i + 3]) for i in range(4)],
                     )
+                    # the client sends ids as given; the server rejects
+                    with pytest.raises(ConfigError, match="integers"):
+                        await client.predict([1.7])
             return outs
 
         with no_faults():
@@ -361,11 +364,13 @@ class TestTransportRoundTrip:
             with pytest.raises(ProtocolError, match="server speaks proto"):
                 _run(main())
 
-    def test_unknown_op_and_bad_payload_are_typed(self, small_graph):
+    def test_unknown_op_and_bad_payload_are_typed(self, small_graph, rng):
         graph = GraphData(small_graph)
+        features = rng.standard_normal((graph.num_vertices, 4))
+        model = GCN(4, 4, 3, seed=0)
 
-        async def roundtrip(frame, attachment=b""):
-            service = serve.InferenceService(graph)
+        async def roundtrip(frame, attachment=b"", **service_kwargs):
+            service = serve.InferenceService(graph, **service_kwargs)
             async with ServeTransport(service, port=0) as transport:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", transport.port
@@ -388,9 +393,16 @@ class TestTransportRoundTrip:
                 {"op": "predict", "id": "r3",
                  "payload": protocol.encode_array(np.array([0]))},
             ))
+            header, payload = protocol.array_header(np.array([1.7]))
+            float_ids = _run(roundtrip(
+                {"op": "predict", "id": "r4", "payload": header},
+                bytes(payload), model=model, features=features,
+            ))
         assert unknown["error"]["code"] == "transport.protocol"
         assert misshapen["error"]["code"] == "config.invalid"
         assert no_model["error"]["code"] == "config.invalid"
+        assert float_ids["error"]["code"] == "config.invalid"
+        assert "integers" in float_ids["error"]["message"]
 
     def test_garbage_frame_gets_typed_answer_then_hangup(self, small_graph):
         graph = GraphData(small_graph)
