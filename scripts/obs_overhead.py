@@ -10,8 +10,10 @@ those checks short-circuit on one cached module-level bool and
 This script measures that claim: it runs the warm Fig-4 quick sweep
 (plan cache hot, so kernel launches — and therefore span crossings —
 dominate) with the obs layer enabled versus killed, and reports the
-overhead.  Timing uses best-of-N (min), the standard estimator for
-"what does the code cost without scheduler noise".
+overhead as the median, over interleaved on/off pairs, of each pair's
+on/off time ratio.  A pair's two samples run back to back, so host
+drift cancels inside the ratio, and the median ignores the odd pair a
+burst of noise lands on.
 
 Usage::
 
@@ -22,10 +24,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 
 DEFAULT_THRESHOLD_PCT = 2.0
+#: on/off pairs; each takes ~30 ms, and on a shared 2-vCPU host the
+#: median of 15 still swung from -1% to +6% between runs
+DEFAULT_REPEATS = 101
 
 
 def _sample(inner: int, dataset_key: str, feature_lengths: tuple[int, ...],
@@ -34,7 +40,7 @@ def _sample(inner: int, dataset_key: str, feature_lengths: tuple[int, ...],
 
     A single warm quick sweep runs in ~1 ms — below what perf_counter
     sampling can compare at the percent level — so each sample times a
-    batch and best-of-N picks the quietest one.
+    batch.
     """
     from repro.bench.harness import time_spmm
 
@@ -46,8 +52,8 @@ def _sample(inner: int, dataset_key: str, feature_lengths: tuple[int, ...],
     return time.perf_counter() - t0
 
 
-def measure(repeats: int = 9, inner: int = 10) -> dict:
-    """Best-of-N warm-sweep seconds with obs enabled vs killed."""
+def measure(repeats: int = DEFAULT_REPEATS, inner: int = 10) -> dict:
+    """Warm-sweep seconds with obs enabled vs killed, in interleaved pairs."""
     import scipy.sparse  # noqa: F401 -- pre-pay the lazy import outside the timers
 
     from repro.core import clear_plan_cache
@@ -61,30 +67,32 @@ def measure(repeats: int = 9, inner: int = 10) -> dict:
     on_s: list[float] = []
     off_s: list[float] = []
     try:
-        # Interleave the two modes so drift (thermal, page cache) hits
-        # both equally; best-of-N then drops the noisy samples anyway.
-        for _ in range(repeats):
-            set_obs_enabled(True)
-            on_s.append(_sample(inner, dataset_key, dims, kernels))
-            set_obs_enabled(False)
-            off_s.append(_sample(inner, dataset_key, dims, kernels))
+        # One pair per repeat; which mode runs first alternates, so
+        # neither mode always gets the warmer or the colder slot.
+        for i in range(repeats):
+            seconds = {}
+            for enabled in ((True, False) if i % 2 == 0 else (False, True)):
+                set_obs_enabled(enabled)
+                seconds[enabled] = _sample(inner, dataset_key, dims, kernels)
+            on_s.append(seconds[True])
+            off_s.append(seconds[False])
     finally:
         set_obs_enabled(None)  # restore the env-switch default
-    best_on, best_off = min(on_s), min(off_s)
+    ratio = statistics.median(on / off for on, off in zip(on_s, off_s))
     return {
         "repeats": repeats,
         "inner": inner,
         "sweep_points": len(dims) * len(kernels),
-        "on_best_s": best_on,
-        "off_best_s": best_off,
-        "overhead_pct": (best_on / best_off - 1.0) * 100.0 if best_off > 0 else 0.0,
+        "on_median_s": statistics.median(on_s),
+        "off_median_s": statistics.median(off_s),
+        "overhead_pct": (ratio - 1.0) * 100.0,
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=9,
-                        help="timed samples per mode (best-of-N)")
+    parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
+                        help="interleaved on/off sample pairs")
     parser.add_argument("--inner", type=int, default=10,
                         help="warm sweeps batched into one timed sample")
     parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_PCT,
@@ -95,10 +103,10 @@ def main(argv: list[str] | None = None) -> int:
 
     report = measure(repeats=args.repeats, inner=args.inner)
     print(f"warm fig04 quick sweep ({report['sweep_points']} points x "
-          f"{report['inner']} sweeps/sample, best of {report['repeats']}):")
-    print(f"  obs enabled : {report['on_best_s'] * 1e3:8.2f} ms")
-    print(f"  REPRO_OBS=off: {report['off_best_s'] * 1e3:8.2f} ms")
-    print(f"  overhead    : {report['overhead_pct']:+.2f}%")
+          f"{report['inner']} sweeps/sample, {report['repeats']} interleaved pairs):")
+    print(f"  obs enabled : {report['on_median_s'] * 1e3:8.2f} ms (median)")
+    print(f"  REPRO_OBS=off: {report['off_median_s'] * 1e3:8.2f} ms (median)")
+    print(f"  overhead    : {report['overhead_pct']:+.2f}% (median of pair ratios)")
     if args.check and report["overhead_pct"] > args.threshold:
         print(f"CHECK FAILED: obs overhead {report['overhead_pct']:.2f}% > "
               f"{args.threshold}%", file=sys.stderr)

@@ -22,8 +22,8 @@ Two request kinds cover the serving surface:
   per-row edge order at every width, so the slice is **bit-identical**
   to serving that request alone.
 * :meth:`InferenceService.predict` — node-id queries against the
-  resident model/features.  Model output depends only on resident
-  state, so a batch runs one forward pass and scatters logit rows.
+  resident model/features.  The logits are computed once, when the
+  service is built; a predict is a row gather answered at admission.
 
 Scheduling: each request carries a **priority class** (``interactive``
 > ``standard`` > ``bulk``, strict) and an optional **deadline**; the
@@ -101,7 +101,7 @@ def _bucket(width: int) -> int:
 
 @dataclass
 class _Request:
-    """One admitted query, waiting on the drain task."""
+    """One admitted query; a propagate one waits on the drain task."""
 
     kind: str  # "propagate" | "predict"
     payload: np.ndarray
@@ -185,18 +185,21 @@ class InferenceService:
         config: ServeConfig | None = None,
     ):
         self.graph = graph
-        self.model = model
-        self.features = None if features is None else np.asarray(features, float)
-        if self.features is not None and (
-            self.features.ndim != 2 or self.features.shape[0] != graph.num_vertices
-        ):
-            raise ConfigError(
-                f"features must be (|V|, F) = ({graph.num_vertices}, F), "
-                f"got {None if features is None else np.shape(features)}"
-            )
         self.config = config if config is not None else ServeConfig.from_env()
-        if model is not None and hasattr(model, "eval"):
-            model.eval()  # deterministic forward: dropout must be identity
+        self._logits: np.ndarray | None = None
+        if features is not None:
+            x = np.asarray(features, float)
+            if x.ndim != 2 or x.shape[0] != graph.num_vertices:
+                raise ConfigError(
+                    f"features must be (|V|, F) = ({graph.num_vertices}, F), "
+                    f"got {np.shape(features)}"
+                )
+            if model is not None:
+                # Model and features are fixed for the service's life, so
+                # every predict answer is a row of this one eval-mode
+                # (dropout-free) forward.
+                self._logits = np.array(model.eval()(graph, Tensor(x)).data)
+                self._logits.setflags(write=False)
         self.stats = ServeStats()
         self.breaker = CircuitBreaker(
             fail_threshold=self.config.breaker_threshold,
@@ -283,9 +286,9 @@ class InferenceService:
         """One step of normalized aggregation ``Y = Â X`` for the caller's
         feature column(s); shape ``(|V|,)`` or ``(|V|, k)``, mirrored back."""
         x, squeeze = self.validate_columns(columns)
-        return await self._submit(
-            "propagate", x, tenant, squeeze,
-            priority=priority, deadline_ms=deadline_ms,
+        return await self.submit_nowait(
+            "propagate", x, tenant=tenant, priority=priority,
+            deadline_ms=deadline_ms, squeeze=squeeze,
         )
 
     async def predict(
@@ -296,11 +299,16 @@ class InferenceService:
         priority: str | None = None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
-        """Model logits for the queried node(s) from resident features."""
+        """Model logits for the queried node(s).
+
+        The logits are a snapshot taken when the service was built:
+        changing the model's parameters or the caller's feature array in
+        place afterwards does not change the answers.
+        """
         ids, squeeze = self.validate_ids(node_ids)
-        return await self._submit(
-            "predict", ids, tenant, squeeze,
-            priority=priority, deadline_ms=deadline_ms,
+        return await self.submit_nowait(
+            "predict", ids, tenant=tenant, priority=priority,
+            deadline_ms=deadline_ms, squeeze=squeeze,
         )
 
     def validate_columns(self, columns) -> tuple[np.ndarray, bool]:
@@ -309,7 +317,16 @@ class InferenceService:
         ``squeeze`` records a 1-D input, whose answer is 1-D again.  The
         one check for in-process and wire requests alike.
         """
-        x = np.asarray(columns, dtype=np.float64)
+        try:
+            x = np.asarray(columns)
+        except ValueError as e:  # ragged nesting
+            raise ConfigError(f"propagate columns must be rectangular: {e}") from None
+        # Strings, bools and complex values would cast to some number.
+        if x.dtype.kind not in "iuf":
+            raise ConfigError(
+                f"propagate columns must be integers or floats, got dtype {x.dtype}"
+            )
+        x = x.astype(np.float64, copy=False)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[:, None]
@@ -327,9 +344,12 @@ class InferenceService:
         integers: a float, bool or string id is rejected rather than
         truncated or parsed into some other node's row.
         """
-        if self.model is None or self.features is None:
+        if self._logits is None:
             raise ConfigError("predict requires a service with model= and features=")
-        ids = np.asarray(node_ids)
+        try:
+            ids = np.asarray(node_ids)
+        except ValueError as e:  # ragged nesting
+            raise ConfigError(f"node_ids must be non-empty 1-D: {e}") from None
         squeeze = ids.ndim == 0
         ids = np.atleast_1d(ids)
         if ids.ndim != 1 or ids.size == 0:
@@ -375,8 +395,9 @@ class InferenceService:
         deadline, queue) happens inline with no per-request task or
         ``wait_for`` wrapper — the deadline is an armed timer that
         fails the future with :class:`~repro.errors.RequestTimeoutError`
-        if it is still unresolved when the budget runs out.  Admission
-        rejections raise synchronously, typed.
+        if it is still unresolved when the budget runs out.  A predict
+        request comes back already resolved with its logit rows.
+        Admission rejections raise synchronously, typed.
         """
         if not self._running or self._scheduler is None:
             raise ServiceClosedError("service is not running (use 'async with')")
@@ -421,23 +442,28 @@ class InferenceService:
             deadline_p=None if deadline_ms is None else now_p + deadline_ms / 1e3,
             squeeze=squeeze,
         )
-        try:
-            self._scheduler.put_nowait(req)
-        except asyncio.QueueFull:
-            depth = self._scheduler.qsize()
-            self.stats.shed += 1
-            metrics.counter("serve.shed").inc()
-            obs.event("serve.shed", kind=kind, tenant=tenant or "default",
-                      queue_depth=depth)
-            raise ServiceOverloadedError(
-                f"queue full ({depth} pending): request shed", queue_depth=depth
-            ) from None
+        if kind != "predict":
+            try:
+                self._scheduler.put_nowait(req)
+            except asyncio.QueueFull:
+                depth = self._scheduler.qsize()
+                self.stats.shed += 1
+                metrics.counter("serve.shed").inc()
+                obs.event("serve.shed", kind=kind, tenant=tenant or "default",
+                          queue_depth=depth)
+                raise ServiceOverloadedError(
+                    f"queue full ({depth} pending): request shed", queue_depth=depth
+                ) from None
+            metrics.histogram("serve.queue_depth").observe(self._scheduler.qsize())
         self.stats.requests += 1
         metrics.counter("serve.requests").inc()
         metrics.counter(f"serve.tenant.{tenant or 'default'}.requests").inc()
         metrics.counter(f"serve.priority.{PRIORITY_NAMES[rank]}.requests").inc()
-        metrics.histogram("serve.queue_depth").observe(self._scheduler.qsize())
-        if deadline_ms is not None:
+        if kind == "predict":
+            rows = self._logits[payload]
+            req.t_drain_p = now_p  # never queued
+            self._resolve([req], [rows[0] if squeeze else rows])
+        elif deadline_ms is not None:
             timer = loop.call_later(
                 deadline_ms / 1e3, self._expire_waiting, req, deadline_ms
             )
@@ -455,21 +481,6 @@ class InferenceService:
             RequestTimeoutError(
                 f"{req.kind} request missed its {deadline_ms:.0f} ms deadline"
             )
-        )
-
-    async def _submit(
-        self,
-        kind: str,
-        payload: np.ndarray,
-        tenant: str,
-        squeeze: bool,
-        *,
-        priority: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> Any:
-        return await self.submit_nowait(
-            kind, payload, tenant=tenant, priority=priority,
-            deadline_ms=deadline_ms, squeeze=squeeze,
         )
 
     # ---------------------------------------------------------- micro-batch
@@ -494,7 +505,8 @@ class InferenceService:
             )
 
     async def _drain(self) -> None:
-        """Single consumer: collect, shed expired, group, fuse, scatter."""
+        """Single consumer of the propagate queue: collect, shed expired,
+        group by tenant, fuse, scatter."""
         scheduler = self._scheduler
         assert scheduler is not None
         loop = asyncio.get_running_loop()
@@ -534,17 +546,17 @@ class InferenceService:
                 if r.deadline_p is not None and r.deadline_p < t_drain
             ]
             self._shed_expired(expired + scheduler.pop_expired(t_drain))
-            groups: dict[tuple[str, str], list[_Request]] = {}
+            groups: dict[str, list[_Request]] = {}
             for req in batch:
                 req.t_drain_p = t_drain
                 if req.future.done():  # deadline missed / shed in queue
                     continue
-                groups.setdefault((req.kind, req.tenant), []).append(req)
-            for (kind, tenant), requests in groups.items():
+                groups.setdefault(req.tenant, []).append(req)
+            for tenant, requests in groups.items():
                 self._inflight = requests
                 try:
                     outcomes = await loop.run_in_executor(
-                        None, self._run_group, kind, tenant, requests
+                        None, self._run_group, tenant, requests
                     )
                 except asyncio.CancelledError:
                     raise
@@ -596,10 +608,8 @@ class InferenceService:
 
     # ------------------------------------------------- synchronous numerics
 
-    def _run_group(
-        self, kind: str, tenant: str, requests: list[_Request]
-    ) -> list[Any]:
-        """Execute one (kind, tenant) group in the executor thread.
+    def _run_group(self, tenant: str, requests: list[_Request]) -> list[Any]:
+        """Execute one tenant's propagate group in the executor thread.
 
         Returns one outcome per request (result array or exception).
         The fused path fails as a unit — a ``serve.batch_fail`` fire (or
@@ -615,25 +625,22 @@ class InferenceService:
         metrics.histogram("serve.batch_occupancy").observe(len(requests))
         with plan_namespace(tenant):
             with obs.span(
-                "serve.batch", kind=kind, tenant=tenant or "default",
+                "serve.batch", kind="propagate", tenant=tenant or "default",
                 occupancy=len(requests), worker="serve",
             ) as sp:
                 try:
                     injector.maybe_raise(FAULT_SITE, occupancy=len(requests))
-                    return self._run_fused(kind, requests, sp)
+                    return self._run_fused(requests, sp)
                 except Exception:
                     self.stats.degraded += 1
                     metrics.counter("serve.degraded").inc()
-                    obs.event("serve.degraded", kind=kind,
+                    obs.event("serve.degraded", kind="propagate",
                               tenant=tenant or "default",
                               occupancy=len(requests))
                     sp.set(degraded=True)
-                return [self._run_single(kind, req, injector) for req in requests]
+                return [self._run_single(req, injector) for req in requests]
 
-    def _run_fused(self, kind: str, requests: list[_Request], sp) -> list[Any]:
-        if kind == "predict":
-            logits = self._forward()
-            return [self._take_rows(logits, req) for req in requests]
+    def _run_fused(self, requests: list[_Request], sp) -> list[Any]:
         widths = [req.payload.shape[1] for req in requests]
         total = sum(widths)
         stacked = np.zeros((self.graph.num_vertices, _bucket(total)))
@@ -653,15 +660,13 @@ class InferenceService:
             lo += width
         return results
 
-    def _run_single(self, kind: str, req: _Request, injector) -> Any:
+    def _run_single(self, req: _Request, injector) -> Any:
         """Unbatched execution with retries (the degraded path)."""
         metrics = obs.get_metrics()
         attempts = 1 + self.config.retries
         for attempt in range(attempts):
             try:
                 injector.maybe_raise(FAULT_SITE, attempt=attempt)
-                if kind == "predict":
-                    return self._take_rows(self._forward(), req)
                 x = req.payload
                 padded = np.zeros((x.shape[0], _bucket(x.shape[1])))
                 padded[:, : x.shape[1]] = x
@@ -692,12 +697,3 @@ class InferenceService:
         if not self.config.tuned:
             return None
         return core.autotune(self.graph.coo, int(width), "spmm").config
-
-    def _forward(self) -> np.ndarray:
-        """One deterministic model forward over the resident features."""
-        return np.asarray(self.model(self.graph, Tensor(self.features)).data)
-
-    @staticmethod
-    def _take_rows(logits: np.ndarray, req: _Request) -> np.ndarray:
-        rows = np.ascontiguousarray(logits[req.payload])
-        return rows[0] if req.squeeze else rows

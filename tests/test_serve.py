@@ -230,8 +230,147 @@ class TestAdmissionControl:
                 for ids in bad_ids:
                     with pytest.raises(ConfigError, match="integers"):
                         await service.predict(ids)
+                # ragged nesting is a typed error, not numpy's ValueError
+                with pytest.raises(ConfigError, match="1-D"):
+                    await service.predict([[1], [2, 3]])
 
         _run(main())
+
+    @pytest.mark.parametrize("dtype", ["str", "bool", "complex"])
+    def test_non_numeric_columns_rejected(self, small_graph, rng, dtype):
+        """Strings, bools and complex values are refused, not cast."""
+        graph = _graph(small_graph)
+        column = rng.standard_normal(graph.num_vertices)
+        bad = {
+            "str": np.array(["1.5"] * graph.num_vertices),
+            "bool": column > 0,
+            "complex": column + 1j,
+        }[dtype]
+
+        async def main():
+            async with serve.InferenceService(graph) as service:
+                with pytest.raises(ConfigError, match="integers or floats"):
+                    await service.propagate(bad)
+            return service
+
+        service = _run(main())
+        assert service.stats.requests == 0
+
+    def test_int_and_float32_columns_answered_in_float64(self, small_graph, rng):
+        graph = _graph(small_graph)
+        ints = rng.integers(-5, 5, graph.num_vertices)
+        singles = rng.standard_normal(graph.num_vertices).astype(np.float32)
+        results, _ = _run(_serve_all(graph, [ints, singles]))
+        for column, result in zip((ints, singles), results):
+            assert result.dtype == np.float64
+            np.testing.assert_array_equal(
+                result, _serial(graph, column.astype(np.float64))
+            )
+
+
+class TestPredictMemo:
+    """Predict answers are rows of one forward run at construction."""
+
+    @staticmethod
+    def _setup(small_graph, rng):
+        graph = _graph(small_graph)
+        features = rng.standard_normal((graph.num_vertices, 6))
+        model = GCN(6, 8, 4, seed=5)
+        logits = np.asarray(model.eval()(graph, Tensor(features)).data).copy()
+        return graph, features, model, logits
+
+    def test_predicts_launch_no_kernel(self, small_graph, rng):
+        graph, features, model, logits = self._setup(small_graph, rng)
+        ids = [rng.integers(0, graph.num_vertices, 5) for _ in range(50)]
+        cache = get_plan_cache()
+
+        async def main():
+            async with serve.InferenceService(
+                graph, model=model, features=features
+            ) as service:
+                before = cache.stats()
+                with obs.capture() as records:
+                    rows = [await service.predict(i) for i in ids]
+                return before, cache.stats(), records, rows
+
+        with no_faults():
+            before, after, records, rows = _run(main())
+        assert after["plancache_hits"] == before["plancache_hits"]
+        assert after["plancache_misses"] == before["plancache_misses"]
+        assert not [r for r in records if r.get("name", "").startswith("kernel.")]
+        assert sum(r.get("name") == "serve.request" for r in records) == 50
+        for i, row in zip(ids, rows):
+            np.testing.assert_array_equal(row, logits[i])
+
+    def test_batch_faults_touch_only_propagate(self, small_graph, rng):
+        graph, features, model, logits = self._setup(small_graph, rng)
+        columns = [rng.standard_normal(graph.num_vertices) for _ in range(4)]
+
+        async def main():
+            service = serve.InferenceService(graph, model=model, features=features)
+            async with service:
+                alone = await asyncio.gather(
+                    *[service.predict([i, i + 1]) for i in range(10)]
+                )
+                batches_alone = service.stats.batches
+                mixed = await asyncio.gather(
+                    *[service.propagate(c) for c in columns],
+                    *[service.predict(i) for i in range(10)],
+                )
+            return service, alone, batches_alone, mixed
+
+        with fault_profile("serve.batch_fail=1", seed=3):
+            service, alone, batches_alone, mixed = _run(main())
+        for i, row in enumerate(alone):
+            np.testing.assert_array_equal(row, logits[[i, i + 1]])
+        for column, result in zip(columns, mixed[:4]):
+            np.testing.assert_array_equal(result, _serial(graph, column))
+        for i, row in enumerate(mixed[4:]):
+            np.testing.assert_array_equal(row, logits[i])
+        assert batches_alone == 0
+        assert service.stats.fused_requests == len(columns)
+        assert 1 <= service.stats.degraded <= service.stats.batches
+        assert service.stats.requests == 10 + len(columns) + 10
+
+    def test_serves_a_snapshot_taken_at_construction(self, small_graph, rng):
+        graph, features, model, logits = self._setup(small_graph, rng)
+
+        async def main():
+            service = serve.InferenceService(graph, model=model, features=features)
+            features[:] += 1.0
+            for p in model.parameters():
+                p.data *= 2.0
+            async with service:
+                return await service.predict(np.arange(graph.num_vertices))
+
+        rows = _run(main())
+        changed = np.asarray(model(graph, Tensor(features)).data)
+        assert not np.array_equal(changed, logits)  # the edits took effect
+        np.testing.assert_array_equal(rows, logits)
+
+    def test_mixed_kinds_and_tenants_bit_identical(self, small_graph, rng):
+        graph, features, model, logits = self._setup(small_graph, rng)
+        columns = [rng.standard_normal(graph.num_vertices) for _ in range(6)]
+        ids = [rng.integers(0, graph.num_vertices, 3) for _ in range(6)]
+        tenants = ["acme", "globex"] * 3
+
+        async def main():
+            async with serve.InferenceService(
+                graph, model=model, features=features,
+                config=serve.ServeConfig(max_batch=8, max_delay_us=50_000),
+            ) as service:
+                return await asyncio.gather(*[
+                    call
+                    for c, i, t in zip(columns, ids, tenants)
+                    for call in (service.propagate(c, tenant=t),
+                                 service.predict(i, tenant=t))
+                ])
+
+        with no_faults():
+            outs = _run(main())
+        for k, (column, i) in enumerate(zip(columns, ids)):
+            np.testing.assert_array_equal(outs[2 * k], _serial(graph, column))
+            np.testing.assert_array_equal(outs[2 * k + 1], logits[i])
 
 
 class TestFaultRecovery:

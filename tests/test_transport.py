@@ -404,6 +404,37 @@ class TestTransportRoundTrip:
         assert float_ids["error"]["code"] == "config.invalid"
         assert "integers" in float_ids["error"]["message"]
 
+    @pytest.mark.parametrize("dtype", ["<U3", "|b1", "<c16"])
+    def test_non_numeric_column_attachment_rejected(self, small_graph, dtype):
+        """A string, bool or complex attachment is refused, not cast."""
+        graph = GraphData(small_graph)
+        column = np.ones(graph.num_vertices).astype(dtype)
+        header = {"__nd__": 2, "dtype": column.dtype.str,
+                  "shape": list(column.shape)}
+
+        async def main():
+            service = serve.InferenceService(graph)
+            async with ServeTransport(service, port=0) as transport:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", transport.port
+                )
+                await protocol.write_frame(writer, protocol.hello_frame())
+                await protocol.read_frame(reader)  # handshake answer
+                await protocol.write_frame(
+                    writer, {"op": "propagate", "id": "r1", "payload": header},
+                    column.tobytes(),
+                )
+                answer, _ = await protocol.read_frame(reader)
+                writer.close()
+                return answer, service.stats.requests
+
+        with no_faults():
+            answer, admitted = _run(main())
+        assert answer["ok"] is False
+        assert answer["error"]["code"] == "config.invalid"
+        assert "integers or floats" in answer["error"]["message"]
+        assert admitted == 0
+
     def test_garbage_frame_gets_typed_answer_then_hangup(self, small_graph):
         graph = GraphData(small_graph)
 
