@@ -11,11 +11,12 @@ observability tool-chain:
     python -m repro.obs dataset  perf_trace.jsonl -o features.jsonl
     python -m repro.obs baseline perf_trace.jsonl -o baselines/quick.json
     python -m repro.obs regress  baselines/quick.json perf_trace.jsonl \
-        --no-wall --fail-on-regress                   # the CI gate
+        --sim-rtol 1e-6 --fail-on-regress             # the CI gate
 
 Simulated times in the trace are deterministic (the device model never
 consults the host clock), so two snapshots on different machines gate
-each other exactly; wall times are real and feed the noise model.
+each other exactly.  The gate reads simulated time only; wall-clock
+speed is measured by ``e2ebench/run.py``.
 """
 
 from __future__ import annotations
@@ -49,22 +50,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="output JSONL trace path")
     parser.add_argument("--epochs", type=int, default=2,
                         help="GCN fit epochs (default 2)")
-    parser.add_argument("--runs", type=int, default=1,
-                        help="repeat the workload N times into numbered "
-                             "traces (<out>.1, <out>.2, ...) for best-of-N "
-                             "baselines")
     args = parser.parse_args(argv)
 
-    if args.runs <= 1:
-        run_snapshot(args.out, epochs=args.epochs)
-        print(f"wrote {args.out}")
-        return 0
-    paths = [f"{args.out}.{i + 1}" for i in range(args.runs)]
-    for path in paths:
-        run_snapshot(path, epochs=args.epochs)
-        print(f"wrote {path}")
-    print(f"baseline from all runs: python -m repro.obs baseline "
-          f"{' '.join(paths)} -o baselines/quick.json")
+    run_snapshot(args.out, epochs=args.epochs)
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -12,7 +12,8 @@ Usage::
 A ``--trace`` run records one span per sweep point (kernel × dataset ×
 feature length) plus the kernel/stage spans beneath it and a final
 ``experiment.result`` event with the rendered rows — a replayable
-record that ``python -m repro.obs diff old.jsonl new.jsonl`` compares.
+record: ``python -m repro.obs baseline old.jsonl -o old.json`` then
+``python -m repro.obs regress old.json new.jsonl`` compares two runs.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ registry so ``run_experiment("fig03")`` (or the CLI:
 Every sweep point emits an :mod:`repro.obs` span (``bench.spmm`` /
 ``bench.sddmm``) keyed by kernel × dataset × feature length, carrying
 the simulated time or the OOM/launch-failure outcome — the per-point
-record ``python -m repro.obs diff`` compares across runs.
+record ``python -m repro.obs regress`` gates against a baseline run.
 Figure experiments run their (dataset, dim) grids through
 :func:`sweep_points`, which records a failing point as an error row
 instead of aborting the figure.

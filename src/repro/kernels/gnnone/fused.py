@@ -52,11 +52,11 @@ def fused_gat_attention_numerics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference numerics of the fused layer: returns (alpha, Y)."""
     from repro.exec import get_engine
-    from repro.kernels.gnnone.spmm import csr_replay_spmm
 
     # Both halves route through the execution engine.
-    alpha = get_engine().gat_alpha(coo, el, er, negative_slope=negative_slope)
-    Y = csr_replay_spmm(coo, alpha, np.asarray(X, dtype=np.float64))
+    engine = get_engine()
+    alpha = engine.gat_alpha(coo, el, er, negative_slope=negative_slope)
+    Y = engine.spmm(coo, alpha, X)
     return alpha, Y
 
 

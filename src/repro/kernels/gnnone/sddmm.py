@@ -48,13 +48,6 @@ class GnnOneSDDMM(SDDMMKernel):
         # The display name omits ablation switches; key on the full config.
         return (type(self).__qualname__, self.config)
 
-    def compute(self, A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        # Numerics follow the caller's edge order (the trace uses the
-        # CSR-ordered view, which is cost-equivalent).
-        from repro.exec import get_engine
-
-        return get_engine().sddmm(A, X, Y)
-
     def simulate(self, A: COOMatrix, F: int, device: DeviceSpec) -> KernelTrace:
         """Structural half: Stage-1 plan, schedule, and trace recording."""
         cfg = self.config

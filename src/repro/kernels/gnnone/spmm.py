@@ -47,21 +47,6 @@ def segment_sum_spmm(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np
     return out
 
 
-def csr_replay_spmm(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Warm-path numerics over the memoized CSR structural view.
-
-    Same per-row, ascending-column accumulation as
-    :func:`segment_sum_spmm`, but runs in fused scipy C loops instead of
-    materializing the ``|E| x F`` product matrix and reducing it per
-    segment.  Routed through the execution engine (:mod:`repro.exec`).
-    ``segment_sum_spmm`` stays the validation-grade mirror of the kernel
-    arithmetic; the property suite pins the two together.
-    """
-    from repro.exec import get_engine
-
-    return get_engine().spmm(A, edge_values, np.asarray(X, dtype=np.float64))
-
-
 class GnnOneSpMM(SpMMKernel):
     """The paper's unified SpMM kernel (COO format)."""
 
@@ -74,9 +59,6 @@ class GnnOneSpMM(SpMMKernel):
     def cache_token(self):
         # The display name omits ablation switches; key on the full config.
         return (type(self).__qualname__, self.config)
-
-    def compute(self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return csr_replay_spmm(A, edge_values, X)
 
     def simulate(self, A: COOMatrix, F: int, device: DeviceSpec) -> KernelTrace:
         """Structural half: Stage-1 plan, schedule, and trace recording."""

@@ -30,14 +30,6 @@ class GnnOneSpMV(SpMVKernel):
     #: NZEs each thread accumulates locally (Merrill-style grain).
     items_per_thread = 4
 
-    def compute(self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # Per-row sequential accumulation over the memoized CSR view —
-        # identical on warm and cold paths since `execute` delegates
-        # here.
-        from repro.exec import get_engine
-
-        return get_engine().spmv(A, edge_values, np.asarray(x, dtype=np.float64))
-
     def simulate(self, A: COOMatrix, device: DeviceSpec) -> KernelTrace:
         """Structural half: NZE split, segment census, trace recording."""
         coo = A.sort_csr_order()

@@ -143,8 +143,8 @@ class Trainer:
                    buckets=dict(self.clock.buckets))
         metrics = obs.get_metrics()
         metrics.histogram("train.epoch_sim_us").observe(self.clock.total_us)
-        # Wall vs simulated: the regress gate reads sim (deterministic)
-        # exactly and wall (noisy) through the MAD-based noise model.
+        # Wall vs simulated: the regress gate reads only sim
+        # (deterministic); wall time is a metric for humans.
         metrics.histogram("train.epoch_wall_ms").observe((time.perf_counter() - t0) * 1e3)
         return EpochRecord(
             epoch=epoch,

@@ -1,4 +1,4 @@
-"""Unified observability: span tracing, metrics, exporters, run diffing.
+"""Unified observability: span tracing, metrics, exporters, run gating.
 
 The paper's whole argument is quantitative — which phase of which
 kernel moved how many bytes in how many simulated microseconds — and
@@ -12,10 +12,11 @@ place they flow through:
 * :func:`trace_to` / :func:`capture` / :func:`render_tree` /
   :func:`write_metrics_json` — JSONL stream, in-memory, console tree,
   and flat snapshot exporters.
-* ``python -m repro.obs`` — summarize a trace, diff two runs, render a
-  deep per-kernel profile (``profile``) or per-worker timeline
+* ``python -m repro.obs`` — summarize a trace, render a deep
+  per-kernel profile (``profile``) or per-worker timeline
   (``timeline``), export the learned-cost-model dataset (``dataset``),
-  and snapshot/gate perf baselines (``baseline`` / ``regress``).
+  and snapshot/gate perf baselines (``baseline`` / ``regress``, the one
+  way to compare two runs).
 
 ``REPRO_OBS=off`` kills the whole layer: spans short-circuit on one
 cached bool and :func:`get_metrics` returns shared no-op instruments.
@@ -31,11 +32,7 @@ Tracing is off (and free) until a sink is installed::
 
 from repro.obs.analysis import (
     RESILIENCE_EVENTS,
-    DiffRow,
     KeySummary,
-    RunDiff,
-    diff_runs,
-    format_diff,
     format_plan_cache_line,
     format_resilience_line,
     format_serve_line,
@@ -105,11 +102,7 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "DiffRow",
     "KeySummary",
-    "RunDiff",
-    "diff_runs",
-    "format_diff",
     "format_plan_cache_line",
     "format_resilience_line",
     "format_serve_line",

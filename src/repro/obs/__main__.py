@@ -4,15 +4,16 @@ Usage::
 
     python -m repro.obs summary t.jsonl          # per-identity aggregate
     python -m repro.obs tree t.jsonl             # indented span tree
-    python -m repro.obs diff old.jsonl new.jsonl # per-kernel regressions
     python -m repro.obs profile t.jsonl          # deep per-kernel breakdown
     python -m repro.obs timeline t.jsonl         # per-worker span gantt
     python -m repro.obs dataset t1.jsonl t2.jsonl -o features.jsonl
     python -m repro.obs baseline t.jsonl ... -o baselines/quick.json
     python -m repro.obs regress baselines/quick.json t.jsonl --fail-on-regress
 
-``diff`` and ``regress`` exit non-zero only with ``--fail-on-regress``,
-so CI can gate on them while interactive use stays informational.  All
+``regress`` is the one way to compare two runs: ``baseline old.jsonl
+-o old.json`` then ``regress old.json new.jsonl``.  It exits non-zero
+only with ``--fail-on-regress``, so CI can gate on it while interactive
+use stays informational.  All
 trace readers are lenient: corrupt/truncated JSONL lines (a crashed
 run's partial flush) are skipped with a count on stderr, never a crash.
 """
@@ -23,8 +24,6 @@ import argparse
 import sys
 
 from repro.obs.analysis import (
-    diff_runs,
-    format_diff,
     format_plan_cache_line,
     format_resilience_line,
     format_serve_line,
@@ -55,7 +54,7 @@ def _read(path: str) -> list[JsonDict]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Summarize, profile, diff and gate repro trace files "
+        description="Summarize, profile and gate repro trace files "
         "(JSONL spans).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,21 +65,6 @@ def main(argv: list[str] | None = None) -> int:
     p_tree = sub.add_parser("tree", help="render the span tree")
     p_tree.add_argument("trace", help="JSONL trace file")
     p_tree.add_argument("--max-depth", type=int, default=None)
-
-    p_diff = sub.add_parser("diff", help="compare two runs per span identity")
-    p_diff.add_argument("trace_a", help="baseline JSONL trace")
-    p_diff.add_argument("trace_b", help="candidate JSONL trace")
-    p_diff.add_argument(
-        "--threshold",
-        type=float,
-        default=0.05,
-        help="fractional simulated-time slowdown that counts as a regression",
-    )
-    p_diff.add_argument(
-        "--fail-on-regress",
-        action="store_true",
-        help="exit 1 if any regression is found (for CI gates)",
-    )
 
     p_profile = sub.add_parser(
         "profile", help="deep per-kernel breakdown (counters, stages, hotspots)"
@@ -125,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_baseline = sub.add_parser(
-        "baseline", help="snapshot per-identity perf stats from N runs"
+        "baseline", help="snapshot per-identity simulated-time stats from N runs"
     )
     p_baseline.add_argument(
         "traces", nargs="+", help="JSONL trace files (N runs of one workload)"
@@ -146,22 +130,12 @@ def main(argv: list[str] | None = None) -> int:
         "--sim-rtol",
         type=float,
         default=None,
-        help="fractional tolerance on simulated time (default: exact)",
-    )
-    p_regress.add_argument(
-        "--no-wall",
-        action="store_true",
-        help="skip wall-time checks entirely (cross-machine comparisons)",
+        help="fractional tolerance on simulated time (default 1e-9)",
     )
     p_regress.add_argument(
         "--fail-on-regress",
         action="store_true",
         help="exit 1 on sim regressions or lost gate coverage (for CI)",
-    )
-    p_regress.add_argument(
-        "--fail-on-wall",
-        action="store_true",
-        help="also exit 1 on noise-gated wall-time findings",
     )
     args = parser.parse_args(argv)
 
@@ -218,37 +192,27 @@ def main(argv: list[str] | None = None) -> int:
                 f"from {doc['runs']} run(s)"
             )
             return 0
-        if args.command == "regress":
-            from repro.obs.regress import (
-                DEFAULT_SIM_RTOL,
-                compare_to_baseline,
-                format_regress_report,
-                load_baseline,
-            )
+        # regress
+        from repro.obs.regress import (
+            DEFAULT_SIM_RTOL,
+            compare_to_baseline,
+            format_regress_report,
+            load_baseline,
+        )
 
-            doc = load_baseline(args.baseline)
-            report = compare_to_baseline(
-                doc,
-                _read(args.trace),
-                sim_rtol=(
-                    DEFAULT_SIM_RTOL if args.sim_rtol is None else args.sim_rtol
-                ),
-                check_wall=not args.no_wall,
-            )
-            print(format_regress_report(report, label=str(doc.get("label", ""))))
-            failed = (args.fail_on_regress and not report.ok) or (
-                args.fail_on_wall and report.wall_regressions
-            )
-            return 1 if failed else 0
-        # diff
-        diff = diff_runs(
-            _read(args.trace_a), _read(args.trace_b), threshold=args.threshold
+        doc = load_baseline(args.baseline)
+        report = compare_to_baseline(
+            doc,
+            _read(args.trace),
+            sim_rtol=(
+                DEFAULT_SIM_RTOL if args.sim_rtol is None else args.sim_rtol
+            ),
         )
     except (OSError, ValueError) as e:
         print(f"python -m repro.obs: error: {e}", file=sys.stderr)
         return 1
-    print(format_diff(diff))
-    return 1 if (args.fail_on_regress and diff.regressions) else 0
+    print(format_regress_report(report, label=str(doc.get("label", ""))))
+    return 1 if (args.fail_on_regress and not report.ok) else 0
 
 
 if __name__ == "__main__":

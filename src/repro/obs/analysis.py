@@ -1,17 +1,16 @@
-"""Trace analysis: per-key aggregation and run-to-run regression diffs.
+"""Trace analysis: per-identity aggregation and subsystem summaries.
 
 Two runs of the same sweep are comparable point-by-point because every
 instrumented span carries an *identity*: its name plus the stable
 attributes (kernel, dataset, feature length, ...) that parameterize the
 work it measured.  :func:`summarize` folds a trace into one row per
-identity; :func:`diff_runs` joins two traces on identity and flags
-every key whose simulated time regressed beyond a threshold — the
-mechanical regress-check behind "make a hot path measurably faster".
+identity; :mod:`repro.obs.regress` joins a trace to a baseline on the
+same identity and flags every key whose simulated time regressed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.obs.spans import JsonDict
@@ -20,7 +19,7 @@ from repro.obs.spans import JsonDict
 #: runs), as opposed to measurement outputs like time_us/dram_bytes.
 #: ``cached`` is deliberately excluded: a warm replay measures the same
 #: work as the cold simulation, and runs with different cache states
-#: must stay diffable point-by-point.
+#: must stay comparable point-by-point.
 IDENTITY_ATTRS = ("kind", "kernel", "backend", "dataset", "f", "dim", "experiment", "model")
 
 
@@ -295,93 +294,3 @@ def format_serve_line(stats: dict[str, float | int]) -> str:
     if extras:
         line += ", " + ", ".join(extras)
     return line
-
-
-@dataclass
-class DiffRow:
-    key: str
-    a_sim_us: float
-    b_sim_us: float
-
-    @property
-    def delta_us(self) -> float:
-        return self.b_sim_us - self.a_sim_us
-
-    @property
-    def ratio(self) -> float:
-        if self.a_sim_us <= 0:
-            return float("inf") if self.b_sim_us > 0 else 1.0
-        return self.b_sim_us / self.a_sim_us
-
-
-@dataclass
-class RunDiff:
-    """Join of two runs on span identity (simulated-time totals)."""
-
-    threshold: float
-    rows: list[DiffRow] = field(default_factory=list)
-    only_a: list[str] = field(default_factory=list)
-    only_b: list[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[DiffRow]:
-        return [r for r in self.rows if r.ratio > 1.0 + self.threshold]
-
-    @property
-    def improvements(self) -> list[DiffRow]:
-        return [r for r in self.rows if r.ratio < 1.0 - self.threshold]
-
-
-def diff_runs(
-    a: Iterable[JsonDict], b: Iterable[JsonDict], *, threshold: float = 0.05
-) -> RunDiff:
-    """Compare two traces per span identity; b regresses where it is
-    more than ``threshold`` (fractional) slower than a in simulated time."""
-    sa = {s.key: s for s in summarize(a)}
-    sb = {s.key: s for s in summarize(b)}
-    diff = RunDiff(threshold=threshold)
-    for key in sorted(set(sa) | set(sb)):
-        if key not in sb:
-            diff.only_a.append(key)
-        elif key not in sa:
-            diff.only_b.append(key)
-        else:
-            diff.rows.append(DiffRow(key, sa[key].sim_us, sb[key].sim_us))
-    diff.rows.sort(key=lambda r: -abs(r.delta_us))
-    return diff
-
-
-def format_diff(diff: RunDiff, *, limit: int = 40) -> str:
-    lines = [
-        f"{'span':<64} {'run A us':>12} {'run B us':>12} {'delta':>10} {'ratio':>7}"
-    ]
-    lines.append("-" * len(lines[0]))
-    for row in diff.rows[:limit]:
-        flag = ""
-        if row.ratio > 1.0 + diff.threshold:
-            flag = "  << REGRESSION"
-        elif row.ratio < 1.0 - diff.threshold:
-            flag = "  improved"
-        lines.append(
-            f"{row.key:<64} {row.a_sim_us:>12,.1f} {row.b_sim_us:>12,.1f} "
-            f"{row.delta_us:>+10,.1f} {row.ratio:>7.3f}{flag}"
-        )
-    if len(diff.rows) > limit:
-        lines.append(f"... {len(diff.rows) - limit} more keys (sorted by |delta|)")
-    for key in diff.only_a:
-        lines.append(f"only in run A: {key}")
-    for key in diff.only_b:
-        lines.append(f"only in run B: {key}")
-    n_reg = len(diff.regressions)
-    lines.append(
-        f"{len(diff.rows)} shared keys, {n_reg} regression(s), "
-        f"{len(diff.improvements)} improvement(s), "
-        f"{len(diff.only_a)} removed, {len(diff.only_b)} added "
-        f"at threshold {diff.threshold:.0%}"
-    )
-    if not diff.rows and (diff.only_a or diff.only_b):
-        lines.append(
-            "runs share no identities — comparing different workloads? "
-            "(see removed/added lists above)"
-        )
-    return "\n".join(lines)

@@ -1,25 +1,16 @@
-"""Continuous perf-regression tracking: baselines, noise-aware gates.
+"""Continuous perf-regression tracking: baselines and an exact sim gate.
 
-``diff`` compares two traces ad hoc; this module makes the comparison
-*continuous*: ``python -m repro.obs baseline`` folds one or more runs of
-the canonical perf snapshot into a committed ``baselines/*.json``
-document, and ``python -m repro.obs regress --fail-on-regress`` gates
-every future trace against it.
+``python -m repro.obs baseline`` folds one or more runs of the canonical
+perf snapshot into a committed ``baselines/*.json`` document, and
+``python -m repro.obs regress --fail-on-regress`` gates every future
+trace against it.  This is the one way the program compares two runs.
 
-The two clocks get different rules, because they have different noise:
-
-* **Simulated time is deterministic** — same graph, same kernel config,
-  same device model, same cycle count, every run, every machine.  It is
-  gated (near-)exactly: any identity whose median per-span ``sim_us``
-  exceeds baseline by more than ``sim_rtol`` (default 1e-9, CI uses
-  1e-6 for cross-version float safety) is a regression.  This is the
-  gate CI fails on.
-
-* **Wall time is noisy** (shared runners, thermal state), so the
-  baseline stores a median + MAD noise model per identity and a wall
-  regression needs *both* a large ratio (default 1.5x) *and* a median
-  beyond ``mad_k`` MADs plus an absolute floor.  Wall findings are
-  reported, and only gate when explicitly asked (``--fail-on-wall``).
+Only simulated time is compared.  It is deterministic — same graph,
+same kernel config, same device model, same cycle count, every run,
+every machine — so the gate is (near-)exact: any identity whose median
+per-span ``sim_us`` exceeds baseline by more than ``sim_rtol`` (default
+1e-9, CI uses 1e-6 for cross-version float safety) is a regression.
+Wall-clock speed has its own benchmark (``e2ebench/run.py``).
 
 Identities present on one side only are reported as added/removed —
 a renamed kernel silently dropping out of the gate is itself a finding.
@@ -30,21 +21,17 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable
 
 from repro.obs.analysis import span_key
 from repro.obs.spans import JsonDict
 
-BASELINE_SCHEMA_VERSION = 1
+BASELINE_SCHEMA_VERSION = 2
 
 #: default fractional tolerance on (deterministic) simulated time
 DEFAULT_SIM_RTOL = 1e-9
-#: wall regression needs cur_median > base_median * (1 + WALL_RATIO) ...
-DEFAULT_WALL_RATIO = 0.5
-#: ... and cur_median > base_median + WALL_MAD_K * MAD + WALL_FLOOR_MS
-DEFAULT_WALL_MAD_K = 5.0
-DEFAULT_WALL_FLOOR_MS = 0.5
 
 
 @dataclass
@@ -53,38 +40,14 @@ class IdentityStats:
 
     count: int
     sim_us_median: float
-    sim_us_best: float
-    sim_us_total: float
-    wall_ms_median: float
-    wall_ms_mad: float
-    wall_ms_best: float
 
     def to_json(self) -> dict[str, float | int]:
-        return {
-            "count": self.count,
-            "sim_us_median": self.sim_us_median,
-            "sim_us_best": self.sim_us_best,
-            "sim_us_total": self.sim_us_total,
-            "wall_ms_median": self.wall_ms_median,
-            "wall_ms_mad": self.wall_ms_mad,
-            "wall_ms_best": self.wall_ms_best,
-        }
+        return {"count": self.count, "sim_us_median": self.sim_us_median}
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "IdentityStats":
-        return cls(
-            count=int(doc["count"]),
-            sim_us_median=float(doc["sim_us_median"]),
-            sim_us_best=float(doc["sim_us_best"]),
-            sim_us_total=float(doc["sim_us_total"]),
-            wall_ms_median=float(doc["wall_ms_median"]),
-            wall_ms_mad=float(doc["wall_ms_mad"]),
-            wall_ms_best=float(doc["wall_ms_best"]),
-        )
-
-
-def _mad(values: list[float], median: float) -> float:
-    return statistics.median(abs(v - median) for v in values) if values else 0.0
+        return cls(count=int(doc["count"]),
+                   sim_us_median=float(doc["sim_us_median"]))
 
 
 def collect_identity_stats(
@@ -96,32 +59,18 @@ def collect_identity_stats(
     deterministic, machine-independent measurements (kernel launches,
     bench points, training epochs); setup/IO spans never enter the gate.
     """
-    samples: dict[str, tuple[list[float], list[float]]] = {}
+    samples: dict[str, list[float]] = {}
     for rec in records:
         if rec.get("type") != "span" or rec.get("status") != "ok":
             continue
         sim = rec.get("sim_us")
         if not isinstance(sim, (int, float)):
             continue
-        sims, walls = samples.setdefault(span_key(rec), ([], []))
-        sims.append(float(sim))
-        wall = rec.get("wall_ms")
-        if isinstance(wall, (int, float)):
-            walls.append(float(wall))
-    stats: dict[str, IdentityStats] = {}
-    for key, (sims, walls) in samples.items():
-        sim_median = statistics.median(sims)
-        wall_median = statistics.median(walls) if walls else 0.0
-        stats[key] = IdentityStats(
-            count=len(sims),
-            sim_us_median=sim_median,
-            sim_us_best=min(sims),
-            sim_us_total=sum(sims),
-            wall_ms_median=wall_median,
-            wall_ms_mad=_mad(walls, wall_median),
-            wall_ms_best=min(walls) if walls else 0.0,
-        )
-    return stats
+        samples.setdefault(span_key(rec), []).append(float(sim))
+    return {
+        key: IdentityStats(count=len(sims), sim_us_median=statistics.median(sims))
+        for key, sims in samples.items()
+    }
 
 
 def baseline_from_traces(
@@ -129,44 +78,16 @@ def baseline_from_traces(
 ) -> dict[str, Any]:
     """Fold N runs of the same workload into one baseline document.
 
-    Per identity, the stored wall median / MAD / best come from the
-    pooled per-span samples across all runs (best-of-N: one slow run
-    cannot poison the noise model).  Simulated stats pool too — they
-    are identical across runs by construction, and the regress gate
-    will say so loudly later if they are not.
+    The runs pool into one fold.  Simulated times are identical across
+    runs by construction, and the regress gate says so loudly if they
+    are not.
     """
-    pooled: dict[str, tuple[list[float], list[float]]] = {}
-    for records in trace_records:
-        for rec in records:
-            if rec.get("type") != "span" or rec.get("status") != "ok":
-                continue
-            sim = rec.get("sim_us")
-            if not isinstance(sim, (int, float)):
-                continue
-            sims, walls = pooled.setdefault(span_key(rec), ([], []))
-            sims.append(float(sim))
-            wall = rec.get("wall_ms")
-            if isinstance(wall, (int, float)):
-                walls.append(float(wall))
-    identities: dict[str, dict[str, float | int]] = {}
-    for key in sorted(pooled):
-        sims, walls = pooled[key]
-        sim_median = statistics.median(sims)
-        wall_median = statistics.median(walls) if walls else 0.0
-        identities[key] = IdentityStats(
-            count=len(sims),
-            sim_us_median=sim_median,
-            sim_us_best=min(sims),
-            sim_us_total=sum(sims),
-            wall_ms_median=wall_median,
-            wall_ms_mad=_mad(walls, wall_median),
-            wall_ms_best=min(walls) if walls else 0.0,
-        ).to_json()
+    stats = collect_identity_stats(chain.from_iterable(trace_records))
     return {
         "schema_version": BASELINE_SCHEMA_VERSION,
         "label": label,
         "runs": len(trace_records),
-        "identities": identities,
+        "identities": {key: stats[key].to_json() for key in sorted(stats)},
     }
 
 
@@ -192,10 +113,9 @@ def load_baseline(path: str | Path) -> dict[str, Any]:
 
 @dataclass
 class RegressFinding:
-    """One identity whose current run violates its baseline envelope."""
+    """One identity whose simulated time moved beyond its baseline."""
 
     key: str
-    clock: str  # "sim" | "wall"
     base: float
     current: float
 
@@ -213,15 +133,13 @@ class RegressReport:
     checked: int = 0
     sim_regressions: list[RegressFinding] = field(default_factory=list)
     sim_improvements: list[RegressFinding] = field(default_factory=list)
-    wall_regressions: list[RegressFinding] = field(default_factory=list)
     added: list[str] = field(default_factory=list)
     removed: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         """The CI gate: simulated time within tolerance, no identities
-        silently dropped.  (Wall findings and additions never gate by
-        default — see ``--fail-on-wall``.)"""
+        silently dropped.  (Additions never gate.)"""
         return not self.sim_regressions and not self.removed
 
 
@@ -230,13 +148,8 @@ def compare_to_baseline(
     records: Iterable[JsonDict],
     *,
     sim_rtol: float = DEFAULT_SIM_RTOL,
-    wall_ratio: float = DEFAULT_WALL_RATIO,
-    wall_mad_k: float = DEFAULT_WALL_MAD_K,
-    wall_floor_ms: float = DEFAULT_WALL_FLOOR_MS,
-    check_wall: bool = True,
 ) -> RegressReport:
-    """Gate one trace against a baseline document (see module docstring
-    for the sim-exact / wall-noise-model rules)."""
+    """Gate one trace against a baseline document (see module docstring)."""
     base = {
         key: IdentityStats.from_json(doc)
         for key, doc in baseline.get("identities", {}).items()
@@ -246,33 +159,14 @@ def compare_to_baseline(
     report.added = sorted(set(current) - set(base))
     report.removed = sorted(set(base) - set(current))
     for key in sorted(set(base) & set(current)):
-        b, c = base[key], current[key]
+        b, c = base[key].sim_us_median, current[key].sim_us_median
         report.checked += 1
-        # Simulated: deterministic, so the envelope is just rtol.
-        if c.sim_us_median > b.sim_us_median * (1.0 + sim_rtol):
-            report.sim_regressions.append(
-                RegressFinding(key, "sim", b.sim_us_median, c.sim_us_median)
-            )
-        elif c.sim_us_median < b.sim_us_median * (1.0 - max(sim_rtol, 1e-12)):
-            report.sim_improvements.append(
-                RegressFinding(key, "sim", b.sim_us_median, c.sim_us_median)
-            )
-        # Wall: noisy, so demand both a big ratio and a median outside
-        # the baseline's MAD envelope plus an absolute floor.
-        if check_wall and b.wall_ms_median > 0:
-            envelope = (
-                b.wall_ms_median + wall_mad_k * b.wall_ms_mad + wall_floor_ms
-            )
-            if (
-                c.wall_ms_median > b.wall_ms_median * (1.0 + wall_ratio)
-                and c.wall_ms_median > envelope
-            ):
-                report.wall_regressions.append(
-                    RegressFinding(key, "wall", b.wall_ms_median, c.wall_ms_median)
-                )
+        if c > b * (1.0 + sim_rtol):
+            report.sim_regressions.append(RegressFinding(key, b, c))
+        elif c < b * (1.0 - max(sim_rtol, 1e-12)):
+            report.sim_improvements.append(RegressFinding(key, b, c))
     report.sim_regressions.sort(key=lambda f: -f.ratio)
     report.sim_improvements.sort(key=lambda f: f.ratio)
-    report.wall_regressions.sort(key=lambda f: -f.ratio)
     return report
 
 
@@ -297,15 +191,6 @@ def format_regress_report(
                 f"  {f.key}: {f.base:,.3f} -> {f.current:,.3f} us "
                 f"({f.ratio:.4f}x)"
             )
-    if report.wall_regressions:
-        lines.append(
-            f"wall-time findings ({len(report.wall_regressions)}, "
-            "noise-gated, informational unless --fail-on-wall):"
-        )
-        for f in report.wall_regressions[:limit]:
-            lines.append(
-                f"  {f.key}: {f.base:.2f} -> {f.current:.2f} ms ({f.ratio:.2f}x)"
-            )
     for key in report.removed:
         lines.append(f"REMOVED from current run (gate coverage lost): {key}")
     for key in report.added:
@@ -313,7 +198,6 @@ def format_regress_report(
     verdict = "OK" if report.ok else "FAIL"
     lines.append(
         f"{verdict}: {len(report.sim_regressions)} sim regression(s), "
-        f"{len(report.wall_regressions)} wall finding(s), "
         f"{len(report.removed)} removed, {len(report.added)} added"
     )
     return "\n".join(lines)

@@ -41,6 +41,8 @@ class TestCli:
         assert json.loads(metrics.read_text())["counters"]
         # tracing is torn down after the run
         assert not obs.tracing_enabled()
-        # and a self-diff of the trace is regression-free
-        diff = obs.diff_runs(records, records)
-        assert diff.regressions == []
+        # and the trace gates clean against a baseline folded from itself
+        report = obs.compare_to_baseline(
+            obs.baseline_from_traces([records]), records
+        )
+        assert report.ok and report.checked > 0

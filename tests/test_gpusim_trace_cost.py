@@ -55,6 +55,23 @@ class TestTrace:
 
 
 class TestCostModelMechanisms:
+    @pytest.mark.parametrize("device", [A100, V100], ids=["A100", "V100"])
+    def test_achieved_bandwidth_never_exceeds_peak(self, small_graph, rng, device):
+        """DRAM bytes over simulated time stay within the device peak, for
+        a real kernel and for a streaming phase that saturates the bus."""
+        from repro.kernels.gnnone import GnnOneSpMM
+
+        vals = rng.standard_normal(small_graph.nnz)
+        X = rng.standard_normal((small_graph.num_cols, 32))
+        streaming = make_trace(ctas=10_000)
+        streaming.add_phase("p", "load", load_instrs=1.0, ilp=8.0, sectors=1e3)
+        for report in (
+            GnnOneSpMM()(small_graph, vals, X, device=device).cost,
+            estimate_cost(streaming, device),
+        ):
+            gbps = report.dram_bytes / (report.time_us * 1e-6) / 1e9
+            assert 0 < gbps <= device.dram_bandwidth_gbps * (1 + 1e-9)
+
     def test_more_sectors_more_time(self):
         """Bandwidth monotonicity."""
         t1, t2 = make_trace(), make_trace()

@@ -196,29 +196,6 @@ class TestAnalysis:
         assert rows[1].sim_us == 40.0 and rows[1].count == 2
         assert "bench.spmm" in obs.format_summary(rows)
 
-    def test_diff_identical_runs_no_regressions(self):
-        records = [_fake_point("bench.spmm", "gnnone", "G3", 16, 10.0)]
-        diff = obs.diff_runs(records, records)
-        assert diff.regressions == [] and diff.improvements == []
-        assert "0 regression(s)" in obs.format_diff(diff)
-
-    def test_diff_flags_regression_beyond_threshold(self):
-        a = [_fake_point("bench.spmm", "gnnone", "G3", 16, 10.0)]
-        b = [_fake_point("bench.spmm", "gnnone", "G3", 16, 12.0)]
-        diff = obs.diff_runs(a, b, threshold=0.05)
-        assert len(diff.regressions) == 1
-        assert diff.regressions[0].ratio == pytest.approx(1.2)
-        assert "REGRESSION" in obs.format_diff(diff)
-        # 25% threshold tolerates the same delta
-        assert obs.diff_runs(a, b, threshold=0.25).regressions == []
-
-    def test_diff_tracks_one_sided_keys(self):
-        a = [_fake_point("bench.spmm", "gnnone", "G3", 16, 10.0)]
-        b = [_fake_point("bench.spmm", "gnnone", "G6", 16, 10.0)]
-        diff = obs.diff_runs(a, b)
-        assert len(diff.only_a) == 1 and len(diff.only_b) == 1
-        assert diff.rows == []
-
 
 class TestCli:
     @pytest.fixture()
@@ -237,21 +214,6 @@ class TestCli:
     def test_tree(self, trace_file, capsys):
         assert obs_main(["tree", str(trace_file)]) == 0
         assert "bench.spmm" in capsys.readouterr().out
-
-    def test_diff_self_is_clean(self, trace_file, capsys):
-        assert obs_main(["diff", str(trace_file), str(trace_file)]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-
-    def test_diff_fail_on_regress(self, trace_file, tmp_path, capsys):
-        slower = tmp_path / "slow.jsonl"
-        records = obs.read_trace(trace_file)
-        records[0]["sim_us"] *= 2
-        slower.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-        assert obs_main(["diff", str(trace_file), str(slower)]) == 0
-        assert obs_main(
-            ["diff", str(trace_file), str(slower), "--fail-on-regress"]
-        ) == 1
-        assert "REGRESSION" in capsys.readouterr().out
 
 
 class TestInstrumentation:

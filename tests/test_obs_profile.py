@@ -8,7 +8,11 @@ from repro import core, obs
 from repro.obs.__main__ import main as obs_main
 from repro.obs.dataset import records_from_trace, validate_record
 from repro.obs.profile import format_timeline, profile_trace, timeline_lanes
-from repro.obs.regress import baseline_from_traces, compare_to_baseline
+from repro.obs.regress import (
+    baseline_from_traces,
+    collect_identity_stats,
+    compare_to_baseline,
+)
 from repro.obs.spans import set_obs_enabled
 from repro.resilience import no_faults
 from tests.conftest import make_operands
@@ -175,13 +179,77 @@ class TestBaselineRegress:
             slow.append(rec)
         slow_trace = self._trace_file(tmp_path, slow, "slow.jsonl")
         assert (
-            obs_main(
-                ["regress", str(base), str(slow_trace), "--fail-on-regress", "--no-wall"]
-            )
+            obs_main(["regress", str(base), str(slow_trace), "--fail-on-regress"])
             == 1
         )
         # Informational mode still exits 0.
-        assert obs_main(["regress", str(base), str(slow_trace), "--no-wall"]) == 0
+        assert obs_main(["regress", str(base), str(slow_trace)]) == 0
+
+    @pytest.mark.parametrize(
+        ("scale", "gated_exit"), [(1 + 5e-7, 0), (1.2, 1)], ids=["drift", "slow"]
+    )
+    def test_sim_rtol_tolerance(self, small_graph, rng, tmp_path, scale,
+                                gated_exit):
+        records = run_workload(small_graph, rng)
+        base = tmp_path / "base.json"
+        trace = self._trace_file(tmp_path, records)
+        assert obs_main(["baseline", str(trace), "-o", str(base)]) == 0
+        scaled = []
+        for rec in records:
+            rec = dict(rec)
+            if isinstance(rec.get("sim_us"), (int, float)):
+                rec["sim_us"] *= scale
+            scaled.append(rec)
+        scaled_trace = self._trace_file(tmp_path, scaled, "scaled.jsonl")
+        argv = ["regress", str(base), str(scaled_trace), "--sim-rtol", "1e-6"]
+        assert obs_main(argv + ["--fail-on-regress"]) == gated_exit
+        assert obs_main(argv) == 0
+
+    def test_multi_trace_baseline_is_one_fold(self, small_graph, rng, tmp_path):
+        """N traces fold exactly like their concatenation, run count aside."""
+        first = run_workload(small_graph, rng, repeats=2)
+        second = []
+        for rec in run_workload(small_graph, rng):
+            rec = dict(rec)
+            if isinstance(rec.get("sim_us"), (int, float)):
+                rec["sim_us"] *= 1.5
+            second.append(rec)
+        a = self._trace_file(tmp_path, first, "a.jsonl")
+        b = self._trace_file(tmp_path, second, "b.jsonl")
+        both = self._trace_file(tmp_path, first + second, "both.jsonl")
+        assert obs_main(["baseline", str(a), str(b), "-o",
+                         str(tmp_path / "ab.json")]) == 0
+        assert obs_main(["baseline", str(both), "-o",
+                         str(tmp_path / "both.json")]) == 0
+        ab = json.loads((tmp_path / "ab.json").read_text())
+        one = json.loads((tmp_path / "both.json").read_text())
+        assert (ab["runs"], one["runs"]) == (2, 1)
+        assert ab["identities"] == one["identities"]
+        assert ab["identities"] == {
+            key: stats.to_json()
+            for key, stats in collect_identity_stats(first + second).items()
+        }
+
+    def test_disjoint_traces_all_removed_all_added(self, tmp_path, capsys):
+        def span(name, sim):
+            return {
+                "type": "span", "name": name, "status": "ok", "span_id": 1,
+                "parent_id": None, "start_s": 0.0, "wall_ms": 1.0,
+                "sim_us": sim, "attrs": {},
+            }
+
+        old = self._trace_file(tmp_path, [span("old.kernel", 5.0)], "old.jsonl")
+        new = self._trace_file(tmp_path, [span("new.kernel", 7.0)], "new.jsonl")
+        base = tmp_path / "base.json"
+        assert obs_main(["baseline", str(old), "-o", str(base)]) == 0
+        capsys.readouterr()
+        assert obs_main(["regress", str(base), str(new), "--fail-on-regress"]) == 1
+        out = capsys.readouterr().out
+        assert "0 identities compared" in out
+        assert "REMOVED from current run (gate coverage lost): old.kernel" in out
+        assert "added (not in baseline, not gated): new.kernel" in out
+        assert "FAIL: 0 sim regression(s), 1 removed, 1 added" in out
+        assert obs_main(["regress", str(base), str(new)]) == 0
 
     def test_removed_identity_fails_added_does_not(self, small_graph, rng):
         records = run_workload(small_graph, rng)
@@ -200,18 +268,6 @@ class TestBaselineRegress:
         }
         report = compare_to_baseline(doc, list(records) + [extra])
         assert report.added and report.ok
-
-    def test_wall_noise_model_ignores_small_jitter(self, small_graph, rng):
-        records = run_workload(small_graph, rng)
-        doc = baseline_from_traces([records])
-        jittered = []
-        for rec in records:
-            rec = dict(rec)
-            if isinstance(rec.get("wall_ms"), (int, float)):
-                rec["wall_ms"] *= 1.2  # below the 1.5x ratio gate
-            jittered.append(rec)
-        report = compare_to_baseline(doc, jittered)
-        assert report.wall_regressions == [] and report.ok
 
     def test_sim_determinism_across_reruns(self, small_graph, rng):
         def sims(records):
@@ -299,27 +355,6 @@ class TestLenientReader:
         captured = capsys.readouterr()
         assert "skipped 1 corrupt line(s)" in captured.err
         assert "span identities" in captured.out
-
-
-class TestDiffDisjoint:
-    def test_disjoint_runs_report_added_removed(self, tmp_path, capsys):
-        def span(name, sim):
-            return {
-                "type": "span", "name": name, "status": "ok", "span_id": 1,
-                "parent_id": None, "start_s": 0.0, "wall_ms": 1.0,
-                "sim_us": sim, "attrs": {},
-            }
-
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        a.write_text(json.dumps(span("old.kernel", 5.0)) + "\n")
-        b.write_text(json.dumps(span("new.kernel", 7.0)) + "\n")
-        assert obs_main(["diff", str(a), str(b), "--fail-on-regress"]) == 0
-        out = capsys.readouterr().out
-        assert "only in run A: old.kernel" in out
-        assert "only in run B: new.kernel" in out
-        assert "1 removed, 1 added" in out
-        assert "share no identities" in out
 
 
 class TestTimelineOverlap:

@@ -18,6 +18,7 @@ from repro.core import (
     set_plan_cache_enabled,
 )
 from repro.core.plancache import MEMO_CAPACITY, CachedLaunch, PlanCache, plan_key
+from repro.exec import get_engine
 from repro.gpusim import A100, V100
 from repro.kernels.base import reference_sddmm, reference_spmm
 from repro.kernels.gnnone import (
@@ -27,7 +28,6 @@ from repro.kernels.gnnone import (
     GnnOneSpMV,
     segment_sum_spmm,
 )
-from repro.kernels.gnnone.spmm import csr_replay_spmm
 from repro.kernels.registry import spmm_kernel
 from repro.resilience import no_faults
 from repro.sparse import COOMatrix
@@ -325,7 +325,7 @@ class TestStructuralMemos:
         vals = rng.standard_normal(coo.nnz)
         X = rng.standard_normal((coo.num_cols, F))
         np.testing.assert_allclose(
-            csr_replay_spmm(coo, vals, X),
+            get_engine().spmm(coo, vals, X),
             segment_sum_spmm(coo, vals, X),
             rtol=1e-12, atol=1e-12,
         )

@@ -337,6 +337,7 @@ class TestTransportRoundTrip:
                 )
                 answer, _ = await protocol.read_frame(reader)
                 writer.close()
+                await writer.wait_closed()
                 return answer
 
         with no_faults():
@@ -350,6 +351,8 @@ class TestTransportRoundTrip:
         async def fake_server(reader, writer):
             await protocol.read_frame(reader)
             await protocol.write_frame(writer, {"ok": True, "proto": 999})
+            writer.close()
+            await writer.wait_closed()
 
         async def main():
             server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
@@ -359,6 +362,7 @@ class TestTransportRoundTrip:
                     pass
             finally:
                 server.close()
+                await server.wait_closed()
 
         with no_faults():
             with pytest.raises(ProtocolError, match="server speaks proto"):
@@ -380,6 +384,7 @@ class TestTransportRoundTrip:
                 await protocol.write_frame(writer, frame, attachment)
                 answer, _ = await protocol.read_frame(reader)
                 writer.close()
+                await writer.wait_closed()
                 return answer
 
         with no_faults():
@@ -426,6 +431,7 @@ class TestTransportRoundTrip:
                 )
                 answer, _ = await protocol.read_frame(reader)
                 writer.close()
+                await writer.wait_closed()
                 return answer, service.stats.requests
 
         with no_faults():
@@ -451,6 +457,7 @@ class TestTransportRoundTrip:
                 answer, _ = await protocol.read_frame(reader)
                 tail = await reader.read(64)  # server hangs up after answering
                 writer.close()
+                await writer.wait_closed()
                 return answer, tail
 
         with no_faults():
@@ -482,6 +489,7 @@ class TestIdempotency:
                 await protocol.write_frame(writer, frame, bytes(payload))
                 second, a2 = await protocol.read_frame(reader)
                 writer.close()
+                await writer.wait_closed()
                 return first, a1, second, a2, service.stats.requests
 
         with no_faults():
@@ -678,6 +686,7 @@ class TestDeadlinePropagation:
                     await writer.drain()
                     answers.append((await protocol.read_frame(reader))[0])
                 writer.close()
+                await writer.wait_closed()
             return answers, service.stats.requests
 
         with no_faults():
