@@ -34,11 +34,12 @@ invalid configuration re-raises from the real pipeline every time.
 
 A second, much smaller map (:meth:`PlanCache.memo_lookup` /
 :meth:`PlanCache.memo_store`) holds value results keyed on operand
-*identity* — the kernel layer's reference outputs
-(:func:`repro.kernels.base.reference_spmm`).  Each slot keeps its
-operand objects alive and re-checks them with ``is``, so an id can never
-be recycled into a false hit; the caller decides what may be memoized.
-:func:`clear_plan_cache` empties both maps.
+*identity* — the engine output every kernel's ``compute`` returns
+(:meth:`repro.kernels.base.SpMMKernel.compute`), shared by all kernels
+of a kind.  Each slot keeps its operand objects alive and re-checks
+them with ``is``, so an id can never be recycled into a false hit; the
+caller decides what may be memoized.  :func:`clear_plan_cache` empties
+both maps.
 
 Disable with ``REPRO_PLAN_CACHE=off`` (debugging the simulation
 pipeline) or programmatically via :func:`set_plan_cache_enabled`.
@@ -75,8 +76,9 @@ from repro.obs import get_metrics
 #: hundred distinct (kernel, dataset, F) points.
 DEFAULT_CAPACITY = 512
 
-#: Value-memo slots per process.  Each holds one reference output (up to
-#: an ``(N, F)`` dense block); a sweep pass revisits three operand sets.
+#: Value-memo slots per process.  Each holds one kernel output (up to an
+#: ``(N, F)`` dense block), shared by every kernel of its kind; a sweep
+#: pass revisits three operand sets.
 MEMO_CAPACITY = 8
 
 #: tri-state programmatic override: None = follow ``REPRO_PLAN_CACHE``.

@@ -26,9 +26,15 @@ Each invocation is two independent halves:
 (:mod:`repro.core.plancache`): a warm launch replays the cached
 :class:`CostReport`/trace and runs only the numerics, skipping Stage-1
 planning, scheduling, trace recording and ``estimate_cost`` entirely.
-The default :meth:`compute` routes through the execution engine
-(:mod:`repro.exec`), so baselines get the replay-cost/recompute-numerics
-treatment without per-kernel code.
+
+There is one numerics path.  GNNOne and every baseline take their
+output from the base-class :meth:`compute`, cold or warm, which runs
+the execution engine (:mod:`repro.exec`); a kernel's identity shows only
+in its trace.  ``compute`` memoizes the engine output per read-only
+operand set, so the kernels of one figure sweep share one output per
+dataset.  :func:`reference_spmm`, :func:`reference_sddmm` and
+:func:`reference_spmv` are independent scipy/einsum oracles for tests
+and checks; no kernel returns them.
 """
 
 from __future__ import annotations
@@ -108,14 +114,15 @@ def launch_span_attrs(kernel, A: COOMatrix, device: DeviceSpec) -> dict:
     }
 
 
-#: per-kind metric names, interned once (these sit on the warm hot path)
-_KIND_METRIC_NAMES: dict[str, tuple[str, str, str]] = {}
+#: per-kind span and metric names, interned once (these sit on the warm hot path)
+_KIND_METRIC_NAMES: dict[str, tuple[str, str, str, str]] = {}
 
 
-def _kind_metric_names(kind: str) -> tuple[str, str, str]:
+def _kind_metric_names(kind: str) -> tuple[str, str, str, str]:
     names = _KIND_METRIC_NAMES.get(kind)
     if names is None:
         names = _KIND_METRIC_NAMES[kind] = (
+            f"kernel.{kind}",
             f"kernel.{kind}.calls",
             f"kernel.{kind}.time_us",
             f"kernel.{kind}.dram_mb",
@@ -142,7 +149,7 @@ def _finish_kernel_span(sp, kind: str, result: "KernelResult") -> None:
         )
     sp.add_sim_us(cost.time_us)
     metrics = obs.get_metrics()
-    calls, time_us, dram_mb = _kind_metric_names(kind)
+    _, calls, time_us, dram_mb = _kind_metric_names(kind)
     metrics.counter(calls).inc()
     metrics.histogram(time_us).observe(cost.time_us)
     metrics.histogram(dram_mb).observe(cost.dram_bytes / 1e6)
@@ -189,8 +196,12 @@ def validate_spmv_inputs(A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -
         raise FormatError(f"x must have shape ({A.num_cols},)")
 
 
-class KernelCacheMixin:
-    """Structural-cache identity shared by the three kernel ABCs."""
+class _Kernel(abc.ABC):
+    """Launch machinery, cache identity and numerics shared by the three kernel ABCs."""
+
+    name: str
+    format: str
+    kind: str
 
     def cache_token(self) -> Hashable:
         """Hashable identity of this kernel *and its configuration*.
@@ -202,8 +213,60 @@ class KernelCacheMixin:
         """
         return (type(self).__qualname__, self.name, self.format)
 
+    def _launch(
+        self, A: COOMatrix, device: DeviceSpec | str | None, operands: tuple,
+        feature_length: int,
+    ) -> KernelResult:
+        """One launch on validated operands: replay a cached plan or simulate.
 
-class SpMMKernel(KernelCacheMixin, abc.ABC):
+        A plan-cache hit replays the cached cost/trace and runs only
+        :meth:`compute`; a miss runs ``execute`` and ``estimate_cost``
+        and stores the plan.  Either way the launch gets one
+        ``kernel.<kind>`` span.
+        """
+        ensure_structure_validated(A)
+        dev = get_device(device)
+        operands = tuple(np.asarray(op, dtype=np.float64) for op in operands)
+        kind = self.kind
+        with obs.span(
+            _kind_metric_names(kind)[0], kind=kind, kernel=self.name, format=self.format,
+            rows=A.num_rows, nnz=A.nnz, f=int(feature_length),
+        ) as sp:
+            if obs.tracing_enabled():
+                sp.set(**launch_span_attrs(self, A, dev))
+            key, hit = _cache_lookup(self, A, feature_length, dev)
+            if hit is not None:
+                result = KernelResult(
+                    self.compute(A, *operands), hit.cost, hit.trace,
+                    hit.preprocess_seconds,
+                )
+            else:
+                out, trace, prep = self.execute(A, *operands, dev)
+                t0 = time.perf_counter()
+                cost = estimate_cost(trace, dev)
+                sp.set(cost_wall_ms=(time.perf_counter() - t0) * 1e3)
+                result = KernelResult(out, cost, trace, prep)
+                if key is not None:
+                    _cache_store(key, cost, trace, prep)
+            sp.set(cached=hit is not None)
+            _finish_kernel_span(sp, kind, result)
+        return result
+
+    def compute(self, A: COOMatrix, *operands: np.ndarray) -> np.ndarray:
+        """The launch's output: the engine's ``spmm``/``sddmm``/``spmv``.
+
+        Every kernel's ``execute`` and every plan-cache hit return this,
+        so a kernel's output does not depend on cache state and equals
+        every other kernel's of the same kind bit for bit.
+        """
+        return _memoized_output(self.kind, A, operands, getattr(get_engine(), self.kind))
+
+    @abc.abstractmethod
+    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
+        """Device footprint (formats + operands + output) at the given scale."""
+
+
+class SpMMKernel(_Kernel):
     """Base class for SpMM (``Y <- A X``) kernels."""
 
     name: str = "spmm-base"
@@ -219,50 +282,16 @@ class SpMMKernel(KernelCacheMixin, abc.ABC):
         device: DeviceSpec | str | None = None,
     ) -> KernelResult:
         validate_spmm_inputs(A, edge_values, X)
-        ensure_structure_validated(A)
-        dev = get_device(device)
-        edge_values = np.asarray(edge_values, dtype=np.float64)
-        X = np.asarray(X, dtype=np.float64)
-        with obs.span(
-            "kernel.spmm", kind="spmm", kernel=self.name, format=self.format,
-            rows=A.num_rows, nnz=A.nnz, f=int(X.shape[1]),
-        ) as sp:
-            if obs.tracing_enabled():
-                sp.set(**launch_span_attrs(self, A, dev))
-            key, hit = _cache_lookup(self, A, X.shape[1], dev)
-            if hit is not None:
-                result = KernelResult(
-                    self.compute(A, edge_values, X), hit.cost, hit.trace,
-                    hit.preprocess_seconds,
-                )
-            else:
-                out, trace, prep = self.execute(A, edge_values, X, dev)
-                t0 = time.perf_counter()
-                cost = estimate_cost(trace, dev)
-                sp.set(cost_wall_ms=(time.perf_counter() - t0) * 1e3)
-                result = KernelResult(out, cost, trace, prep)
-                if key is not None:
-                    _cache_store(key, cost, trace, prep)
-            sp.set(cached=hit is not None)
-            _finish_kernel_span(sp, "spmm", result)
-        return result
-
-    def compute(self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Pure numerics (no trace/cost work) — the warm-cache path."""
-        return get_engine().spmm(A, edge_values, X)
+        return self._launch(A, device, (edge_values, X), np.shape(X)[1])
 
     @abc.abstractmethod
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
     ) -> tuple[np.ndarray, KernelTrace, float]:
-        """Return (Y, trace, preprocess_seconds)."""
-
-    @abc.abstractmethod
-    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
-        """Device footprint (formats + operands + output) at the given scale."""
+        """Return (Y, trace, preprocess_seconds); Y comes from :meth:`compute`."""
 
 
-class SDDMMKernel(KernelCacheMixin, abc.ABC):
+class SDDMMKernel(_Kernel):
     """Base class for SDDMM (``W <- A ⊙ (X Y^T)``) kernels."""
 
     name: str = "sddmm-base"
@@ -278,49 +307,16 @@ class SDDMMKernel(KernelCacheMixin, abc.ABC):
         device: DeviceSpec | str | None = None,
     ) -> KernelResult:
         validate_sddmm_inputs(A, X, Y)
-        ensure_structure_validated(A)
-        dev = get_device(device)
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
-        with obs.span(
-            "kernel.sddmm", kind="sddmm", kernel=self.name, format=self.format,
-            rows=A.num_rows, nnz=A.nnz, f=int(X.shape[1]),
-        ) as sp:
-            if obs.tracing_enabled():
-                sp.set(**launch_span_attrs(self, A, dev))
-            key, hit = _cache_lookup(self, A, X.shape[1], dev)
-            if hit is not None:
-                result = KernelResult(
-                    self.compute(A, X, Y), hit.cost, hit.trace, hit.preprocess_seconds
-                )
-            else:
-                out, trace, prep = self.execute(A, X, Y, dev)
-                t0 = time.perf_counter()
-                cost = estimate_cost(trace, dev)
-                sp.set(cost_wall_ms=(time.perf_counter() - t0) * 1e3)
-                result = KernelResult(out, cost, trace, prep)
-                if key is not None:
-                    _cache_store(key, cost, trace, prep)
-            sp.set(cached=hit is not None)
-            _finish_kernel_span(sp, "sddmm", result)
-        return result
-
-    def compute(self, A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Pure numerics (no trace/cost work) — the warm-cache path."""
-        return get_engine().sddmm(A, X, Y)
+        return self._launch(A, device, (X, Y), np.shape(X)[1])
 
     @abc.abstractmethod
     def execute(
         self, A: COOMatrix, X: np.ndarray, Y: np.ndarray, device: DeviceSpec
     ) -> tuple[np.ndarray, KernelTrace, float]:
-        """Return (W, trace, preprocess_seconds)."""
-
-    @abc.abstractmethod
-    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
-        ...
+        """Return (W, trace, preprocess_seconds); W comes from :meth:`compute`."""
 
 
-class SpMVKernel(KernelCacheMixin, abc.ABC):
+class SpMVKernel(_Kernel):
     """Base class for SpMV (``y <- A x``) kernels (Fig-12 study)."""
 
     name: str = "spmv-base"
@@ -336,47 +332,13 @@ class SpMVKernel(KernelCacheMixin, abc.ABC):
         device: DeviceSpec | str | None = None,
     ) -> KernelResult:
         validate_spmv_inputs(A, edge_values, x)
-        ensure_structure_validated(A)
-        dev = get_device(device)
-        edge_values = np.asarray(edge_values, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        with obs.span(
-            "kernel.spmv", kind="spmv", kernel=self.name, format=self.format,
-            rows=A.num_rows, nnz=A.nnz, f=1,
-        ) as sp:
-            if obs.tracing_enabled():
-                sp.set(**launch_span_attrs(self, A, dev))
-            key, hit = _cache_lookup(self, A, 1, dev)
-            if hit is not None:
-                result = KernelResult(
-                    self.compute(A, edge_values, x), hit.cost, hit.trace,
-                    hit.preprocess_seconds,
-                )
-            else:
-                out, trace, prep = self.execute(A, edge_values, x, dev)
-                t0 = time.perf_counter()
-                cost = estimate_cost(trace, dev)
-                sp.set(cost_wall_ms=(time.perf_counter() - t0) * 1e3)
-                result = KernelResult(out, cost, trace, prep)
-                if key is not None:
-                    _cache_store(key, cost, trace, prep)
-            sp.set(cached=hit is not None)
-            _finish_kernel_span(sp, "spmv", result)
-        return result
-
-    def compute(self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Pure numerics (no trace/cost work) — the warm-cache path."""
-        return get_engine().spmv(A, edge_values, x)
+        return self._launch(A, device, (edge_values, x), 1)
 
     @abc.abstractmethod
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
     ) -> tuple[np.ndarray, KernelTrace, float]:
-        ...
-
-    @abc.abstractmethod
-    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
-        ...
+        """Return (y, trace, preprocess_seconds); y comes from :meth:`compute`."""
 
 
 def _read_only(a: object) -> bool:
@@ -393,52 +355,47 @@ def _read_only(a: object) -> bool:
     return a is None
 
 
-def _memoized_reference(
-    kind: str, A: COOMatrix, operands: tuple, compute: Callable[[], np.ndarray]
+def _memoized_output(
+    kind: str, A: COOMatrix, operands: tuple, compute: Callable[..., np.ndarray]
 ) -> np.ndarray:
-    """``compute()`` once per (topology, operand objects); a fresh copy per call.
+    """``compute(A, *operands)`` once per (topology, operand objects); a fresh copy per call.
 
-    Sim-only baselines return the reference output as their result, so
-    a figure sweep asks for the same reference once per baseline on the
-    same shared read-only operands.  Results are memoized in the plan
-    cache's identity memo (cleared by ``clear_plan_cache``) only when
-    every operand is read-only down its whole ``.base`` chain; anything
-    writeable could change between calls and always recomputes.
+    GNNOne and its baselines all compute through here, so a figure
+    sweep, which launches every kernel of a kind on the same shared
+    read-only operands, computes each output once.  Results are memoized
+    in the plan cache's identity memo (cleared by ``clear_plan_cache``)
+    only when every operand is read-only down its whole ``.base`` chain;
+    anything writeable could change between calls and always recomputes.
     """
     if not all(_read_only(op) for op in operands):
-        return compute()
+        return compute(A, *operands)
     cache = _plan_cache().get_plan_cache()
     key = (kind, A.structure_token, *map(id, operands))
     metrics = obs.get_metrics()
     hit = cache.memo_lookup(key, operands)
     if hit is not None:
-        metrics.counter("kernels.reference_memo.hit").inc()
+        metrics.counter("kernels.output_memo.hit").inc()
         return hit.copy()
-    metrics.counter("kernels.reference_memo.miss").inc()
-    out = compute()
+    metrics.counter("kernels.output_memo.miss").inc()
+    out = compute(A, *operands)
     out.setflags(write=False)
     cache.memo_store(key, operands, out)
     return out.copy()
 
 
 def reference_spmm(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Ground-truth SpMM via scipy (used by baselines and tests)."""
-    return _memoized_reference(
-        "spmm", A, (edge_values, X),
-        lambda: A.to_scipy(np.asarray(edge_values, dtype=np.float64)).tocsr()
-        @ np.asarray(X),
-    )
+    """Ground-truth SpMM via scipy: the independent oracle for tests and checks."""
+    return A.to_scipy(np.asarray(edge_values, dtype=np.float64)).tocsr() @ np.asarray(X)
 
 
 def reference_sddmm(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Ground-truth SDDMM: per-edge dot products (vectorized gather)."""
+    """Ground-truth SDDMM: per-edge dot products by a row-gathered einsum."""
     X, Y = np.asarray(X), np.asarray(Y)
-    return _memoized_reference(
-        "sddmm", A, (X, Y), lambda: np.einsum("ef,ef->e", X[A.rows], Y[A.cols])
-    )
+    return np.einsum("ef,ef->e", X[A.rows], Y[A.cols])
 
 
 def reference_spmv(A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Ground-truth SpMV via scipy."""
     return A.to_scipy(np.asarray(edge_values, dtype=np.float64)).tocsr() @ np.asarray(x)
 
 

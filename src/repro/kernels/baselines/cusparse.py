@@ -19,7 +19,7 @@ import numpy as np
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import streaming_sectors
 from repro.gpusim.trace import KernelTrace, LaunchConfig
-from repro.kernels.base import SDDMMKernel, SpMMKernel, reference_sddmm, reference_spmm
+from repro.kernels.base import SDDMMKernel, SpMMKernel
 from repro.kernels.baselines.common import vertex_parallel_spmm_trace
 from repro.sparse.coo import COOMatrix
 from repro.sparse.partition import edge_chunks
@@ -46,7 +46,7 @@ class CuSparseSpMM(SpMMKernel):
             ilp=3.0,
             registers=40,
         )
-        return reference_spmm(A, edge_values, X), trace, 0.0
+        return self.compute(A, edge_values, X), trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)
@@ -100,7 +100,7 @@ class CuSparseSDDMM(SDDMMKernel):
             flops=sizes * 2.0 * F,
         )
         trace.add_phase("edge_store", "store", sectors=streaming_sectors(sizes, 4))
-        return reference_sddmm(A, X, Y), trace, 0.0
+        return self.compute(A, X, Y), trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

@@ -15,7 +15,7 @@ import numpy as np
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import streaming_sectors, unique_per_warp
 from repro.gpusim.trace import KernelTrace, LaunchConfig
-from repro.kernels.base import SpMVKernel, reference_spmv
+from repro.kernels.base import SpMVKernel
 from repro.sparse.coo import COOMatrix
 from repro.sparse.partition import edge_chunks, segments_in_slices
 
@@ -69,7 +69,7 @@ class DaltonSpMV(SpMVKernel):
                 chunks.chunk_of_nze, coo.rows.astype(np.int64) // 8, chunks.n_chunks
             ),
         )
-        return reference_spmv(A, edge_values, x), trace, 0.0
+        return self.compute(A, edge_values, x), trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         return 8 * num_edges + 4 * num_edges + 8 * num_vertices

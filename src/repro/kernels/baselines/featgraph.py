@@ -15,7 +15,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import feature_row_sectors
 from repro.gpusim.trace import KernelTrace, LaunchConfig
 from repro.gpusim.warp import feature_parallel_shape
-from repro.kernels.base import SDDMMKernel, SpMMKernel, reference_sddmm, reference_spmm
+from repro.kernels.base import SDDMMKernel, SpMMKernel
 from repro.kernels.baselines.common import vertex_parallel_spmm_trace
 from repro.sparse.coo import COOMatrix
 
@@ -38,7 +38,7 @@ class FeatGraphSpMM(SpMMKernel):
             ilp=3.0,
             registers=44,
         )
-        return reference_spmm(A, edge_values, X), trace, 0.0
+        return self.compute(A, edge_values, X), trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)
@@ -91,7 +91,7 @@ class FeatGraphSDDMM(SDDMMKernel):
             barriers=deg * 0.5,
         )
         trace.add_phase("edge_store", "store", sectors=np.ceil(deg / 8.0))
-        return reference_sddmm(A, X, Y), trace, 0.0
+        return self.compute(A, X, Y), trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import KernelTrace
-from repro.kernels.base import SpMMKernel, reference_spmm
+from repro.kernels.base import SpMMKernel
 from repro.kernels.baselines.common import vertex_parallel_spmm_trace
 from repro.sparse.coo import COOMatrix
 
@@ -37,7 +37,7 @@ class GeSpMM(SpMMKernel):
             ilp=4.0,
             registers=32,
         )
-        return reference_spmm(A, edge_values, X), trace, 0.0
+        return self.compute(A, edge_values, X), trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

@@ -12,10 +12,15 @@ import numpy as np
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import KernelTrace
-from repro.kernels.base import SpMMKernel, reference_spmm
+from repro.kernels.base import SpMMKernel, reference_spmm  # noqa: F401 - see below
 from repro.kernels.baselines.gnnadvisor import neighbor_group_spmm_trace
 from repro.sparse.coo import COOMatrix
 from repro.sparse.formats.neighbor_group import build_neighbor_groups
+
+# ``reference_spmm`` stays importable from this module, uncalled: the
+# e2ebench probe's test checks that rebinding a function reaches the
+# copies other modules hold, using this one.  The kernel's output is
+# ``self.compute``, like every baseline's.
 
 
 class HuangSpMM(SpMMKernel):
@@ -35,7 +40,7 @@ class HuangSpMM(SpMMKernel):
             metadata_broadcast_barriers=0.5,  # fused into the staging sync
             ilp=8.0,  # vectorized/unrolled feature loads
         )
-        return reference_spmm(A, edge_values, X), trace, fmt.preprocess_seconds
+        return self.compute(A, edge_values, X), trace, fmt.preprocess_seconds
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

@@ -21,7 +21,7 @@ from repro.gpusim.atomics import conflict_degree
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import unique_per_warp
 from repro.gpusim.trace import KernelTrace, LaunchConfig
-from repro.kernels.base import SpMVKernel, reference_spmv
+from repro.kernels.base import SpMVKernel
 from repro.sparse.coo import COOMatrix
 from repro.sparse.formats.merge_path import build_merge_path
 from repro.sparse.partition import edge_chunks, segments_in_slices
@@ -104,8 +104,7 @@ class MergeSpMV(SpMVKernel):
                 chunks.chunk_of_nze, coo.rows.astype(np.int64) // 8, chunks.n_chunks
             ),
         )
-        out = reference_spmv(A, edge_values, x)
-        return out, trace, fmt.preprocess_seconds
+        return self.compute(A, edge_values, x), trace, fmt.preprocess_seconds
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

@@ -22,7 +22,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import feature_row_sectors
 from repro.gpusim.trace import KernelTrace, LaunchConfig
 from repro.gpusim.warp import feature_parallel_shape
-from repro.kernels.base import SDDMMKernel, SpMMKernel, reference_sddmm, reference_spmm
+from repro.kernels.base import SDDMMKernel, SpMMKernel
 from repro.kernels.baselines.common import vertex_parallel_spmm_trace
 from repro.sparse.coo import COOMatrix
 from repro.sparse.formats.row_swizzle import build_row_swizzle
@@ -77,7 +77,7 @@ class SputnikSDDMM(SDDMMKernel):
             barriers=per_warp_nze,
         )
         trace.add_phase("edge_store", "store", sectors=per_warp_nze)
-        return reference_sddmm(A, X, Y), trace, 0.0
+        return self.compute(A, X, Y), trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)
@@ -106,7 +106,7 @@ class SputnikSpMM(SpMMKernel):
             ilp=6.0,
             registers=38,
         )
-        return reference_spmm(A, edge_values, X), trace, fmt.preprocess_seconds
+        return self.compute(A, edge_values, X), trace, fmt.preprocess_seconds
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

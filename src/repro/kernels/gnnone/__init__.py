@@ -10,7 +10,7 @@ from repro.kernels.gnnone.config import (
     GnnOneConfig,
 )
 from repro.kernels.gnnone.spmm import GnnOneSpMM, segment_sum_spmm
-from repro.kernels.gnnone.sddmm import GnnOneSDDMM, gathered_dot_sddmm
+from repro.kernels.gnnone.sddmm import GnnOneSDDMM
 from repro.kernels.gnnone.spmv import GnnOneSpMV
 from repro.kernels.gnnone.fused import GnnOneFusedGATLayer
 
@@ -27,5 +27,4 @@ __all__ = [
     "GnnOneSpMV",
     "GnnOneFusedGATLayer",
     "segment_sum_spmm",
-    "gathered_dot_sddmm",
 ]

@@ -23,18 +23,6 @@ from repro.kernels.gnnone.stage2 import record_stage2_sddmm
 from repro.sparse.coo import COOMatrix
 
 
-def gathered_dot_sddmm(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per-edge dot products computed the kernel's way.
-
-    Each thread group's slice walks its NZEs: gather the two feature
-    rows, elementwise-multiply, tree-reduce.  Vectorized, that is a
-    row-gathered einsum — numerically identical to the per-group loops.
-    """
-    if A.nnz == 0:
-        return np.zeros(0, dtype=np.float64)
-    return np.einsum("ef,ef->e", X[A.rows], Y[A.cols])
-
-
 class GnnOneSDDMM(SDDMMKernel):
     """The paper's unified SDDMM kernel (COO format)."""
 

@@ -20,7 +20,7 @@ from repro.core import (
 from repro.core.plancache import MEMO_CAPACITY, CachedLaunch, PlanCache, plan_key
 from repro.exec import get_engine
 from repro.gpusim import A100, V100
-from repro.kernels.base import reference_sddmm, reference_spmm
+from repro.kernels.base import reference_spmm
 from repro.kernels.gnnone import (
     GnnOneConfig,
     GnnOneSDDMM,
@@ -28,7 +28,7 @@ from repro.kernels.gnnone import (
     GnnOneSpMV,
     segment_sum_spmm,
 )
-from repro.kernels.registry import spmm_kernel
+from repro.kernels.registry import sddmm_kernel, spmm_kernel
 from repro.resilience import no_faults
 from repro.sparse import COOMatrix
 
@@ -369,13 +369,22 @@ def _read_only(*arrays):
 def _memo_counters():
     counters = obs.get_metrics().snapshot()["counters"]
     return (
-        counters.get("kernels.reference_memo.hit", 0),
-        counters.get("kernels.reference_memo.miss", 0),
+        counters.get("kernels.output_memo.hit", 0),
+        counters.get("kernels.output_memo.miss", 0),
     )
 
 
+def _spmm(A, vals, X):
+    """The SpMM output every kernel's ``compute`` returns."""
+    return GnnOneSpMM().compute(A, vals, X)
+
+
+def _sddmm(A, X, Y):
+    return GnnOneSDDMM().compute(A, X, Y)
+
+
 class TestReferenceMemo:
-    """One reference output per read-only operand set until the cache clears."""
+    """One kernel output per read-only operand set until the cache clears."""
 
     def test_read_only_operands_hit(self, small_graph, rng):
         vals, X = _read_only(
@@ -384,15 +393,16 @@ class TestReferenceMemo:
         )
         Xr, = _read_only(rng.standard_normal((small_graph.num_rows, 8)))
         obs.reset_metrics()
-        first = reference_spmm(small_graph, vals, X)
-        second = reference_spmm(small_graph, vals, X)
+        first = spmm_kernel("gnnone")(small_graph, vals, X).output
+        second = spmm_kernel("cusparse")(small_graph, vals, X).output
         assert _memo_counters() == (1, 1)
         np.testing.assert_array_equal(first, second)
         assert first is not second and second.flags.writeable
-        reference_sddmm(small_graph, Xr, X)
-        sd = reference_sddmm(small_graph, Xr, X)
+        sddmm_kernel("gnnone")(small_graph, Xr, X)
+        sd = sddmm_kernel("dgl")(small_graph, Xr, X).output
         assert _memo_counters() == (2, 2)
-        np.testing.assert_array_equal(
+        np.testing.assert_array_equal(sd, get_engine().sddmm(small_graph, Xr, X))
+        np.testing.assert_allclose(
             sd, np.einsum("ef,ef->e", Xr[small_graph.rows], X[small_graph.cols])
         )
 
@@ -400,9 +410,9 @@ class TestReferenceMemo:
         vals = rng.standard_normal(small_graph.nnz)
         X = rng.standard_normal((small_graph.num_cols, 4))
         obs.reset_metrics()
-        before = reference_spmm(small_graph, vals, X)
+        before = _spmm(small_graph, vals, X)
         X *= 2.0
-        after = reference_spmm(small_graph, vals, X)
+        after = _spmm(small_graph, vals, X)
         np.testing.assert_allclose(after, 2.0 * before)
         assert _memo_counters() == (0, 0)
         assert get_plan_cache().memo_size() == 0
@@ -412,10 +422,10 @@ class TestReferenceMemo:
         view = base[:, :]
         view.setflags(write=False)
         vals, = _read_only(rng.standard_normal(small_graph.nnz))
-        before = reference_spmm(small_graph, vals, view)
+        before = _spmm(small_graph, vals, view)
         base[:] = 0.0
         np.testing.assert_array_equal(
-            reference_spmm(small_graph, vals, view), np.zeros_like(before)
+            _spmm(small_graph, vals, view), np.zeros_like(before)
         )
         assert get_plan_cache().memo_size() == 0
 
@@ -424,13 +434,13 @@ class TestReferenceMemo:
             rng.standard_normal((small_graph.num_rows, 4)),
             rng.standard_normal((small_graph.num_cols, 4)),
         )
-        first = reference_sddmm(small_graph, Xr, Yc)
+        first = _sddmm(small_graph, Xr, Yc)
         expect = first.copy()
         first[:] = np.nan
-        second = reference_sddmm(small_graph, Xr, Yc)
+        second = _sddmm(small_graph, Xr, Yc)
         np.testing.assert_array_equal(second, expect)
         second[:] = np.nan
-        np.testing.assert_array_equal(reference_sddmm(small_graph, Xr, Yc), expect)
+        np.testing.assert_array_equal(_sddmm(small_graph, Xr, Yc), expect)
 
     def test_memo_stays_at_its_bound(self, small_graph, rng):
         vals, = _read_only(rng.standard_normal(small_graph.nnz))
@@ -439,12 +449,12 @@ class TestReferenceMemo:
             for _ in range(MEMO_CAPACITY + 3)
         ]
         for X in operands:
-            reference_spmm(small_graph, vals, X)
+            _spmm(small_graph, vals, X)
             assert get_plan_cache().memo_size() <= MEMO_CAPACITY
         assert get_plan_cache().memo_size() == MEMO_CAPACITY
         obs.reset_metrics()
-        reference_spmm(small_graph, vals, operands[0])      # evicted: recompute
-        reference_spmm(small_graph, vals, operands[-1])     # most recent: hit
+        _spmm(small_graph, vals, operands[0])      # evicted: recompute
+        _spmm(small_graph, vals, operands[-1])     # most recent: hit
         assert _memo_counters() == (1, 1)
 
     def test_clear_plan_cache_empties_the_memo(self, small_graph, rng):
@@ -452,12 +462,12 @@ class TestReferenceMemo:
             rng.standard_normal(small_graph.nnz),
             rng.standard_normal((small_graph.num_cols, 4)),
         )
-        reference_spmm(small_graph, vals, X)
+        _spmm(small_graph, vals, X)
         assert get_plan_cache().memo_size() == 1
         clear_plan_cache()
         assert get_plan_cache().memo_size() == 0
         obs.reset_metrics()
-        reference_spmm(small_graph, vals, X)
+        _spmm(small_graph, vals, X)
         assert _memo_counters() == (0, 1)
 
     def test_concurrent_references_stay_exact_and_bounded(self, small_graph, rng):
@@ -467,7 +477,7 @@ class TestReferenceMemo:
             _read_only(rng.standard_normal((small_graph.num_cols, 3)))[0]
             for _ in range(MEMO_CAPACITY + 4)
         ]
-        expected = [reference_spmm(small_graph, vals, X.copy()) for X in sets]
+        expected = [_spmm(small_graph, vals, X.copy()) for X in sets]
         errors, barrier = [], threading.Barrier(8)
 
         def worker(seed):
@@ -476,7 +486,7 @@ class TestReferenceMemo:
             try:
                 for step in range(150):
                     i = int(pick.integers(len(sets)))
-                    got = reference_spmm(small_graph, vals, sets[i])
+                    got = _spmm(small_graph, vals, sets[i])
                     assert np.array_equal(got, expected[i])
                     got[:] = np.nan  # must not reach any other caller
                     if step % 50 == 49:
