@@ -237,7 +237,7 @@ def segment_deadline(graph, columns, refs, *, quick: bool) -> dict:
     flood, hopeless = (24, 8) if quick else (48, 16)
 
     async def main(port: int):
-        outcome = {"ok": 0, "shed": 0, "timeout": 0, "other": 0}
+        outcome = {"ok": 0, "shed": 0, "timeout": 0, "other": 0, "other_kinds": []}
         async with ServeClient(port=port) as client:
             async def fg(i):
                 out = await client.propagate(
@@ -256,8 +256,9 @@ def segment_deadline(graph, columns, refs, *, quick: bool) -> dict:
                     outcome["shed"] += 1
                 except RequestTimeoutError:
                     outcome["timeout"] += 1
-                except Exception:  # noqa: BLE001 — tallied, gate fails on it
+                except Exception as e:  # noqa: BLE001 — tallied, gate fails on it
                     outcome["other"] += 1
+                    outcome["other_kinds"].append(type(e).__name__)
                 else:
                     outcome["ok"] += 1  # won the race: served before expiry
 
@@ -348,7 +349,10 @@ def segment_drain(graph, columns, refs, *, quick: bool) -> dict:
     from repro.serve import ServeClient
 
     inflight = 24 if quick else 48
-    outcome = {"ok": 0, "rejected": 0, "conn_lost": 0, "other": 0, "corrupt": 0}
+    outcome = {
+        "ok": 0, "rejected": 0, "conn_lost": 0, "other": 0, "corrupt": 0,
+        "other_kinds": [],
+    }
 
     async def main(handle):
         async with ServeClient(port=handle.port) as client:
@@ -359,8 +363,9 @@ def segment_drain(graph, columns, refs, *, quick: bool) -> dict:
                     outcome["rejected"] += 1
                 except ConnectionLostError:
                     outcome["conn_lost"] += 1
-                except Exception:  # noqa: BLE001 — tallied, gate fails on it
+                except Exception as e:  # noqa: BLE001 — tallied, gate fails on it
                     outcome["other"] += 1
+                    outcome["other_kinds"].append(type(e).__name__)
                 else:
                     if np.array_equal(out, refs[i % len(refs)]):
                         outcome["ok"] += 1
@@ -413,7 +418,10 @@ def _check_report(report: dict) -> list[str]:
     if dl["server_deadline_shed"] < 1:
         problems.append("deadline: nothing shed pre-launch (EDF shed path dead)")
     if dl["other"]:
-        problems.append(f"deadline: {dl['other']} unexpected error(s)")
+        problems.append(
+            f"deadline: {dl['other']} unexpected error(s) "
+            f"({', '.join(dl['other_kinds'][:4])})"
+        )
     br = report["breaker"]
     if br["transitions"]["open"] < 1:
         problems.append("breaker never tripped open")
@@ -435,7 +443,10 @@ def _check_report(report: dict) -> list[str]:
     if dr["corrupt"]:
         problems.append(f"drain: {dr['corrupt']} corrupted response(s)")
     if dr["other"]:
-        problems.append(f"drain: {dr['other']} unexpected error(s)")
+        problems.append(
+            f"drain: {dr['other']} unexpected error(s) "
+            f"({', '.join(dr['other_kinds'][:4])})"
+        )
     if dr["accounted"] != dr["inflight"]:
         problems.append(
             f"drain: requests lost ({dr['accounted']}/{dr['inflight']} accounted)"

@@ -8,7 +8,6 @@ observability tool-chain:
 
     PYTHONPATH=src python scripts/perf_snapshot.py -o perf_trace.jsonl
     python -m repro.obs profile  perf_trace.jsonl     # deep breakdown
-    python -m repro.obs dataset  perf_trace.jsonl -o features.jsonl
     python -m repro.obs baseline perf_trace.jsonl -o baselines/quick.json
     python -m repro.obs regress  baselines/quick.json perf_trace.jsonl \
         --sim-rtol 1e-6 --fail-on-regress             # the CI gate

@@ -92,28 +92,6 @@ def cost_span_attrs(cost: CostReport) -> dict[str, float | int | str]:
     }
 
 
-def launch_span_attrs(kernel, A: COOMatrix, device: DeviceSpec) -> dict:
-    """Deep-profile context attached to every traced kernel span.
-
-    The trace-dataset exporter (:mod:`repro.obs.dataset`) reads these
-    straight off the span record: the graph's structural features
-    (memoized per structure token), the kernel's full configuration
-    token, and the device constants a learned cost model conditions on.
-    Only computed when a trace sink is installed.
-    """
-    from repro.sparse.stats import graph_feature_dict
-
-    return {
-        "device": device.name,
-        "device_num_sms": device.num_sms,
-        "device_clock_ghz": device.clock_ghz,
-        "device_dram_gbps": device.dram_bandwidth_gbps,
-        "device_dram_latency_cycles": device.dram_latency_cycles,
-        "config": str(kernel.cache_token()),
-        "graph": graph_feature_dict(A),
-    }
-
-
 #: per-kind span and metric names, interned once (these sit on the warm hot path)
 _KIND_METRIC_NAMES: dict[str, tuple[str, str, str, str]] = {}
 
@@ -137,7 +115,7 @@ def _finish_kernel_span(sp, kind: str, result: "KernelResult") -> None:
         sp.set(**cost_span_attrs(cost))
         # Hardware-model internals: per-stage busy cycles (the Fig-11
         # breakdown), aggregate warp counters, and the launch shape —
-        # the profiler and the trace-dataset exporter read these.
+        # the profiler reads these.
         sp.set(
             kind_cycles={k: float(v) for k, v in cost.kind_cycles.items()},
             counters={k: float(v) for k, v in cost.counters.items()},
@@ -232,8 +210,6 @@ class _Kernel(abc.ABC):
             _kind_metric_names(kind)[0], kind=kind, kernel=self.name, format=self.format,
             rows=A.num_rows, nnz=A.nnz, f=int(feature_length),
         ) as sp:
-            if obs.tracing_enabled():
-                sp.set(**launch_span_attrs(self, A, dev))
             key, hit = _cache_lookup(self, A, feature_length, dev)
             if hit is not None:
                 result = KernelResult(

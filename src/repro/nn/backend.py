@@ -29,7 +29,7 @@ class TrainingBackend:
     fused_elementwise: bool = False
     #: keeps CSR + CSC + COO resident simultaneously (DGL behaviour)
     dual_format: bool = False
-    #: autotuned GNNOne knobs (``Trainer(autotune=...)``); ``None`` runs
+    #: autotuned GNNOne knobs (``Trainer(autotune=True)``); ``None`` runs
     #: the paper defaults.  Only honored when the corresponding kernel
     #: registry name is ``"gnnone"`` — baselines have no such knobs.
     gnnone_spmm_config: GnnOneConfig | None = None

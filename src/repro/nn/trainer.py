@@ -80,7 +80,7 @@ class Trainer:
         optimizer: Optimizer | None = None,
         lr: float = 0.01,
         device: DeviceSpec | str | None = None,
-        autotune: bool | str = False,
+        autotune: bool = False,
     ):
         self.model = model
         self.graph = graph
@@ -88,18 +88,16 @@ class Trainer:
         self.optimizer = optimizer or Adam(model.parameters(), lr=lr)
         self.device = get_device(device)
         if autotune:
-            self._autotune_backend(None if autotune is True else str(autotune))
+            self._autotune_backend()
         fused = getattr(getattr(model, "backend", None), "fused_elementwise", False)
         self.clock = SimClock(device=self.device, fused_elementwise=fused)
 
-    def _autotune_backend(self, strategy: str | None) -> None:
+    def _autotune_backend(self) -> None:
         """Pin tuned GNNOne configs on the model's backend.
 
         Tunes at the input feature length (the widest tensors the
-        sparse ops see each epoch); ``strategy=None`` defers to
-        ``REPRO_TUNE`` so a deployment flips exact vs learned search
-        with one env var.  Memoized by the tune cache, so repeated
-        Trainer construction over one graph costs one search.
+        sparse ops see each epoch).  Memoized by the tune cache, so
+        repeated Trainer construction over one graph costs one search.
         """
         backend = getattr(self.model, "backend", None)
         if backend is None:
@@ -110,13 +108,11 @@ class Trainer:
         updates = {}
         if backend.spmm == "gnnone":
             updates["gnnone_spmm_config"] = _tune(
-                self.graph.coo, f_rep, "spmm",
-                device=self.device, strategy=strategy,
+                self.graph.coo, f_rep, "spmm", device=self.device
             ).config
         if backend.sddmm == "gnnone":
             updates["gnnone_sddmm_config"] = _tune(
-                self.graph.coo, f_rep, "sddmm",
-                device=self.device, strategy=strategy,
+                self.graph.coo, f_rep, "sddmm", device=self.device
             ).config
         if updates:
             self.model.backend = dataclasses.replace(backend, **updates)

@@ -14,9 +14,8 @@ place they flow through:
   and flat snapshot exporters.
 * ``python -m repro.obs`` — summarize a trace, render a deep
   per-kernel profile (``profile``) or per-worker timeline
-  (``timeline``), export the learned-cost-model dataset (``dataset``),
-  and snapshot/gate perf baselines (``baseline`` / ``regress``, the one
-  way to compare two runs).
+  (``timeline``), and snapshot/gate perf baselines (``baseline`` /
+  ``regress``, the one way to compare two runs).
 
 ``REPRO_OBS=off`` kills the whole layer: spans short-circuit on one
 cached bool and :func:`get_metrics` returns shared no-op instruments.
@@ -44,16 +43,6 @@ from repro.obs.analysis import (
     span_key,
     summarize,
     tune_summary,
-)
-from repro.obs.dataset import (
-    RECORD_SCHEMA,
-    export_dataset,
-    record_from_span,
-    records_from_trace,
-    split_fraction,
-    split_key,
-    split_side,
-    validate_record,
 )
 from repro.obs.export import (
     JsonlWriter,
@@ -121,14 +110,6 @@ __all__ = [
     "render_tree",
     "trace_to",
     "write_metrics_json",
-    "RECORD_SCHEMA",
-    "export_dataset",
-    "record_from_span",
-    "records_from_trace",
-    "split_fraction",
-    "split_key",
-    "split_side",
-    "validate_record",
     "ProfileRow",
     "format_profile_report",
     "format_timeline",

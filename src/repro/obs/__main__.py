@@ -6,7 +6,6 @@ Usage::
     python -m repro.obs tree t.jsonl             # indented span tree
     python -m repro.obs profile t.jsonl          # deep per-kernel breakdown
     python -m repro.obs timeline t.jsonl         # per-worker span gantt
-    python -m repro.obs dataset t1.jsonl t2.jsonl -o features.jsonl
     python -m repro.obs baseline t.jsonl ... -o baselines/quick.json
     python -m repro.obs regress baselines/quick.json t.jsonl --fail-on-regress
 
@@ -88,26 +87,6 @@ def main(argv: list[str] | None = None) -> int:
         "--detail", action="store_true", help="also list every span with offsets"
     )
 
-    p_dataset = sub.add_parser(
-        "dataset", help="export kernel launches as a flat JSONL feature dataset"
-    )
-    p_dataset.add_argument("traces", nargs="+", help="JSONL trace files")
-    p_dataset.add_argument(
-        "-o", "--out", required=True, help="output JSONL dataset path"
-    )
-    p_dataset.add_argument(
-        "--split",
-        choices=("train", "val"),
-        default=None,
-        help="keep only one side of the deterministic hash split",
-    )
-    p_dataset.add_argument(
-        "--val-fraction",
-        type=float,
-        default=0.2,
-        help="fraction of identities hashed to the val side (default 0.2)",
-    )
-
     p_baseline = sub.add_parser(
         "baseline", help="snapshot per-identity simulated-time stats from N runs"
     )
@@ -164,20 +143,6 @@ def main(argv: list[str] | None = None) -> int:
                 format_timeline(
                     _read(args.trace), width=args.width, detail=args.detail
                 )
-            )
-            return 0
-        if args.command == "dataset":
-            from repro.obs.dataset import export_dataset
-
-            written, skipped = export_dataset(
-                args.traces, args.out,
-                split=args.split, val_fraction=args.val_fraction,
-            )
-            side = f" [{args.split} split]" if args.split else ""
-            print(
-                f"wrote {written} record(s){side} from {len(args.traces)} "
-                f"trace(s) to {args.out}"
-                + (f" ({skipped} kernel span(s) skipped)" if skipped else "")
             )
             return 0
         if args.command == "baseline":

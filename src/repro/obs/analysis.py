@@ -103,59 +103,29 @@ def format_plan_cache_line(warm: int, total: int) -> str:
     )
 
 
-def tune_summary(records: Iterable[JsonDict]) -> dict[str, float | int]:
-    """Fold the autotuner's spans/events out of a trace.
+def tune_summary(records: Iterable[JsonDict]) -> dict[str, int]:
+    """Count the autotune memo's ``tune.cache_hit``/``tune.cache_miss`` events.
 
-    ``tune.cache_hit``/``tune.cache_miss`` events count the memo's
-    effectiveness (the counters behind ``plancache.tune.hit/miss``);
-    ``tune.search`` spans carry the learned path's pruning yield
-    (``trials_avoided`` of ``candidates``); ``tune.fallback`` events
-    count learned requests that degraded to exact for lack of a model.
+    These mirror the ``plancache.tune.hit``/``miss`` counters.
     """
-    hits = misses = searches = fallbacks = 0
-    trials_avoided = candidates = 0
+    hits = misses = 0
     for rec in records:
-        name = rec.get("name", "")
-        if rec.get("type") == "event":
-            if name == "tune.cache_hit":
-                hits += 1
-            elif name == "tune.cache_miss":
-                misses += 1
-            elif name == "tune.fallback":
-                fallbacks += 1
-        elif rec.get("type") == "span" and name == "tune.search":
-            attrs = rec.get("attrs", {})
-            searches += 1
-            avoided = attrs.get("trials_avoided")
-            if isinstance(avoided, (int, float)):
-                trials_avoided += int(avoided)
-            cand = attrs.get("candidates")
-            if isinstance(cand, (int, float)):
-                candidates += int(cand)
-    return {
-        "hits": hits,
-        "misses": misses,
-        "searches": searches,
-        "fallbacks": fallbacks,
-        "trials_avoided": trials_avoided,
-        "candidates": candidates,
-    }
+        if rec.get("type") != "event":
+            continue
+        name = rec.get("name")
+        if name == "tune.cache_hit":
+            hits += 1
+        elif name == "tune.cache_miss":
+            misses += 1
+    return {"hits": hits, "misses": misses}
 
 
-def format_tune_line(stats: dict[str, float | int]) -> str:
+def format_tune_line(stats: dict[str, int]) -> str:
     """Human-readable autotuning footer for ``summary``."""
-    if not any(stats.values()):
-        return "tune: no autotuning activity in trace"
     total = stats["hits"] + stats["misses"]
-    parts = [f"{stats['hits']}/{total} cache hit(s)"]
-    if stats["searches"]:
-        parts.append(
-            f"{stats['searches']} learned search(es) avoiding "
-            f"{stats['trials_avoided']}/{stats['candidates']} trial(s)"
-        )
-    if stats["fallbacks"]:
-        parts.append(f"{stats['fallbacks']} fallback(s)-to-exact")
-    return "tune: " + ", ".join(parts)
+    if total == 0:
+        return "tune: no autotuning activity in trace"
+    return f"tune: {stats['hits']}/{total} cache hit(s)"
 
 
 #: resilience event names counted by :func:`resilience_summary`, in the

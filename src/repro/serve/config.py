@@ -37,7 +37,7 @@ class ServeConfig:
     #: per-request attempts after a failed batch = 1 + retries
     retries: int = 2
     #: autotune the fused launch's GNNOne config per batch width
-    #: (``core.autotune`` — honors ``REPRO_TUNE`` for learned search)
+    #: (``core.autotune``'s exhaustive search)
     tuned: bool = False
     #: priority class assigned to requests that don't name one
     #: (``interactive`` > ``standard`` > ``bulk``)

@@ -691,8 +691,7 @@ class InferenceService:
         ``None`` (the paper default config) unless the service was
         started with ``tuned=True`` / ``REPRO_SERVE_TUNED=1``.  Widths
         are already power-of-two bucketed, and ``core.autotune`` memoizes
-        per (structure, F, device, strategy), so each bucket tunes once
-        per process; the search strategy follows ``REPRO_TUNE``.
+        per (structure, F, device), so each bucket tunes once per process.
         """
         if not self.config.tuned:
             return None

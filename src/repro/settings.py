@@ -95,10 +95,6 @@ class Settings:
     #: graph validation; full adds plan-cache checksums
     validate: str = _var(
         "REPRO_VALIDATE", "choice", "basic", choices=("off", "basic", "full"))
-    #: autotune strategy; learned = model-pruned (exact without a model)
-    tune: str = _var("REPRO_TUNE", "choice", "exact", choices=("exact", "learned"))
-    #: trained .npz cost-model artifact for ``REPRO_TUNE=learned``
-    tune_model: str | None = _var("REPRO_TUNE_MODEL", "text", None)
     #: fault injection: chaos, storm, none or ``site=rate,...`` pairs
     fault_profile: str | None = _var("REPRO_FAULT_PROFILE", "text", None)
     #: fault schedule seed (unset: 0, or 1337 in the chaos scripts)

@@ -9,7 +9,6 @@ can explain per-dataset speedups.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,43 +52,6 @@ def graph_stats(coo: COOMatrix) -> GraphStats:
         gini=gini_coefficient(nz) if nz.size else 0.0,
         row_segments_per_128=float(segs.mean()) if segs.size else 0.0,
     )
-
-
-#: memoized structural features keyed by structure token — every traced
-#: kernel launch attaches these (see :mod:`repro.kernels.base`), and a
-#: training loop launches on the same few topologies thousands of times.
-_FEATURE_CACHE: "OrderedDict[str, dict[str, float | int]]" = OrderedDict()
-_FEATURE_CACHE_CAPACITY = 128
-
-
-def graph_feature_dict(coo: COOMatrix) -> dict[str, float | int]:
-    """Flat JSON-ready structural features of one topology, memoized.
-
-    This is the feature half of the trace-dataset record
-    (:mod:`repro.obs.dataset`): everything a learned cost model can
-    know about a graph before running it.  Values are plain python
-    scalars so they serialize into span attributes untouched.
-    """
-    token = coo.structure_token
-    cached = _FEATURE_CACHE.get(token)
-    if cached is not None:
-        _FEATURE_CACHE.move_to_end(token)
-        return cached
-    s = graph_stats(coo)
-    features = {
-        "num_vertices": int(s.num_vertices),
-        "num_edges": int(s.num_edges),
-        "avg_degree": float(s.avg_degree),
-        "max_degree": int(s.max_degree),
-        "degree_cv": float(s.degree_cv),
-        "gini": float(s.gini),
-        "row_segments_per_128": float(s.row_segments_per_128),
-        "density": float(s.num_edges) / max(1, s.num_vertices) ** 2,
-    }
-    _FEATURE_CACHE[token] = features
-    while len(_FEATURE_CACHE) > _FEATURE_CACHE_CAPACITY:
-        _FEATURE_CACHE.popitem(last=False)
-    return features
 
 
 def warp_imbalance_vertex_parallel(coo: COOMatrix) -> float:

@@ -104,8 +104,55 @@ class TestAutotune:
         assert len(result.trials) == 4
         assert result.time_us == min(result.trials.values())
 
-    def test_bad_kind(self, small_graph):
+    @pytest.mark.parametrize(
+        "feature_length, kind, space",
+        [
+            (16, "gemm", {}),
+            (16, "spmm", {"cache_sizes": ()}),
+            (16, "spmm", {"schedules": ()}),
+            (-3, "spmm", {}),
+            (16.5, "spmm", {}),
+        ],
+        ids=["kind", "no-cache-sizes", "no-schedules", "negative-f", "fractional-f"],
+    )
+    def test_bad_kind(self, small_graph, feature_length, kind, space):
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            core.autotune(small_graph, 16, "gemm")
+            core.autotune(small_graph, feature_length, kind, **space)
+
+
+class TestTrainerAutotune:
+    @pytest.fixture(scope="class")
+    def train_setup(self):
+        from repro.nn import GraphData, synthesize
+        from repro.sparse.datasets import load_dataset
+
+        dataset = load_dataset("G0")  # Cora-scale
+        return GraphData(dataset.coo), synthesize(
+            dataset, feature_length=16, seed=2
+        )
+
+    def test_trainer_pins_tuned_configs(self, train_setup):
+        from repro.nn import GCN, Trainer
+
+        graph, data = train_setup
+        model = GCN(data.feature_length, 8, data.num_classes, backend="gnnone")
+        trainer = Trainer(model, graph, data, autotune=True)
+        backend = trainer.model.backend
+        assert backend.gnnone_spmm_config is not None
+        assert backend.gnnone_sddmm_config is not None
+        expected = core.autotune(graph.coo, data.feature_length, "spmm",
+                                 device=trainer.device)
+        assert backend.gnnone_spmm_config == expected.config
+        rec = trainer.train_epoch(0)  # the tuned path actually trains
+        assert np.isfinite(rec.loss)
+
+    def test_trainer_default_leaves_backend_untouched(self, train_setup):
+        from repro.nn import GCN, Trainer
+
+        graph, data = train_setup
+        model = GCN(data.feature_length, 8, data.num_classes, backend="gnnone")
+        Trainer(model, graph, data)
+        assert model.backend.gnnone_spmm_config is None
+        assert model.backend.gnnone_sddmm_config is None

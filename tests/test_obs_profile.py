@@ -1,4 +1,4 @@
-"""Deep profiler, trace datasets, baselines and the REPRO_OBS kill switch."""
+"""Deep profiler, baselines and the REPRO_OBS kill switch."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro import core, obs
 from repro.obs.__main__ import main as obs_main
-from repro.obs.dataset import records_from_trace, validate_record
 from repro.obs.profile import format_timeline, profile_trace, timeline_lanes
 from repro.obs.regress import (
     baseline_from_traces,
@@ -50,15 +49,8 @@ class TestCounterAttachment:
         assert attrs["occupancy_warps_per_sm"] > 0
         assert attrs["occupancy_limiter"]
         assert attrs["sm_imbalance"] >= 1.0
-        # Launch geometry + device constants for the dataset exporter.
+        # Launch geometry.
         assert attrs["grid_ctas"] > 0 and attrs["threads_per_cta"] > 0
-        assert attrs["device_num_sms"] > 0 and attrs["device_clock_ghz"] > 0
-        assert attrs["config"]
-        # Graph structural census (memoized per structure token).
-        graph = attrs["graph"]
-        assert graph["num_vertices"] == small_graph.num_rows
-        assert graph["num_edges"] == small_graph.nnz
-        assert graph["avg_degree"] > 0
         # Cold launch pays (and reports) the cost-model wall time.
         assert attrs["cached"] is False and attrs["cost_wall_ms"] > 0
 
@@ -113,40 +105,6 @@ class TestProfile:
                 fh.write(json.dumps(rec) + "\n")
         assert obs_main(["timeline", str(trace), "--detail"]) == 0
         assert "ms busy" in capsys.readouterr().out
-
-
-class TestDataset:
-    def test_records_validate_against_schema(self, small_graph, rng):
-        flat, skipped = records_from_trace(run_workload(small_graph, rng, repeats=1))
-        assert flat and skipped == 0
-        for record in flat:
-            assert validate_record(record) == []
-            assert record["sim_us"] > 0
-            assert record["nnz"] == small_graph.nnz
-
-    def test_jsonl_round_trip_via_cli(self, small_graph, rng, tmp_path):
-        trace = tmp_path / "t.jsonl"
-        with open(trace, "w") as fh:
-            for rec in run_workload(small_graph, rng, repeats=1):
-                fh.write(json.dumps(rec) + "\n")
-        out = tmp_path / "features.jsonl"
-        assert obs_main(["dataset", str(trace), "-o", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 4  # 2 passes x 2 structures
-        for line in lines:
-            record = json.loads(line)
-            assert validate_record(record) == []
-            assert record["trace"] == str(trace)
-
-    def test_pre_v2_spans_are_skipped_not_emitted(self):
-        legacy = {
-            "type": "span", "name": "kernel.spmm", "status": "ok",
-            "span_id": 1, "parent_id": None, "start_s": 0.0,
-            "wall_ms": 1.0, "sim_us": 2.0,
-            "attrs": {"kind": "spmm", "cached": False},
-        }
-        flat, skipped = records_from_trace([legacy])
-        assert flat == [] and skipped == 1
 
 
 class TestBaselineRegress:

@@ -1,6 +1,7 @@
 """Structural plan cache: replay fidelity, key invalidation, fast paths."""
 
 import dataclasses
+import importlib
 import sys
 import threading
 
@@ -17,6 +18,7 @@ from repro.core import (
     plan_cache_enabled,
     set_plan_cache_enabled,
 )
+from repro.core.autotune import clear_tune_cache, tune_cache_len
 from repro.core.plancache import MEMO_CAPACITY, CachedLaunch, PlanCache, plan_key
 from repro.exec import get_engine
 from repro.gpusim import A100, V100
@@ -31,6 +33,9 @@ from repro.kernels.gnnone import (
 from repro.kernels.registry import sddmm_kernel, spmm_kernel
 from repro.resilience import no_faults
 from repro.sparse import COOMatrix
+
+# the module, not the function ``repro.core`` re-exports under its name
+autotune_module = importlib.import_module("repro.core.autotune")
 
 
 @pytest.fixture(autouse=True)
@@ -272,13 +277,6 @@ class TestAutotuneMemo:
         r2 = autotune(small_graph, 16, "spmm")
         assert r2 is r1
 
-    def test_operands_skip_rng_draw_and_share_memo(self, small_graph, rng):
-        vals = rng.standard_normal(small_graph.nnz)
-        X = rng.standard_normal((small_graph.num_cols, 16))
-        r1 = autotune(small_graph, 16, "spmm", operands=(vals, X))
-        r2 = autotune(small_graph, 16, "spmm")    # value-independent memo
-        assert r2 is r1
-
     def test_memo_respects_kind_and_feature_length(self, small_graph):
         spmm16 = autotune(small_graph, 16, "spmm")
         assert autotune(small_graph, 32, "spmm") is not spmm16
@@ -293,6 +291,63 @@ class TestAutotuneMemo:
             set_plan_cache_enabled(None)
         assert r1 is not r2
         assert r1.config == r2.config
+
+
+class TestTuneCacheBounds:
+    def test_lru_cap_enforced(self, monkeypatch):
+        from repro.sparse import generators
+
+        monkeypatch.setattr(autotune_module, "TUNE_CACHE_CAP", 2)
+        clear_tune_cache()
+        for seed in (1, 2, 3):
+            A = generators.power_law(64, 3.0, seed=seed)
+            autotune(A, 8, "spmm")
+        assert tune_cache_len() == 2
+
+    def test_lru_evicts_oldest(self, monkeypatch):
+        from repro.sparse import generators
+
+        monkeypatch.setattr(autotune_module, "TUNE_CACHE_CAP", 2)
+        clear_tune_cache()
+        graphs = [generators.power_law(64, 3.0, seed=s) for s in (1, 2)]
+        first = [autotune(A, 8, "spmm") for A in graphs]
+        # touch graph 0, then insert a third: graph 1 must evict
+        assert autotune(graphs[0], 8, "spmm") is first[0]
+        autotune(generators.power_law(64, 3.0, seed=3), 8, "spmm")
+        assert autotune(graphs[0], 8, "spmm") is first[0]  # still resident
+        assert autotune(graphs[1], 8, "spmm") is not first[1]  # evicted
+
+    def test_thread_safety_under_concurrent_tuning(self, small_graph):
+        clear_tune_cache()
+        results, errors = [], []
+
+        def work():
+            try:
+                results.append(autotune(small_graph, 8, "spmm"))
+            except Exception as e:  # pragma: no cover - failure path
+                errors.append(e)
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert len({id(r.config) for r in results}) >= 1
+        assert len({r.config for r in results}) == 1
+        assert tune_cache_len() == 1
+
+    def test_cache_hit_events_surfaced(self, small_graph, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        with obs.trace_to(trace):
+            autotune(small_graph, 8, "spmm")
+            autotune(small_graph, 8, "spmm")
+        records = obs.read_trace(trace)
+        stats = obs.tune_summary(records)
+        assert stats["misses"] == 1
+        assert stats["hits"] == 1
+        line = obs.format_tune_line(stats)
+        assert line.startswith("tune: 1/2 cache hit(s)")
 
 
 class TestStructuralMemos:

@@ -23,15 +23,15 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("REPRO_OBS", "flase"),
         ("REPRO_PLAN_CACHE", "flase"),
-        ("REPRO_TUNE", "lerned"),
-        ("REPRO_TUNE", "bogus"),
         ("REPRO_VALIDATE", "paranoid"),
         # names not in the table fail whatever their value: a misspelt
-        # name, and a variable the program no longer reads
+        # name, and variables the program no longer reads
         ("REPRO_PLAN_CAHCE", "off"),
         ("REPRO_EXEC_WORKERS", "two"),
         ("REPRO_EXEC_WORKERS", "-2"),
         ("REPRO_EXEC_WORKERS", "4"),
+        ("REPRO_TUNE", "learned"),
+        ("REPRO_TUNE_MODEL", "m.npz"),
         ("REPRO_SERVE_BATCHING", "flase"),
         ("REPRO_FAULT_SEED", "abc"),
         ("REPRO_SERVE_MAX_BATCH", "0"),
@@ -180,7 +180,7 @@ def test_env_read_detector_catches_every_spelling():
         "import os\n"
         "_P = 'REPRO_SERVE_'\n"
         "_N = 'REPRO_OBS'\n"
-        "a = os.environ.get('REPRO_TUNE')\n"
+        "a = os.environ.get('REPRO_VALIDATE')\n"
         "b = os.environ[_N]\n"
         "c = os.getenv(_P + 'MAX_BATCH')\n"
         "d = 'REPRO_X' in os.environ\n"
