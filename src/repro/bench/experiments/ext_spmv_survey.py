@@ -8,8 +8,6 @@ relative to the row-parallel lineage on balanced vs skewed graphs.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench.harness import experiment
 from repro.bench.report import ExperimentResult
 from repro.kernels.registry import spmv_kernel, spmv_kernel_names
@@ -29,12 +27,9 @@ def run(*, quick: bool = False) -> ExperimentResult:
     )
     for key in keys:
         A = load_dataset(key).coo
-        rng = np.random.default_rng(9)
-        vals = rng.standard_normal(A.nnz)
-        x = rng.standard_normal(A.num_cols)
         row: dict = {"dataset": key}
         for name in names:
-            row[name] = spmv_kernel(name)(A, vals, x).time_us
+            row[name] = spmv_kernel(name).simulate(A, 1).time_us
         result.add_row(**row)
     # The nonzero-split family should dominate csr-scalar everywhere and
     # csr-vector on skewed graphs.

@@ -13,8 +13,6 @@ Three configurations of GNNOne's own SDDMM:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench.harness import experiment
 from repro.bench.report import ExperimentResult
 from repro.kernels.gnnone import (
@@ -43,10 +41,7 @@ def run(*, quick: bool = False) -> ExperimentResult:
     )
     for key in keys:
         A = load_dataset(key).coo
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((A.num_rows, DIM))
-        Y = rng.standard_normal((A.num_cols, DIM))
-        times = {name: GnnOneSDDMM(cfg)(A, X, Y).time_us for name, cfg in CONFIGS}
+        times = {name: GnnOneSDDMM(cfg).simulate(A, DIM).time_us for name, cfg in CONFIGS}
         result.add_row(
             dataset=key,
             baseline_us=times["baseline"],

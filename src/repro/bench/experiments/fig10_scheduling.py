@@ -9,8 +9,6 @@ the full-kernel ratio alongside.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench.harness import experiment
 from repro.bench.report import ExperimentResult
 from repro.gpusim.cost import estimate_cost
@@ -31,14 +29,10 @@ def run(*, quick: bool = False) -> ExperimentResult:
     )
     for key in keys:
         A = load_dataset(key).coo
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((A.num_cols, DIM))
-        vals = rng.standard_normal(A.nnz)
         times = {}
         full = {}
         for sched in (CONSECUTIVE, ROUND_ROBIN):
-            kernel = GnnOneSpMM(GnnOneConfig(schedule=sched))
-            res = kernel(A, vals, X)
+            res = GnnOneSpMM(GnnOneConfig(schedule=sched)).simulate(A, DIM)
             load_cost = estimate_cost(res.trace, A100, phase_kinds=("load",))
             times[sched] = load_cost.time_us
             full[sched] = res.time_us

@@ -30,15 +30,8 @@ def run(*, quick: bool = False) -> ExperimentResult:
     )
     for key in keys:
         A = load_dataset(key).coo
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((A.num_cols, DIM))
-        vals = rng.standard_normal(A.nnz)
-        Xr = rng.standard_normal((A.num_rows, DIM))
-        for name, run_kernel in (
-            ("spmm", lambda: GnnOneSpMM()(A, vals, X)),
-            ("sddmm", lambda: GnnOneSDDMM()(A, Xr, X)),
-        ):
-            res = run_kernel()
+        for name, kernel in (("spmm", GnnOneSpMM()), ("sddmm", GnnOneSDDMM())):
+            res = kernel.simulate(A, DIM)
             load = estimate_cost(res.trace, A100, phase_kinds=("load",))
             result.add_row(
                 dataset=key,

@@ -10,8 +10,6 @@ Kron-21 (G10).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench.harness import experiment
 from repro.bench.report import ExperimentResult
 from repro.kernels.baselines import DaltonSpMV, MergeSpMV
@@ -33,15 +31,12 @@ def run(*, quick: bool = False) -> ExperimentResult:
     gnnone, merge, dalton = GnnOneSpMV(), MergeSpMV(), DaltonSpMV()
     for key in keys:
         A = load_dataset(key).coo
-        rng = np.random.default_rng(7)
-        vals = rng.standard_normal(A.nnz)
-        x = rng.standard_normal(A.num_cols)
-        ours = gnnone(A, vals, x).time_us
+        ours = gnnone.simulate(A, 1).time_us
         if key in MERGE_FAILS_ON:
             merge_us = None
         else:
-            merge_us = merge(A, vals, x).time_us
-        dalton_us = dalton(A, vals, x).time_us
+            merge_us = merge.simulate(A, 1).time_us
+        dalton_us = dalton.simulate(A, 1).time_us
         result.add_row(
             dataset=key,
             gnnone_us=ours,

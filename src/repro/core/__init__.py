@@ -3,13 +3,7 @@
 from repro.core.api import run_sddmm, run_spmm, run_spmv, sddmm, spmm, spmv
 from repro.core.autotune import TuneResult, autotune, clear_tune_cache
 from repro.core.loadplan import UnifiedLoadPlan, plan_unified_load
-from repro.core.plancache import (
-    PlanCache,
-    clear_plan_cache,
-    get_plan_cache,
-    plan_cache_enabled,
-    set_plan_cache_enabled,
-)
+from repro.core.plancache import PlanCache, clear_plan_cache, get_plan_cache
 
 __all__ = [
     "sddmm",
@@ -26,6 +20,4 @@ __all__ = [
     "PlanCache",
     "clear_plan_cache",
     "get_plan_cache",
-    "plan_cache_enabled",
-    "set_plan_cache_enabled",
 ]

@@ -16,12 +16,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.gpusim.cost import CostReport
 from repro.gpusim.device import DeviceSpec
 from repro.kernels.base import KernelResult
 from repro.kernels.gnnone import GnnOneConfig, GnnOneSDDMM, GnnOneSpMM
 from repro.kernels.registry import sddmm_kernel, spmm_kernel, spmv_kernel
 from repro.sparse.coo import COOMatrix
+
+
+def _configured(backend: str, config: GnnOneConfig | None, gnnone, registry):
+    """The backend's kernel; ``config`` selects a tuned GNNOne kernel."""
+    if config is None:
+        return registry(backend)
+    if backend != "gnnone":
+        raise ConfigError(f"config= applies only to backend='gnnone', got backend={backend!r}")
+    return gnnone(config)
 
 
 def spmm(
@@ -46,9 +56,9 @@ def spmm(
     backend:
         ``"gnnone"`` (default) or any registered baseline name.
     config:
-        GNNOne tuning knobs; only valid with the gnnone backend.
+        GNNOne tuning knobs; a ``ConfigError`` with any other backend.
     """
-    kernel = GnnOneSpMM(config) if (backend == "gnnone" and config) else spmm_kernel(backend)
+    kernel = _configured(backend, config, GnnOneSpMM, spmm_kernel)
     result = kernel(A, edge_values, X, device=device)
     return result.output, result.cost
 
@@ -63,7 +73,7 @@ def sddmm(
     device: DeviceSpec | str | None = None,
 ) -> tuple[np.ndarray, CostReport]:
     """Sampled dense-dense matmul ``W = A ⊙ (X Y^T)`` (|E| output)."""
-    kernel = GnnOneSDDMM(config) if (backend == "gnnone" and config) else sddmm_kernel(backend)
+    kernel = _configured(backend, config, GnnOneSDDMM, sddmm_kernel)
     result = kernel(A, X, Y, device=device)
     return result.output, result.cost
 

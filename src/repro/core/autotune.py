@@ -8,11 +8,12 @@ by the GNN trainer and the serve path so every sparse op runs its best
 configuration, and by tests to verify the paper's choice (128,
 Consecutive) is in fact optimal on the default device.
 
-Tuning is structure-dominated like the cost model itself: the trial
-times depend on the topology, not the operand values, so one operand
-draw from a fixed seed is shared by every trial config and the whole
-:class:`TuneResult` is memoized per ``(structure_token, kind,
-feature_length, device)`` plus the searched space.  The memo is an
+Tuning is structural like the cost model itself: the trial times
+depend on the topology, never on operand values, so every trial is a
+:meth:`~repro.kernels.base._Kernel.simulate` call that draws and
+computes no operand, and the whole :class:`TuneResult` is memoized per
+``(structure_token, kind, feature_length, device)`` plus the searched
+space.  The memo is an
 RLock-guarded LRU bounded by :data:`TUNE_CACHE_CAP` entries so long
 multi-graph runs cannot grow it without bound; hits
 and misses surface as ``plancache.tune.hit``/``miss`` counters and as
@@ -29,10 +30,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import obs
-from repro.core import plancache
 from repro.errors import ConfigError
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.kernels.gnnone import (
@@ -88,10 +86,9 @@ def autotune(
 ) -> TuneResult:
     """Pick the fastest GNNOne config for ``A`` at ``feature_length``.
 
-    Every (cache size, schedule) candidate is simulated on one operand
-    draw from a fixed seed.  The result is memoized per structure token:
-    the trial times are value-independent, so the operand values do not
-    participate in the memo key.  Raises
+    Every (cache size, schedule) candidate is simulated; no operand is
+    drawn, since trial times are value-independent.  The result is
+    memoized per structure token.  Raises
     :class:`~repro.errors.ConfigError` for an unknown ``kind``, a
     ``feature_length`` that is not a positive integer, or an empty
     search space.
@@ -110,27 +107,24 @@ def autotune(
     dev = get_device(device)
     feature_length = int(feature_length)
     memo_key = (A.structure_token, kind, feature_length, dev, cache_sizes, schedules)
-    caching = plancache.plan_cache_enabled()
-    if caching:
-        with _LOCK:
-            hit = _TUNE_CACHE.get(memo_key)
-            if hit is not None:
-                _TUNE_CACHE.move_to_end(memo_key)
+    with _LOCK:
+        hit = _TUNE_CACHE.get(memo_key)
         if hit is not None:
-            obs.get_metrics().counter("plancache.tune.hit").inc()
-            obs.event("tune.cache_hit", kind=kind)
-            return hit
-        obs.get_metrics().counter("plancache.tune.miss").inc()
-        obs.event("tune.cache_miss", kind=kind)
+            _TUNE_CACHE.move_to_end(memo_key)
+    if hit is not None:
+        obs.get_metrics().counter("plancache.tune.hit").inc()
+        obs.event("tune.cache_hit", kind=kind)
+        return hit
+    obs.get_metrics().counter("plancache.tune.miss").inc()
+    obs.event("tune.cache_miss", kind=kind)
 
     result = _exhaustive(A, feature_length, kind, cache_sizes, schedules, dev)
-    if caching:
-        with _LOCK:
-            _TUNE_CACHE[memo_key] = result
-            _TUNE_CACHE.move_to_end(memo_key)
-            while len(_TUNE_CACHE) > TUNE_CACHE_CAP:
-                _TUNE_CACHE.popitem(last=False)
-                obs.get_metrics().counter("plancache.tune.evict").inc()
+    with _LOCK:
+        _TUNE_CACHE[memo_key] = result
+        _TUNE_CACHE.move_to_end(memo_key)
+        while len(_TUNE_CACHE) > TUNE_CACHE_CAP:
+            _TUNE_CACHE.popitem(last=False)
+            obs.get_metrics().counter("plancache.tune.evict").inc()
     return result
 
 
@@ -142,25 +136,12 @@ def _exhaustive(
     schedules: tuple[str, ...],
     dev: DeviceSpec,
 ) -> TuneResult:
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((A.num_cols, feature_length))
-    if kind == "spmm":
-        vals = rng.standard_normal(A.nnz)
-
-        def run(cfg: GnnOneConfig) -> float:
-            return GnnOneSpMM(cfg)(A, vals, X, device=dev).time_us
-
-    else:
-        Xr = rng.standard_normal((A.num_rows, feature_length))
-
-        def run(cfg: GnnOneConfig) -> float:
-            return GnnOneSDDMM(cfg)(A, Xr, X, device=dev).time_us
-
+    kernel = GnnOneSpMM if kind == "spmm" else GnnOneSDDMM
     trials: dict[tuple[int, str], float] = {}
     for cache in cache_sizes:
         for sched in schedules:
             cfg = GnnOneConfig(cache_size=cache, schedule=sched)
-            trials[(cache, sched)] = run(cfg)
+            trials[(cache, sched)] = kernel(cfg).simulate(A, feature_length, device=dev).time_us
     # min() keeps the first-listed candidate on a tie
     (cache, sched), best = min(trials.items(), key=lambda kv: kv[1])
     config = GnnOneConfig(cache_size=cache, schedule=sched)

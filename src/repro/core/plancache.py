@@ -11,9 +11,10 @@ thousands of times: a 200-epoch GCN run issues the same forward SpMM,
 backward SpMM and backward SDDMM on the same topology every epoch.
 
 This module memoizes the simulation side of a kernel call — the
-recorded :class:`~repro.gpusim.trace.KernelTrace`, the priced
-:class:`~repro.gpusim.cost.CostReport`, and the preprocessing wall time
-— keyed on a collision-safe structural fingerprint:
+recorded :class:`~repro.gpusim.trace.KernelTrace` and the priced
+:class:`~repro.gpusim.cost.CostReport` that
+:meth:`repro.kernels.base._Kernel.simulate` returns — keyed on a
+collision-safe structural fingerprint:
 
     (namespace, COOMatrix.structure_token, kernel cache token, kind,
      feature_length, DeviceSpec)
@@ -27,22 +28,21 @@ carries the full configuration (not just the display name); the frozen
 ``DeviceSpec`` participates directly so two devices sharing a name but
 differing in any architectural constant can never collide.
 
-A hit replays the cached cost/trace while the caller recomputes fresh
-numerics (see :mod:`repro.kernels.base`), so outputs always track the
-actual input values.  Kernel-launch failures are not cached — an
-invalid configuration re-raises from the real pipeline every time.
+Every launch goes through this cache: a hit replays the cached
+cost/trace, and a full launch then computes fresh numerics (see
+:mod:`repro.kernels.base`), so outputs always track the actual input
+values.  Kernel-launch failures are not cached — an invalid
+configuration re-raises from the real pipeline every time.
+:func:`clear_plan_cache` is how a caller gets a fresh simulation.
 
 A second, much smaller map (:meth:`PlanCache.memo_lookup` /
 :meth:`PlanCache.memo_store`) holds value results keyed on operand
 *identity* — the engine output every kernel's ``compute`` returns
-(:meth:`repro.kernels.base.SpMMKernel.compute`), shared by all kernels
+(:meth:`repro.kernels.base._Kernel.compute`), shared by all kernels
 of a kind.  Each slot keeps its operand objects alive and re-checks
 them with ``is``, so an id can never be recycled into a false hit; the
 caller decides what may be memoized.  :func:`clear_plan_cache` empties
 both maps.
-
-Disable with ``REPRO_PLAN_CACHE=off`` (debugging the simulation
-pipeline) or programmatically via :func:`set_plan_cache_enabled`.
 
 Integrity: when ``REPRO_VALIDATE=full`` — or whenever the fault
 injector's ``plancache.poison`` site is armed — every stored entry
@@ -65,7 +65,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Iterator
 
-from repro import obs, settings
+from repro import obs
 from repro.gpusim.cost import CostReport
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import KernelTrace
@@ -81,30 +81,16 @@ DEFAULT_CAPACITY = 512
 #: pass revisits three operand sets.
 MEMO_CAPACITY = 8
 
-#: tri-state programmatic override: None = follow ``REPRO_PLAN_CACHE``.
-_enabled_override: bool | None = None
-
-
-def plan_cache_enabled() -> bool:
-    """Is structural memoization active for this process?"""
-    if _enabled_override is not None:
-        return _enabled_override
-    return settings.get().plan_cache
-
-
-def set_plan_cache_enabled(enabled: bool | None) -> None:
-    """Force the cache on/off; ``None`` restores the env-switch default."""
-    global _enabled_override
-    _enabled_override = enabled
-
-
 @dataclass(frozen=True)
 class CachedLaunch:
     """The structural half of a kernel invocation, ready to replay."""
 
     cost: CostReport
     trace: KernelTrace
-    preprocess_seconds: float = 0.0
+
+    @property
+    def time_us(self) -> float:
+        return self.cost.time_us
 
 
 #: (namespace, structure_token, kernel token, kind, feature_length, device)

@@ -16,21 +16,27 @@ its storage format(s) plus operands at an *arbitrary* scale — the
 harness evaluates it at the paper-scale |V|/|E| so the OOM cells in
 Figs 3/4/7 reproduce even though the compute runs on scaled graphs.
 
-Each invocation is two independent halves:
+A launch has two independent halves:
 
-* the **numerics** (:meth:`compute`) — depends on the operand values;
-* the **structural simulation** (``execute``'s trace + the cost model)
-  — depends only on (topology, kernel config, feature length, device).
+* the **plan** — ``execute(A, feature_length, device)`` records the
+  trace, which the cost model prices.  It depends only on (topology,
+  kernel config, feature length, device), never on operand values, so
+  it receives no operand.  :meth:`_Kernel.simulate` memoizes it in the
+  structural plan cache (:mod:`repro.core.plancache`): a warm launch
+  replays the cached :class:`CostReport`/trace and skips Stage-1
+  planning, scheduling, trace recording and ``estimate_cost`` entirely;
+* the **numerics** — :meth:`_Kernel.compute`, the only half that reads
+  the operands.
 
-``__call__`` exploits the split through the structural plan cache
-(:mod:`repro.core.plancache`): a warm launch replays the cached
-:class:`CostReport`/trace and runs only the numerics, skipping Stage-1
-planning, scheduling, trace recording and ``estimate_cost`` entirely.
+``kernel(A, *operands)`` validates the operands, then runs ``simulate``
+and ``compute``.  A caller that needs only the price (the autotuner,
+the figure experiments, the GAT score and softmax ops) calls
+``kernel.simulate(A, feature_length)`` and computes nothing.
 
 There is one numerics path.  GNNOne and every baseline take their
-output from the base-class :meth:`compute`, cold or warm, which runs
-the execution engine (:mod:`repro.exec`); a kernel's identity shows only
-in its trace.  ``compute`` memoizes the engine output per read-only
+output from the base-class :meth:`_Kernel.compute`, which runs the
+execution engine (:mod:`repro.exec`); a kernel's identity shows only in
+its trace.  ``compute`` memoizes the engine output per read-only
 operand set, so the kernels of one figure sweep share one output per
 dataset.  :func:`reference_spmm`, :func:`reference_sddmm` and
 :func:`reference_spmv` are independent scipy/einsum oracles for tests
@@ -42,7 +48,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
 
@@ -55,28 +61,15 @@ from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.trace import KernelTrace
 from repro.sparse.coo import COOMatrix
 
+if TYPE_CHECKING:
+    from repro.core.plancache import CachedLaunch
+
 
 def _plan_cache():
     # Imported lazily: repro.core.__init__ imports this module back.
     from repro.core import plancache
 
     return plancache
-
-
-def _cache_lookup(kernel, A: COOMatrix, feature_length: int, device: DeviceSpec):
-    """(key, cached entry or None); (None, None) when caching is off."""
-    pc = _plan_cache()
-    if not pc.plan_cache_enabled():
-        return None, None
-    key = pc.plan_key(
-        A.structure_token, kernel.cache_token(), kernel.kind, feature_length, device
-    )
-    return key, pc.get_plan_cache().lookup(key)
-
-
-def _cache_store(key, cost: CostReport, trace: KernelTrace, prep: float) -> None:
-    pc = _plan_cache()
-    pc.get_plan_cache().store(key, pc.CachedLaunch(cost, trace, prep))
 
 
 def cost_span_attrs(cost: CostReport) -> dict[str, float | int | str]:
@@ -108,10 +101,9 @@ def _kind_metric_names(kind: str) -> tuple[str, str, str, str]:
     return names
 
 
-def _finish_kernel_span(sp, kind: str, result: "KernelResult") -> None:
-    cost = result.cost
+def _finish_kernel_span(sp, kind: str, cost: CostReport, trace: KernelTrace) -> None:
     if obs.tracing_enabled():
-        launch = result.trace.launch
+        launch = trace.launch
         sp.set(**cost_span_attrs(cost))
         # Hardware-model internals: per-stage busy cycles (the Fig-11
         # breakdown), aggregate warp counters, and the launch shape —
@@ -123,7 +115,6 @@ def _finish_kernel_span(sp, kind: str, result: "KernelResult") -> None:
             threads_per_cta=launch.threads_per_cta,
             registers_per_thread=launch.registers_per_thread,
             shared_mem_per_cta=launch.shared_mem_per_cta,
-            preprocess_s=result.preprocess_seconds,
         )
     sp.add_sim_us(cost.time_us)
     metrics = obs.get_metrics()
@@ -140,15 +131,27 @@ class KernelResult:
     output: np.ndarray
     cost: CostReport
     trace: KernelTrace
-    #: host-side preprocessing wall time (custom formats only)
-    preprocess_seconds: float = 0.0
 
     @property
     def time_us(self) -> float:
         return self.cost.time_us
 
 
+def check_numeric(**operands: np.ndarray) -> None:
+    """Reject operands that are not integer or float arrays.
+
+    The launch casts every operand to float64, which would drop a
+    complex value's imaginary part and parse strings, bools and objects
+    as numbers.
+    """
+    for name, op in operands.items():
+        dtype = np.asarray(op).dtype
+        if dtype.kind not in "iuf":
+            raise FormatError(f"{name} must hold integers or floats, got dtype {dtype}")
+
+
 def validate_spmm_inputs(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> None:
+    check_numeric(edge_values=edge_values, X=X)
     edge_values = np.asarray(edge_values)
     X = np.asarray(X)
     if edge_values.shape != (A.nnz,):
@@ -158,6 +161,7 @@ def validate_spmm_inputs(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -
 
 
 def validate_sddmm_inputs(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> None:
+    check_numeric(X=X, Y=Y)
     X, Y = np.asarray(X), np.asarray(Y)
     if X.ndim != 2 or X.shape[0] != A.num_rows:
         raise FormatError(f"X must have shape ({A.num_rows}, F), got {X.shape}")
@@ -168,6 +172,7 @@ def validate_sddmm_inputs(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> None:
 
 
 def validate_spmv_inputs(A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> None:
+    check_numeric(edge_values=edge_values, x=x)
     if np.asarray(edge_values).shape != (A.nnz,):
         raise FormatError(f"edge_values must have shape ({A.nnz},)")
     if np.asarray(x).shape != (A.num_cols,):
@@ -175,7 +180,12 @@ def validate_spmv_inputs(A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -
 
 
 class _Kernel(abc.ABC):
-    """Launch machinery, cache identity and numerics shared by the three kernel ABCs."""
+    """Launch machinery, cache identity and numerics shared by every kernel.
+
+    Subclasses implement :meth:`execute` (the trace) and
+    :meth:`memory_bytes`, and a ``__call__`` that validates the operands
+    and hands them to :meth:`_launch`.
+    """
 
     name: str
     format: str
@@ -191,49 +201,57 @@ class _Kernel(abc.ABC):
         """
         return (type(self).__qualname__, self.name, self.format)
 
-    def _launch(
-        self, A: COOMatrix, device: DeviceSpec | str | None, operands: tuple,
-        feature_length: int,
-    ) -> KernelResult:
-        """One launch on validated operands: replay a cached plan or simulate.
+    @abc.abstractmethod
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
+        """Record this launch's trace; value-independent, so it takes no operand."""
 
-        A plan-cache hit replays the cached cost/trace and runs only
-        :meth:`compute`; a miss runs ``execute`` and ``estimate_cost``
-        and stores the plan.  Either way the launch gets one
-        ``kernel.<kind>`` span.
+    def simulate(
+        self, A: COOMatrix, feature_length: int, *, device: DeviceSpec | str | None = None
+    ) -> CachedLaunch:
+        """The launch's plan-cache entry (cost + trace), simulated on a miss.
+
+        A hit replays the cached plan; a miss runs :meth:`execute` and
+        ``estimate_cost`` and stores the plan.  Either way the launch
+        gets one ``kernel.<kind>`` span.
         """
         ensure_structure_validated(A)
         dev = get_device(device)
-        operands = tuple(np.asarray(op, dtype=np.float64) for op in operands)
+        pc = _plan_cache()
         kind = self.kind
         with obs.span(
             _kind_metric_names(kind)[0], kind=kind, kernel=self.name, format=self.format,
             rows=A.num_rows, nnz=A.nnz, f=int(feature_length),
         ) as sp:
-            key, hit = _cache_lookup(self, A, feature_length, dev)
-            if hit is not None:
-                result = KernelResult(
-                    self.compute(A, *operands), hit.cost, hit.trace,
-                    hit.preprocess_seconds,
-                )
-            else:
-                out, trace, prep = self.execute(A, *operands, dev)
+            key = pc.plan_key(A.structure_token, self.cache_token(), kind, feature_length, dev)
+            cache = pc.get_plan_cache()
+            plan = cache.lookup(key)
+            cached = plan is not None
+            if not cached:
+                trace = self.execute(A, feature_length, dev)
                 t0 = time.perf_counter()
                 cost = estimate_cost(trace, dev)
                 sp.set(cost_wall_ms=(time.perf_counter() - t0) * 1e3)
-                result = KernelResult(out, cost, trace, prep)
-                if key is not None:
-                    _cache_store(key, cost, trace, prep)
-            sp.set(cached=hit is not None)
-            _finish_kernel_span(sp, kind, result)
-        return result
+                plan = pc.CachedLaunch(cost, trace)
+                cache.store(key, plan)
+            sp.set(cached=cached)
+            _finish_kernel_span(sp, kind, plan.cost, plan.trace)
+        return plan
+
+    def _launch(
+        self, A: COOMatrix, device: DeviceSpec | str | None, operands: tuple,
+        feature_length: int,
+    ) -> KernelResult:
+        """Simulate (or replay) the plan, then compute the output."""
+        plan = self.simulate(A, feature_length, device=device)
+        operands = tuple(np.asarray(op, dtype=np.float64) for op in operands)
+        return KernelResult(self.compute(A, *operands), plan.cost, plan.trace)
 
     def compute(self, A: COOMatrix, *operands: np.ndarray) -> np.ndarray:
         """The launch's output: the engine's ``spmm``/``sddmm``/``spmv``.
 
-        Every kernel's ``execute`` and every plan-cache hit return this,
-        so a kernel's output does not depend on cache state and equals
-        every other kernel's of the same kind bit for bit.
+        Every launch returns this, cold or warm, so a kernel's output
+        does not depend on cache state and equals every other kernel's
+        of the same kind bit for bit.
         """
         return _memoized_output(self.kind, A, operands, getattr(get_engine(), self.kind))
 
@@ -260,12 +278,6 @@ class SpMMKernel(_Kernel):
         validate_spmm_inputs(A, edge_values, X)
         return self._launch(A, device, (edge_values, X), np.shape(X)[1])
 
-    @abc.abstractmethod
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        """Return (Y, trace, preprocess_seconds); Y comes from :meth:`compute`."""
-
 
 class SDDMMKernel(_Kernel):
     """Base class for SDDMM (``W <- A ⊙ (X Y^T)``) kernels."""
@@ -285,12 +297,6 @@ class SDDMMKernel(_Kernel):
         validate_sddmm_inputs(A, X, Y)
         return self._launch(A, device, (X, Y), np.shape(X)[1])
 
-    @abc.abstractmethod
-    def execute(
-        self, A: COOMatrix, X: np.ndarray, Y: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        """Return (W, trace, preprocess_seconds); W comes from :meth:`compute`."""
-
 
 class SpMVKernel(_Kernel):
     """Base class for SpMV (``y <- A x``) kernels (Fig-12 study)."""
@@ -309,12 +315,6 @@ class SpMVKernel(_Kernel):
     ) -> KernelResult:
         validate_spmv_inputs(A, edge_values, x)
         return self._launch(A, device, (edge_values, x), 1)
-
-    @abc.abstractmethod
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        """Return (y, trace, preprocess_seconds); y comes from :meth:`compute`."""
 
 
 def _read_only(a: object) -> bool:

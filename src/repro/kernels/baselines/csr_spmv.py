@@ -25,9 +25,7 @@ class CsrScalarSpMV(SpMVKernel):
     name = "csr-scalar-spmv"
     format = "csr"
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         csr = A.to_csr()
         deg = csr.row_degrees().astype(np.float64)
         # 32 rows per warp; the warp's trip count is its longest row and
@@ -51,7 +49,7 @@ class CsrScalarSpMV(SpMVKernel):
         )
         trace.add_phase("y_store", "store", sectors=np.ceil(
             np.bincount(warp_of_row, minlength=n_warps).astype(np.float64) / 8.0))
-        return self.compute(A, edge_values, x), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         return 4 * num_edges + 4 * (num_vertices + 1) + 4 * num_edges + 8 * num_vertices
@@ -63,9 +61,7 @@ class CsrVectorSpMV(SpMVKernel):
     name = "csr-vector-spmv"
     format = "csr"
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         csr = A.to_csr()
         deg = csr.row_degrees().astype(np.float64)
         n_warps = max(1, csr.num_rows)
@@ -88,7 +84,7 @@ class CsrVectorSpMV(SpMVKernel):
             "warp_reduce", "reduce", shuffles=5.0, barriers=0.0,
         )
         trace.add_phase("y_store", "store", sectors=np.full(n_warps, 1.0) / 8.0)
-        return self.compute(A, edge_values, x), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         return 4 * num_edges + 4 * (num_vertices + 1) + 4 * num_edges + 8 * num_vertices
@@ -105,9 +101,7 @@ class BinnedSpMV(SpMVKernel):
     name = "binned-spmv"
     format = "degree-bins"
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         from repro.sparse.formats.binning import build_degree_bins
 
         csr = A.to_csr()
@@ -144,7 +138,7 @@ class BinnedSpMV(SpMVKernel):
             flops=2.0 * A.nnz / n_warps,
         )
         trace.add_phase("y_store", "store", sectors=0.2)
-        return self.compute(A, edge_values, x), trace, bins.preprocess_seconds
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

@@ -32,21 +32,19 @@ class CuSparseSpMM(SpMMKernel):
     name = "cusparse-spmm"
     format = "csr"
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         csr = A.to_csr()
         trace = vertex_parallel_spmm_trace(
             self.name,
             csr,
-            X.shape[1],
+            feature_length,
             device,
             row_split=_ROW_SPLIT,
             cache_col_ids=True,
             ilp=3.0,
             registers=40,
         )
-        return self.compute(A, edge_values, X), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)
@@ -58,10 +56,8 @@ class CuSparseSDDMM(SDDMMKernel):
     name = "cusparse-sddmm"
     format = "csr"
 
-    def execute(
-        self, A: COOMatrix, X: np.ndarray, Y: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        F = X.shape[1]
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
+        F = feature_length
         # One thread per NZE, 32 NZEs per warp; each thread strides the
         # feature dimension with scalar loads -> scattered sectors.
         chunks = edge_chunks(A.nnz, 32)
@@ -100,7 +96,7 @@ class CuSparseSDDMM(SDDMMKernel):
             flops=sizes * 2.0 * F,
         )
         trace.add_phase("edge_store", "store", sectors=streaming_sectors(sizes, 4))
-        return self.compute(A, X, Y), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

@@ -24,9 +24,7 @@ class DaltonSpMV(SpMVKernel):
     name = "dalton-spmv"
     format = "coo"
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         coo = A if A.is_csr_ordered() else A.sort_csr_order()
         per_warp = device.warp_size
         chunks = edge_chunks(coo.nnz, per_warp)
@@ -69,7 +67,7 @@ class DaltonSpMV(SpMVKernel):
                 chunks.chunk_of_nze, coo.rows.astype(np.int64) // 8, chunks.n_chunks
             ),
         )
-        return self.compute(A, edge_values, x), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         return 8 * num_edges + 4 * num_edges + 8 * num_vertices

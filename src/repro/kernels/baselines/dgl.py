@@ -15,8 +15,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import feature_row_sectors
 from repro.gpusim.trace import KernelTrace, LaunchConfig
@@ -30,10 +28,8 @@ class DGLSDDMM(SDDMMKernel):
     name = "dgl-sddmm"
     format = "coo"
 
-    def execute(
-        self, A: COOMatrix, X: np.ndarray, Y: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        F = X.shape[1]
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
+        F = feature_length
         shape = feature_parallel_shape(F)
         ftiles = max(1, -(-F // 32))
         # One warp per (NZE, feature tile): perfectly balanced, no reuse.
@@ -65,7 +61,7 @@ class DGLSDDMM(SDDMMKernel):
             barriers=1.0,
         )
         trace.add_phase("edge_store", "store", sectors=1.0, atomics=float(ftiles > 1))
-        return self.compute(A, X, Y), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         # DGL keeps COO (for SDDMM) and CSR (for SpMM) simultaneously.
@@ -82,12 +78,10 @@ class DGLSpMM(SpMMKernel):
     def __init__(self) -> None:
         self._inner = CuSparseSpMM()
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        out, trace, prep = self._inner.execute(A, edge_values, X, device)
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
+        trace = self._inner.execute(A, feature_length, device)
         trace.kernel_name = self.name
-        return out, trace, prep
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         dual_format = 8 * num_edges + (4 * num_edges + 4 * (num_vertices + 1))

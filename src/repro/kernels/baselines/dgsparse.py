@@ -30,13 +30,11 @@ class DgSparseSDDMM(SDDMMKernel):
     #: chunk, which tames — but does not remove — the hub imbalance.
     row_split = 256
 
-    def execute(
-        self, A: COOMatrix, X: np.ndarray, Y: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         from repro.kernels.baselines.common import build_warp_rows
 
         csr = A.to_csr()
-        F = X.shape[1]
+        F = feature_length
         shape = feature_parallel_shape(F)
         ftiles = max(1, -(-F // 32))
         _, counts = build_warp_rows(csr, self.row_split)
@@ -66,7 +64,7 @@ class DgSparseSDDMM(SDDMMKernel):
             "tree_reduction", "reduce", shuffles=deg * rounds, barriers=deg * 0.5
         )
         trace.add_phase("edge_store", "store", sectors=np.ceil(deg / 8.0))
-        return self.compute(A, X, Y), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

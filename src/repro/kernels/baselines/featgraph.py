@@ -24,21 +24,19 @@ class FeatGraphSpMM(SpMMKernel):
     name = "featgraph-spmm"
     format = "csr"
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         csr = A.to_csr()
         trace = vertex_parallel_spmm_trace(
             self.name,
             csr,
-            X.shape[1],
+            feature_length,
             device,
             row_split=None,
             cache_col_ids=False,  # TVM template: per-NZE broadcast reads
             ilp=3.0,
             registers=44,
         )
-        return self.compute(A, edge_values, X), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)
@@ -56,11 +54,9 @@ class FeatGraphSDDMM(SDDMMKernel):
     name = "featgraph-sddmm"
     format = "csr"
 
-    def execute(
-        self, A: COOMatrix, X: np.ndarray, Y: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         csr = A.to_csr()
-        F = X.shape[1]
+        F = feature_length
         shape = feature_parallel_shape(F)
         ftiles = max(1, -(-F // 32))
         deg = np.repeat(csr.row_degrees().astype(np.float64), ftiles)
@@ -91,7 +87,7 @@ class FeatGraphSDDMM(SDDMMKernel):
             barriers=deg * 0.5,
         )
         trace.add_phase("edge_store", "store", sectors=np.ceil(deg / 8.0))
-        return self.compute(A, X, Y), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

@@ -10,8 +10,6 @@ speedups come from on skewed graphs.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import KernelTrace
 from repro.kernels.base import SpMMKernel
@@ -23,21 +21,19 @@ class GeSpMM(SpMMKernel):
     name = "ge-spmm"
     format = "csr"
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         csr = A.to_csr()
         trace = vertex_parallel_spmm_trace(
             self.name,
             csr,
-            X.shape[1],
+            feature_length,
             device,
             row_split=None,
             cache_col_ids=True,  # automatically off for F < 32
             ilp=4.0,
             registers=32,
         )
-        return self.compute(A, edge_values, X), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

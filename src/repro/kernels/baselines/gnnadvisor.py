@@ -95,20 +95,18 @@ class GNNAdvisorSpMM(SpMMKernel):
     name = "gnnadvisor-spmm"
     format = "neighbor-group"
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         fmt = build_neighbor_groups(A.to_csr(), group_size=32)
         trace = neighbor_group_spmm_trace(
             self.name,
             fmt,
-            X.shape[1],
+            feature_length,
             device,
             registers=48,
             metadata_broadcast_barriers=1.0,
             ilp=3.0,
         )
-        return self.compute(A, edge_values, X), trace, fmt.preprocess_seconds
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

@@ -8,8 +8,6 @@ more at smaller feature lengths where its lanes idle).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import KernelTrace
 from repro.kernels.base import SpMMKernel, reference_spmm  # noqa: F401 - see below
@@ -19,28 +17,26 @@ from repro.sparse.formats.neighbor_group import build_neighbor_groups
 
 # ``reference_spmm`` stays importable from this module, uncalled: the
 # e2ebench probe's test checks that rebinding a function reaches the
-# copies other modules hold, using this one.  The kernel's output is
-# ``self.compute``, like every baseline's.
+# copies other modules hold, using this one.  The kernel's output is the
+# base class's ``compute``, like every baseline's.
 
 
 class HuangSpMM(SpMMKernel):
     name = "huang-spmm"
     format = "neighbor-group"
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         fmt = build_neighbor_groups(A.to_csr(), group_size=32)
         trace = neighbor_group_spmm_trace(
             self.name,
             fmt,
-            X.shape[1],
+            feature_length,
             device,
             registers=40,
             metadata_broadcast_barriers=0.5,  # fused into the staging sync
             ilp=8.0,  # vectorized/unrolled feature loads
         )
-        return self.compute(A, edge_values, X), trace, fmt.preprocess_seconds
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from repro.gpusim.atomics import conflict_degree
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import unique_per_warp
 from repro.gpusim.trace import KernelTrace, LaunchConfig
@@ -33,9 +32,7 @@ class MergeSpMV(SpMVKernel):
 
     items_per_thread = 4
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         coo = A if A.is_csr_ordered() else A.sort_csr_order()
         csr = coo.to_csr()
         fmt = build_merge_path(csr, self.items_per_thread)
@@ -104,7 +101,7 @@ class MergeSpMV(SpMVKernel):
                 chunks.chunk_of_nze, coo.rows.astype(np.int64) // 8, chunks.n_chunks
             ),
         )
-        return self.compute(A, edge_values, x), trace, fmt.preprocess_seconds
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

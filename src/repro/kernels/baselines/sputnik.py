@@ -35,9 +35,7 @@ class SputnikSDDMM(SDDMMKernel):
     name = "sputnik-sddmm"
     format = "csr"
 
-    def execute(
-        self, A: COOMatrix, X: np.ndarray, Y: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         V = A.num_rows
         grid_blocks = V * V
         if grid_blocks > device.max_grid_blocks:
@@ -46,7 +44,7 @@ class SputnikSDDMM(SDDMMKernel):
                 f"grid limit ({device.max_grid_blocks}); the paper observes this "
                 f"failure above roughly 2M vertices"
             )
-        F = X.shape[1]
+        F = feature_length
         shape = feature_parallel_shape(F)
         csr = A.to_csr()
         deg = csr.row_degrees().astype(np.float64)
@@ -77,7 +75,7 @@ class SputnikSDDMM(SDDMMKernel):
             barriers=per_warp_nze,
         )
         trace.add_phase("edge_store", "store", sectors=per_warp_nze)
-        return self.compute(A, X, Y), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)
@@ -88,9 +86,7 @@ class SputnikSpMM(SpMMKernel):
     name = "sputnik-spmm"
     format = "row-swizzle"
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         csr = A.to_csr()
         fmt = build_row_swizzle(csr)
         # Row swizzling reorders warps by decreasing length: tail waves
@@ -99,14 +95,14 @@ class SputnikSpMM(SpMMKernel):
         trace = vertex_parallel_spmm_trace(
             self.name,
             csr,
-            X.shape[1],
+            feature_length,
             device,
             row_split=None,
             cache_col_ids=True,
             ilp=6.0,
             registers=38,
         )
-        return self.compute(A, edge_values, X), trace, fmt.preprocess_seconds
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

@@ -30,11 +30,9 @@ class YangNonzeroSplitSpMM(SpMMKernel):
     #: NZEs per warp (the nonzero split grain).
     chunk = 32
 
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
         coo = A if A.is_csr_ordered() else A.sort_csr_order()
-        F = X.shape[1]
+        F = feature_length
         tile_f = min(F, 32)
         ftiles = max(1, -(-F // 32))
         chunks = edge_chunks(coo.nnz, self.chunk)
@@ -84,7 +82,7 @@ class YangNonzeroSplitSpMM(SpMMKernel):
             "output_store", "store",
             sectors=segs * feature_row_sectors(tile_f * 4),
         )
-        return self.compute(A, edge_values, X), trace, 0.0
+        return trace
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         coo = 8 * num_edges

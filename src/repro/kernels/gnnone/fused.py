@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import FormatError
 from repro.gpusim.atomics import conflict_degree
-from repro.gpusim.device import DeviceSpec
+from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.memory import feature_row_sectors, unique_per_warp
 from repro.gpusim.trace import KernelTrace, LaunchConfig
-from repro.kernels.base import KernelResult
-from repro.gpusim.cost import estimate_cost
-from repro.gpusim.device import get_device
+from repro.kernels.base import KernelResult, _Kernel, check_numeric
 from repro.kernels.gnnone.config import BASE_REGISTERS, DEFAULT_CONFIG, GnnOneConfig
 from repro.kernels.gnnone.reduction import _segment_rows
 from repro.kernels.gnnone.scheduler import plan_schedule
@@ -60,7 +59,7 @@ def fused_gat_attention_numerics(
     return alpha, Y
 
 
-class GnnOneFusedGATLayer:
+class GnnOneFusedGATLayer(_Kernel):
     """Single-launch fused GAT edge pipeline on the two-stage substrate."""
 
     name = "gnnone-fused-gat"
@@ -82,24 +81,24 @@ class GnnOneFusedGATLayer:
         *,
         device: DeviceSpec | str | None = None,
     ) -> KernelResult:
-        from repro.kernels.base import _cache_lookup, _cache_store
+        check_numeric(el=el, er=er, X=X)
+        if np.shape(el) != (A.num_rows,) or np.shape(er) != (A.num_cols,):
+            raise FormatError(
+                f"el and er must have shapes ({A.num_rows},) and ({A.num_cols},), "
+                f"got {np.shape(el)} and {np.shape(er)}"
+            )
+        if np.ndim(X) != 2 or np.shape(X)[0] != A.num_cols:
+            raise FormatError(f"X must have shape ({A.num_cols}, F), got {np.shape(X)}")
+        return self._launch(A, device, (el, er, X), np.shape(X)[1])
 
-        dev = get_device(device)
+    def compute(self, A: COOMatrix, el: np.ndarray, er: np.ndarray, X: np.ndarray) -> np.ndarray:
         coo = A if A.is_csr_ordered() else A.sort_csr_order()
-        F = X.shape[1]
-        key, hit = _cache_lookup(self, A, F, dev)
-        if hit is not None:
-            _, Y = fused_gat_attention_numerics(coo, el, er, X)
-            return KernelResult(Y, hit.cost, hit.trace, hit.preprocess_seconds)
-        trace = self.simulate(coo, F, dev)
-        _, Y = fused_gat_attention_numerics(coo, el, er, X)
-        cost = estimate_cost(trace, dev)
-        if key is not None:
-            _cache_store(key, cost, trace, 0.0)
-        return KernelResult(Y, cost, trace, 0.0)
+        return fused_gat_attention_numerics(coo, el, er, X)[1]
 
-    def simulate(self, coo: COOMatrix, F: int, dev: DeviceSpec) -> KernelTrace:
-        """Structural half: plans + trace for the fused two-pass launch."""
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
+        """Plans + trace for the fused two-pass launch."""
+        coo = A if A.is_csr_ordered() else A.sort_csr_order()
+        F = feature_length
         cfg = self.config
         s1 = plan_stage1(coo.nnz, cfg.cache_size, with_edge_values=False)
         sched = plan_schedule(coo.rows, s1.chunks.chunk_of_nze, s1.chunks.n_chunks, cfg, F)
@@ -111,7 +110,7 @@ class GnnOneFusedGATLayer:
                               BASE_REGISTERS + 2 * sched.shape.vector_width, smem)
         trace = KernelTrace(self.name, launch)
 
-        record_stage1(trace, s1, dev)
+        record_stage1(trace, s1, device)
         sizes = s1.chunks.chunk_sizes.astype(np.float64)
         n_warps = s1.chunks.n_chunks
 
@@ -141,7 +140,7 @@ class GnnOneFusedGATLayer:
             "fused_aggregate_pass",
             "load",
             load_instrs=steps * sched.shape.loads_per_thread,
-            ilp=float(dev.max_outstanding_loads),
+            ilp=float(device.max_outstanding_loads),
             sectors=sizes * feature_row_sectors(F * 4),
             flops=sizes * 2.0 * F,
         )
@@ -169,9 +168,7 @@ class GnnOneFusedGATLayer:
 
 def unfused_gat_pipeline_time_us(
     A: COOMatrix,
-    el: np.ndarray,
-    er: np.ndarray,
-    X: np.ndarray,
+    feature_length: int,
     *,
     device: DeviceSpec | str | None = None,
     config: GnnOneConfig = DEFAULT_CONFIG,
@@ -189,10 +186,9 @@ def unfused_gat_pipeline_time_us(
 
     dev = get_device(device)
     coo = A if A.is_csr_ordered() else A.sort_csr_order()
-    alpha, _ = fused_gat_attention_numerics(coo, el, er, X)
     total = 0.0
-    total += GnnOneSDDMM(config)(coo, el.reshape(-1, 1), er.reshape(-1, 1), device=dev).time_us
+    total += GnnOneSDDMM(config).simulate(coo, 1, device=dev).time_us
     total += 2 * elementwise_cost(dev, coo.nnz, reads=2, writes=1).time_us
-    total += GnnOneSpMV()(coo, np.abs(alpha), np.ones(coo.num_cols), device=dev).time_us
-    total += GnnOneSpMM(config)(coo, alpha, X, device=dev).time_us
+    total += GnnOneSpMV().simulate(coo, 1, device=dev).time_us
+    total += GnnOneSpMM(config).simulate(coo, feature_length, device=dev).time_us
     return total

@@ -9,8 +9,6 @@ in flight before the reduction's memory barrier (Section 4.2.1).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import obs
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import KernelTrace, LaunchConfig
@@ -36,9 +34,10 @@ class GnnOneSDDMM(SDDMMKernel):
         # The display name omits ablation switches; key on the full config.
         return (type(self).__qualname__, self.config)
 
-    def simulate(self, A: COOMatrix, F: int, device: DeviceSpec) -> KernelTrace:
-        """Structural half: Stage-1 plan, schedule, and trace recording."""
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
+        """Stage-1 plan, schedule, and trace recording."""
         cfg = self.config
+        F = feature_length
         coo = A.sort_csr_order()
 
         with obs.span("gnnone.stage1", kind="sddmm", nnz=coo.nnz,
@@ -67,12 +66,6 @@ class GnnOneSDDMM(SDDMMKernel):
             )
             record_reduction_sddmm(trace, s1, sched, device)
         return trace
-
-    def execute(
-        self, A: COOMatrix, X: np.ndarray, Y: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        trace = self.simulate(A, X.shape[1], device)
-        return self.compute(A, X, Y), trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         coo_topology = 8 * num_edges

@@ -25,12 +25,12 @@ from repro.sparse.coo import COOMatrix
 
 
 def segment_sum_spmm(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Running-reduction numerics: segment sums over the CSR-ordered COO.
+    """SpMM as segment sums over the CSR-ordered COO: a test oracle.
 
-    This mirrors the kernel's actual arithmetic (thread-local partial
-    sums flushed per row segment) rather than delegating to a library
-    SpMM, so tests comparing it against the scipy reference genuinely
-    validate the two-stage computation.
+    No kernel computes through this.  Every kernel's output is the
+    execution engine's (:meth:`repro.kernels.base._Kernel.compute`);
+    tests use this independent ``np.add.reduceat`` formulation to check
+    that output and the scipy reference against a third answer.
     """
     if A.is_csr_ordered():
         coo = A
@@ -60,9 +60,10 @@ class GnnOneSpMM(SpMMKernel):
         # The display name omits ablation switches; key on the full config.
         return (type(self).__qualname__, self.config)
 
-    def simulate(self, A: COOMatrix, F: int, device: DeviceSpec) -> KernelTrace:
-        """Structural half: Stage-1 plan, schedule, and trace recording."""
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
+        """Stage-1 plan, schedule, and trace recording."""
         cfg = self.config
+        F = feature_length
         coo = A.sort_csr_order()
 
         with obs.span("gnnone.stage1", kind="spmm", nnz=coo.nnz,
@@ -89,12 +90,6 @@ class GnnOneSpMM(SpMMKernel):
             record_stage2_spmm(trace, s1, sched, F, device, cols=coo.cols)
             record_reduction_spmm(trace, s1, sched, coo.rows, F, device)
         return trace
-
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        trace = self.simulate(A, X.shape[1], device)
-        return self.compute(A, edge_values, X), trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         coo_topology = 8 * num_edges

@@ -30,8 +30,8 @@ class GnnOneSpMV(SpMVKernel):
     #: NZEs each thread accumulates locally (Merrill-style grain).
     items_per_thread = 4
 
-    def simulate(self, A: COOMatrix, device: DeviceSpec) -> KernelTrace:
-        """Structural half: NZE split, segment census, trace recording."""
+    def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
+        """NZE split, segment census, trace recording."""
         coo = A.sort_csr_order()
         per_warp = device.warp_size * self.items_per_thread
         chunks = edge_chunks(coo.nnz, per_warp)
@@ -91,12 +91,6 @@ class GnnOneSpMV(SpMVKernel):
             ),
         )
         return trace
-
-    def execute(
-        self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        trace = self.simulate(A, device)
-        return self.compute(A, edge_values, x), trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         return 8 * num_edges + 4 * num_edges + 8 * num_vertices  # COO + vals + x,y

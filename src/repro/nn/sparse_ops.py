@@ -6,8 +6,10 @@ structure lives:
 * ``spmm`` forward runs the backend's SpMM kernel; its backward runs one
   SpMM on the transposed graph (dX) and one SDDMM (d edge-values) —
   every invocation charges its simulated time to the active SimClock.
-* ``u_add_v`` (the GAT attention-score gather) is an SDDMM *variant*;
-  ``edge_softmax`` is priced as its segment-reduction passes.
+* ``u_add_v`` (the GAT attention-score gather) is priced as an F=1
+  SDDMM and ``edge_softmax`` as a segment-reduction SpMV.  Both compute
+  their values here with NumPy, so they only ``simulate`` the kernel
+  whose price they charge: no kernel numerics run for them.
 
 Numerics are plain vectorized NumPy, bit-identical across backends —
 which is the Fig-5 claim (GNNOne trains to the same accuracy as DGL).
@@ -16,8 +18,8 @@ Every launch here goes through the kernel base classes and therefore
 the structural plan cache (:mod:`repro.core.plancache`): a training
 loop re-issues the same (topology, kernel, F, device) launches each
 epoch — ``graph.coo`` and ``graph.coo_t`` are long-lived, so from epoch
-2 on the forward SpMM, backward SpMM and backward SDDMM replay their
-cached cost/trace and only the numerics run.
+2 on every launch replays its cached cost/trace, and only the SpMM and
+SDDMM numerics run.
 """
 
 from __future__ import annotations
@@ -32,36 +34,38 @@ from repro.nn.graph import GraphData
 from repro.nn.tensor import Tensor
 
 
-def _run_spmm(backend: TrainingBackend, coo, edge_values, X, tag: str) -> np.ndarray:
+def _device():
     clock = current_clock()
+    return clock.device if clock else None
+
+
+def _spmm_kernel(backend: TrainingBackend):
     if backend.spmm == "gnnone" and backend.gnnone_spmm_config is not None:
-        kernel = GnnOneSpMM(backend.gnnone_spmm_config)
-    else:
-        kernel = spmm_kernel(backend.spmm)
-    result = kernel(coo, edge_values, X, device=clock.device if clock else None)
+        return GnnOneSpMM(backend.gnnone_spmm_config)
+    return spmm_kernel(backend.spmm)
+
+
+def _sddmm_kernel(backend: TrainingBackend):
+    if backend.sddmm == "gnnone" and backend.gnnone_sddmm_config is not None:
+        return GnnOneSDDMM(backend.gnnone_sddmm_config)
+    return sddmm_kernel(backend.sddmm)
+
+
+def _run_spmm(backend: TrainingBackend, coo, edge_values, X, tag: str) -> np.ndarray:
+    result = _spmm_kernel(backend)(coo, edge_values, X, device=_device())
     charge(f"spmm:{tag}", result.time_us)
     return result.output
 
 
 def _run_sddmm(backend: TrainingBackend, coo, X, Y, tag: str) -> np.ndarray:
-    clock = current_clock()
-    if backend.sddmm == "gnnone" and backend.gnnone_sddmm_config is not None:
-        kernel = GnnOneSDDMM(backend.gnnone_sddmm_config)
-    else:
-        kernel = sddmm_kernel(backend.sddmm)
-    result = kernel(coo, X, Y, device=clock.device if clock else None)
+    result = _sddmm_kernel(backend)(coo, X, Y, device=_device())
     charge(f"sddmm:{tag}", result.time_us)
     return result.output
 
 
-def _charge_spmv(backend: TrainingBackend, coo, values, tag: str) -> np.ndarray:
-    clock = current_clock()
-    kernel = spmv_kernel(backend.spmv)
-    result = kernel(
-        coo, values, np.ones(coo.num_cols), device=clock.device if clock else None
-    )
-    charge(f"spmv:{tag}", result.time_us)
-    return result.output
+def _charge_launch(kernel, coo, feature_length: int, tag: str) -> None:
+    """Charge a launch's simulated time without computing its output."""
+    charge(tag, kernel.simulate(coo, feature_length, device=_device()).time_us)
 
 
 def spmm(graph: GraphData, edge_values: Tensor, X: Tensor, backend: TrainingBackend) -> Tensor:
@@ -104,9 +108,7 @@ def u_add_v(graph: GraphData, el: Tensor, er: Tensor, backend: TrainingBackend) 
     rows, cols = graph.coo.rows, graph.coo.cols
     out = Tensor(el.data[rows] + er.data[cols], parents=(el, er))
     # Same data-load pattern as a feature-length-1 SDDMM: price it so.
-    _run_sddmm(
-        backend, graph.coo, el.data.reshape(-1, 1), er.data.reshape(-1, 1), "u_add_v"
-    )
+    _charge_launch(_sddmm_kernel(backend), graph.coo, 1, "sddmm:u_add_v")
 
     def backward(g: np.ndarray) -> None:
         charge_elementwise(graph.num_edges, reads=1, writes=1, name="u_add_v_bwd")
@@ -142,14 +144,14 @@ def edge_softmax(graph: GraphData, scores: Tensor, backend: TrainingBackend) -> 
         alpha_data = ex / full_sum[rows]
     out = Tensor(alpha_data, parents=(scores,))
     # Price: two segment reductions (max, sum) + two element-wise passes.
-    _charge_spmv(backend, graph.coo, np.abs(s) if s.size else s, "edge_softmax_reduce")
+    _charge_launch(spmv_kernel(backend.spmv), graph.coo, 1, "spmv:edge_softmax_reduce")
     charge_elementwise(graph.num_edges, reads=2, writes=1, count=2, name="edge_softmax")
 
     def backward(g: np.ndarray) -> None:
         # d s = alpha * (g - segsum(alpha * g))
         if not scores.requires_grad:
             return
-        _charge_spmv(backend, graph.coo, alpha_data * g, "edge_softmax_bwd")
+        _charge_launch(spmv_kernel(backend.spmv), graph.coo, 1, "spmv:edge_softmax_bwd")
         charge_elementwise(graph.num_edges, reads=2, writes=1, name="edge_softmax_bwd")
         if g.size == 0:
             scores.accumulate_grad(g)

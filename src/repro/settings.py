@@ -90,8 +90,6 @@ class Settings:
 
     #: observability kill switch: off = spans and metrics are no-ops
     obs: bool = _var("REPRO_OBS", "bool", True)
-    #: structural plan cache: off = simulate every launch
-    plan_cache: bool = _var("REPRO_PLAN_CACHE", "bool", True)
     #: graph validation; full adds plan-cache checksums
     validate: str = _var(
         "REPRO_VALIDATE", "choice", "basic", choices=("off", "basic", "full"))

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.sparse.csr import CSRMatrix
-from repro.utils.timing import Timer
 
 #: Default degree-class boundaries: thread (<8), warp (<256), CTA
 #: (<8192), grid (the rest).
@@ -29,7 +28,6 @@ class DegreeBins:
     csr: CSRMatrix
     boundaries: tuple[int, ...]
     bins: tuple[np.ndarray, ...]
-    preprocess_seconds: float
 
     @property
     def n_bins(self) -> int:
@@ -57,13 +55,10 @@ def build_degree_bins(
 ) -> DegreeBins:
     if any(b <= 0 for b in boundaries) or list(boundaries) != sorted(boundaries):
         raise ConfigError("boundaries must be positive and increasing")
-    with Timer() as t:
-        deg = csr.row_degrees()
-        edges = np.array([0, *boundaries, np.iinfo(np.int64).max])
-        which = np.searchsorted(edges, deg, side="right") - 1
-        bins = tuple(
-            np.flatnonzero(which == i).astype(np.int32) for i in range(len(edges) - 1)
-        )
-    return DegreeBins(
-        csr=csr, boundaries=tuple(boundaries), bins=bins, preprocess_seconds=t.elapsed
+    deg = csr.row_degrees()
+    edges = np.array([0, *boundaries, np.iinfo(np.int64).max])
+    which = np.searchsorted(edges, deg, side="right") - 1
+    bins = tuple(
+        np.flatnonzero(which == i).astype(np.int32) for i in range(len(edges) - 1)
     )
+    return DegreeBins(csr=csr, boundaries=tuple(boundaries), bins=bins)

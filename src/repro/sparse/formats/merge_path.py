@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.sparse.csr import CSRMatrix
-from repro.utils.timing import Timer
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class MergePathFormat:
     start_row: np.ndarray
     #: starting NZE of each partition
     start_nze: np.ndarray
-    preprocess_seconds: float
 
     @property
     def n_partitions(self) -> int:
@@ -57,21 +55,19 @@ def build_merge_path(csr: CSRMatrix, items_per_partition: int) -> MergePathForma
     """
     if items_per_partition <= 0:
         raise ConfigError("items_per_partition must be positive")
-    with Timer() as t:
-        total_items = csr.num_rows + csr.nnz
-        n_parts = max(1, (total_items + items_per_partition - 1) // items_per_partition)
-        diagonals = np.arange(n_parts, dtype=np.int64) * items_per_partition
-        # On diagonal d we need the largest row r with indptr[r] + r <= d.
-        # `indptr + arange` is sorted, so a vectorized searchsorted works.
-        key = csr.indptr + np.arange(csr.num_rows + 1, dtype=np.int64)
-        start_row = np.searchsorted(key, diagonals, side="right") - 1
-        start_row = np.clip(start_row, 0, csr.num_rows)
-        start_nze = diagonals - start_row
-        start_nze = np.clip(start_nze, 0, csr.nnz)
+    total_items = csr.num_rows + csr.nnz
+    n_parts = max(1, (total_items + items_per_partition - 1) // items_per_partition)
+    diagonals = np.arange(n_parts, dtype=np.int64) * items_per_partition
+    # On diagonal d we need the largest row r with indptr[r] + r <= d.
+    # `indptr + arange` is sorted, so a vectorized searchsorted works.
+    key = csr.indptr + np.arange(csr.num_rows + 1, dtype=np.int64)
+    start_row = np.searchsorted(key, diagonals, side="right") - 1
+    start_row = np.clip(start_row, 0, csr.num_rows)
+    start_nze = diagonals - start_row
+    start_nze = np.clip(start_nze, 0, csr.nnz)
     return MergePathFormat(
         csr=csr,
         items_per_partition=items_per_partition,
         start_row=start_row.astype(np.int64),
         start_nze=start_nze.astype(np.int64),
-        preprocess_seconds=t.elapsed,
     )

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.sparse.csr import CSRMatrix
-from repro.utils.timing import Timer
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,6 @@ class NeighborGroupFormat:
     group_row: np.ndarray  # owning row of each group
     group_start: np.ndarray  # offset of the group's first NZE
     group_len: np.ndarray  # NZEs in the group (<= group_size)
-    preprocess_seconds: float
 
     @property
     def n_groups(self) -> int:
@@ -55,26 +53,20 @@ def build_neighbor_groups(csr: CSRMatrix, group_size: int = 32) -> NeighborGroup
     """Preprocess a CSR matrix into neighbor groups (vectorized)."""
     if group_size <= 0:
         raise ConfigError("group_size must be positive")
-    with Timer() as t:
-        deg = csr.row_degrees()
-        groups_per_row = (deg + group_size - 1) // group_size
-        n_groups = int(groups_per_row.sum())
-        group_row = np.repeat(
-            np.arange(csr.num_rows, dtype=np.int32), groups_per_row
-        )
-        # Offset of each group within its row: 0, gs, 2*gs, ...
-        first_group = np.zeros(csr.num_rows + 1, dtype=np.int64)
-        np.cumsum(groups_per_row, out=first_group[1:])
-        within = np.arange(n_groups, dtype=np.int64) - first_group[group_row]
-        group_start = csr.indptr[group_row] + within * group_size
-        group_len = np.minimum(
-            deg[group_row] - within * group_size, group_size
-        ).astype(np.int32)
+    deg = csr.row_degrees()
+    groups_per_row = (deg + group_size - 1) // group_size
+    n_groups = int(groups_per_row.sum())
+    group_row = np.repeat(np.arange(csr.num_rows, dtype=np.int32), groups_per_row)
+    # Offset of each group within its row: 0, gs, 2*gs, ...
+    first_group = np.zeros(csr.num_rows + 1, dtype=np.int64)
+    np.cumsum(groups_per_row, out=first_group[1:])
+    within = np.arange(n_groups, dtype=np.int64) - first_group[group_row]
+    group_start = csr.indptr[group_row] + within * group_size
+    group_len = np.minimum(deg[group_row] - within * group_size, group_size).astype(np.int32)
     return NeighborGroupFormat(
         csr=csr,
         group_size=group_size,
         group_row=group_row,
         group_start=group_start,
         group_len=group_len,
-        preprocess_seconds=t.elapsed,
     )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.utils.timing import Timer
 
 
 @dataclass(frozen=True)
@@ -23,13 +22,11 @@ class RowSwizzleFormat:
 
     csr: CSRMatrix
     row_order: np.ndarray
-    preprocess_seconds: float
 
     def metadata_bytes(self) -> int:
         return self.row_order.nbytes
 
 
 def build_row_swizzle(csr: CSRMatrix) -> RowSwizzleFormat:
-    with Timer() as t:
-        order = np.argsort(-csr.row_degrees(), kind="stable").astype(np.int32)
-    return RowSwizzleFormat(csr=csr, row_order=order, preprocess_seconds=t.elapsed)
+    order = np.argsort(-csr.row_degrees(), kind="stable").astype(np.int32)
+    return RowSwizzleFormat(csr=csr, row_order=order)

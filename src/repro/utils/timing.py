@@ -1,8 +1,7 @@
-"""Wall-clock timing helper for the benchmark harness.
+"""Wall-clock timing helper.
 
 Simulated-GPU time comes from :mod:`repro.gpusim.cost`; this module only
-measures host-side wall time (e.g. preprocessing cost of custom formats,
-which the paper's Section 5.4.5 discusses as a one-time cost).
+measures host-side wall time.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import core
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, ConfigError, FormatError
 from repro.kernels.base import reference_sddmm, reference_spmm, reference_spmv
 from repro.kernels.gnnone import CONSECUTIVE, ROUND_ROBIN, GnnOneConfig
 from tests.conftest import make_operands
@@ -44,6 +44,32 @@ class TestApi:
         vals, X, _, _ = make_operands(small_graph, 16, rng)
         with pytest.raises(BenchmarkError):
             core.spmm(small_graph, vals, X, backend="torch")
+
+    @pytest.mark.parametrize("op", ["spmm", "sddmm"])
+    def test_config_with_a_baseline_backend_is_refused(self, small_graph, rng, op):
+        vals, X, Xr, _ = make_operands(small_graph, 16, rng)
+        operands = (vals, X) if op == "spmm" else (Xr, X)
+        with pytest.raises(ConfigError, match="backend='gnnone'"):
+            getattr(core, op)(
+                small_graph, *operands, backend="dgl", config=GnnOneConfig(cache_size=32)
+            )
+
+    @pytest.mark.parametrize("dtype", [complex, str, bool, object])
+    def test_non_numeric_operands_are_refused(self, small_graph, rng, dtype):
+        """Casting to float64 would drop an imaginary part or parse strings."""
+        vals, X, Xr, x = make_operands(small_graph, 4, rng)
+        calls = [
+            lambda: core.spmm(small_graph, vals.astype(dtype), X),
+            lambda: core.spmm(small_graph, vals, X.astype(dtype)),
+            lambda: core.sddmm(small_graph, Xr.astype(dtype), X),
+            lambda: core.sddmm(small_graph, Xr, X.astype(dtype)),
+            lambda: core.spmv(small_graph, vals, x.astype(dtype)),
+        ]
+        for call in calls:
+            with pytest.raises(FormatError, match="integers or floats"):
+                call()
+        out, _ = core.spmm(small_graph, vals, X.astype(np.int32))  # ints are fine
+        np.testing.assert_allclose(out, reference_spmm(small_graph, vals, X.astype(np.int32)))
 
     def test_run_variants_return_kernel_result(self, small_graph, rng):
         vals, X, _, _ = make_operands(small_graph, 16, rng)
@@ -103,6 +129,24 @@ class TestAutotune:
         result = core.autotune(small_graph, 16, "sddmm", cache_sizes=(32, 128))
         assert len(result.trials) == 4
         assert result.time_us == min(result.trials.values())
+
+    def test_trials_equal_full_launches_and_compute_no_numerics(
+        self, small_graph, rng, monkeypatch
+    ):
+        from repro.exec.engine import ExecutionEngine
+        from repro.kernels.gnnone import GnnOneSpMM
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("autotune ran kernel numerics")
+
+        monkeypatch.setattr(ExecutionEngine, "spmm", refuse)
+        result = core.autotune(small_graph, 16, "spmm")
+        monkeypatch.undo()
+        core.clear_plan_cache()
+        vals, X, _, _ = make_operands(small_graph, 16, rng)
+        for (cache_size, schedule), time_us in result.trials.items():
+            cfg = GnnOneConfig(cache_size=cache_size, schedule=schedule)
+            assert GnnOneSpMM(cfg)(small_graph, vals, X).time_us == time_us
 
     @pytest.mark.parametrize(
         "feature_length, kind, space",

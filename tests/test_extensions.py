@@ -4,6 +4,7 @@ GraphSAGE, graph I/O."""
 import numpy as np
 import pytest
 
+from repro.errors import FormatError
 from repro.kernels import spmv_kernel, spmv_kernel_names, reference_spmv
 from repro.kernels.gnnone.fused import (
     GnnOneFusedGATLayer,
@@ -25,6 +26,15 @@ class TestFusedGAT:
         _, Y = fused_gat_attention_numerics(small_graph, el, er, X)
         np.testing.assert_allclose(res.output, Y)
 
+    def test_operands_that_do_not_fit_are_refused(self, small_graph, rng):
+        el = rng.standard_normal(small_graph.num_rows)
+        er = rng.standard_normal(small_graph.num_cols)
+        X = rng.standard_normal((small_graph.num_cols, 8))
+        layer = GnnOneFusedGATLayer()
+        for bad in ((el[:-1], er, X), (el, er, X[:-1]), (el, er.astype(complex), X)):
+            with pytest.raises(FormatError):
+                layer(small_graph, *bad)
+
     def test_alpha_rows_sum_to_one(self, small_graph, rng):
         el = rng.standard_normal(small_graph.num_rows)
         er = rng.standard_normal(small_graph.num_cols)
@@ -41,7 +51,7 @@ class TestFusedGAT:
         er = rng.standard_normal(medium_graph.num_cols)
         X = rng.standard_normal((medium_graph.num_cols, 16))
         fused = GnnOneFusedGATLayer()(medium_graph, el, er, X).time_us
-        unfused = unfused_gat_pipeline_time_us(medium_graph, el, er, X)
+        unfused = unfused_gat_pipeline_time_us(medium_graph, 16)
         assert fused < unfused
 
     def test_fused_memory_smaller(self):

@@ -4,20 +4,23 @@ GNNOne and every baseline return the base-class ``compute`` (the
 ``repro.exec`` engine), so a launch's output does not depend on whether
 the plan cache simulated it (miss) or replayed it (hit), nor on which
 kernel of a kind ran.  Every check is ``np.array_equal``, never a
-tolerance; operands are both read-only (memoized) and writeable.
+tolerance; operands are both read-only (memoized) and writeable.  A
+price-only ``simulate`` gives every kernel's launch cost and trace.
 """
 
 from __future__ import annotations
 
 import ast
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import get_plan_cache
+from repro.core import clear_plan_cache, get_plan_cache
 from repro.errors import FormatError
 from repro.exec import get_engine
+from repro.kernels.gnnone import GnnOneFusedGATLayer
 from repro.kernels.registry import (
     sddmm_kernel,
     sddmm_kernel_names,
@@ -43,6 +46,12 @@ def _operands(kind, A, read_only):
     rng = np.random.default_rng(5)
     if kind == "spmm":
         ops = (rng.standard_normal(A.nnz), rng.standard_normal((A.num_cols, F)))
+    elif kind == "fused-gat":
+        ops = (
+            rng.standard_normal(A.num_rows),
+            rng.standard_normal(A.num_cols),
+            rng.standard_normal((A.num_cols, F)),
+        )
     elif kind == "sddmm":
         ops = (rng.standard_normal((A.num_rows, F)), rng.standard_normal((A.num_cols, F)))
     else:
@@ -69,6 +78,28 @@ def test_cold_and_warm_outputs_are_the_engine_output(kind, name, read_only, medi
     assert np.array_equal(cold.output, expect)
     assert np.array_equal(warm.output, expect)
     assert cold.output is not warm.output
+
+
+PRICED = KERNELS + [("fused-gat", "gnnone")]
+
+
+@pytest.mark.parametrize("kind,name", PRICED, ids=[f"{k}-{n}" for k, n in PRICED])
+def test_simulate_is_the_launch_cost_and_trace(kind, name, medium_graph):
+    """``simulate(A, F)`` prices a launch without operands, cold or warm."""
+    A = medium_graph
+    kernel = GnnOneFusedGATLayer() if kind == "fused-gat" else REGISTRY[kind](name)
+    feature_length = 1 if kind == "spmv" else F
+    ops = _operands(kind, A, read_only=False)
+    with no_faults():
+        cold_plan = kernel.simulate(A, feature_length)
+        warm_plan = kernel.simulate(A, feature_length)
+        clear_plan_cache()
+        cold = kernel(A, *ops)
+        warm = kernel(A, *ops)
+    assert warm_plan is cold_plan
+    for result in (cold, warm):
+        assert result.cost == cold_plan.cost
+        assert pickle.dumps(result.trace) == pickle.dumps(cold_plan.trace)
 
 
 #: the one import a baseline keeps: e2ebench's probe test rebinds the copy

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.exec.engine import ExecutionEngine
+from repro.kernels.registry import sddmm_kernel, spmv_kernel
 from repro.nn import GNNONE_BACKEND, GraphData, SimClock, simulate
 from repro.nn.sparse_ops import edge_softmax, gather_rows, sddmm, spmm, u_add_v
 from repro.nn.tensor import Tensor, gradcheck
@@ -104,6 +106,38 @@ class TestEdgeSoftmax:
             )).sum(),
             [scores],
         )
+
+
+class TestPriceOnlyOps:
+    def test_score_and_softmax_charge_full_launches_without_kernel_numerics(
+        self, gdata, rng, monkeypatch
+    ):
+        """u_add_v and edge_softmax compute their values in NumPy, so they
+        only simulate the SDDMM and SpMV launches whose time they charge."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a price-only op ran kernel numerics")
+
+        monkeypatch.setattr(ExecutionEngine, "sddmm", refuse)
+        monkeypatch.setattr(ExecutionEngine, "spmv", refuse)
+        el = Tensor(rng.standard_normal(gdata.num_vertices), requires_grad=True)
+        er = Tensor(rng.standard_normal(gdata.num_vertices), requires_grad=True)
+        clock = SimClock()
+        with simulate(clock):
+            scores = u_add_v(gdata, el, er, GNNONE_BACKEND)
+            edge_softmax(gdata, scores, GNNONE_BACKEND).sum().backward()
+        monkeypatch.undo()
+
+        coo, dev = gdata.coo, clock.device
+        ones = np.ones((gdata.num_vertices, 1))
+        sddmm_us = sddmm_kernel(GNNONE_BACKEND.sddmm)(coo, ones, ones, device=dev).time_us
+        spmv_us = spmv_kernel(GNNONE_BACKEND.spmv)(
+            coo, np.ones(coo.nnz), np.ones(coo.num_cols), device=dev
+        ).time_us
+        assert clock.buckets["sddmm:u_add_v"] == sddmm_us
+        assert clock.buckets["spmv:edge_softmax_reduce"] == spmv_us
+        assert clock.buckets["spmv:edge_softmax_bwd"] == spmv_us
+        assert el.grad is not None and er.grad is not None
 
 
 class TestGraphData:

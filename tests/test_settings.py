@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro import obs, settings
-from repro.core import plan_cache_enabled
 from repro.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,7 +21,6 @@ ROOT = Path(__file__).resolve().parents[1]
     "name,value",
     [
         ("REPRO_OBS", "flase"),
-        ("REPRO_PLAN_CACHE", "flase"),
         ("REPRO_VALIDATE", "paranoid"),
         # names not in the table fail whatever their value: a misspelt
         # name, and variables the program no longer reads
@@ -50,15 +48,14 @@ def test_malformed_value_raises_naming_the_variable(repro_env, name, value):
 
 @pytest.mark.parametrize("value", ["0", "false", "off", "no", "NO", " Off "])
 def test_every_false_spelling_disables_obs_and_plan_cache(repro_env, value):
-    repro_env(REPRO_OBS=value, REPRO_PLAN_CACHE=value)
+    repro_env(REPRO_OBS=value)
     obs.set_obs_enabled(None)
     try:
         assert not obs.obs_enabled()
-        assert not plan_cache_enabled()
     finally:
-        repro_env(REPRO_OBS=None, REPRO_PLAN_CACHE=None)
+        repro_env(REPRO_OBS=None)
         obs.set_obs_enabled(None)
-    assert obs.obs_enabled() and plan_cache_enabled()
+    assert obs.obs_enabled()
 
 
 def test_blank_means_default_and_settings_are_cached(monkeypatch):
@@ -95,11 +92,11 @@ def test_cli_prints_every_variable_and_rejects_bad_values():
     assert "REPRO_FAULT_SEED must be an integer" in out.stderr
 
     del env["REPRO_FAULT_SEED"]
-    env["REPRO_PLAN_CAHCE"] = "off"
+    env["REPRO_VALIDAET"] = "off"
     out = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 2
-    assert "REPRO_PLAN_CAHCE is not a repro setting" in out.stderr
-    assert "did you mean REPRO_PLAN_CACHE?" in out.stderr
+    assert "REPRO_VALIDAET is not a repro setting" in out.stderr
+    assert "did you mean REPRO_VALIDATE?" in out.stderr
 
 
 @pytest.mark.parametrize("script", ["chaos_check.py", "chaos_serve.py"])
