@@ -42,13 +42,13 @@ def _sample(inner: int, dataset_key: str, feature_lengths: tuple[int, ...],
     sampling can compare at the percent level — so each sample times a
     batch.
     """
-    from repro.bench.harness import time_spmm
+    from repro.bench.harness import time_kernel
 
     t0 = time.perf_counter()
     for _ in range(inner):
         for kernel in kernels:
             for f in feature_lengths:
-                time_spmm(kernel, dataset_key, f)
+                time_kernel("spmm", kernel, dataset_key, f)
     return time.perf_counter() - t0
 
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Canonical perf snapshot: one trace for profiling and regression gates.
 
-Runs the quick Fig-4 SpMM sweep and a 2-epoch GCN fit — the same
-workload every time, on every machine — with full obs tracing, and
-writes one JSONL trace.  That trace is the single input to the whole
+Runs the quick Fig-4 SpMM and Fig-3 SDDMM sweeps, a 2-epoch GCN fit and
+a 2-epoch GAT fit — the same workload every time, on every machine —
+with full obs tracing, and writes one JSONL trace.  That trace is the single input to the whole
 observability tool-chain:
 
     PYTHONPATH=src python scripts/perf_snapshot.py -o perf_trace.jsonl
@@ -29,7 +29,7 @@ def run_snapshot(trace_path: str, *, epochs: int = 2, seed: int = 11) -> None:
     from repro import obs
     from repro.bench.harness import run_experiment
     from repro.core import clear_plan_cache, clear_tune_cache
-    from repro.nn import GCN, GraphData, Trainer, synthesize
+    from repro.nn import GAT, GCN, GraphData, Trainer, synthesize
     from repro.sparse.datasets import load_dataset
 
     clear_plan_cache()
@@ -37,10 +37,15 @@ def run_snapshot(trace_path: str, *, epochs: int = 2, seed: int = 11) -> None:
     with obs.trace_to(trace_path):
         with obs.span("experiment", experiment="perf_snapshot"):
             run_experiment("fig04", quick=True)
+            run_experiment("fig03", quick=True)
             dataset = load_dataset("G0")
             data = synthesize(dataset, feature_length=16, seed=seed)
-            model = GCN(data.feature_length, 16, data.num_classes, seed=seed)
-            Trainer(model, GraphData(dataset.coo), data, lr=0.02).fit(epochs)
+            graph = GraphData(dataset.coo)
+            gcn = GCN(data.feature_length, 16, data.num_classes, seed=seed)
+            Trainer(gcn, graph, data, lr=0.02).fit(epochs)
+            gat = GAT(data.feature_length, 16, data.num_classes,
+                      num_layers=2, seed=seed)
+            Trainer(gat, graph, data, lr=0.01).fit(epochs)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -48,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-o", "--out", default="perf_trace.jsonl",
                         help="output JSONL trace path")
     parser.add_argument("--epochs", type=int, default=2,
-                        help="GCN fit epochs (default 2)")
+                        help="GCN and GAT fit epochs (default 2)")
     args = parser.parse_args(argv)
 
     run_snapshot(args.out, epochs=args.epochs)

@@ -4,8 +4,7 @@ from repro.bench.harness import (
     FEATURE_LENGTHS,
     experiment_ids,
     run_experiment,
-    time_sddmm,
-    time_spmm,
+    time_kernel,
 )
 from repro.bench.report import ExperimentResult, render_table
 
@@ -13,8 +12,7 @@ __all__ = [
     "FEATURE_LENGTHS",
     "experiment_ids",
     "run_experiment",
-    "time_sddmm",
-    "time_spmm",
+    "time_kernel",
     "ExperimentResult",
     "render_table",
 ]

@@ -9,7 +9,7 @@ larger speedups at small feature lengths.
 
 from __future__ import annotations
 
-from repro.bench.harness import FEATURE_LENGTHS, experiment, sweep_points, time_sddmm
+from repro.bench.harness import FEATURE_LENGTHS, experiment, sweep_points, time_kernel
 from repro.bench.report import SDDMM_OOM_SPEEDUP, ExperimentResult, speedup_cell
 from repro.sparse.datasets import KERNEL_SWEEP_KEYS, QUICK_KEYS
 
@@ -19,10 +19,10 @@ BASELINES = ("dgsparse", "cusparse", "sputnik", "featgraph", "dgl")
 def _point_row(point: tuple[str, int]) -> dict:
     """One (dataset, dim) cell row — independent of every other point."""
     key, dim = point
-    ours = time_sddmm("gnnone", key, dim)
+    ours = time_kernel("sddmm", "gnnone", key, dim)
     row: dict = {"dataset": key, "dim": dim, "gnnone_us": ours}
     for base in BASELINES:
-        base_us = time_sddmm(base, key, dim)
+        base_us = time_kernel("sddmm", base, key, dim)
         cell = speedup_cell(base_us, ours, oom_marker=SDDMM_OOM_SPEEDUP)
         # Sputnik's |V|^2-grid failure is a launch error, not OOM.
         if base == "sputnik" and base_us is None and ours is not None:

@@ -8,7 +8,7 @@ GE-SpMM dropping caching and Huang/GNNAdvisor idling lanes below dim 32.
 
 from __future__ import annotations
 
-from repro.bench.harness import FEATURE_LENGTHS, experiment, sweep_points, time_spmm
+from repro.bench.harness import FEATURE_LENGTHS, experiment, sweep_points, time_kernel
 from repro.bench.report import SPMM_OOM_SPEEDUP, ExperimentResult, speedup_cell
 from repro.sparse.datasets import KERNEL_SWEEP_KEYS, QUICK_KEYS
 
@@ -18,11 +18,11 @@ BASELINES = ("ge-spmm", "cusparse", "huang", "featgraph", "gnnadvisor")
 def _point_row(point: tuple[str, int]) -> dict:
     """One (dataset, dim) cell row — independent of every other point."""
     key, dim = point
-    ours = time_spmm("gnnone", key, dim)
+    ours = time_kernel("spmm", "gnnone", key, dim)
     row: dict = {"dataset": key, "dim": dim, "gnnone_us": ours}
     for base in BASELINES:
         row[base] = speedup_cell(
-            time_spmm(base, key, dim), ours, oom_marker=SPMM_OOM_SPEEDUP
+            time_kernel("spmm", base, key, dim), ours, oom_marker=SPMM_OOM_SPEEDUP
         )
     row["status"] = "ok"
     return row

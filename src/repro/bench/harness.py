@@ -132,43 +132,23 @@ def sweep_operands(
     return A, edge_values, X_cols, X_rows
 
 
-def time_spmm(
-    name: str, dataset_key: str, feature_length: int, *, device=None, seed: int = 0
+def time_kernel(
+    kind: str, name: str, dataset_key: str, feature_length: int, *, device=None, seed: int = 0
 ) -> float | None:
-    """Simulated microseconds, or None for OOM/launch failure."""
+    """Simulated microseconds of one ``kind`` ("spmm" or "sddmm") sweep
+    point, or None for OOM/launch failure."""
     dev = get_device(device)
     spec = get_spec(dataset_key)
-    with obs.span("bench.spmm", kind="spmm", kernel=name, dataset=spec.key,
+    with obs.span(f"bench.{kind}", kind=kind, kernel=name, dataset=spec.key,
                   f=feature_length) as sp:
-        kernel = spmm_kernel(name)
+        kernel = spmm_kernel(name) if kind == "spmm" else sddmm_kernel(name)
         if not kernel_fits(kernel, spec, feature_length, dev):
             sp.set(outcome="oom")
             return None
-        A, vals, X, _ = sweep_operands(spec.key, feature_length, seed)
+        A, vals, X_cols, X_rows = sweep_operands(spec.key, feature_length, seed)
+        operands = (vals, X_cols) if kind == "spmm" else (X_rows, X_cols)
         try:
-            result = kernel(A, vals, X, device=dev)
-        except KernelLaunchError:
-            sp.set(outcome="launch-error")
-            return None
-        time_us = result.time_us
-        sp.set(outcome="ok").add_sim_us(time_us)
-        return time_us
-
-
-def time_sddmm(
-    name: str, dataset_key: str, feature_length: int, *, device=None, seed: int = 0
-) -> float | None:
-    dev = get_device(device)
-    spec = get_spec(dataset_key)
-    with obs.span("bench.sddmm", kind="sddmm", kernel=name, dataset=spec.key,
-                  f=feature_length) as sp:
-        kernel = sddmm_kernel(name)
-        if not kernel_fits(kernel, spec, feature_length, dev):
-            sp.set(outcome="oom")
-            return None
-        A, _, Y, X = sweep_operands(spec.key, feature_length, seed)
-        try:
-            result = kernel(A, X, Y, device=dev)
+            result = kernel(A, *operands, device=dev)
         except KernelLaunchError:
             sp.set(outcome="launch-error")
             return None

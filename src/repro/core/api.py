@@ -16,22 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.gpusim.cost import CostReport
 from repro.gpusim.device import DeviceSpec
-from repro.kernels.base import KernelResult
-from repro.kernels.gnnone import GnnOneConfig, GnnOneSDDMM, GnnOneSpMM
+from repro.kernels.gnnone import GnnOneConfig
 from repro.kernels.registry import sddmm_kernel, spmm_kernel, spmv_kernel
 from repro.sparse.coo import COOMatrix
-
-
-def _configured(backend: str, config: GnnOneConfig | None, gnnone, registry):
-    """The backend's kernel; ``config`` selects a tuned GNNOne kernel."""
-    if config is None:
-        return registry(backend)
-    if backend != "gnnone":
-        raise ConfigError(f"config= applies only to backend='gnnone', got backend={backend!r}")
-    return gnnone(config)
 
 
 def spmm(
@@ -58,8 +47,7 @@ def spmm(
     config:
         GNNOne tuning knobs; a ``ConfigError`` with any other backend.
     """
-    kernel = _configured(backend, config, GnnOneSpMM, spmm_kernel)
-    result = kernel(A, edge_values, X, device=device)
+    result = spmm_kernel(backend, config)(A, edge_values, X, device=device)
     return result.output, result.cost
 
 
@@ -73,8 +61,7 @@ def sddmm(
     device: DeviceSpec | str | None = None,
 ) -> tuple[np.ndarray, CostReport]:
     """Sampled dense-dense matmul ``W = A ⊙ (X Y^T)`` (|E| output)."""
-    kernel = _configured(backend, config, GnnOneSDDMM, sddmm_kernel)
-    result = kernel(A, X, Y, device=device)
+    result = sddmm_kernel(backend, config)(A, X, Y, device=device)
     return result.output, result.cost
 
 
@@ -89,16 +76,3 @@ def spmv(
     """Sparse matrix-vector product ``y = A_w x`` (the Fig-12 study)."""
     result = spmv_kernel(backend)(A, edge_values, x, device=device)
     return result.output, result.cost
-
-
-def run_spmm(A, edge_values, X, *, backend="gnnone", device=None) -> KernelResult:
-    """Like :func:`spmm` but returning the full :class:`KernelResult`."""
-    return spmm_kernel(backend)(A, edge_values, X, device=device)
-
-
-def run_sddmm(A, X, Y, *, backend="gnnone", device=None) -> KernelResult:
-    return sddmm_kernel(backend)(A, X, Y, device=device)
-
-
-def run_spmv(A, edge_values, x, *, backend="gnnone", device=None) -> KernelResult:
-    return spmv_kernel(backend)(A, edge_values, x, device=device)

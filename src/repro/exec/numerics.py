@@ -25,9 +25,10 @@ but uses SIMD partial accumulators, so its last-bit results are not
 reproducible by a scalar kernel — a pinned order is worth the extra
 feature passes.
 
-The fused-GAT edge softmax keeps ``np.maximum.reduceat`` (max is
-association-free), ``np.add.reduceat`` and ``np.exp`` as its canonical
-kernels.
+The edge softmax (:func:`segment_softmax`) is written once, for the
+fused GAT kernel and the autograd ``edge_softmax`` alike.  Its canonical
+kernels are numpy's ``reduceat`` segment max (max is association-free)
+and segment sum, and ``np.exp``.
 """
 
 from __future__ import annotations
@@ -102,6 +103,30 @@ def sddmm_serial(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _feature_major_dot(feature_major(X), feature_major(Y), A.rows, A.cols)
 
 
+def segment_softmax(
+    values: np.ndarray, rows: np.ndarray, bounds: np.ndarray, num_rows: int
+) -> np.ndarray:
+    """Softmax of ``values`` within each row segment of a CSR-ordered COO.
+
+    ``rows`` is the row of every value and ``bounds`` the start of every
+    row segment (``np.add.reduceat`` boundaries).  Each segment is
+    shifted by its max before ``exp`` and divided by its sum.  The one
+    copy of the edge softmax: the fused GAT kernel and the autograd
+    ``edge_softmax`` both compute through it.
+    """
+    if not values.size:
+        return values.copy()
+    seg_max = np.maximum.reduceat(values, bounds)
+    row_of_seg = rows[bounds]
+    full_max = np.zeros(num_rows)
+    full_max[row_of_seg] = seg_max
+    ex = np.exp(values - full_max[rows])
+    seg_sum = np.add.reduceat(ex, bounds)
+    full_sum = np.ones(num_rows)
+    full_sum[row_of_seg] = seg_sum
+    return ex / full_sum[rows]
+
+
 def gat_edge_softmax_serial(
     A: COOMatrix,
     el: np.ndarray,
@@ -112,8 +137,7 @@ def gat_edge_softmax_serial(
     """Fused-GAT edge pipeline: leaky-relu scores + per-row softmax.
 
     ``A`` must be CSR-ordered so each row's edges form one contiguous
-    segment.  The segment reductions deliberately stay on numpy's
-    ``reduceat`` kernels (see module docstring).
+    segment.
     """
     rows, cols = A.rows, A.cols
     scores = el[rows] + er[cols]
@@ -121,11 +145,4 @@ def gat_edge_softmax_serial(
     if not A.nnz:
         return scores
     bounds = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    seg_max = np.maximum.reduceat(scores, bounds)
-    full_max = np.zeros(A.num_rows)
-    full_max[rows[bounds]] = seg_max
-    ex = np.exp(scores - full_max[rows])
-    seg_sum = np.add.reduceat(ex, bounds)
-    full_sum = np.ones(A.num_rows)
-    full_sum[rows[bounds]] = seg_sum
-    return ex / full_sum[rows]
+    return segment_softmax(scores, rows, bounds, A.num_rows)

@@ -53,12 +53,6 @@ def counter_sum(value: Counter, n_warps: int) -> float:
     return float(value.sum())
 
 
-def counter_max(value: Counter) -> float:
-    if isinstance(value, float):
-        return value
-    return float(value.max()) if value.size else 0.0
-
-
 @dataclass
 class Phase:
     """Per-warp counters for one phase of a kernel."""

@@ -59,10 +59,6 @@ class ThreadGroupShape:
     #: warp lanes left idle (only when the group math cannot fill 32)
     idle_lanes: int
 
-    @property
-    def active_lanes(self) -> int:
-        return WARP_SIZE - self.idle_lanes
-
 
 def thread_group_shape(feature_length: int, vector_width: int | None = None) -> ThreadGroupShape:
     """Compute GNNOne's thread-group partition of a warp.

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Hashable
 import numpy as np
 
 from repro import obs
-from repro.errors import FormatError, UnsupportedFormatError
+from repro.errors import FormatError
 from repro.exec import get_engine
 from repro.resilience.validation import ensure_structure_validated
 from repro.gpusim.cost import CostReport, estimate_cost
@@ -374,7 +374,3 @@ def reference_spmv(A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.n
     """Ground-truth SpMV via scipy."""
     return A.to_scipy(np.asarray(edge_values, dtype=np.float64)).tocsr() @ np.asarray(x)
 
-
-def require_format(kernel_name: str, fmt: str, expected: str) -> None:
-    if fmt != expected:
-        raise UnsupportedFormatError(f"{kernel_name} only supports {expected}, got {fmt}")

@@ -8,10 +8,13 @@ computes a GAT layer's whole edge pipeline
     e = LeakyReLU(el[row] + er[col]);  alpha = edge_softmax(e);
     Y += alpha * X[col]   (running reduction per row segment)
 
-reusing the Stage-1 NZE cache across all three logical ops, eliminating
-the intermediate |E|-sized score/alpha tensors from DRAM entirely (they
-live in registers/shared memory), and paying a second lightweight pass
-for the softmax normalizer.
+launching from the same two-stage plan as SpMM and SDDMM
+(:func:`~repro.kernels.gnnone.planner.plan_two_stage`, so the Fig-8
+``enable_nze_cache`` ablation applies here too), reusing the Stage-1
+NZE cache across all three logical ops, eliminating the intermediate
+|E|-sized score/alpha tensors from DRAM entirely (they live in
+registers/shared memory), and paying a second lightweight pass for the
+softmax normalizer.
 
 Cost structure per warp (all measured from real index arrays):
 
@@ -32,12 +35,11 @@ from repro.errors import FormatError
 from repro.gpusim.atomics import conflict_degree
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.memory import feature_row_sectors, unique_per_warp
-from repro.gpusim.trace import KernelTrace, LaunchConfig
+from repro.gpusim.trace import KernelTrace
 from repro.kernels.base import KernelResult, _Kernel, check_numeric
-from repro.kernels.gnnone.config import BASE_REGISTERS, DEFAULT_CONFIG, GnnOneConfig
+from repro.kernels.gnnone.config import DEFAULT_CONFIG, GnnOneConfig
+from repro.kernels.gnnone.planner import plan_two_stage
 from repro.kernels.gnnone.reduction import _segment_rows
-from repro.kernels.gnnone.scheduler import plan_schedule
-from repro.kernels.gnnone.stage1 import plan_stage1, record_stage1
 from repro.sparse.coo import COOMatrix
 
 
@@ -92,25 +94,20 @@ class GnnOneFusedGATLayer(_Kernel):
         return self._launch(A, device, (el, er, X), np.shape(X)[1])
 
     def compute(self, A: COOMatrix, el: np.ndarray, er: np.ndarray, X: np.ndarray) -> np.ndarray:
-        coo = A if A.is_csr_ordered() else A.sort_csr_order()
+        coo = A.sort_csr_order()
         return fused_gat_attention_numerics(coo, el, er, X)[1]
 
     def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
-        """Plans + trace for the fused two-pass launch."""
-        coo = A if A.is_csr_ordered() else A.sort_csr_order()
+        """The shared two-stage plan, then the fused two-pass phases."""
         F = feature_length
-        cfg = self.config
-        s1 = plan_stage1(coo.nnz, cfg.cache_size, with_edge_values=False)
-        sched = plan_schedule(coo.rows, s1.chunks.chunk_of_nze, s1.chunks.n_chunks, cfg, F)
-        grid = max(1, (s1.chunks.n_chunks + cfg.warps_per_cta - 1) // cfg.warps_per_cta)
         # Alpha values for the warp's cached NZEs live in shared memory
         # between the two passes: +4B per cached NZE.
-        smem = (s1.smem_bytes_per_warp + 4 * cfg.cache_size) * cfg.warps_per_cta
-        launch = LaunchConfig(grid, cfg.threads_per_cta,
-                              BASE_REGISTERS + 2 * sched.shape.vector_width, smem)
-        trace = KernelTrace(self.name, launch)
-
-        record_stage1(trace, s1, device)
+        plan = plan_two_stage(
+            A, F, self.config, kind=self.kind, with_edge_values=False,
+            vectors_per_thread=2, extra_smem_per_warp=4 * self.config.cache_size,
+        )
+        coo, s1, sched = plan.coo, plan.stage1, plan.schedule
+        trace = plan.begin_trace(self.name, device)
         sizes = s1.chunks.chunk_sizes.astype(np.float64)
         n_warps = s1.chunks.n_chunks
 
@@ -185,7 +182,7 @@ def unfused_gat_pipeline_time_us(
     from repro.kernels.gnnone.spmv import GnnOneSpMV
 
     dev = get_device(device)
-    coo = A if A.is_csr_ordered() else A.sort_csr_order()
+    coo = A.sort_csr_order()
     total = 0.0
     total += GnnOneSDDMM(config).simulate(coo, 1, device=dev).time_us
     total += 2 * elementwise_cost(dev, coo.nnz, reads=2, writes=1).time_us

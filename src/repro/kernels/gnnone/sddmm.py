@@ -5,18 +5,20 @@ caches NZE tuples (novel for SDDMM — prior works reload ids); Stage 2
 reuses the row's features across a segment of consecutive NZEs and
 fetches column features with float4 vector loads, quadrupling the loads
 in flight before the reduction's memory barrier (Section 4.2.1).
+Stage 1 and the schedule are the shared
+:func:`~repro.kernels.gnnone.planner.plan_two_stage` plan SpMM launches
+from too — the two kernels differ only in the reduction dimension.
 """
 
 from __future__ import annotations
 
 from repro import obs
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.trace import KernelTrace, LaunchConfig
+from repro.gpusim.trace import KernelTrace
 from repro.kernels.base import SDDMMKernel
-from repro.kernels.gnnone.config import BASE_REGISTERS, DEFAULT_CONFIG, GnnOneConfig
+from repro.kernels.gnnone.config import DEFAULT_CONFIG, GnnOneConfig
+from repro.kernels.gnnone.planner import plan_two_stage
 from repro.kernels.gnnone.reduction import record_reduction_sddmm
-from repro.kernels.gnnone.scheduler import plan_schedule
-from repro.kernels.gnnone.stage1 import plan_stage1, record_stage1
 from repro.kernels.gnnone.stage2 import record_stage2_sddmm
 from repro.sparse.coo import COOMatrix
 
@@ -35,34 +37,16 @@ class GnnOneSDDMM(SDDMMKernel):
         return (type(self).__qualname__, self.config)
 
     def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
-        """Stage-1 plan, schedule, and trace recording."""
-        cfg = self.config
+        """The shared two-stage plan, then the SDDMM Stage-2 and reduction phases."""
         F = feature_length
-        coo = A.sort_csr_order()
-
-        with obs.span("gnnone.stage1", kind="sddmm", nnz=coo.nnz,
-                      cache_size=cfg.cache_size) as sp:
-            s1 = plan_stage1(
-                coo.nnz, cfg.cache_size, with_edge_values=False, enable_cache=cfg.enable_nze_cache
-            )
-            sp.set(n_chunks=s1.chunks.n_chunks, smem_bytes_per_warp=s1.smem_bytes_per_warp)
-        with obs.span("gnnone.schedule", kind="sddmm", schedule=cfg.schedule, f=F) as sp:
-            sched = plan_schedule(coo.rows, s1.chunks.chunk_of_nze, s1.chunks.n_chunks, cfg, F)
-            sp.set(vector_width=sched.shape.vector_width,
-                   threads_per_group=sched.shape.threads_per_group)
-
-        grid = max(1, (s1.chunks.n_chunks + cfg.warps_per_cta - 1) // cfg.warps_per_cta)
-        launch = LaunchConfig(
-            grid_ctas=grid,
-            threads_per_cta=cfg.threads_per_cta,
-            registers_per_thread=BASE_REGISTERS + 2 * sched.shape.vector_width,
-            shared_mem_per_cta=s1.smem_bytes_per_warp * cfg.warps_per_cta,
-        )
-        trace = KernelTrace(self.name, launch)
-        with obs.span("gnnone.stage2", kind="sddmm", f=F, grid_ctas=grid):
-            record_stage1(trace, s1, device)
+        # Each thread holds a row-feature and a column-feature vector.
+        plan = plan_two_stage(A, F, self.config, kind="sddmm", with_edge_values=False,
+                              vectors_per_thread=2)
+        s1, sched = plan.stage1, plan.schedule
+        with obs.span("gnnone.stage2", kind="sddmm", f=F, grid_ctas=plan.launch.grid_ctas):
+            trace = plan.begin_trace(self.name, device)
             record_stage2_sddmm(
-                trace, s1, sched, F, device, row_reuse=cfg.enable_row_reuse
+                trace, s1, sched, F, device, row_reuse=self.config.enable_row_reuse
             )
             record_reduction_sddmm(trace, s1, sched, device)
         return trace

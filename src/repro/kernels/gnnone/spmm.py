@@ -6,6 +6,9 @@ parallel, fully balanced); the symbiotic scheduler hands consecutive
 cached NZEs to thread groups; Stage 2 gathers column features with
 vector loads and folds the multiply into a thread-local running
 reduction, flushed by atomicAdd at each row split (Sections 4.1-4.3).
+The Stage-1 cache, schedule and launch shape come from the shared
+:func:`~repro.kernels.gnnone.planner.plan_two_stage`; this module
+records only the SpMM Stage-2 and reduction phases.
 """
 
 from __future__ import annotations
@@ -14,12 +17,11 @@ import numpy as np
 
 from repro import obs
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.trace import KernelTrace, LaunchConfig
+from repro.gpusim.trace import KernelTrace
 from repro.kernels.base import SpMMKernel
-from repro.kernels.gnnone.config import BASE_REGISTERS, DEFAULT_CONFIG, GnnOneConfig
+from repro.kernels.gnnone.config import DEFAULT_CONFIG, GnnOneConfig
+from repro.kernels.gnnone.planner import plan_two_stage
 from repro.kernels.gnnone.reduction import record_reduction_spmm
-from repro.kernels.gnnone.scheduler import plan_schedule
-from repro.kernels.gnnone.stage1 import plan_stage1, record_stage1
 from repro.kernels.gnnone.stage2 import record_stage2_spmm
 from repro.sparse.coo import COOMatrix
 
@@ -61,32 +63,14 @@ class GnnOneSpMM(SpMMKernel):
         return (type(self).__qualname__, self.config)
 
     def execute(self, A: COOMatrix, feature_length: int, device: DeviceSpec) -> KernelTrace:
-        """Stage-1 plan, schedule, and trace recording."""
-        cfg = self.config
+        """The shared two-stage plan, then the SpMM Stage-2 and reduction phases."""
         F = feature_length
-        coo = A.sort_csr_order()
-
-        with obs.span("gnnone.stage1", kind="spmm", nnz=coo.nnz,
-                      cache_size=cfg.cache_size) as sp:
-            s1 = plan_stage1(
-                coo.nnz, cfg.cache_size, with_edge_values=True, enable_cache=cfg.enable_nze_cache
-            )
-            sp.set(n_chunks=s1.chunks.n_chunks, smem_bytes_per_warp=s1.smem_bytes_per_warp)
-        with obs.span("gnnone.schedule", kind="spmm", schedule=cfg.schedule, f=F) as sp:
-            sched = plan_schedule(coo.rows, s1.chunks.chunk_of_nze, s1.chunks.n_chunks, cfg, F)
-            sp.set(vector_width=sched.shape.vector_width,
-                   threads_per_group=sched.shape.threads_per_group)
-
-        grid = max(1, (s1.chunks.n_chunks + cfg.warps_per_cta - 1) // cfg.warps_per_cta)
-        launch = LaunchConfig(
-            grid_ctas=grid,
-            threads_per_cta=cfg.threads_per_cta,
-            registers_per_thread=BASE_REGISTERS + sched.shape.vector_width,
-            shared_mem_per_cta=s1.smem_bytes_per_warp * cfg.warps_per_cta,
-        )
-        trace = KernelTrace(self.name, launch)
-        with obs.span("gnnone.stage2", kind="spmm", f=F, grid_ctas=grid):
-            record_stage1(trace, s1, device)
+        # Stage 1 caches the edge values too; the running reduction keeps
+        # one vector of accumulators live per thread.
+        plan = plan_two_stage(A, F, self.config, kind="spmm", with_edge_values=True)
+        coo, s1, sched = plan.coo, plan.stage1, plan.schedule
+        with obs.span("gnnone.stage2", kind="spmm", f=F, grid_ctas=plan.launch.grid_ctas):
+            trace = plan.begin_trace(self.name, device)
             record_stage2_spmm(trace, s1, sched, F, device, cols=coo.cols)
             record_reduction_spmm(trace, s1, sched, coo.rows, F, device)
         return trace

@@ -2,7 +2,9 @@
 
 The benchmark harness looks kernels up by the names the paper's figures
 use; examples and the public API use the same names for ``backend=``
-selection.
+selection.  ``spmm_kernel``/``sddmm_kernel`` are also the one place a
+(kernel name, optional :class:`GnnOneConfig`) pair becomes a kernel: the
+``core`` API and the training backends both resolve through them.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro import obs
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, ConfigError
 from repro.kernels.base import SDDMMKernel, SpMMKernel, SpMVKernel
 from repro.kernels.baselines import (
     BinnedSpMV,
@@ -32,7 +34,7 @@ from repro.kernels.baselines import (
     SputnikSpMM,
     YangNonzeroSplitSpMM,
 )
-from repro.kernels.gnnone import GnnOneSDDMM, GnnOneSpMM, GnnOneSpMV
+from repro.kernels.gnnone import GnnOneConfig, GnnOneSDDMM, GnnOneSpMM, GnnOneSpMV
 
 _SPMM_FACTORIES: dict[str, Callable[[], SpMMKernel]] = {
     "gnnone": GnnOneSpMM,
@@ -77,12 +79,26 @@ def _lookup(table: dict, kind: str, name: str):
     return factory()
 
 
-def spmm_kernel(name: str) -> SpMMKernel:
-    return _lookup(_SPMM_FACTORIES, "spmm", name)
+def check_config(name: str, config: GnnOneConfig | None) -> None:
+    """``ConfigError`` unless ``config`` is ``None`` or ``name`` is ``"gnnone"``."""
+    if config is not None and name != "gnnone":
+        raise ConfigError(f"config= applies only to backend='gnnone', got backend={name!r}")
 
 
-def sddmm_kernel(name: str) -> SDDMMKernel:
-    return _lookup(_SDDMM_FACTORIES, "sddmm", name)
+def spmm_kernel(name: str, config: GnnOneConfig | None = None) -> SpMMKernel:
+    """The SpMM kernel ``name``; ``config`` selects a tuned GNNOne kernel."""
+    if config is None:
+        return _lookup(_SPMM_FACTORIES, "spmm", name)
+    check_config(name, config)
+    return GnnOneSpMM(config)
+
+
+def sddmm_kernel(name: str, config: GnnOneConfig | None = None) -> SDDMMKernel:
+    """The SDDMM kernel ``name``; ``config`` selects a tuned GNNOne kernel."""
+    if config is None:
+        return _lookup(_SDDMM_FACTORIES, "sddmm", name)
+    check_config(name, config)
+    return GnnOneSDDMM(config)
 
 
 def spmv_kernel(name: str) -> SpMVKernel:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.kernels.gnnone.config import GnnOneConfig
+from repro.kernels.registry import check_config
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,15 @@ class TrainingBackend:
     #: keeps CSR + CSC + COO resident simultaneously (DGL behaviour)
     dual_format: bool = False
     #: autotuned GNNOne knobs (``Trainer(autotune=True)``); ``None`` runs
-    #: the paper defaults.  Only honored when the corresponding kernel
-    #: registry name is ``"gnnone"`` — baselines have no such knobs.
+    #: the paper defaults.  A config on a kernel whose registry name is
+    #: not ``"gnnone"`` raises ``ConfigError`` here — baselines have no
+    #: such knobs.
     gnnone_spmm_config: GnnOneConfig | None = None
     gnnone_sddmm_config: GnnOneConfig | None = None
+
+    def __post_init__(self) -> None:
+        check_config(self.spmm, self.gnnone_spmm_config)
+        check_config(self.sddmm, self.gnnone_sddmm_config)
 
 
 GNNONE_BACKEND = TrainingBackend("gnnone", "gnnone", "gnnone", "gnnone")

@@ -14,7 +14,7 @@ import contextlib
 import contextvars
 from dataclasses import dataclass, field
 
-from repro.gpusim.dense import elementwise_cost, gemm_cost, softmax_cost
+from repro.gpusim.dense import elementwise_cost, gemm_cost
 from repro.gpusim.device import A100, DeviceSpec
 
 
@@ -79,8 +79,3 @@ def charge_elementwise(
             * elementwise_cost(clock.device, num_elements, reads=reads, writes=writes).time_us,
         )
 
-
-def charge_softmax(rows: int, cols: int, *, count: int = 1) -> None:
-    clock = current_clock()
-    if clock is not None and not clock.fused_elementwise:
-        clock.add("softmax", count * softmax_cost(clock.device, rows, cols).time_us)

@@ -8,8 +8,14 @@ structure lives:
   every invocation charges its simulated time to the active SimClock.
 * ``u_add_v`` (the GAT attention-score gather) is priced as an F=1
   SDDMM and ``edge_softmax`` as a segment-reduction SpMV.  Both compute
-  their values here with NumPy, so they only ``simulate`` the kernel
-  whose price they charge: no kernel numerics run for them.
+  their values with NumPy (``edge_softmax`` through the shared
+  :func:`repro.exec.numerics.segment_softmax`), so they only
+  ``simulate`` the kernel whose price they charge: no kernel numerics
+  run for them.
+
+Kernels are resolved through :func:`repro.kernels.registry.spmm_kernel`
+and :func:`~repro.kernels.registry.sddmm_kernel` with the backend's
+GNNOne config, the same selector ``repro.core`` uses.
 
 Numerics are plain vectorized NumPy, bit-identical across backends —
 which is the Fig-5 claim (GNNOne trains to the same accuracy as DGL).
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.gnnone import GnnOneSDDMM, GnnOneSpMM
+from repro.exec.numerics import segment_softmax
 from repro.kernels.registry import sddmm_kernel, spmm_kernel, spmv_kernel
 from repro.nn.backend import TrainingBackend
 from repro.nn.clock import charge, charge_elementwise, current_clock
@@ -39,26 +45,18 @@ def _device():
     return clock.device if clock else None
 
 
-def _spmm_kernel(backend: TrainingBackend):
-    if backend.spmm == "gnnone" and backend.gnnone_spmm_config is not None:
-        return GnnOneSpMM(backend.gnnone_spmm_config)
-    return spmm_kernel(backend.spmm)
-
-
-def _sddmm_kernel(backend: TrainingBackend):
-    if backend.sddmm == "gnnone" and backend.gnnone_sddmm_config is not None:
-        return GnnOneSDDMM(backend.gnnone_sddmm_config)
-    return sddmm_kernel(backend.sddmm)
-
-
 def _run_spmm(backend: TrainingBackend, coo, edge_values, X, tag: str) -> np.ndarray:
-    result = _spmm_kernel(backend)(coo, edge_values, X, device=_device())
+    result = spmm_kernel(backend.spmm, backend.gnnone_spmm_config)(
+        coo, edge_values, X, device=_device()
+    )
     charge(f"spmm:{tag}", result.time_us)
     return result.output
 
 
 def _run_sddmm(backend: TrainingBackend, coo, X, Y, tag: str) -> np.ndarray:
-    result = _sddmm_kernel(backend)(coo, X, Y, device=_device())
+    result = sddmm_kernel(backend.sddmm, backend.gnnone_sddmm_config)(
+        coo, X, Y, device=_device()
+    )
     charge(f"sddmm:{tag}", result.time_us)
     return result.output
 
@@ -108,7 +106,9 @@ def u_add_v(graph: GraphData, el: Tensor, er: Tensor, backend: TrainingBackend) 
     rows, cols = graph.coo.rows, graph.coo.cols
     out = Tensor(el.data[rows] + er.data[cols], parents=(el, er))
     # Same data-load pattern as a feature-length-1 SDDMM: price it so.
-    _charge_launch(_sddmm_kernel(backend), graph.coo, 1, "sddmm:u_add_v")
+    _charge_launch(
+        sddmm_kernel(backend.sddmm, backend.gnnone_sddmm_config), graph.coo, 1, "sddmm:u_add_v"
+    )
 
     def backward(g: np.ndarray) -> None:
         charge_elementwise(graph.num_edges, reads=1, writes=1, name="u_add_v_bwd")
@@ -129,19 +129,7 @@ def edge_softmax(graph: GraphData, scores: Tensor, backend: TrainingBackend) -> 
     """Softmax of edge scores per destination row (GAT's normalization)."""
     rows = graph.coo.rows
     bounds = graph.row_boundaries
-    s = scores.data
-    if s.size == 0:
-        alpha_data = s.copy()
-    else:
-        seg_max = np.maximum.reduceat(s, bounds)
-        row_of_seg = rows[bounds]
-        full_max = np.zeros(graph.num_vertices)
-        full_max[row_of_seg] = seg_max
-        ex = np.exp(s - full_max[rows])
-        seg_sum = np.add.reduceat(ex, bounds)
-        full_sum = np.ones(graph.num_vertices)
-        full_sum[row_of_seg] = seg_sum
-        alpha_data = ex / full_sum[rows]
+    alpha_data = segment_softmax(scores.data, rows, bounds, graph.num_vertices)
     out = Tensor(alpha_data, parents=(scores,))
     # Price: two segment reductions (max, sum) + two element-wise passes.
     _charge_launch(spmv_kernel(backend.spmv), graph.coo, 1, "spmv:edge_softmax_reduce")

@@ -63,10 +63,6 @@ class TrainResult:
         """Projected end-to-end simulated time for ``epochs`` epochs."""
         return self.epoch_sim_us * epochs
 
-    @property
-    def final_val_acc(self) -> float:
-        return self.history[-1].val_acc if self.history else 0.0
-
 
 class Trainer:
     """Full-graph node-classification training."""

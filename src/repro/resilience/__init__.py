@@ -34,7 +34,6 @@ from repro.resilience.faults import (
     no_faults,
     parse_profile,
     reset_injector,
-    set_fault_profile,
 )
 from repro.resilience.validation import (
     ValidationReport,
@@ -53,7 +52,6 @@ __all__ = [
     "no_faults",
     "parse_profile",
     "reset_injector",
-    "set_fault_profile",
     "ValidationReport",
     "ensure_structure_validated",
     "validate_graph",

@@ -130,10 +130,6 @@ class CheckpointManager:
                 found.append(int(stem))
         return sorted(found)
 
-    def latest_epoch(self) -> int | None:
-        epochs = self.epochs()
-        return epochs[-1] if epochs else None
-
     def save(
         self,
         snapshot: TrainSnapshot,

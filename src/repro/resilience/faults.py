@@ -218,15 +218,6 @@ def get_injector() -> FaultInjector:
     return _default
 
 
-def set_fault_profile(spec: str | None, seed: int = 0) -> FaultInjector:
-    """Install an injector programmatically (``None``/"" disables)."""
-    global _default
-    injector = FaultInjector(parse_profile(spec), seed)
-    with _default_lock:
-        _default = injector
-    return injector
-
-
 def reset_injector() -> None:
     """Re-resolve the injector from the settings with fresh schedules."""
     global _default

@@ -36,9 +36,6 @@ class ServeConfig:
     timeout_ms: float = 10_000.0
     #: per-request attempts after a failed batch = 1 + retries
     retries: int = 2
-    #: autotune the fused launch's GNNOne config per batch width
-    #: (``core.autotune``'s exhaustive search)
-    tuned: bool = False
     #: priority class assigned to requests that don't name one
     #: (``interactive`` > ``standard`` > ``bulk``)
     default_priority: str = "standard"
@@ -80,7 +77,6 @@ class ServeConfig:
             "queue_depth": env.serve_queue_depth,
             "timeout_ms": env.serve_timeout_ms,
             "retries": env.serve_retries,
-            "tuned": env.serve_tuned,
             "default_priority": env.serve_default_priority,
             "breaker_threshold": env.serve_breaker_threshold,
             "breaker_reset_ms": env.serve_breaker_reset_ms,

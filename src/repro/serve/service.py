@@ -18,6 +18,8 @@ Two request kinds cover the serving surface:
   zero-pads to the next power-of-two width (so steady-state traffic
   touches a handful of plan-cache keys regardless of arrival pattern),
   launches one SpMM, and hands each request back its column slice.
+  That launch is one helper, ``_propagate``; the degraded path calls
+  it once per request.
   SpMM accumulates each output column independently, in the same
   per-row edge order at every width, so the slice is **bit-identical**
   to serving that request alone.
@@ -630,7 +632,9 @@ class InferenceService:
             ) as sp:
                 try:
                     injector.maybe_raise(FAULT_SITE, occupancy=len(requests))
-                    return self._run_fused(requests, sp)
+                    results, sim_us = self._propagate(requests)
+                    sp.add_sim_us(sim_us)
+                    return results
                 except Exception:
                     self.stats.degraded += 1
                     metrics.counter("serve.degraded").inc()
@@ -640,25 +644,27 @@ class InferenceService:
                     sp.set(degraded=True)
                 return [self._run_single(req, injector) for req in requests]
 
-    def _run_fused(self, requests: list[_Request], sp) -> list[Any]:
+    def _propagate(self, requests: list[_Request]) -> tuple[list[np.ndarray], float]:
+        """One launch over the requests' columns: each request's answer
+        and the launch's simulated microseconds.
+
+        The columns are stacked side by side and zero-padded to the next
+        power-of-two width; each request gets back its own contiguous
+        column slice (1-D again for a 1-D input).
+        """
         widths = [req.payload.shape[1] for req in requests]
-        total = sum(widths)
-        stacked = np.zeros((self.graph.num_vertices, _bucket(total)))
+        stacked = np.zeros((self.graph.num_vertices, _bucket(sum(widths))))
         col = 0
         for req, width in zip(requests, widths):
             stacked[:, col : col + width] = req.payload
             col += width
-        out, cost = core.spmm(
-            self.graph.coo, self.graph.gcn_edge_values, stacked,
-            config=self._tuned_config(stacked.shape[1]),
-        )
-        sp.add_sim_us(cost.time_us)
+        out, cost = core.spmm(self.graph.coo, self.graph.gcn_edge_values, stacked)
         results, lo = [], 0
         for req, width in zip(requests, widths):
             sliced = np.ascontiguousarray(out[:, lo : lo + width])
             results.append(sliced[:, 0] if req.squeeze else sliced)
             lo += width
-        return results
+        return results, cost.time_us
 
     def _run_single(self, req: _Request, injector) -> Any:
         """Unbatched execution with retries (the degraded path)."""
@@ -667,15 +673,8 @@ class InferenceService:
         for attempt in range(attempts):
             try:
                 injector.maybe_raise(FAULT_SITE, attempt=attempt)
-                x = req.payload
-                padded = np.zeros((x.shape[0], _bucket(x.shape[1])))
-                padded[:, : x.shape[1]] = x
-                out, _ = core.spmm(
-                    self.graph.coo, self.graph.gcn_edge_values, padded,
-                    config=self._tuned_config(padded.shape[1]),
-                )
-                sliced = np.ascontiguousarray(out[:, : x.shape[1]])
-                return sliced[:, 0] if req.squeeze else sliced
+                (result,), _ = self._propagate([req])
+                return result
             except FaultInjectedError as e:
                 if attempt == attempts - 1:
                     return e
@@ -684,15 +683,3 @@ class InferenceService:
             except Exception as e:
                 return e
         return FaultInjectedError("unreachable: retry loop exhausted")
-
-    def _tuned_config(self, width: int):
-        """The autotuned GNNOne config for a bucketed batch width.
-
-        ``None`` (the paper default config) unless the service was
-        started with ``tuned=True`` / ``REPRO_SERVE_TUNED=1``.  Widths
-        are already power-of-two bucketed, and ``core.autotune`` memoizes
-        per (structure, F, device), so each bucket tunes once per process.
-        """
-        if not self.config.tuned:
-            return None
-        return core.autotune(self.graph.coo, int(width), "spmm").config

@@ -97,8 +97,6 @@ class Settings:
     fault_profile: str | None = _var("REPRO_FAULT_PROFILE", "text", None)
     #: fault schedule seed (unset: 0, or 1337 in the chaos scripts)
     fault_seed: int | None = _var("REPRO_FAULT_SEED", "int", None)
-    #: dataset stand-in cache (unset: ``~/.cache/repro``)
-    cache_dir: str | None = _var("REPRO_CACHE_DIR", "text", None)
     #: max requests fused into one launch
     serve_max_batch: int = _var("REPRO_SERVE_MAX_BATCH", "int", 32, minimum=1)
     #: max linger for co-batchable requests (a cap, not a target)
@@ -111,8 +109,6 @@ class Settings:
         "REPRO_SERVE_TIMEOUT_MS", "float", 10_000.0, minimum=0)
     #: per-request retries after a batch degrades
     serve_retries: int = _var("REPRO_SERVE_RETRIES", "int", 2, minimum=0)
-    #: autotune the fused kernel config per width bucket
-    serve_tuned: bool = _var("REPRO_SERVE_TUNED", "bool", False)
     #: priority class for requests that name none
     serve_default_priority: str = _var(
         "REPRO_SERVE_DEFAULT_PRIORITY", "choice", "standard",

@@ -4,8 +4,6 @@ from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.convert import (
     add_self_loops,
-    coo_to_csr,
-    csr_to_coo,
     from_scipy,
     symmetrize,
     transpose_coo,
@@ -28,8 +26,6 @@ __all__ = [
     "COOMatrix",
     "CSRMatrix",
     "add_self_loops",
-    "coo_to_csr",
-    "csr_to_coo",
     "from_scipy",
     "symmetrize",
     "transpose_coo",

@@ -6,15 +6,6 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csr import CSRMatrix
-
-
-def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
-    return coo.to_csr()
-
-
-def csr_to_coo(csr: CSRMatrix) -> COOMatrix:
-    return csr.to_coo()
 
 
 def transpose_coo(coo: COOMatrix) -> COOMatrix:

@@ -29,10 +29,6 @@ class DegreeBins:
     boundaries: tuple[int, ...]
     bins: tuple[np.ndarray, ...]
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.bins)
-
     def metadata_bytes(self) -> int:
         return sum(b.nbytes for b in self.bins)
 

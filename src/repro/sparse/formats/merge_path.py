@@ -30,10 +30,6 @@ class MergePathFormat:
     #: starting NZE of each partition
     start_nze: np.ndarray
 
-    @property
-    def n_partitions(self) -> int:
-        return int(self.start_row.shape[0])
-
     def metadata_bytes(self) -> int:
         return self.start_row.nbytes + self.start_nze.nbytes
 

@@ -1,4 +1,4 @@
-"""Shared utilities: validation helpers, array helpers, RNG management, timing."""
+"""Shared utilities: validation helpers, array helpers, RNG management."""
 
 from repro.utils.arrays import sorted_distinct
 from repro.utils.validation import (
@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_shape,
 )
 from repro.utils.rng import default_rng, spawn_rng
-from repro.utils.timing import Timer
 
 __all__ = [
     "check_array",
@@ -22,5 +21,4 @@ __all__ = [
     "default_rng",
     "sorted_distinct",
     "spawn_rng",
-    "Timer",
 ]

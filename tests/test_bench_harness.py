@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench import experiment_ids, run_experiment, time_sddmm, time_spmm
+from repro.bench import experiment_ids, run_experiment, time_kernel
 from repro.bench.report import (
     SDDMM_OOM_SPEEDUP,
     SPMM_OOM_SPEEDUP,
@@ -48,19 +48,19 @@ class TestRegistry:
 
 class TestTimingHelpers:
     def test_time_spmm_returns_float(self):
-        t = time_spmm("gnnone", "G3", 16)
+        t = time_kernel("spmm", "gnnone", "G3", 16)
         assert t is not None and t > 0
 
     def test_time_sddmm_returns_float(self):
-        t = time_sddmm("gnnone", "G3", 16)
+        t = time_kernel("sddmm", "gnnone", "G3", 16)
         assert t is not None and t > 0
 
     def test_oom_at_paper_scale_returns_none(self):
         # uk-2005 at dim 64: nobody fits (Fig 4's "OOM" cells).
-        assert time_spmm("gnnone", "G18", 64) is None
+        assert time_kernel("spmm", "gnnone", "G18", 64) is None
 
     def test_sputnik_launch_error_returns_none(self):
-        assert time_sddmm("sputnik", "G13", 16) is None
+        assert time_kernel("sddmm", "sputnik", "G13", 16) is None
 
     def test_sweep_operands_memoized_across_kernels(self):
         from repro.bench.harness import sweep_operands
@@ -84,7 +84,7 @@ class TestTimingHelpers:
         # A cold call and its warm plan-cache replay report identical
         # simulated time.
         clear_plan_cache()
-        assert time_spmm(kernel, "G3", f) == time_spmm(kernel, "G3", f)
+        assert time_kernel("spmm", kernel, "G3", f) == time_kernel("spmm", kernel, "G3", f)
         assert get_plan_cache().stats()["plancache_hits"] > 0
 
 

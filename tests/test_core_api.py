@@ -3,10 +3,21 @@
 import numpy as np
 import pytest
 
-from repro import core
+from repro import core, obs
 from repro.errors import BenchmarkError, ConfigError, FormatError
+from repro.gpusim.device import get_device
 from repro.kernels.base import reference_sddmm, reference_spmm, reference_spmv
-from repro.kernels.gnnone import CONSECUTIVE, ROUND_ROBIN, GnnOneConfig
+from repro.kernels.gnnone import (
+    ABLATION_BASELINE,
+    ABLATION_DATA_REUSE,
+    ABLATION_FULL,
+    CONSECUTIVE,
+    ROUND_ROBIN,
+    GnnOneConfig,
+    GnnOneFusedGATLayer,
+    GnnOneSDDMM,
+    GnnOneSpMM,
+)
 from tests.conftest import make_operands
 
 
@@ -71,11 +82,6 @@ class TestApi:
         out, _ = core.spmm(small_graph, vals, X.astype(np.int32))  # ints are fine
         np.testing.assert_allclose(out, reference_spmm(small_graph, vals, X.astype(np.int32)))
 
-    def test_run_variants_return_kernel_result(self, small_graph, rng):
-        vals, X, _, _ = make_operands(small_graph, 16, rng)
-        res = core.run_spmm(small_graph, vals, X)
-        assert res.trace.n_warps > 0
-
     def test_top_level_reexports(self, small_graph, rng):
         import repro
 
@@ -109,6 +115,44 @@ class TestUnifiedLoadPlan:
     def test_smem_accounting(self, medium_graph):
         plan = core.plan_unified_load(medium_graph, 32, with_edge_values=True)
         assert plan.shared_memory_per_cta() == 4 * 128 * 12
+
+    @pytest.mark.parametrize(
+        "config",
+        [GnnOneConfig(), ABLATION_BASELINE, ABLATION_DATA_REUSE, ABLATION_FULL,
+         GnnOneConfig(schedule=ROUND_ROBIN)],
+        ids=["default", "fig8-baseline", "fig8-data-reuse", "fig8-full", "round-robin"],
+    )
+    @pytest.mark.parametrize(
+        "kernel_cls", [GnnOneSpMM, GnnOneSDDMM, GnnOneFusedGATLayer],
+        ids=["spmm", "sddmm", "fused-gat"],
+    )
+    def test_plan_is_what_each_kernel_launches(self, medium_graph, kernel_cls, config):
+        """Stage-1 chunks, schedule and shared memory of the introspection
+        plan are the ones the kernel's priced trace launches with."""
+        F = 32
+        plan = core.plan_unified_load(
+            medium_graph, F, config=config, with_edge_values=kernel_cls is GnnOneSpMM
+        )
+        with obs.capture() as records:
+            trace = kernel_cls(config).execute(medium_graph, F, get_device())
+        spans = {r["name"]: r["attrs"] for r in records if r.get("type") == "span"}
+        s1 = plan.stage1
+        assert spans["gnnone.stage1"]["n_chunks"] == s1.chunks.n_chunks
+        assert spans["gnnone.stage1"]["smem_bytes_per_warp"] == s1.smem_bytes_per_warp
+        stage1 = trace.phases[0]
+        assert stage1.name == "stage1_nze_load"
+        np.testing.assert_array_equal(
+            stage1.load_instrs[: s1.chunks.n_chunks],
+            s1.n_arrays * np.ceil(s1.chunks.chunk_sizes / 32),
+        )
+        assert stage1.barriers == (1.0 if s1.smem_bytes_per_warp else 0.0)
+        assert spans["gnnone.schedule"]["vector_width"] == plan.shape.vector_width
+        assert spans["gnnone.schedule"]["threads_per_group"] == plan.shape.threads_per_group
+        assert trace.launch.grid_ctas == plan.launch.grid_ctas
+        # The fused kernel keeps each cached NZE's alpha (4 B) beside the cache.
+        alpha = 4 * config.cache_size if kernel_cls is GnnOneFusedGATLayer else 0
+        assert (trace.launch.shared_mem_per_cta
+                == plan.shared_memory_per_cta() + alpha * config.warps_per_cta)
 
     def test_round_robin_more_segments(self, medium_graph):
         cons = core.plan_unified_load(medium_graph, 32)

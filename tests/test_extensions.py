@@ -1,11 +1,14 @@
 """Extensions beyond the paper's headline results: fusion, SpMV survey,
-GraphSAGE, graph I/O."""
+GraphSAGE."""
 
 import numpy as np
 import pytest
 
 from repro.errors import FormatError
+from repro.gpusim.device import get_device
+from repro.gpusim.sharedmem import stage1_cache_bytes
 from repro.kernels import spmv_kernel, spmv_kernel_names, reference_spmv
+from repro.kernels.gnnone import GnnOneConfig
 from repro.kernels.gnnone.fused import (
     GnnOneFusedGATLayer,
     fused_gat_attention_numerics,
@@ -14,7 +17,6 @@ from repro.kernels.gnnone.fused import (
 from repro.nn import GraphData, Trainer, synthesize
 from repro.nn.models.sage import GraphSAGE, mean_edge_values
 from repro.sparse import generators
-from repro.sparse import io as gio
 
 
 class TestFusedGAT:
@@ -53,6 +55,22 @@ class TestFusedGAT:
         fused = GnnOneFusedGATLayer()(medium_graph, el, er, X).time_us
         unfused = unfused_gat_pipeline_time_us(medium_graph, 16)
         assert fused < unfused
+
+    def test_nze_cache_ablation_applies(self, medium_graph):
+        """Turning the Stage-1 cache off drops its shared memory and fill
+        barrier from the fused launch, as it does from SDDMM's."""
+        dev = get_device()
+        off = GnnOneConfig(enable_nze_cache=False)
+        on_trace = GnnOneFusedGATLayer().execute(medium_graph, 16, dev)
+        off_trace = GnnOneFusedGATLayer(off).execute(medium_graph, 16, dev)
+        cache = stage1_cache_bytes(off.cache_size, with_edge_feature=False)
+        assert (on_trace.launch.shared_mem_per_cta - off_trace.launch.shared_mem_per_cta
+                == cache * off.warps_per_cta)
+        assert on_trace.phases[0].barriers == 1.0
+        assert off_trace.phases[0].barriers == 0.0
+        on_us = GnnOneFusedGATLayer().simulate(medium_graph, 16, device=dev).time_us
+        off_us = GnnOneFusedGATLayer(off).simulate(medium_graph, 16, device=dev).time_us
+        assert off_us != on_us
 
     def test_fused_memory_smaller(self):
         fused = GnnOneFusedGATLayer().memory_bytes(10**6, 10**8, 32)
@@ -99,62 +117,6 @@ class TestGraphSAGE:
             accs[backend] = Trainer(model, graph, data, lr=0.02).fit(5).test_acc
         assert accs["gnnone"] == accs["dgl"]
         assert accs["gnnone"] > 1.2 / data.num_classes
-
-
-class TestGraphIO:
-    def test_npz_roundtrip(self, tmp_path, small_graph):
-        path = tmp_path / "g.npz"
-        gio.save_npz(small_graph, path)
-        back = gio.load_npz(path)
-        assert np.array_equal(back.rows, small_graph.rows)
-        assert np.array_equal(back.cols, small_graph.cols)
-
-    def test_edge_list_parsing(self):
-        text = "# comment\n0 1\n1 2\n\n2 0\n"
-        coo = gio.parse_edge_list(text)
-        assert coo.num_rows == 3
-        assert coo.nnz == 6  # symmetrized
-
-    def test_edge_list_directed(self):
-        coo = gio.parse_edge_list("0 1\n1 2\n", undirected=False)
-        assert coo.nnz == 2
-
-    def test_edge_list_bad_line(self):
-        from repro.errors import FormatError
-
-        with pytest.raises(FormatError):
-            gio.parse_edge_list("0\n")
-
-    def test_matrix_market_symmetric(self):
-        text = "%%MatrixMarket matrix coordinate pattern symmetric\n% c\n3 3 2\n2 1\n3 2\n"
-        coo = gio.parse_matrix_market(text)
-        assert coo.num_rows == 3
-        assert coo.nnz == 4  # expanded
-
-    def test_matrix_market_general(self):
-        text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 3.5\n"
-        coo = gio.parse_matrix_market(text)
-        assert coo.nnz == 1
-        assert coo.rows[0] == 0 and coo.cols[0] == 1
-
-    def test_matrix_market_bad_header(self):
-        from repro.errors import FormatError
-
-        with pytest.raises(FormatError):
-            gio.parse_matrix_market("not a header\n1 1 0\n")
-
-    def test_cached_loader(self, tmp_path, repro_env):
-        repro_env(REPRO_CACHE_DIR=str(tmp_path))
-        calls = []
-
-        def builder(seed):
-            calls.append(seed)
-            return generators.chain(20)
-
-        a = gio.load_cached("test-graph", builder)
-        b = gio.load_cached("test-graph", builder)
-        assert len(calls) == 1  # second call hit the cache
-        assert np.array_equal(a.rows, b.rows)
 
 
 class TestExtensionExperiments:

@@ -18,6 +18,8 @@ from repro.nn import (
     get_backend,
     simulate,
 )
+from repro.kernels.gnnone import GnnOneConfig
+from repro.nn.backend import TrainingBackend
 from repro.nn.modules import Dropout, ReLU, Sequential
 from repro.nn.tensor import gradcheck
 
@@ -136,6 +138,12 @@ class TestBackends:
     def test_unknown(self):
         with pytest.raises(ConfigError):
             get_backend("pytorch")
+
+    @pytest.mark.parametrize("field", ["gnnone_spmm_config", "gnnone_sddmm_config"])
+    def test_gnnone_config_on_a_baseline_kernel_is_refused(self, field):
+        """A config the baseline kernel would ignore fails at construction."""
+        with pytest.raises(ConfigError, match="backend='gnnone'"):
+            TrainingBackend("x", "dgl", "dgl", "dalton", **{field: GnnOneConfig()})
 
     def test_dgnn_fuses_elementwise(self):
         assert DGNN_BACKEND.fused_elementwise

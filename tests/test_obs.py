@@ -239,11 +239,11 @@ class TestInstrumentation:
             assert rec["parent_id"] == kernel_rec["span_id"]
 
     def test_bench_point_spans(self):
-        from repro.bench import time_spmm
+        from repro.bench import time_kernel
 
         with obs.capture() as records:
-            t = time_spmm("gnnone", "G3", 16)
-            oom = time_spmm("gnnone", "G18", 64)
+            t = time_kernel("spmm", "gnnone", "G3", 16)
+            oom = time_kernel("spmm", "gnnone", "G18", 64)
         assert t is not None and oom is None
         points = [r for r in records if r["name"] == "bench.spmm"]
         assert len(points) == 2

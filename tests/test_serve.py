@@ -454,12 +454,10 @@ class TestServeObservability:
 
 class TestServeConfig:
     def test_from_env(self, repro_env):
-        repro_env(REPRO_SERVE_MAX_BATCH="8", REPRO_SERVE_MAX_DELAY_US="500",
-                  REPRO_SERVE_TUNED=None)
+        repro_env(REPRO_SERVE_MAX_BATCH="8", REPRO_SERVE_MAX_DELAY_US="500")
         config = serve.ServeConfig.from_env()
         assert config.max_batch == 8
         assert config.max_delay_us == 500
-        assert config.tuned is False
 
     def test_overrides_beat_env(self, repro_env):
         repro_env(REPRO_SERVE_MAX_BATCH="8")
@@ -475,17 +473,3 @@ class TestServeConfig:
             serve.ServeConfig(max_batch=0)
         with pytest.raises(ConfigError):
             serve.ServeConfig(retries=-1)
-
-
-class TestTunedService:
-    def test_tuned_service_still_bit_identical(self, small_graph, rng):
-        # tuned=True swaps in the autotuned config; responses must still
-        # match the default-config serial reference bit-for-bit (the
-        # numerics are config-independent; only simulated time shifts).
-        graph = _graph(small_graph)
-        payloads = [rng.standard_normal(graph.num_vertices) for _ in range(6)]
-        refs = [_serial(graph, p) for p in payloads]
-        config = serve.ServeConfig(tuned=True, max_batch=4)
-        results, _ = _run(_serve_all(graph, payloads, config))
-        for got, want in zip(results, refs):
-            np.testing.assert_array_equal(got, want)

@@ -1,13 +1,10 @@
 """Utility helpers and the exception hierarchy."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro import errors
 from repro.utils import (
-    Timer,
     check_array,
     check_dtype,
     check_in,
@@ -67,47 +64,6 @@ class TestRng:
         draws = [c.random(8) for c in children]
         assert not np.allclose(draws[0], draws[1])
         assert len(children) == 3
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        first = t.elapsed
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed > first >= 0.01
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
-
-    def test_reentrant_enter_raises(self):
-        t = Timer()
-        with pytest.raises(RuntimeError, match="not re-entrant"):
-            with t:
-                with t:
-                    pass
-
-    def test_exit_without_enter_raises(self):
-        t = Timer()
-        with pytest.raises(RuntimeError, match="without a matching"):
-            t.__exit__(None, None, None)
-
-    def test_usable_after_reentrancy_error(self):
-        t = Timer()
-        with pytest.raises(RuntimeError):
-            with t:
-                with t:
-                    pass
-        t.reset()
-        with t:
-            pass
-        assert t.elapsed >= 0.0
 
 
 class TestErrorHierarchy:
