@@ -61,8 +61,12 @@ def main() -> None:
     # ---- trace a kernel call with the observability layer -----------
     with obs.capture() as records:
         core.spmm(graph, edge_values, X)
-    print("\nspan tree of one traced SpMM call:")
-    print(obs.render_tree(records))
+    print("\nspans of one traced SpMM call (simulated time):")
+    for rec in records:
+        if rec.get("type") == "span":
+            sim = rec.get("sim_us")
+            sim_txt = "-" if sim is None else f"{sim:.1f} us"
+            print(f"  {rec['name']}  {sim_txt}")
 
 
 if __name__ == "__main__":

@@ -145,7 +145,7 @@ def server(graph, **config_overrides):
     from repro.serve import ServeConfig
 
     handle = ServerThread(
-        graph, ServeConfig.from_env(**config_overrides)
+        graph, ServeConfig(**config_overrides)
     ).start()
     try:
         yield handle
@@ -197,9 +197,7 @@ def segment_chaos(graph, columns, refs, *, quick: bool, seed: int) -> dict:
         with server(graph) as handle:
             tally = asyncio.run(main(handle.port))
         fired = dict(injector.fired)
-    latencies = sorted(tally.pop("latencies"))
-    from repro.obs.analysis import _percentile
-
+    latencies = tally.pop("latencies")
     return {
         "workers": CHAOS_WORKERS,
         "requests": CHAOS_WORKERS * per_worker,
@@ -210,8 +208,8 @@ def segment_chaos(graph, columns, refs, *, quick: bool, seed: int) -> dict:
         "untyped_kinds": tally.get("untyped_kinds", []),
         "client_retries": metrics.counter("serve.client_retries").value
         - retries_before,
-        "p50_ms": _percentile(latencies, 0.50),
-        "p99_ms": _percentile(latencies, 0.99),
+        "p50_ms": obs.percentile(latencies, 50),
+        "p99_ms": obs.percentile(latencies, 99),
         "faults_fired": fired,
     }
 

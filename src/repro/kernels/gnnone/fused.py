@@ -40,6 +40,7 @@ from repro.kernels.base import KernelResult, _Kernel, check_numeric
 from repro.kernels.gnnone.config import DEFAULT_CONFIG, GnnOneConfig
 from repro.kernels.gnnone.planner import plan_two_stage
 from repro.kernels.gnnone.reduction import _segment_rows
+from repro.kernels.gnnone.stage2 import nze_reread
 from repro.sparse.coo import COOMatrix
 
 
@@ -112,7 +113,10 @@ class GnnOneFusedGATLayer(_Kernel):
         n_warps = s1.chunks.n_chunks
 
         # Pass A: el/er scalar gathers (el dedupes per row segment, er per
-        # column sector) + segment max/sum with one barrier each.
+        # column sector) + segment max/sum with one barrier each.  Each
+        # thread takes one NZE per step.
+        score_steps = np.ceil(sizes / 32.0)
+        reread_loads, reread_sectors = nze_reread(s1, score_steps)
         el_sectors = unique_per_warp(
             s1.chunks.chunk_of_nze, coo.rows.astype(np.int64) // 8, n_warps
         )
@@ -122,9 +126,9 @@ class GnnOneFusedGATLayer(_Kernel):
         trace.add_phase(
             "fused_score_pass",
             "load",
-            load_instrs=2.0 * np.ceil(sizes / 32.0),
+            load_instrs=2.0 * score_steps + reread_loads,
             ilp=4.0,
-            sectors=el_sectors + er_sectors,
+            sectors=el_sectors + er_sectors + reread_sectors,
             flops=sizes * 4.0,  # add + leaky-relu + exp approx + div
             barriers=2.0,
             shuffles=2.0 * np.ceil(np.log2(np.maximum(sizes, 2.0))),
@@ -133,12 +137,13 @@ class GnnOneFusedGATLayer(_Kernel):
         # Pass B: feature gather + alpha-scaled running reduction —
         # identical load structure to GNNOne SpMM Stage 2.
         steps = sched.steps_per_warp(sizes)
+        reread_loads, reread_sectors = nze_reread(s1, steps)
         trace.add_phase(
             "fused_aggregate_pass",
             "load",
-            load_instrs=steps * sched.shape.loads_per_thread,
+            load_instrs=steps * sched.shape.loads_per_thread + reread_loads,
             ilp=float(device.max_outstanding_loads),
-            sectors=sizes * feature_row_sectors(F * 4),
+            sectors=sizes * feature_row_sectors(F * 4) + reread_sectors,
             flops=sizes * 2.0 * F,
         )
         segments = sched.segments_per_warp().astype(np.float64)

@@ -34,6 +34,23 @@ def _warp_feature_sectors(
     return count_per_warp * feature_row_sectors(feature_length * 4)
 
 
+def nze_reread(
+    s1: Stage1Plan, steps: np.ndarray
+) -> tuple[np.ndarray | float, np.ndarray | float]:
+    """Per-warp ``(load instructions, sectors)`` of re-reading the NZEs.
+
+    With the Stage-1 cache on (the default) the ids and edge value come
+    from shared memory and this is ``(0.0, 0.0)``.  Ablated (Fig 8),
+    every pass over a warp's NZEs re-reads them from global memory: each
+    thread loads the ``n_arrays`` scalars of its NZE at each of ``steps``
+    steps (uncoalesced broadcast reads, one sector per scalar).
+    """
+    if s1.smem_bytes_per_warp:
+        return 0.0, 0.0
+    nze_per_warp = s1.chunks.chunk_sizes.astype(np.float64)
+    return steps * s1.n_arrays, nze_per_warp * s1.n_arrays
+
+
 def record_stage2_spmm(
     trace: KernelTrace,
     s1: Stage1Plan,
@@ -74,13 +91,7 @@ def record_stage2_spmm(
     else:
         sectors = _warp_feature_sectors(nze_per_warp, feature_length)
 
-    extra_loads = np.zeros_like(col_loads)
-    extra_sectors = np.zeros_like(sectors)
-    if not s1.smem_bytes_per_warp:
-        # Ablated cache: every thread re-reads the NZE ids + edge value
-        # from global memory at each step (uncoalesced broadcast reads).
-        extra_loads = steps * s1.n_arrays
-        extra_sectors = nze_per_warp * s1.n_arrays  # one sector per scalar
+    extra_loads, extra_sectors = nze_reread(s1, steps)
     trace.add_phase(
         "stage2_feature_load",
         "load",
@@ -123,11 +134,7 @@ def record_stage2_sddmm(
         row_loads = col_loads
         row_sectors = col_sectors.copy()
 
-    extra_loads = np.zeros_like(col_loads)
-    extra_sectors = np.zeros_like(col_sectors)
-    if not s1.smem_bytes_per_warp:
-        extra_loads = steps * s1.n_arrays
-        extra_sectors = nze_per_warp * s1.n_arrays
+    extra_loads, extra_sectors = nze_reread(s1, steps)
 
     # Independent loads in flight before the reduction barrier: the row
     # and column vector loads of the NZEs processed in one step.

@@ -58,6 +58,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     get_metrics,
+    percentile,
     reset_metrics,
 )
 from repro.obs.profile import (
@@ -126,6 +127,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_metrics",
+    "percentile",
     "reset_metrics",
     "NULL_SPAN",
     "Span",

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.obs.metrics import percentile
 from repro.obs.spans import JsonDict
 
 #: attributes that identify *which* work a span measured (stable across
@@ -167,19 +168,6 @@ def format_resilience_line(counts: dict[str, int]) -> str:
     return "resilience: " + ", ".join(parts)
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Linear-interpolation percentile over pre-sorted values."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    pos = (len(sorted_values) - 1) * q
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
-
-
 def serve_summary(records: Iterable[JsonDict]) -> dict[str, float | int]:
     """Fold the inference service's spans/events out of a trace.
 
@@ -222,7 +210,6 @@ def serve_summary(records: Iterable[JsonDict]) -> dict[str, float | int]:
                 breaker_transitions += 1
             elif name == "serve.client_retry":
                 client_retries += 1
-    latencies.sort()
     return {
         "requests": len(latencies),
         "shed": shed,
@@ -234,8 +221,8 @@ def serve_summary(records: Iterable[JsonDict]) -> dict[str, float | int]:
         "rpcs": rpcs,
         "batches": len(occupancies),
         "mean_occupancy": (sum(occupancies) / len(occupancies)) if occupancies else 0.0,
-        "p50_ms": _percentile(latencies, 0.50),
-        "p99_ms": _percentile(latencies, 0.99),
+        "p50_ms": percentile(latencies, 50),
+        "p99_ms": percentile(latencies, 99),
     }
 
 

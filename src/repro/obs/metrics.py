@@ -21,9 +21,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.obs import spans as _spans
+
+
+def percentile(values: Iterable[float], q: float) -> float:
+    """Linear-interpolated percentile of ``values``, ``q`` in [0, 100].
+
+    ``0.0`` for no values.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    pos = (len(ordered) - 1) * q / 100.0
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = pos - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 @dataclass
@@ -78,16 +95,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Linear-interpolated percentile, ``q`` in [0, 100]."""
-        if not self.samples:
-            return 0.0
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        ordered = sorted(self.samples)
-        pos = (len(ordered) - 1) * q / 100.0
-        lo = int(pos)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = pos - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return percentile(self.samples, q)
 
     def summary(self) -> dict[str, float]:
         return {

@@ -3,10 +3,10 @@
 The online half of the paper's data-load argument: one resident
 topology, one plan-cache-warm fused launch per micro-batch, arbitrarily
 many concurrent requests.  See :mod:`repro.serve.service` for the
-architecture, :mod:`repro.serve.config` for the knobs (and their
-``REPRO_SERVE_*`` variables in :mod:`repro.settings`), and :mod:`repro.serve.transport` /
-:mod:`repro.serve.client` for the networked path (length-prefixed JSON
-frames, idempotent retries, deadline propagation).
+architecture, :mod:`repro.serve.config` for the knobs (set only through
+the :class:`ServeConfig` constructor), and :mod:`repro.serve.transport`
+/ :mod:`repro.serve.client` for the networked path (length-prefixed
+JSON frames, idempotent retries, deadline propagation).
 
 Quickstart::
 
@@ -14,7 +14,7 @@ Quickstart::
     from repro.nn.graph import GraphData
 
     graph = GraphData(sparse.load_dataset("G0").coo).warm()
-    service = serve.InferenceService(graph)
+    service = serve.InferenceService(graph)    # ServeConfig() defaults
     async with service:
         y = await service.propagate(column)     # Â x, micro-batched
 

@@ -12,7 +12,8 @@ reliability decisions:
   it is raised immediately, never retried (retrying a
   ``serve.deadline`` or ``config.invalid`` verdict cannot change it).
   The jitter is deterministic per ``(request id, attempt)`` so chaos
-  runs replay exactly.
+  runs replay exactly.  The backoff base and cap and the connect
+  timeout are the module constants below.
 * **Idempotency** — the request ``id`` is minted once per logical call
   and reused verbatim across retries; the server deduplicates on it, so
   a retry after a dropped response collects the cached result instead
@@ -54,22 +55,23 @@ from repro.errors import (
 )
 from repro.serve import protocol
 
+#: first retry's backoff step, doubled per further attempt
+BACKOFF_BASE_MS = 5.0
+#: ceiling of one backoff step
+BACKOFF_CAP_MS = 200.0
+#: budget for opening the connection and its handshake
+CONNECT_TIMEOUT_MS = 5_000.0
 
-def backoff_ms(
-    request_id: str,
-    attempt: int,
-    *,
-    base_ms: float,
-    cap_ms: float,
-) -> float:
+
+def backoff_ms(request_id: str, attempt: int) -> float:
     """Jittered exponential backoff, deterministic per (id, attempt).
 
-    ``base * 2**(attempt-1)`` capped at ``cap_ms``, scaled into
-    ``[0.5, 1.0)`` of itself by a hash-derived jitter — decorrelates a
-    retry storm across clients while staying exactly replayable for a
-    given request id (no global RNG state involved).
+    ``BACKOFF_BASE_MS * 2**(attempt-1)`` capped at ``BACKOFF_CAP_MS``,
+    scaled into ``[0.5, 1.0)`` of itself by a hash-derived jitter —
+    decorrelates a retry storm across clients while staying exactly
+    replayable for a given request id (no global RNG state involved).
     """
-    raw = min(cap_ms, base_ms * (2.0 ** max(0, attempt - 1)))
+    raw = min(BACKOFF_CAP_MS, BACKOFF_BASE_MS * (2.0 ** max(0, attempt - 1)))
     digest = hashlib.blake2b(
         f"{request_id}:{attempt}".encode(), digest_size=8
     ).digest()
@@ -90,20 +92,12 @@ class ServeClient:
         host: str = "127.0.0.1",
         port: int,
         retries: int = 3,
-        backoff_base_ms: float = 5.0,
-        backoff_cap_ms: float = 200.0,
-        connect_timeout_ms: float = 5_000.0,
     ):
         if retries < 0:
             raise ConfigError(f"retries must be >= 0, got {retries}")
-        if backoff_base_ms < 0 or backoff_cap_ms < 0:
-            raise ConfigError("backoff budgets must be >= 0")
         self.host = host
         self.port = int(port)
         self.retries = int(retries)
-        self.backoff_base_ms = float(backoff_base_ms)
-        self.backoff_cap_ms = float(backoff_cap_ms)
-        self.connect_timeout_ms = float(connect_timeout_ms)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task | None = None
@@ -228,11 +222,7 @@ class ServeClient:
                     "serve.client_retry", request_id=request_id,
                     attempt=attempt, reason=str(e),
                 )
-                delay = backoff_ms(
-                    request_id, attempt,
-                    base_ms=self.backoff_base_ms, cap_ms=self.backoff_cap_ms,
-                )
-                await asyncio.sleep(delay / 1e3)
+                await asyncio.sleep(backoff_ms(request_id, attempt) / 1e3)
                 continue
             result = response.get("result")
             if result is None:
@@ -296,7 +286,7 @@ class ServeClient:
             try:
                 reader, writer = await asyncio.wait_for(
                     asyncio.open_connection(self.host, self.port),
-                    self.connect_timeout_ms / 1e3,
+                    CONNECT_TIMEOUT_MS / 1e3,
                 )
             except asyncio.TimeoutError:
                 raise ConnectionLostError(

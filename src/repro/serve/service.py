@@ -143,11 +143,6 @@ class ServeStats:
     def mean_occupancy(self) -> float:
         return self.fused_requests / self.batches if self.batches else 0.0
 
-    def percentile(self, q: float) -> float:
-        from repro.obs.analysis import _percentile
-
-        return _percentile(sorted(self.latencies_ms), q)
-
     def to_dict(self) -> dict[str, float | int]:
         return {
             "requests": self.requests,
@@ -160,8 +155,8 @@ class ServeStats:
             "retries": self.retries,
             "drained": self.drained,
             "mean_occupancy": self.mean_occupancy,
-            "p50_ms": self.percentile(0.50),
-            "p99_ms": self.percentile(0.99),
+            "p50_ms": obs.percentile(self.latencies_ms, 50),
+            "p99_ms": obs.percentile(self.latencies_ms, 99),
         }
 
 
@@ -187,7 +182,7 @@ class InferenceService:
         config: ServeConfig | None = None,
     ):
         self.graph = graph
-        self.config = config if config is not None else ServeConfig.from_env()
+        self.config = config if config is not None else ServeConfig()
         self._logits: np.ndarray | None = None
         if features is not None:
             x = np.asarray(features, float)
@@ -209,9 +204,7 @@ class InferenceService:
         )
         self._scheduler: DeadlineScheduler | None = None
         self._drain_task: asyncio.Task | None = None
-        self._inflight: list[_Request] = []
         self._running = False
-        self._default_priority = resolve_priority(self.config.default_priority)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -228,16 +221,6 @@ class InferenceService:
         get a typed :class:`~repro.errors.ServiceClosedError`, then the
         drain task exits.  Zero responses are lost or corrupted — every
         admitted request resolves to a real result or a typed error."""
-        await self.stop(graceful=True)
-
-    async def stop(self, *, graceful: bool = True) -> None:
-        """Stop the service.
-
-        ``graceful=True`` (the default, also :meth:`close`) lets the
-        batch currently executing finish and deliver real results;
-        ``graceful=False`` cancels the drain task mid-batch (emergency
-        abort) — in-flight requests then fail typed like queued ones.
-        """
         if not self._running:
             return
         self._running = False
@@ -246,18 +229,13 @@ class InferenceService:
         if scheduler is not None:
             scheduler.close()  # wakes a blocked get(); no new batches start
         if task is not None:
-            if not graceful:
-                task.cancel()
             try:
                 await task
             except asyncio.CancelledError:
                 pass
-        pending = list(self._inflight)  # non-empty only on a hard abort
-        self._inflight.clear()
         self._scheduler = None
         rejected = 0
-        if scheduler is not None:
-            pending.extend(scheduler.drain_pending())
+        pending = scheduler.drain_pending() if scheduler is not None else []
         for req in pending:
             if not req.future.done():
                 rejected += 1
@@ -267,7 +245,7 @@ class InferenceService:
         self.stats.drained += rejected
         if rejected:
             obs.get_metrics().counter("serve.drain_rejected").inc(rejected)
-        obs.event("serve.drain", graceful=graceful, rejected=rejected)
+        obs.event("serve.drain", rejected=rejected)
 
     async def __aenter__(self) -> "InferenceService":
         return await self.start()
@@ -414,10 +392,7 @@ class InferenceService:
                 f"circuit open: retry in {retry_after:.0f} ms",
                 retry_after_ms=retry_after,
             )
-        rank = (
-            self._default_priority if priority is None
-            else resolve_priority(priority)
-        )
+        rank = resolve_priority(priority)
         if deadline_ms is None:
             deadline_ms = self.config.timeout_ms
         elif (
@@ -430,7 +405,7 @@ class InferenceService:
                 f"deadline_ms must be a finite number, got {deadline_ms!r}"
             )
         if deadline_ms is not None and deadline_ms <= 0:
-            deadline_ms = None  # 0 disables, matching REPRO_SERVE_TIMEOUT_MS
+            deadline_ms = None  # 0 disables, as ServeConfig.timeout_ms does
         loop = asyncio.get_running_loop()
         now_p = time.perf_counter()
         req = _Request(
@@ -518,7 +493,7 @@ class InferenceService:
             try:
                 batch = [await scheduler.get()]
             except SchedulerClosed:
-                return  # graceful drain: stop() rejects what remains
+                return  # graceful drain: close() rejects what remains
             # Greedy collection under a (max_batch, max_delay) cap.  A
             # ready queue drains without yielding; an empty one gets two
             # event-loop yields so producers woken by the previous
@@ -555,17 +530,12 @@ class InferenceService:
                     continue
                 groups.setdefault(req.tenant, []).append(req)
             for tenant, requests in groups.items():
-                self._inflight = requests
                 try:
                     outcomes = await loop.run_in_executor(
                         None, self._run_group, tenant, requests
                     )
-                except asyncio.CancelledError:
-                    raise
                 except Exception as e:  # defensive: never kill the drain task
                     outcomes = [e] * len(requests)
-                finally:
-                    self._inflight = []
                 self._report_to_breaker(outcomes)
                 self._resolve(requests, outcomes)
 

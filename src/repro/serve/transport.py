@@ -1,7 +1,8 @@
 """Asyncio TCP transport in front of :class:`~repro.serve.InferenceService`.
 
-The PR 8 service is in-process asyncio only; this module puts it on a
-socket without re-deciding anything the service already decided.  The
+The service itself is in-process asyncio only; this module puts it on
+a socket without re-deciding anything the service already decided.
+Its only options are where to listen (``host``, ``port``).  The
 transport's job is strictly the network edge:
 
 * **Framing + handshake** — length-prefixed JSON frames with binary
@@ -9,13 +10,13 @@ transport's job is strictly the network edge:
   opens with an exact-match version handshake so protocol evolution has
   a seam.
 * **Idempotent execution** — request frames carry a client-generated
-  ``id``.  The transport keeps an in-flight table and a bounded LRU of
-  finished responses: a retried id joins the in-flight execution or
-  replays the cached response, so a client retry after a dropped
-  connection is **never double-executed**.  The response is cached the
-  moment it exists — before any write is attempted — so a connection
-  that dies mid-response still leaves the result behind for the retry
-  to collect.
+  ``id``.  The transport keeps an in-flight table and an LRU of the
+  last :data:`DEDUP_CAP` finished responses: a retried id joins the
+  in-flight execution or replays the cached response, so a client
+  retry after a dropped connection is **never double-executed**.  The
+  response is cached the moment it exists — before any write is
+  attempted — so a connection that dies mid-response still leaves the
+  result behind for the retry to collect.
 * **Deadline/priority propagation** — frames carry ``deadline_ms``
   (remaining budget, recomputed by the client per attempt),
   ``priority`` and ``tenant``, handed straight to the service's
@@ -56,12 +57,7 @@ from collections import OrderedDict, deque
 from typing import Any
 
 from repro import obs
-from repro.errors import (
-    ConfigError,
-    ConnectionLostError,
-    ProtocolError,
-    ReproError,
-)
+from repro.errors import ConnectionLostError, ProtocolError, ReproError
 from repro.resilience import faults
 from repro.serve import protocol
 from repro.serve.service import InferenceService
@@ -79,6 +75,9 @@ SLOW_PEER_SECONDS = 0.005
 
 #: deadline a storm-hit request is collapsed to (expires pre-launch)
 STORM_DEADLINE_MS = 0.01
+
+#: finished responses kept for replay to a retried request id (LRU)
+DEDUP_CAP = 1024
 
 #: ops a request frame may carry (hello is handled by the handshake)
 _REQUEST_OPS = ("propagate", "predict", "health", "ready")
@@ -125,14 +124,10 @@ class ServeTransport:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        dedup_cap: int = 1024,
     ):
-        if dedup_cap < 1:
-            raise ConfigError(f"dedup_cap must be >= 1, got {dedup_cap}")
         self.service = service
         self.host = host
         self.port = int(port)
-        self.dedup_cap = int(dedup_cap)
         self._server: asyncio.AbstractServer | None = None
         self._conns: set[_Connection] = set()
         self._conn_tasks: set[asyncio.Task] = set()
@@ -401,7 +396,7 @@ class ServeTransport:
         # Cache before any write is attempted: a response lost to a
         # dropped connection replays to the retry, never re-executes.
         self._responses[request_id] = (message, attachment)
-        while len(self._responses) > self.dedup_cap:
+        while len(self._responses) > DEDUP_CAP:
             self._responses.popitem(last=False)
         self._send(conn, message, attachment, rpc)
 

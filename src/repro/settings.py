@@ -8,7 +8,7 @@ per type:
 
 * booleans accept ``1/true/on/yes`` and ``0/false/off/no`` (any case);
 * choices accept only their listed names (any case);
-* integers and numbers must parse, be finite and respect their minimum;
+* integers must parse;
 * an unset or blank variable takes its default.
 
 Anything else raises :class:`~repro.errors.ConfigError` naming the
@@ -26,7 +26,6 @@ exits 2 with the error message on a malformed value or unknown name.
 from __future__ import annotations
 
 import difflib
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -43,10 +42,9 @@ class Var:
     """One row of the settings table."""
 
     env: str
-    #: ``bool`` / ``int`` / ``float`` / ``choice`` / ``text``
+    #: ``bool`` / ``int`` / ``choice`` / ``text``
     kind: str
     choices: tuple[str, ...] = ()
-    minimum: float | None = None
 
     def parse(self, raw: str) -> Any:
         """The typed value of a non-blank raw string (``ConfigError`` if bad)."""
@@ -69,15 +67,9 @@ class Var:
                 )
             return text.lower()
         try:
-            value = int(text) if self.kind == "int" else float(text)
+            return int(text)
         except ValueError:
-            noun = "an integer" if self.kind == "int" else "a number"
-            raise ConfigError(f"{self.env} must be {noun}, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{self.env} must be finite, got {raw!r}")
-        if self.minimum is not None and value < self.minimum:
-            raise ConfigError(f"{self.env} must be >= {self.minimum:g}, got {raw!r}")
-        return value
+            raise ConfigError(f"{self.env} must be an integer, got {raw!r}") from None
 
 
 def _var(env: str, kind: str, default: Any, **row: Any) -> Any:
@@ -97,28 +89,6 @@ class Settings:
     fault_profile: str | None = _var("REPRO_FAULT_PROFILE", "text", None)
     #: fault schedule seed (unset: 0, or 1337 in the chaos scripts)
     fault_seed: int | None = _var("REPRO_FAULT_SEED", "int", None)
-    #: max requests fused into one launch
-    serve_max_batch: int = _var("REPRO_SERVE_MAX_BATCH", "int", 32, minimum=1)
-    #: max linger for co-batchable requests (a cap, not a target)
-    serve_max_delay_us: int = _var(
-        "REPRO_SERVE_MAX_DELAY_US", "int", 2000, minimum=0)
-    #: admission bound; requests beyond it are shed
-    serve_queue_depth: int = _var("REPRO_SERVE_QUEUE_DEPTH", "int", 256, minimum=1)
-    #: default per-request deadline (0 = none)
-    serve_timeout_ms: float = _var(
-        "REPRO_SERVE_TIMEOUT_MS", "float", 10_000.0, minimum=0)
-    #: per-request retries after a batch degrades
-    serve_retries: int = _var("REPRO_SERVE_RETRIES", "int", 2, minimum=0)
-    #: priority class for requests that name none
-    serve_default_priority: str = _var(
-        "REPRO_SERVE_DEFAULT_PRIORITY", "choice", "standard",
-        choices=("interactive", "standard", "bulk"))
-    #: consecutive batch failures that trip the circuit breaker
-    serve_breaker_threshold: int = _var(
-        "REPRO_SERVE_BREAKER_THRESHOLD", "int", 3, minimum=1)
-    #: open-breaker cooldown before a half-open probe
-    serve_breaker_reset_ms: float = _var(
-        "REPRO_SERVE_BREAKER_RESET_MS", "float", 1000.0, minimum=0)
 
 
 #: (field name, row) for every variable, in declaration order

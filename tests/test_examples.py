@@ -23,6 +23,8 @@ def test_quickstart():
     out = run_example("quickstart.py")
     assert "SpMM" in out and "SDDMM" in out
     assert "autotuned config" in out
+    assert "kernel.spmm" in out
+    assert "wall=" not in out  # output is deterministic: simulated time only
 
 
 def test_kernel_comparison():

@@ -58,7 +58,8 @@ class TestFusedGAT:
 
     def test_nze_cache_ablation_applies(self, medium_graph):
         """Turning the Stage-1 cache off drops its shared memory and fill
-        barrier from the fused launch, as it does from SDDMM's."""
+        barrier from the fused launch, as it does from SDDMM's, and both
+        passes pay the global NZE re-reads."""
         dev = get_device()
         off = GnnOneConfig(enable_nze_cache=False)
         on_trace = GnnOneFusedGATLayer().execute(medium_graph, 16, dev)
@@ -70,7 +71,12 @@ class TestFusedGAT:
         assert off_trace.phases[0].barriers == 0.0
         on_us = GnnOneFusedGATLayer().simulate(medium_graph, 16, device=dev).time_us
         off_us = GnnOneFusedGATLayer(off).simulate(medium_graph, 16, device=dev).time_us
-        assert off_us != on_us
+        assert off_us > on_us
+        for name in ("fused_score_pass", "fused_aggregate_pass"):
+            on_phase = next(p for p in on_trace.phases if p.name == name)
+            off_phase = next(p for p in off_trace.phases if p.name == name)
+            assert off_phase.total("load_instrs") > on_phase.total("load_instrs")
+            assert off_phase.total("sectors") > on_phase.total("sectors")
 
     def test_fused_memory_smaller(self):
         fused = GnnOneFusedGATLayer().memory_bytes(10**6, 10**8, 32)

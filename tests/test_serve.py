@@ -453,16 +453,6 @@ class TestServeObservability:
 
 
 class TestServeConfig:
-    def test_from_env(self, repro_env):
-        repro_env(REPRO_SERVE_MAX_BATCH="8", REPRO_SERVE_MAX_DELAY_US="500")
-        config = serve.ServeConfig.from_env()
-        assert config.max_batch == 8
-        assert config.max_delay_us == 500
-
-    def test_overrides_beat_env(self, repro_env):
-        repro_env(REPRO_SERVE_MAX_BATCH="8")
-        assert serve.ServeConfig.from_env(max_batch=4).max_batch == 4
-
     def test_service_leaves_environ_unchanged(self, small_graph):
         before = dict(os.environ)
         serve.InferenceService(_graph(small_graph))

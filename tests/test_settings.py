@@ -31,14 +31,12 @@ ROOT = Path(__file__).resolve().parents[1]
         ("REPRO_TUNE", "learned"),
         ("REPRO_TUNE_MODEL", "m.npz"),
         ("REPRO_SERVE_BATCHING", "flase"),
-        ("REPRO_FAULT_SEED", "abc"),
-        ("REPRO_SERVE_MAX_BATCH", "0"),
+        # a stale serve variable fails even with a well-formed value:
+        # only the ServeConfig constructor configures the service
+        ("REPRO_SERVE_MAX_BATCH", "8"),
         ("REPRO_SERVE_MAX_BATCH", "lots"),
-        ("REPRO_SERVE_QUEUE_DEPTH", "-1"),
-        ("REPRO_SERVE_TIMEOUT_MS", "soon"),
-        ("REPRO_SERVE_TIMEOUT_MS", "nan"),
-        ("REPRO_SERVE_TIMEOUT_MS", "inf"),
         ("REPRO_SERVE_DEFAULT_PRIORITY", "urgent"),
+        ("REPRO_FAULT_SEED", "abc"),
     ],
 )
 def test_malformed_value_raises_naming_the_variable(repro_env, name, value):
@@ -47,7 +45,7 @@ def test_malformed_value_raises_naming_the_variable(repro_env, name, value):
 
 
 @pytest.mark.parametrize("value", ["0", "false", "off", "no", "NO", " Off "])
-def test_every_false_spelling_disables_obs_and_plan_cache(repro_env, value):
+def test_every_false_spelling_disables_obs(repro_env, value):
     repro_env(REPRO_OBS=value)
     obs.set_obs_enabled(None)
     try:
@@ -59,11 +57,11 @@ def test_every_false_spelling_disables_obs_and_plan_cache(repro_env, value):
 
 
 def test_blank_means_default_and_settings_are_cached(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "  ")
-    assert settings.reload().serve_max_batch == 32
-    monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "8")
-    assert settings.get().serve_max_batch == 32  # parsed once ...
-    assert settings.reload().serve_max_batch == 8  # ... until reloaded
+    monkeypatch.setenv("REPRO_FAULT_SEED", "  ")
+    assert settings.reload().fault_seed is None
+    monkeypatch.setenv("REPRO_FAULT_SEED", "8")
+    assert settings.get().fault_seed is None  # parsed once ...
+    assert settings.reload().fault_seed == 8  # ... until reloaded
 
 
 def test_failed_reload_keeps_the_previous_settings(monkeypatch):
@@ -76,14 +74,14 @@ def test_failed_reload_keeps_the_previous_settings(monkeypatch):
 
 def test_cli_prints_every_variable_and_rejects_bad_values():
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(PYTHONPATH=str(ROOT / "src"), REPRO_SERVE_MAX_BATCH="3")
+    env.update(PYTHONPATH=str(ROOT / "src"), REPRO_FAULT_SEED="3")
     run = [sys.executable, "-m", "repro.settings"]
     out = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
     rows = [line.split() for line in out.stdout.splitlines()]
     assert [row[0] for row in rows] == settings.names()
-    assert ["REPRO_SERVE_MAX_BATCH", "3", "env"] in rows
+    assert ["REPRO_FAULT_SEED", "3", "env"] in rows
     assert ["REPRO_OBS", "true", "default"] in rows
 
     env["REPRO_FAULT_SEED"] = "abc"
@@ -91,7 +89,13 @@ def test_cli_prints_every_variable_and_rejects_bad_values():
     assert out.returncode == 2
     assert "REPRO_FAULT_SEED must be an integer" in out.stderr
 
-    del env["REPRO_FAULT_SEED"]
+    env["REPRO_FAULT_SEED"] = "3"
+    env["REPRO_SERVE_MAX_BATCH"] = "8"
+    out = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "REPRO_SERVE_MAX_BATCH is not a repro setting" in out.stderr
+
+    del env["REPRO_FAULT_SEED"], env["REPRO_SERVE_MAX_BATCH"]
     env["REPRO_VALIDAET"] = "off"
     out = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 2

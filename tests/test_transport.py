@@ -33,8 +33,9 @@ from repro.nn import GCN, GraphData
 from repro.nn.tensor import Tensor
 from repro.resilience.faults import fault_profile, no_faults
 from repro.serve import protocol
+from repro.serve import transport as transport_mod
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.client import ServeClient, backoff_ms
+from repro.serve.client import BACKOFF_CAP_MS, ServeClient, backoff_ms
 from repro.serve.scheduler import (
     DeadlineScheduler,
     SchedulerClosed,
@@ -113,16 +114,16 @@ class TestProtocol:
         assert ServeError.code == "serve.error"
 
     def test_backoff_is_deterministic_and_bounded(self):
-        a = backoff_ms("req-1", 3, base_ms=5.0, cap_ms=200.0)
-        b = backoff_ms("req-1", 3, base_ms=5.0, cap_ms=200.0)
+        a = backoff_ms("req-1", 3)
+        b = backoff_ms("req-1", 3)
         assert a == b
         raw = min(200.0, 5.0 * 2 ** 2)
         assert 0.5 * raw <= a < raw
         # different attempts decorrelate
-        assert backoff_ms("req-1", 4, base_ms=5.0, cap_ms=200.0) != a
+        assert backoff_ms("req-1", 4) != a
 
     def test_backoff_respects_cap(self):
-        assert backoff_ms("r", 30, base_ms=5.0, cap_ms=50.0) < 50.0
+        assert 0.5 * BACKOFF_CAP_MS <= backoff_ms("r", 30) < BACKOFF_CAP_MS
 
 
 # --------------------------------------------------------------- scheduler
@@ -513,8 +514,8 @@ class TestIdempotency:
             service = serve.InferenceService(graph)
             async with ServeTransport(service, port=0) as transport:
                 with fault_profile("net.conn_drop=1", seed=7):
-                    async with ServeClient(port=transport.port, retries=6,
-                                           backoff_base_ms=1.0) as client:
+                    async with ServeClient(port=transport.port,
+                                           retries=6) as client:
                         out = await client.propagate(column)
                 return out, service.stats.requests
 
@@ -522,13 +523,14 @@ class TestIdempotency:
         np.testing.assert_array_equal(out, _serial(graph, column))
         assert executed == 1  # retried over the wire, executed once
 
-    def test_dedup_cache_is_bounded(self, small_graph, rng):
+    def test_dedup_cache_is_bounded(self, small_graph, rng, monkeypatch):
         graph = GraphData(small_graph)
         column = rng.standard_normal(graph.num_vertices)
+        monkeypatch.setattr(transport_mod, "DEDUP_CAP", 4)
 
         async def main():
             service = serve.InferenceService(graph)
-            transport = ServeTransport(service, port=0, dedup_cap=4)
+            transport = ServeTransport(service, port=0)
             async with transport:
                 async with ServeClient(port=transport.port) as client:
                     for _ in range(10):
@@ -552,7 +554,7 @@ class TestGracefulShutdown:
 
         async def main():
             service = serve.InferenceService(
-                graph, config=serve.ServeConfig.from_env(
+                graph, config=serve.ServeConfig(
                     max_batch=2, max_delay_us=0
                 )
             )
@@ -633,7 +635,7 @@ class TestDeadlinePropagation:
 
         async def main():
             service = serve.InferenceService(
-                graph, config=serve.ServeConfig.from_env(
+                graph, config=serve.ServeConfig(
                     max_batch=1, max_delay_us=0
                 )
             )
