@@ -30,9 +30,6 @@ class ExperimentResult:
     def add_row(self, **values: Any) -> None:
         self.rows.append(values)
 
-    def column(self, name: str) -> list[Any]:
-        return [row.get(name) for row in self.rows]
-
     def numeric_column(self, name: str) -> np.ndarray:
         vals = [row.get(name) for row in self.rows]
         return np.asarray(

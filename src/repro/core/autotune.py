@@ -61,12 +61,6 @@ def clear_tune_cache() -> None:
         _TUNE_CACHE.clear()
 
 
-def tune_cache_len() -> int:
-    """Current number of memoized tune results."""
-    with _LOCK:
-        return len(_TUNE_CACHE)
-
-
 @dataclass(frozen=True)
 class TuneResult:
     config: GnnOneConfig

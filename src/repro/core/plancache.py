@@ -108,11 +108,6 @@ _namespace: contextvars.ContextVar[str] = contextvars.ContextVar(
 )
 
 
-def current_namespace() -> str:
-    """The plan-cache namespace launches are keyed under right now."""
-    return _namespace.get()
-
-
 @contextlib.contextmanager
 def plan_namespace(name: str) -> Iterator[str]:
     """Scope every plan-cache key in the block under ``name``.
@@ -161,10 +156,7 @@ class _Slot:
 
 def _key_kind(key: PlanKey) -> str:
     """The launch-kind tag of a key (index 3 of the canonical 6-tuple)."""
-    try:
-        return str(key[3])
-    except (IndexError, TypeError):
-        return "?"
+    return str(key[3])
 
 
 class PlanCache:
@@ -187,10 +179,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def lookup(self, key: PlanKey) -> CachedLaunch | None:
         """Fetch a cached launch, counting the hit/miss in ``repro.obs``.
@@ -259,10 +247,6 @@ class PlanCache:
             while len(self._memo) > MEMO_CAPACITY:
                 self._memo.popitem(last=False)
 
-    def memo_size(self) -> int:
-        with self._lock:
-            return len(self._memo)
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -270,25 +254,6 @@ class PlanCache:
             self.hits = 0
             self.misses = 0
             self.invalidations = 0
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
-    def stats(self) -> dict[str, float | int]:
-        """Flat summary (folded into experiment spans and BENCH reports)."""
-        with self._lock:
-            return {
-                "plancache_hits": self.hits,
-                "plancache_misses": self.misses,
-                "plancache_hit_rate": self.hits / (self.hits + self.misses)
-                if (self.hits + self.misses)
-                else 0.0,
-                "plancache_size": len(self._entries),
-                "plancache_invalidations": self.invalidations,
-            }
 
 
 _default = PlanCache()

@@ -1,10 +1,9 @@
 """Exception hierarchy for the GNNOne reproduction.
 
-Every failure mode that the paper's evaluation exercises (out-of-memory
-conditions in baselines, CUDA launch-configuration limits hit by Sputnik's
-|V|^2 thread-block SDDMM, unsupported formats, ...) is modeled as a typed
-exception so benchmark harnesses can record "OOM"/"ERR" cells exactly like
-the paper's figures do.
+Every failure mode that the paper's evaluation exercises (CUDA
+launch-configuration limits hit by Sputnik's |V|^2 thread-block SDDMM,
+malformed graphs, ...) is modeled as a typed exception so benchmark
+harnesses can record "ERR" cells exactly like the paper's figures do.
 
 Every error carries a stable, machine-readable ``code`` (class
 attribute, dotted lowercase).  The serving transport puts the code on
@@ -30,12 +29,6 @@ class FormatError(ReproError):
     code = "format.invalid"
 
 
-class UnsupportedFormatError(ReproError):
-    """A kernel was handed a sparse format it does not implement."""
-
-    code = "format.unsupported"
-
-
 class KernelLaunchError(ReproError):
     """The simulated kernel launch exceeds a hard device limit.
 
@@ -45,16 +38,6 @@ class KernelLaunchError(ReproError):
     """
 
     code = "kernel.launch"
-
-
-class DeviceOutOfMemoryError(ReproError):
-    """The simulated device memory footprint exceeds device capacity.
-
-    Mirrors ``cudaErrorMemoryAllocation``; the paper reports OOM cells for
-    several baselines (PyG, DGL on uk-2002, everything on kmer/uk-2005).
-    """
-
-    code = "device.oom"
 
 
 class AutogradError(ReproError):
@@ -100,12 +83,6 @@ class FaultInjectedError(ResilienceError):
     """An error raised deliberately by the fault injector (chaos testing)."""
 
     code = "resilience.fault_injected"
-
-
-class PlanCacheCorruptionError(ResilienceError):
-    """A plan-cache entry failed its integrity check (checksum mismatch)."""
-
-    code = "resilience.plan_corrupt"
 
 
 class TrainingDivergedError(ResilienceError):
@@ -204,16 +181,13 @@ ERROR_CODES: dict[str, type[ReproError]] = {
     for cls in (
         ReproError,
         FormatError,
-        UnsupportedFormatError,
         KernelLaunchError,
-        DeviceOutOfMemoryError,
         AutogradError,
         ConfigError,
         BenchmarkError,
         GraphValidationError,
         ResilienceError,
         FaultInjectedError,
-        PlanCacheCorruptionError,
         TrainingDivergedError,
         ServeError,
         ServiceOverloadedError,

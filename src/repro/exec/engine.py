@@ -24,10 +24,8 @@ class ExecutionEngine:
     """Stateless serial dispatcher for SpMM/SpMV/SDDMM/GAT numerics."""
 
     def spmm(self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """``Y = A_w @ X`` (a 1-D ``X`` is the SpMV)."""
+        """``Y = A_w @ X``."""
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            return self.spmv(A, edge_values, X)
         return numerics.csr_spmm_serial(A, edge_values, X)
 
     def spmv(self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.ndarray:

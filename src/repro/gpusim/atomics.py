@@ -48,16 +48,3 @@ def conflict_degree(target_rows: np.ndarray, window: int = 256) -> float:
         sum_sq[-1] -= pad * pad  # the sentinel run
         sizes[-1] = window - pad
     return float((sum_sq / sizes).mean())
-
-
-def atomics_per_warp(
-    group_rows: np.ndarray, group_warp_ids: np.ndarray, n_warps: int
-) -> np.ndarray:
-    """Count atomic writes per warp given each group's emitted rows.
-
-    ``group_rows``/``group_warp_ids`` list one entry per (thread-group,
-    row-segment) pair — i.e. per atomicAdd actually issued.
-    """
-    return np.bincount(
-        np.asarray(group_warp_ids, dtype=np.int64), minlength=n_warps
-    ).astype(np.float64)

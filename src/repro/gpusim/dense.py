@@ -55,13 +55,3 @@ def elementwise_cost(
         + device.launch_overhead_us
     )
     return DenseCost(name, time_us, float(num_elements), bytes_moved)
-
-
-def softmax_cost(device: DeviceSpec, rows: int, cols: int) -> DenseCost:
-    """Row-softmax: 3 passes over the data (max, exp-sum, normalize)."""
-    return elementwise_cost(device, rows * cols, reads=3, writes=1, name="softmax")
-
-
-def reduction_cost(device: DeviceSpec, num_elements: int) -> DenseCost:
-    """Full reduction (e.g. loss): one read pass."""
-    return elementwise_cost(device, num_elements, reads=1, writes=0, name="reduce")

@@ -28,9 +28,6 @@ from repro.errors import ConfigError
 #: Bytes per DRAM sector (the L2<->DRAM transfer granule on NVIDIA parts).
 SECTOR_BYTES = 32
 
-#: Bytes covered by one fully coalesced warp-wide 4-byte access.
-COALESCED_BYTES = 128
-
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -90,18 +87,13 @@ class DeviceSpec:
         """Device-wide DRAM bytes transferred per core cycle."""
         return self.dram_bandwidth_gbps * 1e9 / self.clock_hz
 
-    @property
-    def sector_cycles(self) -> float:
-        """Device-wide cycles to transfer one 32B sector at peak bandwidth."""
-        return SECTOR_BYTES / self.dram_bytes_per_cycle
-
     def cycles_to_us(self, cycles: float) -> float:
         return cycles / self.clock_hz * 1e6
 
     def us_to_cycles(self, us: float) -> float:
         return us * 1e-6 * self.clock_hz
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.warp_size != 32:
             raise ConfigError("the model assumes 32-thread warps")
         for attr in (

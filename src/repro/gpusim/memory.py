@@ -61,78 +61,3 @@ def feature_row_sectors(feature_bytes: int) -> float:
     sectors — full coalescing as long as the whole row is consumed.
     """
     return float(int(np.ceil(feature_bytes / SECTOR_BYTES)))
-
-
-def gather_feature_sectors(
-    indices: np.ndarray,
-    warp_ids: np.ndarray,
-    n_warps: int,
-    feature_bytes: int,
-    *,
-    dedupe: bool = False,
-    scattered: bool = False,
-) -> np.ndarray:
-    """Per-warp sectors for gathering feature rows of irregular indices.
-
-    Parameters
-    ----------
-    indices:
-        Row indices into the dense feature matrix, one per gather.
-    warp_ids:
-        The warp performing each gather (same length as ``indices``).
-    feature_bytes:
-        Bytes per feature row (``4 * F`` for float32).
-    dedupe:
-        If True, duplicate indices within a warp are loaded once (models
-        explicit reuse, e.g. GNNOne's row-feature caching in SDDMM).
-    scattered:
-        If True, the kernel reads the row with per-thread scalar loads at
-        non-contiguous addresses (e.g. column-major access or a
-        transposed operand without vectorization): every 4-byte element
-        costs a full sector.  This is how CuSparse's slow SDDMM and other
-        non-feature-parallel designs lose an order of magnitude.
-    """
-    if scattered:
-        per_row = feature_bytes / 4.0  # one sector per 4B element
-    else:
-        per_row = feature_row_sectors(feature_bytes)
-    if dedupe:
-        rows = unique_per_warp(warp_ids, indices, n_warps)
-    else:
-        rows = per_warp_counts(np.asarray(warp_ids, dtype=np.int64), n_warps)
-    return rows * per_row
-
-
-def scatter_write_sectors(
-    indices: np.ndarray,
-    warp_ids: np.ndarray,
-    n_warps: int,
-    value_bytes: int,
-    *,
-    dedupe: bool = True,
-) -> np.ndarray:
-    """Per-warp sectors for writing values at irregular indices.
-
-    Writes are write-back through L2 at sector granularity; duplicate
-    target rows within a warp coalesce when ``dedupe`` (the common case
-    for SpMM running reduction writing one partial per row segment).
-    """
-    per_row = max(1.0, np.ceil(value_bytes / SECTOR_BYTES))
-    if dedupe:
-        rows = unique_per_warp(warp_ids, indices, n_warps)
-    else:
-        rows = per_warp_counts(np.asarray(warp_ids, dtype=np.int64), n_warps)
-    return rows * per_row
-
-
-def segment_sectors_from_addresses(
-    byte_addrs: np.ndarray, warp_ids: np.ndarray, n_warps: int
-) -> np.ndarray:
-    """Exact sector count per warp for arbitrary 4-byte accesses.
-
-    The fully general path: map each access to its sector id and count
-    distinct (warp, sector) pairs.  Used by tests to validate the closed
-    forms above and by kernels with genuinely irregular address streams.
-    """
-    sector_ids = np.asarray(byte_addrs, dtype=np.int64) // SECTOR_BYTES
-    return unique_per_warp(np.asarray(warp_ids, dtype=np.int64), sector_ids, n_warps)

@@ -36,11 +36,6 @@ class Occupancy:
     active_warps_per_sm: int
     limiter: str  # which resource capped occupancy
 
-    @property
-    def occupancy_fraction(self) -> float:
-        """Active warps as a fraction of the architectural maximum (64)."""
-        return self.active_warps_per_sm / 64.0
-
 
 def compute_occupancy(
     device: DeviceSpec,

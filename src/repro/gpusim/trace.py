@@ -145,16 +145,8 @@ class KernelTrace:
         self.phases.append(phase)
         return phase
 
-    def total_sectors(self, kinds: tuple[str, ...] | None = None) -> float:
-        return float(
-            sum(p.total("sectors") for p in self.phases if kinds is None or p.kind in kinds)
-        )
-
-    def total_bytes(self, kinds: tuple[str, ...] | None = None) -> float:
-        return self.total_sectors(kinds) * 32.0
-
     def counters(self) -> dict[str, float]:
-        """Aggregate counters over all phases (for tests and reports)."""
+        """Aggregate counters over all phases (the cost report's ``counters``)."""
         out: dict[str, float] = {}
         for phase in self.phases:
             for key, val in phase.totals().items():

@@ -7,7 +7,6 @@ from repro.kernels.base import (
     SpMVKernel,
     reference_sddmm,
     reference_spmm,
-    reference_spmv,
 )
 from repro.kernels.registry import (
     sddmm_kernel,
@@ -25,7 +24,6 @@ __all__ = [
     "SpMVKernel",
     "reference_sddmm",
     "reference_spmm",
-    "reference_spmv",
     "sddmm_kernel",
     "sddmm_kernel_names",
     "spmm_kernel",

@@ -11,10 +11,11 @@ Signatures follow the paper's definitions (Section 2):
 * ``sddmm(A, X, Y) -> W`` with ``W[e] = <X[row_e], Y[col_e]>``  (|E| out);
 * ``spmv(A, edge_values, x) -> y``  (the Fig-12 study).
 
-Every kernel also exposes :meth:`memory_bytes`, the device footprint of
-its storage format(s) plus operands at an *arbitrary* scale — the
-harness evaluates it at the paper-scale |V|/|E| so the OOM cells in
-Figs 3/4/7 reproduce even though the compute runs on scaled graphs.
+Every SpMM and SDDMM kernel also exposes :meth:`memory_bytes`, the
+device footprint of its storage format(s) plus operands at an
+*arbitrary* scale — the harness evaluates it at the paper-scale |V|/|E|
+so the OOM cells in Figs 3/4/7 reproduce even though the compute runs
+on scaled graphs.
 
 A launch has two independent halves:
 
@@ -38,9 +39,9 @@ output from the base-class :meth:`_Kernel.compute`, which runs the
 execution engine (:mod:`repro.exec`); a kernel's identity shows only in
 its trace.  ``compute`` memoizes the engine output per read-only
 operand set, so the kernels of one figure sweep share one output per
-dataset.  :func:`reference_spmm`, :func:`reference_sddmm` and
-:func:`reference_spmv` are independent scipy/einsum oracles for tests
-and checks; no kernel returns them.
+dataset.  :func:`reference_spmm` and :func:`reference_sddmm` are
+independent scipy/einsum oracles for tests and checks; no kernel
+returns them.
 """
 
 from __future__ import annotations
@@ -255,10 +256,6 @@ class _Kernel(abc.ABC):
         """
         return _memoized_output(self.kind, A, operands, getattr(get_engine(), self.kind))
 
-    @abc.abstractmethod
-    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
-        """Device footprint (formats + operands + output) at the given scale."""
-
 
 class SpMMKernel(_Kernel):
     """Base class for SpMM (``Y <- A X``) kernels."""
@@ -278,6 +275,10 @@ class SpMMKernel(_Kernel):
         validate_spmm_inputs(A, edge_values, X)
         return self._launch(A, device, (edge_values, X), np.shape(X)[1])
 
+    @abc.abstractmethod
+    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
+        """Device footprint (formats + operands + output) at the given scale."""
+
 
 class SDDMMKernel(_Kernel):
     """Base class for SDDMM (``W <- A ⊙ (X Y^T)``) kernels."""
@@ -296,6 +297,10 @@ class SDDMMKernel(_Kernel):
     ) -> KernelResult:
         validate_sddmm_inputs(A, X, Y)
         return self._launch(A, device, (X, Y), np.shape(X)[1])
+
+    @abc.abstractmethod
+    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
+        """Device footprint (formats + operands + output) at the given scale."""
 
 
 class SpMVKernel(_Kernel):
@@ -368,9 +373,3 @@ def reference_sddmm(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Ground-truth SDDMM: per-edge dot products by a row-gathered einsum."""
     X, Y = np.asarray(X), np.asarray(Y)
     return np.einsum("ef,ef->e", X[A.rows], Y[A.cols])
-
-
-def reference_spmv(A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Ground-truth SpMV via scipy."""
-    return A.to_scipy(np.asarray(edge_values, dtype=np.float64)).tocsr() @ np.asarray(x)
-

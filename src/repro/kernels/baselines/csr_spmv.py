@@ -51,9 +51,6 @@ class CsrScalarSpMV(SpMVKernel):
             np.bincount(warp_of_row, minlength=n_warps).astype(np.float64) / 8.0))
         return trace
 
-    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
-        return 4 * num_edges + 4 * (num_vertices + 1) + 4 * num_edges + 8 * num_vertices
-
 
 class CsrVectorSpMV(SpMVKernel):
     """One warp per row: coalesced but hub-serialized."""
@@ -85,9 +82,6 @@ class CsrVectorSpMV(SpMVKernel):
         )
         trace.add_phase("y_store", "store", sectors=np.full(n_warps, 1.0) / 8.0)
         return trace
-
-    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
-        return 4 * num_edges + 4 * (num_vertices + 1) + 4 * num_edges + 8 * num_vertices
 
 
 class BinnedSpMV(SpMVKernel):
@@ -139,7 +133,3 @@ class BinnedSpMV(SpMVKernel):
         )
         trace.add_phase("y_store", "store", sectors=0.2)
         return trace
-
-    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
-        csr = 4 * num_edges + 4 * (num_vertices + 1)
-        return csr + 4 * num_vertices + 4 * num_edges + 8 * num_vertices

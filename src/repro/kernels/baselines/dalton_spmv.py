@@ -68,6 +68,3 @@ class DaltonSpMV(SpMVKernel):
             ),
         )
         return trace
-
-    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
-        return 8 * num_edges + 4 * num_edges + 8 * num_vertices

@@ -4,8 +4,7 @@ Preprocesses the CSR into *neighbor groups* of <= 32 non-zero columns
 (a custom format) and assigns one warp per group.  Balancing is much
 better than vertex-parallel, but per the paper's analysis:
 
-* tail groups are shorter than 32 — idle lanes and wasted slots
-  (measured here by the format's ``occupancy_efficiency``);
+* tail groups are shorter than 32 — idle lanes and wasted slots;
 * the group metadata (row id, length) is loaded by a couple of lanes
   and broadcast, costing a synchronization the COO row-id load avoids;
 * the effective cache is pinned at 32 NZEs, so the shared-memory

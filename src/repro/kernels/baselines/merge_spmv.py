@@ -102,8 +102,3 @@ class MergeSpMV(SpMVKernel):
             ),
         )
         return trace
-
-    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
-        csr = 4 * num_edges + 4 * (num_vertices + 1)
-        coords = 16 * ((num_vertices + num_edges) // (32 * self.items_per_thread) + 1)
-        return csr + coords + 4 * num_edges + 8 * num_vertices

@@ -9,7 +9,7 @@ from repro.kernels.gnnone.config import (
     ROUND_ROBIN,
     GnnOneConfig,
 )
-from repro.kernels.gnnone.spmm import GnnOneSpMM, segment_sum_spmm
+from repro.kernels.gnnone.spmm import GnnOneSpMM
 from repro.kernels.gnnone.sddmm import GnnOneSDDMM
 from repro.kernels.gnnone.spmv import GnnOneSpMV
 from repro.kernels.gnnone.fused import GnnOneFusedGATLayer
@@ -26,5 +26,4 @@ __all__ = [
     "GnnOneSDDMM",
     "GnnOneSpMV",
     "GnnOneFusedGATLayer",
-    "segment_sum_spmm",
 ]

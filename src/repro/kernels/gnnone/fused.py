@@ -161,12 +161,6 @@ class GnnOneFusedGATLayer(_Kernel):
         )
         return trace
 
-    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
-        # No |E|-sized intermediates: scores/alphas never touch DRAM.
-        coo = 8 * num_edges
-        dense = 4 * num_vertices * (2 + 2 * feature_length)  # el, er, X, Y
-        return coo + dense
-
 
 def unfused_gat_pipeline_time_us(
     A: COOMatrix,

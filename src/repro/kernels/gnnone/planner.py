@@ -58,8 +58,7 @@ class UnifiedLoadPlan:
         """Max/mean NZEs per warp — 1.0 means perfectly balanced.
 
         Edge-parallel Stage 1 guarantees this is ~1.0 up to the final
-        partial chunk; compare with
-        :func:`repro.sparse.stats.warp_imbalance_vertex_parallel`.
+        partial chunk.
         """
         sizes = self.stage1.chunks.chunk_sizes.astype(np.float64)
         mean = sizes.mean() if sizes.size else 1.0

@@ -13,8 +13,6 @@ records only the SpMM Stage-2 and reduction phases.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import obs
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import KernelTrace
@@ -24,29 +22,6 @@ from repro.kernels.gnnone.planner import plan_two_stage
 from repro.kernels.gnnone.reduction import record_reduction_spmm
 from repro.kernels.gnnone.stage2 import record_stage2_spmm
 from repro.sparse.coo import COOMatrix
-
-
-def segment_sum_spmm(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """SpMM as segment sums over the CSR-ordered COO: a test oracle.
-
-    No kernel computes through this.  Every kernel's output is the
-    execution engine's (:meth:`repro.kernels.base._Kernel.compute`);
-    tests use this independent ``np.add.reduceat`` formulation to check
-    that output and the scipy reference against a third answer.
-    """
-    if A.is_csr_ordered():
-        coo = A
-    else:
-        coo = A.sort_csr_order()
-        edge_values = edge_values[A.csr_order()]
-    out = np.zeros((A.num_rows, X.shape[1]), dtype=np.float64)
-    if coo.nnz == 0:
-        return out
-    products = edge_values[:, None] * X[coo.cols]
-    boundaries = np.flatnonzero(np.r_[True, coo.rows[1:] != coo.rows[:-1]])
-    sums = np.add.reduceat(products, boundaries, axis=0)
-    out[coo.rows[boundaries]] = sums
-    return out
 
 
 class GnnOneSpMM(SpMMKernel):

@@ -91,6 +91,3 @@ class GnnOneSpMV(SpMVKernel):
             ),
         )
         return trace
-
-    def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
-        return 8 * num_edges + 4 * num_edges + 8 * num_vertices  # COO + vals + x,y

@@ -12,9 +12,9 @@ from repro.nn.clock import SimClock, simulate
 from repro.nn.data import NodeClassificationData, synthesize
 from repro.nn.graph import GraphData
 from repro.nn.models import GAT, GCN, GIN
-from repro.nn.modules import Dropout, Linear, MLP, Module, Parameter, ReLU, Sequential
-from repro.nn.optim import SGD, Adam
-from repro.nn.tensor import Tensor, gradcheck
+from repro.nn.modules import Dropout, Linear, MLP, Module, Parameter, ReLU
+from repro.nn.optim import Adam
+from repro.nn.tensor import Tensor
 from repro.nn.trainer import TrainResult, Trainer
 
 __all__ = [
@@ -38,11 +38,8 @@ __all__ = [
     "Module",
     "Parameter",
     "ReLU",
-    "Sequential",
-    "SGD",
     "Adam",
     "Tensor",
-    "gradcheck",
     "TrainResult",
     "Trainer",
 ]

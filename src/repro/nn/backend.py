@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.kernels.gnnone.config import GnnOneConfig
-from repro.kernels.registry import check_config
 
 
 @dataclass(frozen=True)
@@ -30,16 +28,6 @@ class TrainingBackend:
     fused_elementwise: bool = False
     #: keeps CSR + CSC + COO resident simultaneously (DGL behaviour)
     dual_format: bool = False
-    #: autotuned GNNOne knobs (``Trainer(autotune=True)``); ``None`` runs
-    #: the paper defaults.  A config on a kernel whose registry name is
-    #: not ``"gnnone"`` raises ``ConfigError`` here — baselines have no
-    #: such knobs.
-    gnnone_spmm_config: GnnOneConfig | None = None
-    gnnone_sddmm_config: GnnOneConfig | None = None
-
-    def __post_init__(self) -> None:
-        check_config(self.spmm, self.gnnone_spmm_config)
-        check_config(self.sddmm, self.gnnone_sddmm_config)
 
 
 GNNONE_BACKEND = TrainingBackend("gnnone", "gnnone", "gnnone", "gnnone")

@@ -96,10 +96,6 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, mask: np.ndarray | None = N
     return out
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-    return nll_loss(log_softmax(logits), targets, mask)
-
-
 def accuracy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray | None = None) -> float:
     pred = np.asarray(logits).argmax(axis=-1)
     correct = pred == np.asarray(targets)

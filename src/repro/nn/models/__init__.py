@@ -1,10 +1,8 @@
-"""GNN models: GCN, GIN, GAT (the paper's Section 5.3 trio) plus the
-GraphSAGE extension."""
+"""GNN models: GCN, GIN, GAT (the paper's Section 5.3 trio)."""
 
 from repro.nn.models.gat import GAT, GATLayer
 from repro.nn.models.gcn import GCN, GCNLayer
 from repro.nn.models.gin import GIN, GINLayer
-from repro.nn.models.sage import GraphSAGE, SAGELayer
 
 __all__ = [
     "GAT",
@@ -13,6 +11,4 @@ __all__ = [
     "GCNLayer",
     "GIN",
     "GINLayer",
-    "GraphSAGE",
-    "SAGELayer",
 ]

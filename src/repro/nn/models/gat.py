@@ -8,8 +8,7 @@ The model the paper uses to exercise *both* sparse kernels per layer:
 * aggregation: SpMM with the attention weights as *trainable* edge
   values — whose backward therefore runs a true SDDMM (d alpha).
 
-Paper config: 5 layers, hidden 16, single head (heads concat supported
-via ``num_heads``; heads run sequentially and concatenate).
+Paper config: 5 layers, hidden 16, single head.
 """
 
 from __future__ import annotations
@@ -32,66 +31,29 @@ class GATLayer(Module):
         in_features: int,
         out_features: int,
         *,
-        num_heads: int = 1,
         attn_dropout: float = 0.0,
         rng=None,
         seed: int = 0,
     ):
         super().__init__()
         rng = default_rng(rng)
-        self.num_heads = num_heads
-        self.out_features = out_features
-        self.linear = Linear(in_features, out_features * num_heads, bias=False, rng=rng)
+        self.linear = Linear(in_features, out_features, bias=False, rng=rng)
         bound = np.sqrt(6.0 / (out_features + 1))
-        self.attn_l = Parameter(
-            rng.uniform(-bound, bound, size=(num_heads, out_features)), name="attn_l"
-        )
-        self.attn_r = Parameter(
-            rng.uniform(-bound, bound, size=(num_heads, out_features)), name="attn_r"
-        )
+        self.attn_l = Parameter(rng.uniform(-bound, bound, size=(out_features, 1)), name="attn_l")
+        self.attn_r = Parameter(rng.uniform(-bound, bound, size=(out_features, 1)), name="attn_r")
         self.attn_drop = Dropout(attn_dropout, seed=seed)
-
-    def _head_slice(self, h: Tensor, head: int) -> Tensor:
-        lo = head * self.out_features
-        hi = lo + self.out_features
-        out = Tensor(h.data[:, lo:hi], parents=(h,))
-
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(h.data)
-            full[:, lo:hi] = g
-            h.accumulate_grad(full)
-
-        out._backward = backward
-        return out
-
-    def _attn_vec(self, which: Parameter, head: int) -> Tensor:
-        out = Tensor(which.data[head].reshape(-1, 1), parents=(which,))
-
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(which.data)
-            full[head] = g.reshape(-1)
-            which.accumulate_grad(full)
-
-        out._backward = backward
-        return out
 
     def forward(self, graph: GraphData, x: Tensor, backend: TrainingBackend) -> Tensor:
         h = self.linear(x)
-        head_outputs: list[Tensor] = []
-        for head in range(self.num_heads):
-            hh = self._head_slice(h, head)
-            el = hh @ self._attn_vec(self.attn_l, head)  # (V, 1)
-            er = hh @ self._attn_vec(self.attn_r, head)
-            charge_elementwise(graph.num_vertices * 2, name="attn_proj")
-            scores_raw = u_add_v(graph, _squeeze(el), _squeeze(er), backend)
-            charge_elementwise(graph.num_edges, name="leaky_relu")
-            scores = F.leaky_relu(scores_raw)
-            alpha = edge_softmax(graph, scores, backend)
-            alpha = self.attn_drop(alpha)
-            head_outputs.append(spmm(graph, alpha, hh, backend))
-        if self.num_heads == 1:
-            return head_outputs[0]
-        return _concat(head_outputs)
+        el = h @ self.attn_l  # (V, 1)
+        er = h @ self.attn_r
+        charge_elementwise(graph.num_vertices * 2, name="attn_proj")
+        scores_raw = u_add_v(graph, _squeeze(el), _squeeze(er), backend)
+        charge_elementwise(graph.num_edges, name="leaky_relu")
+        scores = F.leaky_relu(scores_raw)
+        alpha = edge_softmax(graph, scores, backend)
+        alpha = self.attn_drop(alpha)
+        return spmm(graph, alpha, h, backend)
 
 
 def _squeeze(x: Tensor) -> Tensor:
@@ -99,20 +61,6 @@ def _squeeze(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         x.accumulate_grad(g.reshape(x.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def _concat(tensors: list[Tensor]) -> Tensor:
-    widths = [t.data.shape[1] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=1), parents=tuple(tensors))
-
-    def backward(g: np.ndarray) -> None:
-        lo = 0
-        for t, w in zip(tensors, widths):
-            t.accumulate_grad(g[:, lo : lo + w])
-            lo += w
 
     out._backward = backward
     return out
@@ -128,7 +76,6 @@ class GAT(Module):
         num_classes: int,
         *,
         num_layers: int = 5,
-        num_heads: int = 1,
         dropout: float = 0.5,
         backend: TrainingBackend | str = "gnnone",
         seed: int = 0,
@@ -136,14 +83,11 @@ class GAT(Module):
         super().__init__()
         rng = default_rng(seed)
         self.backend = get_backend(backend)
-        dims = [in_features] + [hidden * num_heads] * (num_layers - 1) + [num_classes]
-        self.layers = []
-        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            heads = num_heads if i < num_layers - 1 else 1
-            width = b // heads if i < num_layers - 1 else b
-            self.layers.append(
-                GATLayer(a, width, num_heads=heads, attn_dropout=dropout / 2, rng=rng, seed=seed + i)
-            )
+        dims = [in_features] + [hidden] * (num_layers - 1) + [num_classes]
+        self.layers = [
+            GATLayer(a, b, attn_dropout=dropout / 2, rng=rng, seed=seed + i)
+            for i, (a, b) in enumerate(zip(dims[:-1], dims[1:]))
+        ]
         self.dropouts = [Dropout(dropout, seed=seed + 100 + i) for i in range(num_layers - 1)]
 
     def forward(self, graph: GraphData, x: Tensor) -> Tensor:

@@ -1,4 +1,4 @@
-"""Module system: parameters, Linear, Dropout, containers."""
+"""Module system: parameters, Linear, Dropout, ReLU, MLP."""
 
 from __future__ import annotations
 
@@ -62,9 +62,6 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
 
     def __call__(self, *args, **kwargs):
         if not obs.tracing_enabled():
@@ -133,17 +130,6 @@ class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         charge_elementwise(x.data.size, count=2 if self.training else 1, name="relu")
         return F.relu(x)
-
-
-class Sequential(Module):
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
 
 
 class MLP(Module):

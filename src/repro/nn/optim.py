@@ -1,4 +1,4 @@
-"""Optimizers: SGD and Adam (the paper's training uses Adam)."""
+"""The optimizer: Adam, which the paper's training uses."""
 
 from __future__ import annotations
 
@@ -17,10 +17,6 @@ class Optimizer:
         if not self.params:
             raise ConfigError("optimizer received no parameters")
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -29,44 +25,18 @@ class Optimizer:
         charge_elementwise(n, reads=passes, writes=1, name="optimizer")
 
 
-class SGD(Optimizer):
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(params)
-        if lr <= 0:
-            raise ConfigError("lr must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        self._charge(2)
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-
 class Adam(Optimizer):
-    def __init__(
-        self,
-        params,
-        lr: float = 0.01,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    """Adam with the usual constants (betas 0.9/0.999, eps 1e-8), no weight decay."""
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr: float = 0.01):
         super().__init__(params)
         if lr <= 0:
             raise ConfigError("lr must be positive")
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -80,8 +50,6 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m *= self.beta1
             m += (1 - self.beta1) * g
             v *= self.beta2

@@ -46,7 +46,7 @@ def _device():
 
 
 def _run_spmm(backend: TrainingBackend, coo, edge_values, X, tag: str) -> np.ndarray:
-    result = spmm_kernel(backend.spmm, backend.gnnone_spmm_config)(
+    result = spmm_kernel(backend.spmm)(
         coo, edge_values, X, device=_device()
     )
     charge(f"spmm:{tag}", result.time_us)
@@ -54,7 +54,7 @@ def _run_spmm(backend: TrainingBackend, coo, edge_values, X, tag: str) -> np.nda
 
 
 def _run_sddmm(backend: TrainingBackend, coo, X, Y, tag: str) -> np.ndarray:
-    result = sddmm_kernel(backend.sddmm, backend.gnnone_sddmm_config)(
+    result = sddmm_kernel(backend.sddmm)(
         coo, X, Y, device=_device()
     )
     charge(f"sddmm:{tag}", result.time_us)
@@ -84,31 +84,12 @@ def spmm(graph: GraphData, edge_values: Tensor, X: Tensor, backend: TrainingBack
     return out
 
 
-def sddmm(graph: GraphData, X: Tensor, Y: Tensor, backend: TrainingBackend) -> Tensor:
-    """Differentiable ``W[e] = <X[row_e], Y[col_e]>``."""
-    out_data = _run_sddmm(backend, graph.coo, X.data, Y.data, "forward")
-    out = Tensor(out_data, parents=(X, Y))
-
-    def backward(g: np.ndarray) -> None:
-        # dX[r] += sum_e g_e Y[col_e]  ==  SpMM(A, g, Y)
-        if X.requires_grad:
-            X.accumulate_grad(_run_spmm(backend, graph.coo, g, Y.data, "backward_dX"))
-        if Y.requires_grad:
-            g_t = g[graph.transpose_perm]
-            Y.accumulate_grad(_run_spmm(backend, graph.coo_t, g_t, X.data, "backward_dY"))
-
-    out._backward = backward
-    return out
-
-
 def u_add_v(graph: GraphData, el: Tensor, er: Tensor, backend: TrainingBackend) -> Tensor:
     """GAT attention gather: ``e = el[row_e] + er[col_e]`` (SDDMM variant)."""
     rows, cols = graph.coo.rows, graph.coo.cols
     out = Tensor(el.data[rows] + er.data[cols], parents=(el, er))
     # Same data-load pattern as a feature-length-1 SDDMM: price it so.
-    _charge_launch(
-        sddmm_kernel(backend.sddmm, backend.gnnone_sddmm_config), graph.coo, 1, "sddmm:u_add_v"
-    )
+    _charge_launch(sddmm_kernel(backend.sddmm), graph.coo, 1, "sddmm:u_add_v")
 
     def backward(g: np.ndarray) -> None:
         charge_elementwise(graph.num_edges, reads=1, writes=1, name="u_add_v_bwd")
@@ -137,8 +118,6 @@ def edge_softmax(graph: GraphData, scores: Tensor, backend: TrainingBackend) -> 
 
     def backward(g: np.ndarray) -> None:
         # d s = alpha * (g - segsum(alpha * g))
-        if not scores.requires_grad:
-            return
         _charge_launch(spmv_kernel(backend.spmv), graph.coo, 1, "spmv:edge_softmax_bwd")
         charge_elementwise(graph.num_edges, reads=2, writes=1, name="edge_softmax_bwd")
         if g.size == 0:
@@ -149,19 +128,6 @@ def edge_softmax(graph: GraphData, scores: Tensor, backend: TrainingBackend) -> 
         full = np.zeros(graph.num_vertices)
         full[rows[bounds]] = seg
         scores.accumulate_grad(alpha_data * (g - full[rows]))
-
-    out._backward = backward
-    return out
-
-
-def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
-    """Differentiable row gather (used by tests and custom models)."""
-    out = Tensor(x.data[index], parents=(x,))
-
-    def backward(g: np.ndarray) -> None:
-        d = np.zeros_like(x.data)
-        np.add.at(d, index, g)
-        x.accumulate_grad(d)
 
     out._backward = backward
     return out

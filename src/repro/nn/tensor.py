@@ -13,7 +13,7 @@ primitive; the sparse ops with their simulated-GPU costs live in
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         g = np.asarray(g, dtype=np.float64)
@@ -108,20 +105,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other: "Tensor | float") -> "Tensor":
-        return add(self, mul(_as_tensor(other), _as_tensor(-1.0)))
-
-    def __neg__(self) -> "Tensor":
-        return mul(self, _as_tensor(-1.0))
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
-
-    def sum(self) -> "Tensor":
-        return tsum(self)
-
-    def mean(self) -> "Tensor":
-        return mean(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = f" name={self.name!r}" if self.name else ""
@@ -181,57 +166,3 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     out._backward = backward
     return out
-
-
-def tsum(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(), parents=(a,))
-
-    def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor(a.data.mean(), parents=(a,))
-
-    def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(np.broadcast_to(g / n, a.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def gradcheck(
-    fn: Callable[..., Tensor],
-    inputs: Iterable[Tensor],
-    *,
-    eps: float = 1e-6,
-    atol: float = 1e-4,
-) -> bool:
-    """Finite-difference check of ``fn``'s gradients w.r.t. ``inputs``."""
-    inputs = list(inputs)
-    out = fn(*inputs)
-    for t in inputs:
-        t.zero_grad()
-    out = fn(*inputs)
-    out.backward()
-    for t in inputs:
-        if not t.requires_grad:
-            continue
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        num = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = fn(*inputs).data.item()
-            flat[i] = orig - eps
-            lo = fn(*inputs).data.item()
-            flat[i] = orig
-            num[i] = (hi - lo) / (2 * eps)
-        if not np.allclose(analytic.reshape(-1), num, atol=atol, rtol=1e-3):
-            return False
-    return True

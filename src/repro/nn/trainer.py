@@ -17,7 +17,6 @@ budget raises :class:`~repro.errors.TrainingDivergedError`.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -25,14 +24,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.errors import TrainingDivergedError
+from repro.errors import ConfigError, TrainingDivergedError
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.nn import functional as F
 from repro.nn.clock import SimClock, simulate
 from repro.nn.data import NodeClassificationData
 from repro.nn.graph import GraphData
 from repro.nn.modules import Module
-from repro.nn.optim import Adam, Optimizer
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.resilience.checkpoint import CheckpointManager, TrainSnapshot
 from repro.resilience.faults import get_injector
@@ -59,10 +58,6 @@ class TrainResult:
     #: simulated time buckets of the measured epoch
     buckets: dict[str, float] = field(default_factory=dict)
 
-    def total_sim_us(self, epochs: int) -> float:
-        """Projected end-to-end simulated time for ``epochs`` epochs."""
-        return self.epoch_sim_us * epochs
-
 
 class Trainer:
     """Full-graph node-classification training."""
@@ -73,45 +68,16 @@ class Trainer:
         graph: GraphData,
         data: NodeClassificationData,
         *,
-        optimizer: Optimizer | None = None,
         lr: float = 0.01,
         device: DeviceSpec | str | None = None,
-        autotune: bool = False,
     ):
         self.model = model
         self.graph = graph
         self.data = data
-        self.optimizer = optimizer or Adam(model.parameters(), lr=lr)
+        self.optimizer = Adam(model.parameters(), lr=lr)
         self.device = get_device(device)
-        if autotune:
-            self._autotune_backend()
         fused = getattr(getattr(model, "backend", None), "fused_elementwise", False)
         self.clock = SimClock(device=self.device, fused_elementwise=fused)
-
-    def _autotune_backend(self) -> None:
-        """Pin tuned GNNOne configs on the model's backend.
-
-        Tunes at the input feature length (the widest tensors the
-        sparse ops see each epoch).  Memoized by the tune cache, so
-        repeated Trainer construction over one graph costs one search.
-        """
-        backend = getattr(self.model, "backend", None)
-        if backend is None:
-            return
-        from repro.core.autotune import autotune as _tune
-
-        f_rep = self.data.feature_length
-        updates = {}
-        if backend.spmm == "gnnone":
-            updates["gnnone_spmm_config"] = _tune(
-                self.graph.coo, f_rep, "spmm", device=self.device
-            ).config
-        if backend.sddmm == "gnnone":
-            updates["gnnone_sddmm_config"] = _tune(
-                self.graph.coo, f_rep, "sddmm", device=self.device
-            ).config
-        if updates:
-            self.model.backend = dataclasses.replace(backend, **updates)
 
     def train_epoch(self, epoch: int) -> EpochRecord:
         self.model.train()
@@ -174,20 +140,21 @@ class Trainer:
         epochs: int,
         *,
         checkpoint_dir: str | None = None,
-        checkpoint_every: int = 1,
         resume: bool = False,
-        nan_guard: bool = True,
     ) -> TrainResult:
         """Train for ``epochs`` epochs (possibly resuming mid-run).
 
         With ``checkpoint_dir``, model + optimizer state land on disk
-        every ``checkpoint_every`` epochs and ``resume=True`` continues
-        from the latest checkpoint, reproducing the uninterrupted loss
-        trajectory exactly.  ``nan_guard`` (on by default) rolls back to
-        the last good state and replays the epoch when a loss comes out
-        NaN/Inf, raising :class:`TrainingDivergedError` once the replay
-        budget (``MAX_ROLLBACKS``) is spent.
+        after every epoch and ``resume=True`` continues from the latest
+        checkpoint, reproducing the uninterrupted loss trajectory
+        exactly; ``resume=True`` without a ``checkpoint_dir`` raises
+        :class:`ConfigError`.  A loss that comes out NaN/Inf rolls back
+        to the last good state and replays the epoch, raising
+        :class:`TrainingDivergedError` once the replay budget
+        (``MAX_ROLLBACKS``) is spent.
         """
+        if resume and not checkpoint_dir:
+            raise ConfigError("resume=True needs a checkpoint_dir to resume from")
         result = TrainResult()
         manager = CheckpointManager(checkpoint_dir) if checkpoint_dir else None
         injector = get_injector()
@@ -201,22 +168,15 @@ class Trainer:
             with obs.span("train.warm", vertices=self.graph.num_vertices,
                           edges=self.graph.num_edges):
                 self.graph.warm(self.data.features)
-            start_epoch = 0
-            if resume and manager is not None:
-                start_epoch = self._restore_checkpoint(manager, result)
-            epoch = start_epoch
+            epoch = self._restore_checkpoint(manager, result) if resume else 0
             rollbacks = 0
             while epoch < epochs:
-                snapshot = (
-                    TrainSnapshot.capture(epoch, self.model, self.optimizer)
-                    if nan_guard
-                    else None
-                )
+                snapshot = TrainSnapshot.capture(epoch, self.model, self.optimizer)
                 record = self.train_epoch(epoch)
                 if injector.enabled and injector.fire("train.loss_corrupt",
                                                       epoch=epoch):
                     record.loss = float("nan")
-                if nan_guard and not math.isfinite(record.loss):
+                if not math.isfinite(record.loss):
                     rollbacks += 1
                     if rollbacks > MAX_ROLLBACKS:
                         raise TrainingDivergedError(
@@ -230,9 +190,7 @@ class Trainer:
                     continue  # replay the epoch from the restored state
                 rollbacks = 0
                 result.history.append(record)
-                if manager is not None and (
-                    epoch % max(1, checkpoint_every) == 0 or epoch == epochs - 1
-                ):
+                if manager is not None:
                     manager.save(
                         TrainSnapshot.capture(epoch, self.model, self.optimizer),
                         [asdict(r) for r in result.history],

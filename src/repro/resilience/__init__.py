@@ -33,7 +33,6 @@ from repro.resilience.faults import (
     get_injector,
     no_faults,
     parse_profile,
-    reset_injector,
 )
 from repro.resilience.validation import (
     ValidationReport,
@@ -51,7 +50,6 @@ __all__ = [
     "get_injector",
     "no_faults",
     "parse_profile",
-    "reset_injector",
     "ValidationReport",
     "ensure_structure_validated",
     "validate_graph",

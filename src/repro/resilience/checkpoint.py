@@ -31,13 +31,8 @@ from repro.errors import ResilienceError
 
 
 def _optimizer_arrays(optimizer) -> dict[str, list[np.ndarray]]:
-    """The optimizer's per-parameter state arrays, by slot name."""
-    slots: dict[str, list[np.ndarray]] = {}
-    for name in ("_m", "_v", "_velocity"):
-        arrays = getattr(optimizer, name, None)
-        if arrays is not None:
-            slots[name] = arrays
-    return slots
+    """Adam's per-parameter moment arrays, by slot name."""
+    return {name: getattr(optimizer, name) for name in ("_m", "_v")}
 
 
 def _module_rngs(model) -> list[np.random.Generator]:
@@ -74,7 +69,7 @@ class TrainSnapshot:
                 name: [a.copy() for a in arrays]
                 for name, arrays in _optimizer_arrays(optimizer).items()
             },
-            opt_step=int(getattr(optimizer, "t", 0)),
+            opt_step=optimizer.t,
             rng_states=[rng.bit_generator.state for rng in _module_rngs(model)],
         )
 
@@ -96,8 +91,7 @@ class TrainSnapshot:
         for name, arrays in self.opt_slots.items():
             for dst, src in zip(live.get(name, ()), arrays):
                 dst[...] = src
-        if hasattr(optimizer, "t"):
-            optimizer.t = self.opt_step
+        optimizer.t = self.opt_step
         rngs = _module_rngs(model)
         if self.rng_states and len(rngs) != len(self.rng_states):
             raise ResilienceError(

@@ -188,15 +188,6 @@ class FaultInjector:
         if self.fire(site, **attrs):
             raise FaultInjectedError(f"injected fault at {site} ({attrs})")
 
-    def reset(self) -> None:
-        """Restart every site's occurrence schedule (per-test determinism)."""
-        with self._lock:
-            self._occurrences.clear()
-            self._burst.clear()
-            self.fired.clear()
-
-
-_DISABLED = FaultInjector()
 
 _default: FaultInjector | None = None
 _default_lock = threading.Lock()
@@ -216,13 +207,6 @@ def get_injector() -> FaultInjector:
             if _default is None:
                 _default = _from_env()
     return _default
-
-
-def reset_injector() -> None:
-    """Re-resolve the injector from the settings with fresh schedules."""
-    global _default
-    with _default_lock:
-        _default = None
 
 
 def reset_locks_after_fork() -> None:

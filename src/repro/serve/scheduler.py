@@ -91,15 +91,8 @@ class DeadlineScheduler:
     def qsize(self) -> int:
         return self._size
 
-    def empty(self) -> bool:
-        return self._size == 0
-
     def full(self) -> bool:
         return self._size >= self.maxsize
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def close(self) -> None:
         """Stop the consumer: wakes a blocked :meth:`get` permanently."""

@@ -652,4 +652,3 @@ class InferenceService:
                 metrics.counter("serve.retries").inc()
             except Exception as e:
                 return e
-        return FaultInjectedError("unreachable: retry loop exhausted")

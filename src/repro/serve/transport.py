@@ -51,7 +51,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import math
-import signal
 import time
 from collections import OrderedDict, deque
 from typing import Any
@@ -183,14 +182,6 @@ class ServeTransport:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         obs.event("serve.transport_stop", host=self.host, port=self.port)
-
-    def install_signal_handlers(self) -> None:
-        """Route SIGTERM/SIGINT into :meth:`shutdown` (graceful drain)."""
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(
-                sig, lambda: asyncio.ensure_future(self.shutdown())
-            )
 
     async def __aenter__(self) -> "ServeTransport":
         return await self.start()

@@ -52,6 +52,7 @@ class COOMatrix:
     _csr_sorted: "COOMatrix | None" = field(default=None, init=False, repr=False, compare=False)
     _csr_ordered: bool | None = field(default=None, init=False, repr=False, compare=False)
     _csr_arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _csr: "CSRMatrix | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.rows = check_array(self.rows, "rows", ndim=1).astype(INDEX_DTYPE, copy=False)
@@ -170,10 +171,6 @@ class COOMatrix:
         """Row lengths (vertex out-degrees), length ``num_rows``."""
         return np.bincount(self.rows, minlength=self.num_rows).astype(np.int64)
 
-    def memory_bytes(self) -> int:
-        """Device bytes for the topology: two int32 arrays."""
-        return self.rows.nbytes + self.cols.nbytes
-
     def row_splits_in_chunks(self, chunk: int) -> np.ndarray:
         """Distinct rows in each consecutive chunk of ``chunk`` NZEs.
 
@@ -193,12 +190,18 @@ class COOMatrix:
 
     # ------------------------------------------------------------------
     def to_csr(self) -> "CSRMatrix":
-        from repro.sparse.csr import CSRMatrix
+        """Memoized :class:`CSRMatrix` over :meth:`csr_arrays`, validated once.
 
-        coo = self if self.is_csr_ordered() else self.sort_csr_order()
-        indptr = np.zeros(self.num_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(coo.rows, minlength=self.num_rows), out=indptr[1:])
-        return CSRMatrix(self.num_rows, self.num_cols, indptr, coo.cols.copy())
+        Shared by every caller (the CSR baselines and format builders
+        only read it), and its ``indices`` are this topology's sorted
+        ``cols``.
+        """
+        if self._csr is None:
+            from repro.sparse.csr import CSRMatrix
+
+            indptr, cols, _ = self.csr_arrays()
+            self._csr = CSRMatrix(self.num_rows, self.num_cols, indptr, cols)
+        return self._csr
 
     def to_scipy(self, values: np.ndarray | None = None):
         """Convert to ``scipy.sparse.coo_matrix`` (reference numerics)."""
@@ -208,9 +211,6 @@ class COOMatrix:
         return sp.coo_matrix(
             (data, (self.rows, self.cols)), shape=(self.num_rows, self.num_cols)
         )
-
-    def to_dense(self, values: np.ndarray | None = None) -> np.ndarray:
-        return self.to_scipy(values).toarray()
 
     # ------------------------------------------------------------------
     @classmethod

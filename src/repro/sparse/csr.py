@@ -3,22 +3,17 @@
 DGL's SpMM, dgSparse/dgNN, GE-SpMM, FeatGraph, CuSparse and the
 vertex-parallel designs all consume CSR.  Keeping both COO and CSR alive
 simultaneously (as DGL does) is exactly the memory cost the paper's
-single-format argument removes; :meth:`memory_bytes` feeds that
-accounting in the training-footprint model.
+single-format argument removes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import FormatError, GraphValidationError
 from repro.utils.validation import check_array
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sparse.coo import COOMatrix
 
 
 @dataclass
@@ -64,35 +59,8 @@ class CSRMatrix:
     def nnz(self) -> int:
         return int(self.indices.shape[0])
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.num_rows, self.num_cols)
-
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def expand_rows(self) -> np.ndarray:
-        """Materialize the per-NZE row id array (COO's first array)."""
-        return np.repeat(
-            np.arange(self.num_rows, dtype=np.int32), self.row_degrees()
-        )
-
-    def memory_bytes(self) -> int:
-        return self.indptr.nbytes + self.indices.nbytes
-
-    # ------------------------------------------------------------------
-    def to_coo(self) -> "COOMatrix":
-        from repro.sparse.coo import COOMatrix
-
-        return COOMatrix(self.num_rows, self.num_cols, self.expand_rows(), self.indices.copy())
-
-    def to_scipy(self, values: np.ndarray | None = None):
-        import scipy.sparse as sp
-
-        data = np.ones(self.nnz, dtype=np.float64) if values is None else values
-        return sp.csr_matrix(
-            (data, self.indices, self.indptr), shape=(self.num_rows, self.num_cols)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"
+    def __repr__(self) -> str:  # pragma: no cover - the default prints both arrays
+        return f"CSRMatrix({self.num_rows}x{self.num_cols}, nnz={self.nnz})"

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
 from repro.errors import BenchmarkError
 from repro.sparse import generators as gen
 from repro.sparse.coo import COOMatrix
@@ -120,8 +118,6 @@ KERNEL_SWEEP_KEYS = tuple(f"G{i}" for i in range(3, 19))
 #: Design-choice studies (Figs 8-12) sweep the datasets where every
 #: configuration runs (no OOM/ERR cells), like the paper's plots.
 DESIGN_SWEEP_KEYS = tuple(f"G{i}" for i in range(3, 16))
-#: Training figures (6-7) use the large labeled-or-generated datasets.
-TRAINING_KEYS = ("G10", "G11", "G12", "G13", "G14", "G15", "G16", "G17", "G18")
 #: A fast subset for smoke tests / CI.
 QUICK_KEYS = ("G3", "G6", "G14")
 
@@ -137,10 +133,6 @@ def get_spec(key: str) -> DatasetSpec:
 def load_dataset(key: str, seed: int = 7) -> LoadedDataset:
     """Load (generate) a dataset, memoized per (key, seed)."""
     return get_spec(key).load(seed)
-
-
-def all_keys() -> tuple[str, ...]:
-    return tuple(s.key for s in _SPECS)
 
 
 def table1_rows() -> list[dict[str, object]]:

@@ -3,8 +3,7 @@
 Rows are pre-sorted into bins by degree class and a separate kernel is
 launched per bin with a matching parallelization grain (thread / warp /
 CTA / grid per row).  The paper notes such schemes still suffer
-imbalance *within* each bin; the bin populations computed here let tests
-verify that residual spread.
+imbalance *within* each bin.
 """
 
 from __future__ import annotations
@@ -28,22 +27,6 @@ class DegreeBins:
     csr: CSRMatrix
     boundaries: tuple[int, ...]
     bins: tuple[np.ndarray, ...]
-
-    def metadata_bytes(self) -> int:
-        return sum(b.nbytes for b in self.bins)
-
-    def within_bin_imbalance(self) -> list[float]:
-        """Max/mean degree ratio inside each non-empty bin."""
-        deg = self.csr.row_degrees()
-        out = []
-        for rows in self.bins:
-            if rows.size == 0:
-                out.append(1.0)
-                continue
-            d = deg[rows].astype(np.float64)
-            mean = d.mean()
-            out.append(float(d.max() / mean) if mean > 0 else 1.0)
-        return out
 
 
 def build_degree_bins(

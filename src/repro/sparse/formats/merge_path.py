@@ -30,17 +30,6 @@ class MergePathFormat:
     #: starting NZE of each partition
     start_nze: np.ndarray
 
-    def metadata_bytes(self) -> int:
-        return self.start_row.nbytes + self.start_nze.nbytes
-
-    def partition_nze_counts(self) -> np.ndarray:
-        ends = np.append(self.start_nze[1:], self.csr.nnz)
-        return (ends - self.start_nze).astype(np.int64)
-
-    def partition_row_counts(self) -> np.ndarray:
-        ends = np.append(self.start_row[1:], self.csr.num_rows)
-        return (ends - self.start_row).astype(np.int64)
-
 
 def build_merge_path(csr: CSRMatrix, items_per_partition: int) -> MergePathFormat:
     """Compute merge-path split points (vectorized 2-D binary search).

@@ -38,16 +38,6 @@ class NeighborGroupFormat:
     def n_groups(self) -> int:
         return int(self.group_row.shape[0])
 
-    def metadata_bytes(self) -> int:
-        """Extra device memory the custom format costs over plain CSR."""
-        return self.group_row.nbytes + self.group_start.nbytes + self.group_len.nbytes
-
-    def occupancy_efficiency(self) -> float:
-        """Fraction of group slots holding real NZEs (1.0 = no tail waste)."""
-        if self.n_groups == 0:
-            return 1.0
-        return float(self.group_len.sum() / (self.n_groups * self.group_size))
-
 
 def build_neighbor_groups(csr: CSRMatrix, group_size: int = 32) -> NeighborGroupFormat:
     """Preprocess a CSR matrix into neighbor groups (vectorized)."""

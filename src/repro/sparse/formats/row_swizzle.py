@@ -23,9 +23,6 @@ class RowSwizzleFormat:
     csr: CSRMatrix
     row_order: np.ndarray
 
-    def metadata_bytes(self) -> int:
-        return self.row_order.nbytes
-
 
 def build_row_swizzle(csr: CSRMatrix) -> RowSwizzleFormat:
     order = np.argsort(-csr.row_degrees(), kind="stable").astype(np.int32)

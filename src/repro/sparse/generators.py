@@ -12,8 +12,7 @@ matching one structural class from Table 1:
 * :func:`road_grid` — near-uniform low-degree lattices (roadNet-CA);
 * :func:`web_graph` — copy-model web crawls with extreme hubs
   (web-BerkStan, uk-2002/2005);
-* :func:`erdos_renyi` — flat-degree baselines (citation networks);
-* plus adversarial shapes used by tests (:func:`star`, :func:`chain`).
+* :func:`erdos_renyi` — flat-degree baselines (citation networks).
 
 All are deterministic given a seed.
 """
@@ -193,20 +192,3 @@ def road_grid(
         rows = np.concatenate([rows, rng.integers(0, n, extra)])
         cols = np.concatenate([cols, rng.integers(0, n, extra)])
     return _finalize(n, rows, cols, undirected=True)
-
-
-def star(num_vertices: int) -> COOMatrix:
-    """One hub connected to everyone — worst case for vertex-parallel."""
-    if num_vertices < 2:
-        raise ConfigError("star needs >= 2 vertices")
-    spokes = np.arange(1, num_vertices, dtype=np.int64)
-    hub = np.zeros(num_vertices - 1, dtype=np.int64)
-    return _finalize(num_vertices, hub, spokes, undirected=True, drop_self_loops=False)
-
-
-def chain(num_vertices: int) -> COOMatrix:
-    """Path graph — degree 2 everywhere, perfect balance."""
-    if num_vertices < 2:
-        raise ConfigError("chain needs >= 2 vertices")
-    a = np.arange(num_vertices - 1, dtype=np.int64)
-    return _finalize(num_vertices, a, a + 1, undirected=True, drop_self_loops=False)

@@ -1,9 +1,9 @@
 """Work-partitioning math shared by kernels.
 
 Edge-parallel kernels slice the NZE stream into fixed-size chunks (one
-per warp); vertex-parallel kernels assign warps to rows.  The helpers
-here compute those assignments vectorized, plus the segment structure
-(row splits) inside each slice that drives reduction/atomic counts.
+per warp).  The helpers here compute those assignments vectorized, plus
+the segment structure (row splits) inside each slice that drives
+reduction/atomic counts.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.sparse.csr import CSRMatrix
 
 
 @dataclass(frozen=True)
@@ -101,25 +100,3 @@ def consecutive_slice_ids(
     pos = np.arange(chunk_of_nze.size, dtype=np.int64) % chunk_size
     group = np.minimum(pos // per_group, n_groups - 1)
     return chunk_of_nze * n_groups + group
-
-
-@dataclass(frozen=True)
-class RowWarpAssignment:
-    """Vertex-parallel mapping: warp i handles row i (possibly looped)."""
-
-    rows_per_warp: int
-    n_warps: int
-    warp_of_row: np.ndarray
-
-
-def rows_to_warps(csr: CSRMatrix, rows_per_warp: int = 1) -> RowWarpAssignment:
-    if rows_per_warp <= 0:
-        raise ConfigError("rows_per_warp must be positive")
-    n_warps = max(1, (csr.num_rows + rows_per_warp - 1) // rows_per_warp)
-    warp_of_row = np.arange(csr.num_rows, dtype=np.int64) // rows_per_warp
-    return RowWarpAssignment(rows_per_warp, n_warps, warp_of_row)
-
-
-def nze_warp_ids_vertex_parallel(coo_rows: np.ndarray, warp_of_row: np.ndarray) -> np.ndarray:
-    """Warp id of every NZE when warps own rows."""
-    return warp_of_row[np.asarray(coo_rows, dtype=np.int64)]

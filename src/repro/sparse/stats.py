@@ -52,16 +52,3 @@ def graph_stats(coo: COOMatrix) -> GraphStats:
         gini=gini_coefficient(nz) if nz.size else 0.0,
         row_segments_per_128=float(segs.mean()) if segs.size else 0.0,
     )
-
-
-def warp_imbalance_vertex_parallel(coo: COOMatrix) -> float:
-    """Max/mean work ratio when one warp is assigned per row.
-
-    This is the quantity the edge-parallel Stage 1 drives to ~1.0; for a
-    star graph it equals |V|-1 over ~1.
-    """
-    deg = coo.row_degrees().astype(np.float64)
-    deg = deg[deg > 0]
-    if deg.size == 0:
-        return 1.0
-    return float(deg.max() / deg.mean())

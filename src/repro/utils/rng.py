@@ -19,8 +19,3 @@ def default_rng(seed: int | np.random.Generator | None = None) -> np.random.Gene
     if seed is None:
         seed = _DEFAULT_SEED
     return np.random.default_rng(seed)
-
-
-def spawn_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` statistically independent child generators."""
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]

@@ -6,7 +6,7 @@ letting NumPy broadcasting errors surface from deep inside a kernel.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -19,36 +19,6 @@ def check_array(x: object, name: str, ndim: int | None = None) -> np.ndarray:
     if ndim is not None and arr.ndim != ndim:
         raise FormatError(f"{name} must be {ndim}-dimensional, got ndim={arr.ndim}")
     return arr
-
-
-def check_dtype(arr: np.ndarray, name: str, kinds: str = "fiu") -> np.ndarray:
-    """Require the array's dtype kind to be one of ``kinds`` (numpy kind chars)."""
-    if arr.dtype.kind not in kinds:
-        raise FormatError(
-            f"{name} has dtype {arr.dtype}, expected one of kinds {kinds!r}"
-        )
-    return arr
-
-
-def check_shape(arr: np.ndarray, name: str, shape: Sequence[int | None]) -> np.ndarray:
-    """Require ``arr.shape`` to match ``shape`` (``None`` entries are wildcards)."""
-    if len(arr.shape) != len(shape) or any(
-        want is not None and got != want for got, want in zip(arr.shape, shape)
-    ):
-        raise FormatError(f"{name} has shape {arr.shape}, expected {tuple(shape)}")
-    return arr
-
-
-def check_positive(value: float, name: str) -> float:
-    if not value > 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
-    return value
-
-
-def check_nonneg(value: float, name: str) -> float:
-    if value < 0:
-        raise ConfigError(f"{name} must be non-negative, got {value}")
-    return value
 
 
 def check_in(value: object, name: str, allowed: Iterable[object]) -> object:

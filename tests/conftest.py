@@ -7,7 +7,7 @@ import pytest
 
 from repro import settings
 from repro.core import clear_plan_cache, clear_tune_cache
-from repro.resilience import reset_injector
+from repro.resilience import faults
 from repro.sparse import COOMatrix, generators
 
 
@@ -64,12 +64,13 @@ def _fresh_injector():
     """Re-read the fault profile and zero occurrence counters per test.
 
     The injector's fire schedule is a pure function of (seed, site,
-    occurrence index); resetting the counters makes each test see the
-    same deterministic schedule regardless of test ordering.
+    occurrence index); dropping the process injector makes each test
+    resolve a fresh one, so it sees the same deterministic schedule
+    regardless of test ordering.
     """
-    reset_injector()
+    faults._default = None
     yield
-    reset_injector()
+    faults._default = None
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 from repro import core, obs
 from repro.errors import BenchmarkError, ConfigError, FormatError
 from repro.gpusim.device import get_device
-from repro.kernels.base import reference_sddmm, reference_spmm, reference_spmv
+from repro.kernels.base import reference_sddmm, reference_spmm
 from repro.kernels.gnnone import (
     ABLATION_BASELINE,
     ABLATION_DATA_REUSE,
@@ -19,6 +19,7 @@ from repro.kernels.gnnone import (
     GnnOneSpMM,
 )
 from tests.conftest import make_operands
+from tests.oracles import reference_spmv
 
 
 class TestApi:
@@ -208,39 +209,3 @@ class TestAutotune:
 
         with pytest.raises(ConfigError):
             core.autotune(small_graph, feature_length, kind, **space)
-
-
-class TestTrainerAutotune:
-    @pytest.fixture(scope="class")
-    def train_setup(self):
-        from repro.nn import GraphData, synthesize
-        from repro.sparse.datasets import load_dataset
-
-        dataset = load_dataset("G0")  # Cora-scale
-        return GraphData(dataset.coo), synthesize(
-            dataset, feature_length=16, seed=2
-        )
-
-    def test_trainer_pins_tuned_configs(self, train_setup):
-        from repro.nn import GCN, Trainer
-
-        graph, data = train_setup
-        model = GCN(data.feature_length, 8, data.num_classes, backend="gnnone")
-        trainer = Trainer(model, graph, data, autotune=True)
-        backend = trainer.model.backend
-        assert backend.gnnone_spmm_config is not None
-        assert backend.gnnone_sddmm_config is not None
-        expected = core.autotune(graph.coo, data.feature_length, "spmm",
-                                 device=trainer.device)
-        assert backend.gnnone_spmm_config == expected.config
-        rec = trainer.train_epoch(0)  # the tuned path actually trains
-        assert np.isfinite(rec.loss)
-
-    def test_trainer_default_leaves_backend_untouched(self, train_setup):
-        from repro.nn import GCN, Trainer
-
-        graph, data = train_setup
-        model = GCN(data.feature_length, 8, data.num_classes, backend="gnnone")
-        Trainer(model, graph, data)
-        assert model.backend.gnnone_spmm_config is None
-        assert model.backend.gnnone_sddmm_config is None

@@ -74,7 +74,7 @@ class TestConcurrentPlanCache:
         for t in threads:
             t.join()
         assert not errors
-        assert len(cache) <= 8
+        assert len(cache._entries) <= 8
         assert cache.hits + cache.misses > 0
 
     def test_concurrent_kernel_launches_share_cache(self, medium_graph, rng):

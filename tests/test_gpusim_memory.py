@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.gpusim.device import SECTOR_BYTES
 from repro.gpusim.memory import (
     feature_row_sectors,
-    gather_feature_sectors,
     per_warp_counts,
-    scatter_write_sectors,
-    segment_sectors_from_addresses,
     streaming_sectors,
     unique_per_warp,
 )
@@ -30,7 +28,7 @@ class TestStreamingSectors:
         n = 1000
         addrs = np.arange(n) * 4
         warp_ids = np.zeros(n, dtype=np.int64)
-        exact = segment_sectors_from_addresses(addrs, warp_ids, 1)[0]
+        exact = unique_per_warp(warp_ids, addrs // SECTOR_BYTES, 1)[0]
         assert streaming_sectors(n, 4) == exact
 
 
@@ -38,32 +36,6 @@ class TestFeatureRowSectors:
     @pytest.mark.parametrize("F,expected", [(8, 1), (16, 2), (32, 4), (6, 1), (64, 8)])
     def test_values(self, F, expected):
         assert feature_row_sectors(F * 4) == expected
-
-
-class TestGatherFeatureSectors:
-    def test_no_dedupe_counts_occurrences(self):
-        idx = np.array([0, 0, 1])
-        warps = np.array([0, 0, 0])
-        out = gather_feature_sectors(idx, warps, 1, 128)
-        assert out[0] == 3 * 4  # 3 gathers x 4 sectors
-
-    def test_dedupe_counts_distinct(self):
-        idx = np.array([0, 0, 1])
-        warps = np.array([0, 0, 0])
-        out = gather_feature_sectors(idx, warps, 1, 128, dedupe=True)
-        assert out[0] == 2 * 4
-
-    def test_scattered_costs_sector_per_element(self):
-        idx = np.array([5])
-        warps = np.array([0])
-        out = gather_feature_sectors(idx, warps, 1, 128, scattered=True)
-        assert out[0] == 32  # 32 elements x 1 sector each
-
-    def test_per_warp_split(self):
-        idx = np.array([0, 1, 2, 3])
-        warps = np.array([0, 0, 1, 1])
-        out = gather_feature_sectors(idx, warps, 2, 32)
-        assert list(out) == [2.0, 2.0]
 
 
 class TestUniquePerWarp:
@@ -76,20 +48,6 @@ class TestUniquePerWarp:
         assert list(unique_per_warp(np.array([], dtype=int), np.array([], dtype=int), 3)) == [0, 0, 0]
 
 
-class TestScatterWrite:
-    def test_dedupes_rows_by_default(self):
-        idx = np.array([4, 4, 9])
-        warps = np.array([0, 0, 0])
-        out = scatter_write_sectors(idx, warps, 1, 4)
-        assert out[0] == 2.0
-
-    def test_no_dedupe(self):
-        idx = np.array([4, 4])
-        warps = np.array([0, 0])
-        out = scatter_write_sectors(idx, warps, 1, 4, dedupe=False)
-        assert out[0] == 2.0
-
-
 class TestPerWarpCounts:
     def test_weighted(self):
         out = per_warp_counts(np.array([0, 0, 2]), 3, weights=np.array([1.0, 2.0, 5.0]))
@@ -97,13 +55,14 @@ class TestPerWarpCounts:
 
 
 class TestSegmentSectorsExact:
+    """Distinct (warp, sector) pairs: the exact model the closed forms match."""
+
     def test_fully_scattered_warp(self):
-        # 32 accesses, each in its own sector.
-        addrs = np.arange(32) * 128
-        out = segment_sectors_from_addresses(addrs, np.zeros(32, dtype=int), 1)
+        addrs = np.arange(32) * 128  # every lane in its own sector
+        out = unique_per_warp(np.zeros(32, dtype=int), addrs // SECTOR_BYTES, 1)
         assert out[0] == 32
 
     def test_fully_coalesced_warp(self):
         addrs = np.arange(32) * 4
-        out = segment_sectors_from_addresses(addrs, np.zeros(32, dtype=int), 1)
+        out = unique_per_warp(np.zeros(32, dtype=int), addrs // SECTOR_BYTES, 1)
         assert out[0] == 4

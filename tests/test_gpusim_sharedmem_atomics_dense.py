@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.gpusim.atomics import atomics_per_warp, conflict_degree
-from repro.gpusim.dense import elementwise_cost, gemm_cost, reduction_cost, softmax_cost
+from repro.gpusim.atomics import conflict_degree
+from repro.gpusim.dense import elementwise_cost, gemm_cost
 from repro.gpusim.device import A100
-from repro.gpusim.sharedmem import (
-    bank_conflict_factor,
-    stage1_cache_bytes,
-    strided_conflict_factor,
-)
+from repro.gpusim.sharedmem import stage1_cache_bytes
 
 
 class TestStage1CacheBytes:
@@ -25,36 +21,6 @@ class TestStage1CacheBytes:
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(ConfigError):
             stage1_cache_bytes(bad, with_edge_feature=False)
-
-
-class TestBankConflicts:
-    def test_conflict_free(self):
-        assert bank_conflict_factor(np.arange(32)) == 1.0
-
-    def test_stride_16_is_16_way(self):
-        # stride 16: lanes collapse onto 2 banks, 16 distinct words each.
-        assert bank_conflict_factor(np.arange(32) * 16 % 512) == 16.0
-
-    def test_stride_2_is_2_way(self):
-        assert bank_conflict_factor(np.arange(32) * 2) == 2.0
-
-    def test_broadcast_free(self):
-        assert bank_conflict_factor(np.zeros(32, dtype=int)) == 1.0
-
-    def test_strided_closed_form(self):
-        assert strided_conflict_factor(1) == 1.0
-        assert strided_conflict_factor(2) == 2.0
-        assert strided_conflict_factor(32) == 32.0
-        assert strided_conflict_factor(17) == 1.0  # odd stride: conflict-free
-
-    def test_strided_matches_general(self):
-        for stride in (1, 2, 4, 8, 16, 32, 3, 5):
-            general = bank_conflict_factor(np.arange(32) * stride)
-            assert general == strided_conflict_factor(stride)
-
-    def test_rejects_bad_stride(self):
-        with pytest.raises(ConfigError):
-            strided_conflict_factor(0)
 
 
 class TestAtomics:
@@ -73,10 +39,6 @@ class TestAtomics:
         packed = conflict_degree(rng.integers(0, 10, 5000))
         assert packed > spread
 
-    def test_atomics_per_warp(self):
-        out = atomics_per_warp(np.array([1, 2, 3]), np.array([0, 0, 2]), 3)
-        assert list(out) == [2.0, 0.0, 1.0]
-
 
 class TestDenseCosts:
     def test_gemm_scales_with_flops(self):
@@ -93,12 +55,6 @@ class TestDenseCosts:
             elementwise_cost(A100, 10_000_000).time_us
             > elementwise_cost(A100, 1000).time_us
         )
-
-    def test_softmax_more_than_one_pass(self):
-        assert softmax_cost(A100, 1000, 64).time_us > elementwise_cost(A100, 64_000).time_us
-
-    def test_reduction(self):
-        assert reduction_cost(A100, 1_000_000).time_us > 0
 
     def test_launch_floor(self):
         assert elementwise_cost(A100, 1).time_us >= A100.launch_overhead_us

@@ -45,13 +45,6 @@ class TestTrace:
         c = tr.counters()
         assert c["sectors"] == 8 * 1.0 + 8 * 3.0
         assert c["flops"] == 16.0
-        assert tr.total_bytes() == c["sectors"] * 32
-
-    def test_total_sectors_filter_by_kind(self):
-        tr = make_trace(ctas=1)
-        tr.add_phase("a", "load", sectors=1.0)
-        tr.add_phase("b", "store", sectors=5.0)
-        assert tr.total_sectors(("load",)) == 4.0  # 4 warps x 1
 
 
 class TestCostModelMechanisms:

@@ -2,9 +2,8 @@
 previous forms bit for bit.
 
 The oracles below are frozen copies of the code they replaced: the
-row-major gathered dot, the per-window ``np.unique`` atomic conflict
-loop and the per-bank ``np.unique`` bank-conflict loop.  Every check is
-``np.array_equal`` / ``==``, never a tolerance.
+row-major gathered dot and the per-window ``np.unique`` atomic conflict
+loop.  Every check is ``np.array_equal`` / ``==``, never a tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from hypothesis import strategies as st
 from repro.exec import get_engine
 from repro.exec.numerics import sddmm_serial
 from repro.gpusim.atomics import conflict_degree
-from repro.gpusim.sharedmem import NUM_BANKS, bank_conflict_factor
 from repro.resilience import no_faults
 from repro.sparse import COOMatrix
 from repro.utils import sorted_distinct
@@ -51,17 +49,6 @@ def oracle_conflict_degree(target_rows: np.ndarray, window: int = 256) -> float:
         _, counts = np.unique(rows[start : start + window], return_counts=True)
         chunks.append(float((counts * counts).sum() / counts.sum()))
     return float(np.asarray(chunks).mean())
-
-
-def oracle_bank_conflict_factor(word_offsets: np.ndarray) -> float:
-    offsets = np.asarray(word_offsets, dtype=np.int64)
-    if offsets.size == 0:
-        return 1.0
-    banks = offsets % NUM_BANKS
-    factor = 0
-    for bank in np.unique(banks):
-        factor = max(factor, len(np.unique(offsets[banks == bank])))
-    return float(max(factor, 1))
 
 
 # ------------------------------------------------------------------ SDDMM
@@ -180,13 +167,6 @@ def test_conflict_degree_hub_and_distinct():
     assert conflict_degree(np.arange(1000)) == 1.0
     tail = np.r_[np.zeros(300, int), np.arange(50)]
     assert conflict_degree(tail) == oracle_conflict_degree(tail)
-
-
-@given(offsets=st.lists(st.integers(-100, 4096), max_size=64))
-@settings(max_examples=150, deadline=None)
-def test_bank_conflict_factor_equals_per_bank_oracle(offsets):
-    offsets = np.asarray(offsets, dtype=np.int64)
-    assert bank_conflict_factor(offsets) == oracle_bank_conflict_factor(offsets)
 
 
 # --------------------------------------------------------------- guard

@@ -36,7 +36,7 @@ class TestFig03SDDMM:
 
     def test_sputnik_runs_on_small_v_datasets(self, fig03):
         # quick keys are all below the 46341-vertex failure line
-        cells = fig03.column("sputnik")
+        cells = [row.get("sputnik") for row in fig03.rows]
         assert all(isinstance(c, float) for c in cells)
 
 

@@ -7,7 +7,6 @@ from repro.errors import KernelLaunchError
 from repro.kernels import (
     reference_sddmm,
     reference_spmm,
-    reference_spmv,
     sddmm_kernel,
     sddmm_kernel_names,
     spmm_kernel,
@@ -23,6 +22,7 @@ from repro.kernels.baselines import (
 )
 from repro.sparse import generators
 from tests.conftest import make_operands
+from tests.oracles import reference_spmv, star as star_graph
 
 
 class TestAllBaselinesNumerics:
@@ -68,7 +68,7 @@ class TestRegistry:
 class TestDistinguishingMechanisms:
     def test_vertex_parallel_suffers_on_star(self, rng):
         """A hub row serializes GE-SpMM but not GNNOne (Sec 3.1)."""
-        star = generators.star(4000)
+        star = star_graph(4000)
         vals, X, _, _ = make_operands(star, 32, rng)
         ge = GeSpMM()(star, vals, X)
         ours = spmm_kernel("gnnone")(star, vals, X)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, FormatError
-from repro.kernels.base import reference_sddmm, reference_spmm, reference_spmv
+from repro.kernels.base import reference_sddmm, reference_spmm
 from repro.kernels.gnnone import (
     CONSECUTIVE,
     ROUND_ROBIN,
@@ -12,9 +12,9 @@ from repro.kernels.gnnone import (
     GnnOneSDDMM,
     GnnOneSpMM,
     GnnOneSpMV,
-    segment_sum_spmm,
 )
 from tests.conftest import make_operands
+from tests.oracles import chain as chain_graph, reference_spmv, segment_sum_spmm, star as star_graph
 
 
 class TestNumericalCorrectness:
@@ -159,10 +159,8 @@ class TestDesignClaims:
 
     def test_load_balance_insensitive_to_skew(self, rng):
         """Edge-parallel Stage 1: star and chain cost alike per NZE."""
-        from repro.sparse import generators
-
-        star = generators.star(30_000)
-        chain = generators.chain(30_000)
+        star = star_graph(30_000)
+        chain = chain_graph(30_000)
         Xs = rng.standard_normal((star.num_cols, 32))
         Xc = rng.standard_normal((chain.num_cols, 32))
         ts = GnnOneSpMM()(star, np.ones(star.nnz), Xs)

@@ -12,16 +12,12 @@ from repro.nn import (
     GNNONE_BACKEND,
     Linear,
     MLP,
-    SGD,
     SimClock,
     Tensor,
     get_backend,
     simulate,
 )
-from repro.kernels.gnnone import GnnOneConfig
-from repro.nn.backend import TrainingBackend
-from repro.nn.modules import Dropout, ReLU, Sequential
-from repro.nn.tensor import gradcheck
+from tests.oracles import gradcheck, tsum
 
 
 class TestLinear:
@@ -33,7 +29,7 @@ class TestLinear:
     def test_gradients(self, rng):
         layer = Linear(3, 2, rng=rng)
         x = Tensor(rng.standard_normal((4, 3)))
-        assert gradcheck(lambda w: (x @ w + layer.bias).sum(), [layer.weight])
+        assert gradcheck(lambda w: tsum(x @ w + layer.bias), [layer.weight])
 
     def test_no_bias(self, rng):
         layer = Linear(3, 2, bias=False, rng=rng)
@@ -63,16 +59,10 @@ class TestModuleSystem:
         mlp = MLP(4, 8, 2, rng=rng)
         names = sum(1 for _ in mlp.parameters())
         assert names == 4  # two weights + two biases
-        assert mlp.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
-
-    def test_sequential(self, rng):
-        model = Sequential(Linear(4, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng))
-        out = model(Tensor(rng.standard_normal((5, 4))))
-        assert out.shape == (5, 2)
-        assert sum(1 for _ in model.parameters()) == 4
+        assert sum(p.data.size for p in mlp.parameters()) == 4 * 8 + 8 + 8 * 2 + 2
 
     def test_train_eval_propagates(self, rng):
-        model = Sequential(Dropout(0.5), Linear(4, 2, rng=rng))
+        model = MLP(4, 8, 2, rng=rng)
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()
@@ -80,7 +70,7 @@ class TestModuleSystem:
 
     def test_zero_grad(self, rng):
         layer = Linear(3, 2, rng=rng)
-        (layer(Tensor(rng.standard_normal((4, 3))))).sum().backward()
+        tsum(layer(Tensor(rng.standard_normal((4, 3))))).backward()
         assert layer.weight.grad is not None
         layer.zero_grad()
         assert layer.weight.grad is None
@@ -91,32 +81,17 @@ class TestOptimizers:
         p = Tensor(np.array([5.0, -3.0]), requires_grad=True)
         opt = opt_cls([p], **kw)
         for _ in range(200):
-            opt.zero_grad()
-            (p * p).sum().backward()
+            p.zero_grad()
+            tsum(p * p).backward()
             opt.step()
         return np.abs(p.data).max()
-
-    def test_sgd_converges(self):
-        assert self._quadratic_descent(SGD, lr=0.1) < 1e-3
-
-    def test_sgd_momentum_converges(self):
-        assert self._quadratic_descent(SGD, lr=0.05, momentum=0.9) < 1e-3
 
     def test_adam_converges(self):
         assert self._quadratic_descent(Adam, lr=0.1) < 1e-2
 
-    def test_adam_weight_decay_shrinks(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam([p], lr=0.01, weight_decay=10.0)
-        for _ in range(50):
-            opt.zero_grad()
-            (p * 0.0).sum().backward()
-            opt.step()
-        assert abs(p.data[0]) < 1.0
-
     def test_empty_params_rejected(self):
         with pytest.raises(ConfigError):
-            SGD([])
+            Adam([])
 
     def test_bad_lr_rejected(self):
         p = Tensor(np.zeros(1), requires_grad=True)
@@ -125,7 +100,7 @@ class TestOptimizers:
 
     def test_skips_params_without_grad(self):
         p = Tensor(np.ones(2), requires_grad=True)
-        opt = SGD([p], lr=0.1)
+        opt = Adam([p], lr=0.1)
         opt.step()  # no grad yet: no crash, no change
         np.testing.assert_allclose(p.data, 1.0)
 
@@ -138,12 +113,6 @@ class TestBackends:
     def test_unknown(self):
         with pytest.raises(ConfigError):
             get_backend("pytorch")
-
-    @pytest.mark.parametrize("field", ["gnnone_spmm_config", "gnnone_sddmm_config"])
-    def test_gnnone_config_on_a_baseline_kernel_is_refused(self, field):
-        """A config the baseline kernel would ignore fails at construction."""
-        with pytest.raises(ConfigError, match="backend='gnnone'"):
-            TrainingBackend("x", "dgl", "dgl", "dalton", **{field: GnnOneConfig()})
 
     def test_dgnn_fuses_elementwise(self):
         assert DGNN_BACKEND.fused_elementwise

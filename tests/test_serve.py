@@ -18,8 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import core, obs, serve
-from repro.core import get_plan_cache
-from repro.core.plancache import current_namespace
+from repro.core import get_plan_cache, plancache
 from repro.errors import (
     ConfigError,
     RequestTimeoutError,
@@ -80,11 +79,10 @@ class TestBucket:
                 x = np.zeros((graph.num_vertices, width))
                 core.spmm(graph.coo, graph.gcn_edge_values, x)
                 width *= 2
-            before = cache.stats()
+            before = (cache.hits, cache.misses)
             _run(_serve_all(graph, payloads, config))
-        after = cache.stats()
-        assert after["plancache_hits"] > before["plancache_hits"]
-        assert after["plancache_misses"] == before["plancache_misses"]
+        assert cache.hits > before[0]
+        assert cache.misses == before[1]
 
 
 class TestBatchingEquivalence:
@@ -288,15 +286,14 @@ class TestPredictMemo:
             async with serve.InferenceService(
                 graph, model=model, features=features
             ) as service:
-                before = cache.stats()
+                before = (cache.hits, cache.misses)
                 with obs.capture() as records:
                     rows = [await service.predict(i) for i in ids]
-                return before, cache.stats(), records, rows
+                return before, (cache.hits, cache.misses), records, rows
 
         with no_faults():
             before, after, records, rows = _run(main())
-        assert after["plancache_hits"] == before["plancache_hits"]
-        assert after["plancache_misses"] == before["plancache_misses"]
+        assert after == before
         assert not [r for r in records if r.get("name", "").startswith("kernel.")]
         assert sum(r.get("name") == "serve.request" for r in records) == 50
         for i, row in zip(ids, rows):
@@ -408,7 +405,7 @@ class TestTenantNamespaces:
         )
         namespaces = {key[0] for key in get_plan_cache()._entries}
         assert {"acme", "globex"} <= namespaces
-        assert current_namespace() == ""  # scope never leaks
+        assert plancache._namespace.get() == ""  # scope never leaks
 
 
 class TestServeObservability:

@@ -3,22 +3,23 @@
 import pytest
 
 from repro.errors import BenchmarkError
-from repro.sparse import graph_stats
+from repro.sparse import datasets, graph_stats
 from repro.sparse.datasets import (
     KERNEL_SWEEP_KEYS,
     QUICK_KEYS,
-    TRAINING_KEYS,
-    all_keys,
     get_spec,
     load_dataset,
     table1_rows,
 )
 
+#: every dataset key, in registry order
+ALL_KEYS = tuple(spec.key for spec in datasets._SPECS)
+
 
 class TestRegistry:
     def test_nineteen_datasets(self):
-        assert len(all_keys()) == 19
-        assert all_keys()[0] == "G0" and all_keys()[-1] == "G18"
+        assert len(ALL_KEYS) == 19
+        assert ALL_KEYS[0] == "G0" and ALL_KEYS[-1] == "G18"
 
     def test_lookup_by_key_and_name(self):
         assert get_spec("G14").name == "Reddit"
@@ -30,13 +31,12 @@ class TestRegistry:
             get_spec("G99")
 
     def test_subsets_are_valid_keys(self):
-        keys = set(all_keys())
+        keys = set(ALL_KEYS)
         assert set(KERNEL_SWEEP_KEYS) <= keys
-        assert set(TRAINING_KEYS) <= keys
         assert set(QUICK_KEYS) <= keys
 
     def test_labeled_flags(self):
-        labeled = {s for s in all_keys() if get_spec(s).labeled}
+        labeled = {s for s in ALL_KEYS if get_spec(s).labeled}
         assert labeled == {"G0", "G1", "G2", "G12", "G14"}
 
     def test_paper_sizes_preserved(self):

@@ -7,9 +7,7 @@ from repro.errors import ConfigError
 from repro.sparse.partition import (
     consecutive_slice_ids,
     edge_chunks,
-    nze_warp_ids_vertex_parallel,
     round_robin_slice_ids,
-    rows_to_warps,
     segments_in_interleaved_slices,
     segments_in_slices,
 )
@@ -90,21 +88,3 @@ class TestSegments:
 
     def test_empty(self):
         assert segments_in_slices(np.array([]), np.array([], dtype=int), 3).sum() == 0
-
-
-class TestVertexParallel:
-    def test_rows_to_warps(self):
-        import collections
-
-        from repro.sparse import COOMatrix
-
-        coo = COOMatrix.from_edges(6, 6, [0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0])
-        asg = rows_to_warps(coo.to_csr(), rows_per_warp=2)
-        assert asg.n_warps == 3
-        warp_ids = nze_warp_ids_vertex_parallel(coo.rows, asg.warp_of_row)
-        counts = collections.Counter(warp_ids)
-        assert counts == {0: 2, 1: 2, 2: 2}
-
-    def test_rejects_bad_rows_per_warp(self, tiny_coo):
-        with pytest.raises(ConfigError):
-            rows_to_warps(tiny_coo.to_csr(), 0)

@@ -196,7 +196,7 @@ class TestDeadlineScheduler:
         for name in ("interactive", "standard", "bulk"):
             s.put_nowait(_request(name, tag=name))
         drained = list(s.drain_pending())
-        assert len(drained) == 3 and s.empty()
+        assert len(drained) == 3 and s.qsize() == 0
 
     def test_unknown_priority_rejected(self):
         with pytest.raises(ConfigError, match="unknown priority"):
