@@ -29,14 +29,14 @@ def _point_row(point: tuple[str, int]) -> dict:
 
 
 @experiment("fig04")
-def run(*, quick: bool = False, feature_lengths=FEATURE_LENGTHS) -> ExperimentResult:
+def run(*, quick: bool = False) -> ExperimentResult:
     keys = QUICK_KEYS if quick else KERNEL_SWEEP_KEYS
     result = ExperimentResult(
         "fig04",
         "SpMM: GNNOne speedup over prior works (x; 256 = baseline OOM, OOM = everyone)",
         ["dataset", "dim", "gnnone_us", *BASELINES, "status"],
     )
-    grid = [(key, dim) for key in keys for dim in feature_lengths]
+    grid = [(key, dim) for key in keys for dim in FEATURE_LENGTHS]
     rows = sweep_points(
         _point_row, grid, label="bench.sweep.fig04",
         error_row=lambda p, e: {

@@ -2,18 +2,16 @@
 
 CACHE_SIZE is a *hardware* parameter (Section 4.1.1) — the paper picks
 128 on the A100.  This module searches the small configuration space
-(cache size x schedule, 8 candidates by default) exhaustively and
-returns the best config per (graph, feature length, kernel kind).  Used
-by the GNN trainer and the serve path so every sparse op runs its best
-configuration, and by tests to verify the paper's choice (128,
-Consecutive) is in fact optimal on the default device.
+(:data:`CACHE_SIZES` x :data:`SCHEDULES`, 8 candidates) exhaustively
+and returns the best config per (graph, feature length, kernel kind),
+which confirms the paper's choice (128, Consecutive) is in fact
+optimal on the default device.
 
 Tuning is structural like the cost model itself: the trial times
 depend on the topology, never on operand values, so every trial is a
 :meth:`~repro.kernels.base._Kernel.simulate` call that draws and
 computes no operand, and the whole :class:`TuneResult` is memoized per
-``(structure_token, kind, feature_length, device)`` plus the searched
-space.  The memo is an
+``(structure_token, kind, feature_length, device)``.  The memo is an
 RLock-guarded LRU bounded by :data:`TUNE_CACHE_CAP` entries so long
 multi-graph runs cannot grow it without bound; hits
 and misses surface as ``plancache.tune.hit``/``miss`` counters and as
@@ -43,14 +41,16 @@ from repro.kernels.gnnone import (
 from repro.sparse.coo import COOMatrix
 from repro.utils.validation import check_in
 
-DEFAULT_CACHE_SIZES = (32, 64, 128, 256)
+#: the searched space: every cache size under every schedule
+CACHE_SIZES = (32, 64, 128, 256)
+SCHEDULES = (CONSECUTIVE, ROUND_ROBIN)
 
-#: memo cap.  One entry per (structure, kind, F, device, space) — 256
+#: memo cap.  One entry per (structure, kind, F, device) — 256
 #: covers every seed-graph sweep in this repo many times over.
 TUNE_CACHE_CAP = 256
 
-#: (structure_token, kind, F, device, cache_sizes, schedules) ->
-#: TuneResult, LRU-ordered (oldest first), guarded by _LOCK.
+#: (structure_token, kind, F, device) -> TuneResult, LRU-ordered
+#: (oldest first), guarded by _LOCK.
 _TUNE_CACHE: "OrderedDict[tuple, TuneResult]" = OrderedDict()
 _LOCK = threading.RLock()
 
@@ -74,8 +74,6 @@ def autotune(
     feature_length: int,
     kind: str = "spmm",
     *,
-    cache_sizes: tuple[int, ...] = DEFAULT_CACHE_SIZES,
-    schedules: tuple[str, ...] = (CONSECUTIVE, ROUND_ROBIN),
     device: DeviceSpec | str | None = None,
 ) -> TuneResult:
     """Pick the fastest GNNOne config for ``A`` at ``feature_length``.
@@ -83,24 +81,17 @@ def autotune(
     Every (cache size, schedule) candidate is simulated; no operand is
     drawn, since trial times are value-independent.  The result is
     memoized per structure token.  Raises
-    :class:`~repro.errors.ConfigError` for an unknown ``kind``, a
-    ``feature_length`` that is not a positive integer, or an empty
-    search space.
+    :class:`~repro.errors.ConfigError` for an unknown ``kind`` or a
+    ``feature_length`` that is not a positive integer.
     """
     check_in(kind, "kind", ("spmm", "sddmm"))
     if not isinstance(feature_length, numbers.Integral) or feature_length < 1:
         raise ConfigError(
             f"feature_length must be a positive integer, got {feature_length!r}"
         )
-    cache_sizes, schedules = tuple(cache_sizes), tuple(schedules)
-    if not cache_sizes or not schedules:
-        raise ConfigError(
-            f"autotune needs at least one cache size and one schedule, got "
-            f"cache_sizes={cache_sizes!r}, schedules={schedules!r}"
-        )
     dev = get_device(device)
     feature_length = int(feature_length)
-    memo_key = (A.structure_token, kind, feature_length, dev, cache_sizes, schedules)
+    memo_key = (A.structure_token, kind, feature_length, dev)
     with _LOCK:
         hit = _TUNE_CACHE.get(memo_key)
         if hit is not None:
@@ -112,7 +103,7 @@ def autotune(
     obs.get_metrics().counter("plancache.tune.miss").inc()
     obs.event("tune.cache_miss", kind=kind)
 
-    result = _exhaustive(A, feature_length, kind, cache_sizes, schedules, dev)
+    result = _exhaustive(A, feature_length, kind, dev)
     with _LOCK:
         _TUNE_CACHE[memo_key] = result
         _TUNE_CACHE.move_to_end(memo_key)
@@ -126,14 +117,12 @@ def _exhaustive(
     A: COOMatrix,
     feature_length: int,
     kind: str,
-    cache_sizes: tuple[int, ...],
-    schedules: tuple[str, ...],
     dev: DeviceSpec,
 ) -> TuneResult:
     kernel = GnnOneSpMM if kind == "spmm" else GnnOneSDDMM
     trials: dict[tuple[int, str], float] = {}
-    for cache in cache_sizes:
-        for sched in schedules:
+    for cache in CACHE_SIZES:
+        for sched in SCHEDULES:
             cfg = GnnOneConfig(cache_size=cache, schedule=sched)
             trials[(cache, sched)] = kernel(cfg).simulate(A, feature_length, device=dev).time_us
     # min() keeps the first-listed candidate on a tie

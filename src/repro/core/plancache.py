@@ -16,13 +16,10 @@ recorded :class:`~repro.gpusim.trace.KernelTrace` and the priced
 :meth:`repro.kernels.base._Kernel.simulate` returns — keyed on a
 collision-safe structural fingerprint:
 
-    (namespace, COOMatrix.structure_token, kernel cache token, kind,
+    (COOMatrix.structure_token, kernel cache token, kind,
      feature_length, DeviceSpec)
 
-The leading namespace is "" for every offline workload; the inference
-service (:mod:`repro.serve`) scopes it per tenant via
-:func:`plan_namespace`, so tenants get isolated key spaces in the one
-shared LRU.  ``structure_token`` hashes the topology bytes (see
+``structure_token`` hashes the topology bytes (see
 :meth:`repro.sparse.coo.COOMatrix.structure_token`); the kernel token
 carries the full configuration (not just the display name); the frozen
 ``DeviceSpec`` participates directly so two devices sharing a name but
@@ -44,26 +41,23 @@ them with ``is``, so an id can never be recycled into a false hit; the
 caller decides what may be memoized.  :func:`clear_plan_cache` empties
 both maps.
 
-Integrity: when ``REPRO_VALIDATE=full`` — or whenever the fault
-injector's ``plancache.poison`` site is armed — every stored entry
-carries a content checksum that ``lookup`` re-verifies; a mismatch
-invalidates the entry, counts ``resilience.plan_invalidated`` and
-falls through to a miss so the caller recomputes from the real
-pipeline instead of replaying corrupted state.  At the default
-validation level the checksum machinery is entirely skipped, keeping
-the warm path at one dict probe.
+Integrity: whenever the fault injector's ``plancache.poison`` site is
+armed, every stored entry carries a content checksum that ``lookup``
+re-verifies; a mismatch invalidates the entry, counts
+``resilience.plan_invalidated`` and falls through to a miss so the
+caller recomputes from the real pipeline instead of replaying
+corrupted state.  Otherwise the checksum machinery is entirely
+skipped, keeping the warm path at one dict probe.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import pickle
 import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Iterator
+from typing import Hashable
 
 from repro import obs
 from repro.gpusim.cost import CostReport
@@ -93,33 +87,8 @@ class CachedLaunch:
         return self.cost.time_us
 
 
-#: (namespace, structure_token, kernel token, kind, feature_length, device)
-PlanKey = tuple[str, str, Hashable, str, int, DeviceSpec]
-
-#: Current plan-cache namespace.  The default ("") is the shared
-#: process-wide namespace every offline workload uses; the inference
-#: service (:mod:`repro.serve`) scopes each tenant's launches under the
-#: tenant id so one tenant's structural plans can never be replayed —
-#: or evicted — by another's traffic (isolation plus per-tenant
-#: accounting).  A contextvar so the scope follows the task/thread that
-#: set it, including the serve batcher's executor threads.
-_namespace: contextvars.ContextVar[str] = contextvars.ContextVar(
-    "repro_plan_namespace", default=""
-)
-
-
-@contextlib.contextmanager
-def plan_namespace(name: str) -> Iterator[str]:
-    """Scope every plan-cache key in the block under ``name``.
-
-    Used by :mod:`repro.serve` to give each tenant a private key space;
-    nesting restores the previous namespace on exit.
-    """
-    token = _namespace.set(str(name))
-    try:
-        yield str(name)
-    finally:
-        _namespace.reset(token)
+#: (structure_token, kernel token, kind, feature_length, device)
+PlanKey = tuple[str, Hashable, str, int, DeviceSpec]
 
 
 def _entry_checksum(entry: object) -> int | None:
@@ -133,17 +102,13 @@ def _entry_checksum(entry: object) -> int | None:
 def _integrity_checks_active() -> bool:
     """Checksum entries only when someone can observe the verification.
 
-    ``REPRO_VALIDATE=full`` opts in explicitly; an armed
-    ``plancache.poison`` fault site implies a chaos run that must be
-    able to detect its own corruption.  Imported lazily to keep the
-    default lookup path free of any resilience machinery.
+    An armed ``plancache.poison`` fault site implies a chaos run that
+    must be able to detect its own corruption.  Imported lazily to keep
+    the default lookup path free of any resilience machinery.
     """
-    from repro.resilience import faults, validation
+    from repro.resilience import faults
 
-    return (
-        validation.validation_level() == "full"
-        or faults.get_injector().armed("plancache.poison")
-    )
+    return faults.get_injector().armed("plancache.poison")
 
 
 @dataclass
@@ -155,8 +120,8 @@ class _Slot:
 
 
 def _key_kind(key: PlanKey) -> str:
-    """The launch-kind tag of a key (index 3 of the canonical 6-tuple)."""
-    return str(key[3])
+    """The launch-kind tag of a key (index 2 of the canonical 5-tuple)."""
+    return str(key[2])
 
 
 class PlanCache:
@@ -287,14 +252,8 @@ def plan_key(
     feature_length: int,
     device: DeviceSpec,
 ) -> PlanKey:
-    """Assemble the canonical cache key for one launch structure.
-
-    The active plan-cache namespace (see :func:`plan_namespace`) is
-    folded in as the leading component, so identical structural work
-    issued by different serve tenants lands on disjoint keys.
-    """
+    """Assemble the canonical cache key for one launch structure."""
     return (
-        _namespace.get(),
         structure_token,
         kernel_token,
         kind,

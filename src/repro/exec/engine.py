@@ -44,8 +44,6 @@ class ExecutionEngine:
         A: COOMatrix,
         el: np.ndarray,
         er: np.ndarray,
-        *,
-        negative_slope: float = 0.2,
     ) -> np.ndarray:
         """Fused-GAT edge softmax (scores + segment softmax).
 
@@ -53,9 +51,7 @@ class ExecutionEngine:
         """
         el = np.asarray(el, dtype=np.float64)
         er = np.asarray(er, dtype=np.float64)
-        return numerics.gat_edge_softmax_serial(
-            A, el, er, negative_slope=negative_slope
-        )
+        return numerics.gat_edge_softmax_serial(A, el, er)
 
     def release(self, buf: np.ndarray) -> bool:
         """Accept an output the caller is done with; always ``False``.

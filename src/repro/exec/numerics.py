@@ -131,17 +131,15 @@ def gat_edge_softmax_serial(
     A: COOMatrix,
     el: np.ndarray,
     er: np.ndarray,
-    *,
-    negative_slope: float = 0.2,
 ) -> np.ndarray:
-    """Fused-GAT edge pipeline: leaky-relu scores + per-row softmax.
+    """Fused-GAT edge pipeline: leaky-relu (slope 0.2) scores + per-row softmax.
 
     ``A`` must be CSR-ordered so each row's edges form one contiguous
     segment.
     """
     rows, cols = A.rows, A.cols
     scores = el[rows] + er[cols]
-    scores = np.where(scores > 0, scores, negative_slope * scores)
+    scores = np.where(scores > 0, scores, 0.2 * scores)
     if not A.nnz:
         return scores
     bounds = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])

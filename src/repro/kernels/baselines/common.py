@@ -53,11 +53,9 @@ def vertex_parallel_spmm_trace(
     *,
     row_split: int | None = None,
     cache_col_ids: bool = True,
-    smem_block: int = 32,
     ilp: float = 4.0,
     registers: int = 34,
     threads_per_cta: int = 128,
-    extra_barriers_per_block: float = 0.0,
 ) -> KernelTrace:
     """Trace for the vertex-parallel SpMM family.
 
@@ -78,7 +76,7 @@ def vertex_parallel_spmm_trace(
     warps_per_cta = threads_per_cta // 32
     grid = max(1, (n_warps + warps_per_cta - 1) // warps_per_cta)
     caching = cache_col_ids and feature_length >= 32
-    smem_per_cta = (smem_block * 8) * warps_per_cta if caching else 0
+    smem_per_cta = (32 * 8) * warps_per_cta if caching else 0
     launch = LaunchConfig(grid, threads_per_cta, registers, smem_per_cta)
     trace = KernelTrace(kernel_name, launch)
 
@@ -86,10 +84,10 @@ def vertex_parallel_spmm_trace(
     if caching:
         # Coalesced block fetch of 32 ids+values, one barrier per block;
         # with feature tiling the CTA's warps share the staged block.
-        blocks = np.ceil(counts_t / smem_block)
+        blocks = np.ceil(counts_t / 32)
         id_instrs = blocks * 2.0 / ftiles  # col ids + edge values
         id_sectors = 2.0 * streaming_sectors(counts_t, 4) / ftiles
-        barriers = blocks * (1.0 + extra_barriers_per_block)
+        barriers = blocks
         id_ilp = 2.0
     else:
         # Per-NZE broadcast read of the id and value: one instruction and
@@ -97,7 +95,7 @@ def vertex_parallel_spmm_trace(
         # NZEs' ids share sectors through L1, so the reads pipeline).
         id_instrs = counts_t * 2.0
         id_sectors = counts_t * 2.0
-        barriers = counts_t * extra_barriers_per_block
+        barriers = 0.0
         id_ilp = 4.0
     trace.add_phase(
         "row_nze_load", "load", load_instrs=id_instrs, ilp=id_ilp, sectors=id_sectors,

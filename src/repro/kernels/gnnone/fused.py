@@ -49,15 +49,13 @@ def fused_gat_attention_numerics(
     el: np.ndarray,
     er: np.ndarray,
     X: np.ndarray,
-    *,
-    negative_slope: float = 0.2,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference numerics of the fused layer: returns (alpha, Y)."""
     from repro.exec import get_engine
 
     # Both halves route through the execution engine.
     engine = get_engine()
-    alpha = engine.gat_alpha(coo, el, er, negative_slope=negative_slope)
+    alpha = engine.gat_alpha(coo, el, er)
     Y = engine.spmm(coo, alpha, X)
     return alpha, Y
 

@@ -5,7 +5,8 @@ simulated device time to the active :class:`SimClock`: sparse kernels
 charge their cost-model time, dense ops (Linear, ReLU, softmax, ...)
 charge the roofline costs from :mod:`repro.gpusim.dense` — both systems
 pay identical dense costs, so end-to-end speedups dilute exactly as in
-the paper (6x kernels -> ~2-4x training).
+the paper (6x kernels -> ~2-4x training).  Dense costs are priced on
+the A100, the device the sparse kernels default to.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import contextvars
 from dataclasses import dataclass, field
 
 from repro.gpusim.dense import elementwise_cost, gemm_cost
-from repro.gpusim.device import A100, DeviceSpec
+from repro.gpusim.device import A100
 
 
 @dataclass
 class SimClock:
     """Accumulates simulated microseconds, bucketed by op name."""
 
-    device: DeviceSpec = A100
     total_us: float = 0.0
     buckets: dict[str, float] = field(default_factory=dict)
     #: when True, element-wise ops are free (kernel fusion, as in dgNN)
@@ -65,7 +65,7 @@ def charge(name: str, us: float) -> None:
 def charge_gemm(m: int, n: int, k: int, *, count: int = 1, name: str = "gemm") -> None:
     clock = current_clock()
     if clock is not None:
-        clock.add(name, count * gemm_cost(clock.device, m, n, k).time_us)
+        clock.add(name, count * gemm_cost(A100, m, n, k).time_us)
 
 
 def charge_elementwise(
@@ -76,6 +76,6 @@ def charge_elementwise(
         clock.add(
             name,
             count
-            * elementwise_cost(clock.device, num_elements, reads=reads, writes=writes).time_us,
+            * elementwise_cost(A100, num_elements, reads=reads, writes=writes).time_us,
         )
 

@@ -55,16 +55,13 @@ def synthesize(
     dataset: LoadedDataset,
     *,
     feature_length: int | None = None,
-    signal: float = 1.0,
-    noise: float = 1.0,
     seed: int = 0,
-    train_frac: float = 0.6,
-    val_frac: float = 0.2,
 ) -> NodeClassificationData:
     """Generate features/labels/masks for a loaded dataset.
 
     ``feature_length`` defaults to a scaled-down version of the paper's
     Table-1 "F" (capped at 64 so laptop-scale training stays fast).
+    Vertices split 60/20/20 into train/val/test.
     """
     spec = dataset.spec
     coo = dataset.coo
@@ -72,13 +69,13 @@ def synthesize(
     C = spec.num_classes
     rng = default_rng(seed)
     labels = smooth_labels(coo, C, seed=seed)
-    # Features: class centroid + Gaussian noise, projected to F dims.
-    centroids = rng.standard_normal((C, F)) * signal
-    features = centroids[labels] + rng.standard_normal((coo.num_rows, F)) * noise
+    # Features: class centroid + unit Gaussian noise, projected to F dims.
+    centroids = rng.standard_normal((C, F))
+    features = centroids[labels] + rng.standard_normal((coo.num_rows, F))
 
     perm = rng.permutation(coo.num_rows)
-    n_train = int(train_frac * coo.num_rows)
-    n_val = int(val_frac * coo.num_rows)
+    n_train = int(0.6 * coo.num_rows)
+    n_val = int(0.2 * coo.num_rows)
     train_mask = np.zeros(coo.num_rows, dtype=bool)
     val_mask = np.zeros(coo.num_rows, dtype=bool)
     test_mask = np.zeros(coo.num_rows, dtype=bool)

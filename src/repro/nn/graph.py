@@ -21,9 +21,8 @@ from repro.sparse.coo import COOMatrix
 class GraphData:
     """A graph prepared for GNN training."""
 
-    def __init__(self, coo: COOMatrix, *, self_loops: bool = True):
-        self.raw = coo
-        self.coo = add_self_loops(coo) if self_loops else coo
+    def __init__(self, coo: COOMatrix):
+        self.coo = add_self_loops(coo)
 
     @property
     def num_vertices(self) -> int:

@@ -53,7 +53,6 @@ def training_footprint(
     backend: TrainingBackend,
     *,
     model: str = "gcn",
-    adam: bool = True,
 ) -> TrainingFootprint:
     """Total training-resident bytes for one model configuration."""
     V, E, F = num_vertices, num_edges, feature_length
@@ -72,7 +71,7 @@ def training_footprint(
         # and backward CSC SpMM), cached across epochs.
         comp["cusparse_workspace"] = 2 * _FLOAT * E
     params = F * hidden + hidden * hidden * max(num_layers - 2, 0) + hidden * num_classes
-    comp["parameters"] = _FLOAT * params * (4 if adam else 2)  # w, g, m, v
+    comp["parameters"] = _FLOAT * params * 4  # w, g, Adam's m and v
     total = int(sum(comp.values()))
     return TrainingFootprint(total_bytes=total, components=comp)
 

@@ -31,7 +31,6 @@ class GATLayer(Module):
         in_features: int,
         out_features: int,
         *,
-        attn_dropout: float = 0.0,
         rng=None,
         seed: int = 0,
     ):
@@ -41,7 +40,7 @@ class GATLayer(Module):
         bound = np.sqrt(6.0 / (out_features + 1))
         self.attn_l = Parameter(rng.uniform(-bound, bound, size=(out_features, 1)), name="attn_l")
         self.attn_r = Parameter(rng.uniform(-bound, bound, size=(out_features, 1)), name="attn_r")
-        self.attn_drop = Dropout(attn_dropout, seed=seed)
+        self.attn_drop = Dropout(0.25, seed=seed)
 
     def forward(self, graph: GraphData, x: Tensor, backend: TrainingBackend) -> Tensor:
         h = self.linear(x)
@@ -67,7 +66,8 @@ def _squeeze(x: Tensor) -> Tensor:
 
 
 class GAT(Module):
-    """5-layer (configurable) GAT with ELU between layers."""
+    """5-layer (configurable) GAT with ELU + dropout (0.5) between layers
+    and dropout (0.25) on the attention weights."""
 
     def __init__(
         self,
@@ -76,7 +76,6 @@ class GAT(Module):
         num_classes: int,
         *,
         num_layers: int = 5,
-        dropout: float = 0.5,
         backend: TrainingBackend | str = "gnnone",
         seed: int = 0,
     ):
@@ -85,10 +84,10 @@ class GAT(Module):
         self.backend = get_backend(backend)
         dims = [in_features] + [hidden] * (num_layers - 1) + [num_classes]
         self.layers = [
-            GATLayer(a, b, attn_dropout=dropout / 2, rng=rng, seed=seed + i)
+            GATLayer(a, b, rng=rng, seed=seed + i)
             for i, (a, b) in enumerate(zip(dims[:-1], dims[1:]))
         ]
-        self.dropouts = [Dropout(dropout, seed=seed + 100 + i) for i in range(num_layers - 1)]
+        self.dropouts = [Dropout(0.5, seed=seed + 100 + i) for i in range(num_layers - 1)]
 
     def forward(self, graph: GraphData, x: Tensor) -> Tensor:
         h = x

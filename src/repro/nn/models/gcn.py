@@ -30,7 +30,7 @@ class GCNLayer(Module):
 
 
 class GCN(Module):
-    """Two-layer (configurable) GCN with ReLU + dropout between layers."""
+    """Two-layer (configurable) GCN with ReLU + dropout (0.5) between layers."""
 
     def __init__(
         self,
@@ -39,7 +39,6 @@ class GCN(Module):
         num_classes: int,
         *,
         num_layers: int = 2,
-        dropout: float = 0.5,
         backend: TrainingBackend | str = "gnnone",
         seed: int = 0,
     ):
@@ -50,7 +49,7 @@ class GCN(Module):
         self.backend = get_backend(backend)
         dims = [in_features] + [hidden] * (num_layers - 1) + [num_classes]
         self.layers = [GCNLayer(a, b, rng=rng) for a, b in zip(dims[:-1], dims[1:])]
-        self.dropouts = [Dropout(dropout, seed=seed + i) for i in range(num_layers - 1)]
+        self.dropouts = [Dropout(0.5, seed=seed + i) for i in range(num_layers - 1)]
 
     def forward(self, graph: GraphData, x: Tensor) -> Tensor:
         h = x

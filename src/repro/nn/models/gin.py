@@ -32,7 +32,7 @@ class GINLayer(Module):
 
 
 class GIN(Module):
-    """5-layer (configurable) GIN with ReLU between layers."""
+    """5-layer (configurable) GIN with ReLU + dropout (0.5) after each layer."""
 
     def __init__(
         self,
@@ -41,7 +41,6 @@ class GIN(Module):
         num_classes: int,
         *,
         num_layers: int = 5,
-        dropout: float = 0.5,
         backend: TrainingBackend | str = "gnnone",
         seed: int = 0,
     ):
@@ -50,7 +49,7 @@ class GIN(Module):
         self.backend = get_backend(backend)
         dims = [in_features] + [hidden] * (num_layers - 1) + [hidden]
         self.layers = [GINLayer(a, b, rng=rng) for a, b in zip(dims[:-1], dims[1:])]
-        self.dropouts = [Dropout(dropout, seed=seed + i) for i in range(num_layers)]
+        self.dropouts = [Dropout(0.5, seed=seed + i) for i in range(num_layers)]
         self.classify = Linear(hidden, num_classes, rng=rng)
 
     def forward(self, graph: GraphData, x: Tensor) -> Tensor:

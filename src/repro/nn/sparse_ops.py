@@ -35,35 +35,26 @@ import numpy as np
 from repro.exec.numerics import segment_softmax
 from repro.kernels.registry import sddmm_kernel, spmm_kernel, spmv_kernel
 from repro.nn.backend import TrainingBackend
-from repro.nn.clock import charge, charge_elementwise, current_clock
+from repro.nn.clock import charge, charge_elementwise
 from repro.nn.graph import GraphData
 from repro.nn.tensor import Tensor
 
 
-def _device():
-    clock = current_clock()
-    return clock.device if clock else None
-
-
 def _run_spmm(backend: TrainingBackend, coo, edge_values, X, tag: str) -> np.ndarray:
-    result = spmm_kernel(backend.spmm)(
-        coo, edge_values, X, device=_device()
-    )
+    result = spmm_kernel(backend.spmm)(coo, edge_values, X)
     charge(f"spmm:{tag}", result.time_us)
     return result.output
 
 
 def _run_sddmm(backend: TrainingBackend, coo, X, Y, tag: str) -> np.ndarray:
-    result = sddmm_kernel(backend.sddmm)(
-        coo, X, Y, device=_device()
-    )
+    result = sddmm_kernel(backend.sddmm)(coo, X, Y)
     charge(f"sddmm:{tag}", result.time_us)
     return result.output
 
 
 def _charge_launch(kernel, coo, feature_length: int, tag: str) -> None:
     """Charge a launch's simulated time without computing its output."""
-    charge(tag, kernel.simulate(coo, feature_length, device=_device()).time_us)
+    charge(tag, kernel.simulate(coo, feature_length).time_us)
 
 
 def spmm(graph: GraphData, edge_values: Tensor, X: Tensor, backend: TrainingBackend) -> Tensor:

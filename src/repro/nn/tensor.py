@@ -31,14 +31,13 @@ class Tensor:
         *,
         requires_grad: bool = False,
         parents: tuple["Tensor", ...] = (),
-        backward: Callable[[np.ndarray], None] | None = None,
         name: str = "",
     ):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents if self.requires_grad else ()
-        self._backward = backward
+        self._backward: Callable[[np.ndarray], None] | None = None
         self.name = name
 
     # -- graph plumbing -------------------------------------------------

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigError, TrainingDivergedError
-from repro.gpusim.device import DeviceSpec, get_device
 from repro.nn import functional as F
 from repro.nn.clock import SimClock, simulate
 from repro.nn.data import NodeClassificationData
@@ -69,15 +68,13 @@ class Trainer:
         data: NodeClassificationData,
         *,
         lr: float = 0.01,
-        device: DeviceSpec | str | None = None,
     ):
         self.model = model
         self.graph = graph
         self.data = data
         self.optimizer = Adam(model.parameters(), lr=lr)
-        self.device = get_device(device)
         fused = getattr(getattr(model, "backend", None), "fused_elementwise", False)
-        self.clock = SimClock(device=self.device, fused_elementwise=fused)
+        self.clock = SimClock(fused_elementwise=fused)
 
     def train_epoch(self, epoch: int) -> EpochRecord:
         self.model.train()
@@ -160,7 +157,7 @@ class Trainer:
         injector = get_injector()
         backend = getattr(getattr(self.model, "backend", None), "name", None)
         with obs.span("train.fit", model=type(self.model).__name__,
-                      backend=backend, epochs=epochs, device=self.device.name) as sp:
+                      backend=backend, epochs=epochs) as sp:
             # Pre-build the memoized graph structures (CSR views,
             # transpose, tokens) so epoch 1 measures kernel work, not
             # lazy one-time preprocessing; the validation boundary runs

@@ -226,8 +226,7 @@ def timeline_lanes(records: Iterable[JsonDict]) -> dict[str, list[LaneEntry]]:
         attrs = rec.get("attrs", {})
         bits = [str(rec["name"])]
         for attr in (
-            "kind", "kernel", "index", "dataset", "f", "epoch",
-            "tenant", "occupancy",
+            "kind", "kernel", "index", "dataset", "f", "epoch", "occupancy",
         ):
             if attrs.get(attr) is not None:
                 bits.append(f"{attr}={attrs[attr]}")

@@ -38,7 +38,6 @@ from repro.resilience.validation import (
     ValidationReport,
     ensure_structure_validated,
     validate_graph,
-    validation_level,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "ValidationReport",
     "ensure_structure_validated",
     "validate_graph",
-    "validation_level",
 ]

@@ -14,12 +14,8 @@ census (duplicate edges, empty rows, ordering) that
 The structural half is value-independent, so
 :func:`ensure_structure_validated` memoizes the verdict on the matrix
 instance — kernel dispatch pays one attribute check per call after the
-first launch on a topology.
-
-``REPRO_VALIDATE`` selects the level: ``off`` (skip the boundary),
-``basic`` (default: structure at dispatch, features at training entry)
-or ``full`` (additionally verify plan-cache entry checksums on every
-lookup).
+first launch on a topology.  Features are checked once, at training
+entry (:class:`repro.nn.graph.GraphData`).
 """
 
 from __future__ import annotations
@@ -29,17 +25,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import obs, settings
+from repro import obs
 from repro.errors import GraphValidationError
 from repro.utils.arrays import sorted_distinct
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sparse.coo import COOMatrix
-
-
-def validation_level() -> str:
-    """The configured validation level (``off`` / ``basic`` / ``full``)."""
-    return settings.get().validate
 
 
 @dataclass
@@ -177,7 +168,7 @@ _VALIDATED_ATTR = "_resilience_validated"
 
 
 def ensure_structure_validated(coo: "COOMatrix") -> None:
-    """Validate a topology once per instance; no-op at ``REPRO_VALIDATE=off``.
+    """Validate a topology once per instance.
 
     The memoized fast path is a single ``getattr`` — cheap enough for
     every kernel ``__call__``.  A failed census raises
@@ -185,8 +176,6 @@ def ensure_structure_validated(coo: "COOMatrix") -> None:
     so a later call on a (hypothetically repaired) matrix re-checks.
     """
     if getattr(coo, _VALIDATED_ATTR, False):
-        return
-    if validation_level() == "off":
         return
     report = validate_graph(coo)
     report.raise_if_invalid()

@@ -129,19 +129,19 @@ class ServeClient:
         self,
         columns: np.ndarray,
         *,
-        tenant: str = "",
         priority: str | None = None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         """Remote :meth:`InferenceService.propagate`; bit-identical result.
 
-        The returned array is a zero-copy view of the receive buffer and
-        is read-only; ``.copy()`` it if you need to mutate.
+        Columns travel in their own dtype, so the server's
+        :meth:`~InferenceService.validate_columns` is the one check on
+        both paths.  The returned array is a zero-copy view of the
+        receive buffer and is read-only; ``.copy()`` it if you need to
+        mutate.
         """
-        header, payload = protocol.array_header(
-            np.asarray(columns, dtype=np.float64)
-        )
-        frame = {"op": "propagate", "payload": header, "tenant": tenant}
+        header, payload = protocol.array_header(np.asarray(columns))
+        frame = {"op": "propagate", "payload": header}
         return await self._call(
             frame, payload, priority=priority, deadline_ms=deadline_ms
         )
@@ -150,7 +150,6 @@ class ServeClient:
         self,
         node_ids,
         *,
-        tenant: str = "",
         priority: str | None = None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
@@ -161,7 +160,7 @@ class ServeClient:
         """
         ids = np.atleast_1d(np.asarray(node_ids))
         header, payload = protocol.array_header(ids)
-        frame = {"op": "predict", "payload": header, "tenant": tenant}
+        frame = {"op": "predict", "payload": header}
         return await self._call(
             frame, payload, priority=priority, deadline_ms=deadline_ms
         )

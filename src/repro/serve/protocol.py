@@ -40,7 +40,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ConnectionLostError, ProtocolError, ReproError, error_from_code
+from repro.errors import (
+    ConfigError,
+    ConnectionLostError,
+    ProtocolError,
+    ReproError,
+    error_from_code,
+)
 
 #: exact-match protocol version (bump on any wire-visible change)
 PROTO_VERSION = 1
@@ -90,9 +96,12 @@ def array_header(arr: np.ndarray) -> tuple[dict[str, Any], memoryview]:
 
     The returned memoryview aliases ``arr`` (made contiguous first) —
     hand it straight to the stream writer; nothing is copied and no
-    text codec touches the payload.
+    text codec touches the payload.  An object array has no byte form
+    (its buffer holds pointers), so it is refused, typed.
     """
     arr = np.ascontiguousarray(arr)
+    if arr.dtype.hasobject:
+        raise ConfigError(f"cannot send a {arr.dtype} array over the wire")
     header = {"__nd__": 2, "dtype": arr.dtype.str, "shape": list(arr.shape)}
     return header, memoryview(arr).cast("B")
 

@@ -55,13 +55,12 @@ DEFAULT_PRIORITY = "standard"
 def resolve_priority(priority: str | None) -> int:
     """Validate a priority class name into its strict rank."""
     name = DEFAULT_PRIORITY if priority is None or priority == "" else priority
-    try:
-        return PRIORITY_CLASSES[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in PRIORITY_CLASSES:
         raise ConfigError(
             f"unknown priority {priority!r}; expected one of "
             f"{sorted(PRIORITY_CLASSES)}"
-        ) from None
+        )
+    return PRIORITY_CLASSES[name]
 
 
 class SchedulerClosed(Exception):

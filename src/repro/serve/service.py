@@ -69,7 +69,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro import core, obs
-from repro.core.plancache import plan_namespace
 from repro.errors import (
     CircuitOpenError,
     ConfigError,
@@ -101,13 +100,24 @@ def _bucket(width: int) -> int:
     return 1 << max(0, int(width) - 1).bit_length() if width > 1 else 1
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, or a typed error naming ``what``."""
+    try:
+        x = np.asarray(values)
+    except ValueError as e:  # ragged nesting
+        raise ConfigError(f"{what} must be rectangular: {e}") from None
+    # Strings, bools and complex values would cast to some number.
+    if x.dtype.kind not in "iuf":
+        raise ConfigError(f"{what} must be integers or floats, got dtype {x.dtype}")
+    return x.astype(np.float64, copy=False)
+
+
 @dataclass
 class _Request:
     """One admitted query; a propagate one waits on the drain task."""
 
     kind: str  # "propagate" | "predict"
     payload: np.ndarray
-    tenant: str
     future: "asyncio.Future[Any]"
     #: epoch seconds at admission (span alignment)
     t_admit_s: float
@@ -185,7 +195,7 @@ class InferenceService:
         self.config = config if config is not None else ServeConfig()
         self._logits: np.ndarray | None = None
         if features is not None:
-            x = np.asarray(features, float)
+            x = _float_array(features, "features")
             if x.ndim != 2 or x.shape[0] != graph.num_vertices:
                 raise ConfigError(
                     f"features must be (|V|, F) = ({graph.num_vertices}, F), "
@@ -259,7 +269,6 @@ class InferenceService:
         self,
         columns: np.ndarray,
         *,
-        tenant: str = "",
         priority: str | None = None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
@@ -267,15 +276,14 @@ class InferenceService:
         feature column(s); shape ``(|V|,)`` or ``(|V|, k)``, mirrored back."""
         x, squeeze = self.validate_columns(columns)
         return await self.submit_nowait(
-            "propagate", x, tenant=tenant, priority=priority,
-            deadline_ms=deadline_ms, squeeze=squeeze,
+            "propagate", x, priority=priority, deadline_ms=deadline_ms,
+            squeeze=squeeze,
         )
 
     async def predict(
         self,
         node_ids: int | Sequence[int] | np.ndarray,
         *,
-        tenant: str = "",
         priority: str | None = None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
@@ -287,8 +295,8 @@ class InferenceService:
         """
         ids, squeeze = self.validate_ids(node_ids)
         return await self.submit_nowait(
-            "predict", ids, tenant=tenant, priority=priority,
-            deadline_ms=deadline_ms, squeeze=squeeze,
+            "predict", ids, priority=priority, deadline_ms=deadline_ms,
+            squeeze=squeeze,
         )
 
     def validate_columns(self, columns) -> tuple[np.ndarray, bool]:
@@ -297,16 +305,7 @@ class InferenceService:
         ``squeeze`` records a 1-D input, whose answer is 1-D again.  The
         one check for in-process and wire requests alike.
         """
-        try:
-            x = np.asarray(columns)
-        except ValueError as e:  # ragged nesting
-            raise ConfigError(f"propagate columns must be rectangular: {e}") from None
-        # Strings, bools and complex values would cast to some number.
-        if x.dtype.kind not in "iuf":
-            raise ConfigError(
-                f"propagate columns must be integers or floats, got dtype {x.dtype}"
-            )
-        x = x.astype(np.float64, copy=False)
+        x = _float_array(columns, "propagate columns")
         squeeze = x.ndim == 1
         if squeeze:
             x = x[:, None]
@@ -364,7 +363,6 @@ class InferenceService:
         kind: str,
         payload: np.ndarray,
         *,
-        tenant: str = "",
         priority: str | None = None,
         deadline_ms: float | None = None,
         squeeze: bool = False,
@@ -386,8 +384,7 @@ class InferenceService:
             retry_after = self.breaker.retry_after_ms()
             self.stats.breaker_fastfail += 1
             metrics.counter("serve.breaker_fastfail").inc()
-            obs.event("serve.breaker_fastfail", kind=kind,
-                      tenant=tenant or "default", retry_after_ms=retry_after)
+            obs.event("serve.breaker_fastfail", kind=kind, retry_after_ms=retry_after)
             raise CircuitOpenError(
                 f"circuit open: retry in {retry_after:.0f} ms",
                 retry_after_ms=retry_after,
@@ -411,7 +408,6 @@ class InferenceService:
         req = _Request(
             kind=kind,
             payload=payload,
-            tenant=str(tenant),
             future=loop.create_future(),
             t_admit_s=time.time(),
             t_admit_p=now_p,
@@ -426,15 +422,13 @@ class InferenceService:
                 depth = self._scheduler.qsize()
                 self.stats.shed += 1
                 metrics.counter("serve.shed").inc()
-                obs.event("serve.shed", kind=kind, tenant=tenant or "default",
-                          queue_depth=depth)
+                obs.event("serve.shed", kind=kind, queue_depth=depth)
                 raise ServiceOverloadedError(
                     f"queue full ({depth} pending): request shed", queue_depth=depth
                 ) from None
             metrics.histogram("serve.queue_depth").observe(self._scheduler.qsize())
         self.stats.requests += 1
         metrics.counter("serve.requests").inc()
-        metrics.counter(f"serve.tenant.{tenant or 'default'}.requests").inc()
         metrics.counter(f"serve.priority.{PRIORITY_NAMES[rank]}.requests").inc()
         if kind == "predict":
             rows = self._logits[payload]
@@ -453,7 +447,7 @@ class InferenceService:
             return
         self.stats.timeouts += 1
         obs.get_metrics().counter("serve.timeouts").inc()
-        obs.event("serve.timeout", kind=req.kind, tenant=req.tenant or "default")
+        obs.event("serve.timeout", kind=req.kind)
         req.future.set_exception(
             RequestTimeoutError(
                 f"{req.kind} request missed its {deadline_ms:.0f} ms deadline"
@@ -472,7 +466,6 @@ class InferenceService:
             metrics.counter("serve.deadline_shed").inc()
             obs.event(
                 "serve.deadline_shed", kind=req.kind,
-                tenant=req.tenant or "default",
                 priority=PRIORITY_NAMES[req.priority],
             )
             req.future.set_exception(
@@ -483,7 +476,7 @@ class InferenceService:
 
     async def _drain(self) -> None:
         """Single consumer of the propagate queue: collect, shed expired,
-        group by tenant, fuse, scatter."""
+        fuse, scatter."""
         scheduler = self._scheduler
         assert scheduler is not None
         loop = asyncio.get_running_loop()
@@ -523,21 +516,21 @@ class InferenceService:
                 if r.deadline_p is not None and r.deadline_p < t_drain
             ]
             self._shed_expired(expired + scheduler.pop_expired(t_drain))
-            groups: dict[str, list[_Request]] = {}
+            requests = []
             for req in batch:
                 req.t_drain_p = t_drain
-                if req.future.done():  # deadline missed / shed in queue
-                    continue
-                groups.setdefault(req.tenant, []).append(req)
-            for tenant, requests in groups.items():
-                try:
-                    outcomes = await loop.run_in_executor(
-                        None, self._run_group, tenant, requests
-                    )
-                except Exception as e:  # defensive: never kill the drain task
-                    outcomes = [e] * len(requests)
-                self._report_to_breaker(outcomes)
-                self._resolve(requests, outcomes)
+                if not req.future.done():  # deadline missed / shed in queue
+                    requests.append(req)
+            if not requests:
+                continue
+            try:
+                outcomes = await loop.run_in_executor(
+                    None, self._run_batch, requests
+                )
+            except Exception as e:  # defensive: never kill the drain task
+                outcomes = [e] * len(requests)
+            self._report_to_breaker(outcomes)
+            self._resolve(requests, outcomes)
 
     def _report_to_breaker(self, outcomes: list[Any]) -> None:
         """One batch verdict for the breaker: total failure trips it.
@@ -567,21 +560,20 @@ class InferenceService:
             queued_ms = (req.t_drain_p - req.t_admit_p) * 1e3
             self.stats.latencies_ms.append(latency_ms)
             metrics.histogram("serve.latency_ms").observe(latency_ms)
-            tenant = req.tenant or "default"
             obs.emit_span(
                 "serve.request", start_s=req.t_admit_s, wall_ms=latency_ms,
-                status="error" if failed else "ok", kind=req.kind, tenant=tenant,
+                status="error" if failed else "ok", kind=req.kind,
                 priority=PRIORITY_NAMES[req.priority],
             )
             obs.emit_span(
                 "serve.queue", start_s=req.t_admit_s, wall_ms=queued_ms,
-                kind=req.kind, tenant=tenant, worker="queue",
+                kind=req.kind, worker="queue",
             )
 
     # ------------------------------------------------- synchronous numerics
 
-    def _run_group(self, tenant: str, requests: list[_Request]) -> list[Any]:
-        """Execute one tenant's propagate group in the executor thread.
+    def _run_batch(self, requests: list[_Request]) -> list[Any]:
+        """Execute one propagate batch in the executor thread.
 
         Returns one outcome per request (result array or exception).
         The fused path fails as a unit — a ``serve.batch_fail`` fire (or
@@ -595,24 +587,22 @@ class InferenceService:
         self.stats.fused_requests += len(requests)
         metrics.counter("serve.batches").inc()
         metrics.histogram("serve.batch_occupancy").observe(len(requests))
-        with plan_namespace(tenant):
-            with obs.span(
-                "serve.batch", kind="propagate", tenant=tenant or "default",
-                occupancy=len(requests), worker="serve",
-            ) as sp:
-                try:
-                    injector.maybe_raise(FAULT_SITE, occupancy=len(requests))
-                    results, sim_us = self._propagate(requests)
-                    sp.add_sim_us(sim_us)
-                    return results
-                except Exception:
-                    self.stats.degraded += 1
-                    metrics.counter("serve.degraded").inc()
-                    obs.event("serve.degraded", kind="propagate",
-                              tenant=tenant or "default",
-                              occupancy=len(requests))
-                    sp.set(degraded=True)
-                return [self._run_single(req, injector) for req in requests]
+        with obs.span(
+            "serve.batch", kind="propagate", occupancy=len(requests),
+            worker="serve",
+        ) as sp:
+            try:
+                injector.maybe_raise(FAULT_SITE, occupancy=len(requests))
+                results, sim_us = self._propagate(requests)
+                sp.add_sim_us(sim_us)
+                return results
+            except Exception:
+                self.stats.degraded += 1
+                metrics.counter("serve.degraded").inc()
+                obs.event("serve.degraded", kind="propagate",
+                          occupancy=len(requests))
+                sp.set(degraded=True)
+            return [self._run_single(req, injector) for req in requests]
 
     def _propagate(self, requests: list[_Request]) -> tuple[list[np.ndarray], float]:
         """One launch over the requests' columns: each request's answer

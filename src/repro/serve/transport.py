@@ -18,8 +18,8 @@ transport's job is strictly the network edge:
   attempted — so a connection that dies mid-response still leaves the
   result behind for the retry to collect.
 * **Deadline/priority propagation** — frames carry ``deadline_ms``
-  (remaining budget, recomputed by the client per attempt),
-  ``priority`` and ``tenant``, handed straight to the service's
+  (remaining budget, recomputed by the client per attempt) and
+  ``priority``, handed straight to the service's
   scheduler via its :meth:`~InferenceService.submit_nowait` hot path:
   no per-request task, and responses flow back through future
   callbacks into a per-connection writer task that batches many frames
@@ -323,7 +323,6 @@ class ServeTransport:
         injector = faults.get_injector()
         deadline_ms = frame.get("deadline_ms")
         priority = frame.get("priority")
-        tenant = str(frame.get("tenant", ""))
         try:
             # json.loads yields floats for NaN/Infinity, and bool is an int.
             if deadline_ms is not None and (
@@ -341,8 +340,8 @@ class ServeTransport:
             )
             x, squeeze = validate(payload)
             return self.service.submit_nowait(
-                op, x, tenant=tenant, priority=priority,
-                deadline_ms=deadline_ms, squeeze=squeeze,
+                op, x, priority=priority, deadline_ms=deadline_ms,
+                squeeze=squeeze,
             )
         except ReproError as e:
             self._cache_and_send(

@@ -7,7 +7,6 @@ on the first :func:`get`, into a frozen :class:`Settings`;
 per type:
 
 * booleans accept ``1/true/on/yes`` and ``0/false/off/no`` (any case);
-* choices accept only their listed names (any case);
 * integers must parse;
 * an unset or blank variable takes its default.
 
@@ -42,9 +41,8 @@ class Var:
     """One row of the settings table."""
 
     env: str
-    #: ``bool`` / ``int`` / ``choice`` / ``text``
+    #: ``bool`` / ``int`` / ``text``
     kind: str
-    choices: tuple[str, ...] = ()
 
     def parse(self, raw: str) -> Any:
         """The typed value of a non-blank raw string (``ConfigError`` if bad)."""
@@ -60,20 +58,14 @@ class Var:
                 f"{self.env} must be one of {'/'.join(_TRUE)} or "
                 f"{'/'.join(_FALSE)}, got {raw!r}"
             )
-        if self.kind == "choice":
-            if text.lower() not in self.choices:
-                raise ConfigError(
-                    f"{self.env} must be one of {'/'.join(self.choices)}, got {raw!r}"
-                )
-            return text.lower()
         try:
             return int(text)
         except ValueError:
             raise ConfigError(f"{self.env} must be an integer, got {raw!r}") from None
 
 
-def _var(env: str, kind: str, default: Any, **row: Any) -> Any:
-    return field(default=default, metadata={"var": Var(env, kind, **row)})
+def _var(env: str, kind: str, default: Any) -> Any:
+    return field(default=default, metadata={"var": Var(env, kind)})
 
 
 @dataclass(frozen=True)
@@ -82,9 +74,6 @@ class Settings:
 
     #: observability kill switch: off = spans and metrics are no-ops
     obs: bool = _var("REPRO_OBS", "bool", True)
-    #: graph validation; full adds plan-cache checksums
-    validate: str = _var(
-        "REPRO_VALIDATE", "choice", "basic", choices=("off", "basic", "full"))
     #: fault injection: chaos, storm, none or ``site=rate,...`` pairs
     fault_profile: str | None = _var("REPRO_FAULT_PROFILE", "text", None)
     #: fault schedule seed (unset: 0, or 1337 in the chaos scripts)

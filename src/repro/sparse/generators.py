@@ -31,17 +31,13 @@ def _finalize(
     num_vertices: int,
     rows: np.ndarray,
     cols: np.ndarray,
-    *,
-    undirected: bool,
-    drop_self_loops: bool = True,
 ) -> COOMatrix:
+    """The edge list as a CSR-ordered, symmetrized COO without self loops."""
     coo = COOMatrix.from_edges(num_vertices, num_vertices, rows, cols)
-    if drop_self_loops and coo.nnz:
+    if coo.nnz:
         keep = coo.rows != coo.cols
         coo = COOMatrix(num_vertices, num_vertices, coo.rows[keep], coo.cols[keep])
-    if undirected:
-        coo = symmetrize(coo)
-    return coo
+    return symmetrize(coo)
 
 
 def erdos_renyi(
@@ -49,7 +45,6 @@ def erdos_renyi(
     num_edges: int,
     *,
     seed: int | np.random.Generator | None = None,
-    undirected: bool = True,
 ) -> COOMatrix:
     """Uniform random graph with ~``num_edges`` directed edges pre-symmetrization."""
     if num_vertices <= 1:
@@ -57,27 +52,22 @@ def erdos_renyi(
     rng = default_rng(seed)
     rows = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     cols = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    return _finalize(num_vertices, rows, cols, undirected=undirected)
+    return _finalize(num_vertices, rows, cols)
 
 
 def rmat(
     scale: int,
     edge_factor: int = 16,
     *,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
     seed: int | np.random.Generator | None = None,
-    undirected: bool = True,
 ) -> COOMatrix:
     """R-MAT / Kronecker generator (the Graph500 Kron-21 recipe, scaled).
 
     ``2**scale`` vertices, ``edge_factor * 2**scale`` edges drawn by
     recursively descending the adjacency matrix quadrants with
-    probabilities (a, b, c, d).
+    the Graph500 probabilities (a, b, c, d) = (0.57, 0.19, 0.19, 0.05).
     """
-    if not 0 < a + b + c < 1:
-        raise ConfigError("R-MAT probabilities must satisfy 0 < a+b+c < 1")
+    a, b, c = 0.57, 0.19, 0.19
     rng = default_rng(seed)
     n = 1 << scale
     m = edge_factor * n
@@ -91,7 +81,7 @@ def rmat(
         go_right = (u >= a) & (u < a + b) | (u >= a + b + c)  # quadrants b, d
         rows += go_down
         cols += go_right
-    return _finalize(n, rows, cols, undirected=undirected)
+    return _finalize(n, rows, cols)
 
 
 #: Maximum fraction of all edges a single hub vertex may hold.  Real
@@ -108,7 +98,6 @@ def power_law(
     *,
     exponent: float = 2.1,
     seed: int | np.random.Generator | None = None,
-    undirected: bool = True,
 ) -> COOMatrix:
     """Configuration-model graph with a Zipf-like degree distribution."""
     if avg_degree <= 0:
@@ -126,21 +115,23 @@ def power_law(
     if stubs.size % 2:
         stubs = stubs[:-1]
     half = stubs.size // 2
-    return _finalize(num_vertices, stubs[:half], stubs[half:], undirected=undirected)
+    return _finalize(num_vertices, stubs[:half], stubs[half:])
+
+
+#: share of web-graph edges whose target is copied from a hub
+COPY_PROB = 0.65
 
 
 def web_graph(
     num_vertices: int,
     avg_degree: float,
     *,
-    copy_prob: float = 0.65,
     seed: int | np.random.Generator | None = None,
-    undirected: bool = True,
 ) -> COOMatrix:
     """Copy-model crawl graph: heavy hubs plus long low-degree tail.
 
     Each new edge either copies an existing edge's target (preferential
-    attachment, probability ``copy_prob``) or picks uniformly, yielding
+    attachment, probability :data:`COPY_PROB`) or picks uniformly, yielding
     the extreme skew of web crawls like uk-2002 / web-BerkStan.
     """
     rng = default_rng(seed)
@@ -151,32 +142,32 @@ def web_graph(
     # from a prefix-biased sample of earlier targets.
     uniform = rng.integers(0, num_vertices, size=m, dtype=np.int64)
     cols[:] = uniform
-    copy_mask = rng.random(m) < copy_prob
+    copy_mask = rng.random(m) < COPY_PROB
     # Preferential targets: draw from a small hub set with Zipf weights,
     # truncated so no hub exceeds MAX_HUB_EDGE_SHARE of the edges.
     hub_count = max(4, num_vertices // 100)
     hub_ids = rng.choice(num_vertices, size=hub_count, replace=False)
     zipf_w = 1.0 / np.arange(1, hub_count + 1)
     zipf_w /= zipf_w.sum()
-    zipf_w = np.minimum(zipf_w, MAX_HUB_EDGE_SHARE / copy_prob)
+    zipf_w = np.minimum(zipf_w, MAX_HUB_EDGE_SHARE / COPY_PROB)
     zipf_w /= zipf_w.sum()
     cols[copy_mask] = hub_ids[
         rng.choice(hub_count, size=int(copy_mask.sum()), p=zipf_w)
     ]
-    return _finalize(num_vertices, rows, cols, undirected=undirected)
+    return _finalize(num_vertices, rows, cols)
 
 
 def road_grid(
     side: int,
     *,
-    extra_edge_frac: float = 0.05,
     seed: int | np.random.Generator | None = None,
 ) -> COOMatrix:
     """2-D lattice with a few shortcuts: the roadNet-CA stand-in.
 
-    Degrees are nearly uniform (2-4), so vertex-parallel kernels are
-    *not* badly imbalanced here — reproducing the paper's smaller (but
-    still positive) speedups on road networks.
+    One random shortcut per 20 vertices leaves degrees nearly uniform
+    (2-4), so vertex-parallel kernels are *not* badly imbalanced here —
+    reproducing the paper's smaller (but still positive) speedups on
+    road networks.
     """
     if side < 2:
         raise ConfigError("side must be >= 2")
@@ -187,8 +178,8 @@ def road_grid(
     down = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])
     rows = np.concatenate([right[0], down[0]])
     cols = np.concatenate([right[1], down[1]])
-    extra = int(n * extra_edge_frac)
+    extra = int(n * 0.05)
     if extra:
         rows = np.concatenate([rows, rng.integers(0, n, extra)])
         cols = np.concatenate([cols, rng.integers(0, n, extra)])
-    return _finalize(n, rows, cols, undirected=True)
+    return _finalize(n, rows, cols)

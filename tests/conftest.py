@@ -43,7 +43,7 @@ def _fresh_settings():
 def repro_env(monkeypatch):
     """Set ``REPRO_*`` variables for one test and reload the settings.
 
-    ``repro_env(REPRO_VALIDATE="full", REPRO_FAULT_SEED=None)`` sets the
+    ``repro_env(REPRO_OBS="off", REPRO_FAULT_SEED=None)`` sets the
     first and unsets the second; a malformed value raises
     :class:`~repro.errors.ConfigError` from the reload.
     """

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.gpusim.device import A100
 from repro.nn import (
     Adam,
     DGL_BACKEND,
@@ -38,7 +37,7 @@ class TestLinear:
 
     def test_charges_clock_in_training(self, rng):
         layer = Linear(8, 4, rng=rng)
-        clock = SimClock(device=A100)
+        clock = SimClock()
         with simulate(clock):
             layer(Tensor(rng.standard_normal((100, 8))))
         assert clock.buckets["gemm"] > 0

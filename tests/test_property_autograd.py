@@ -18,7 +18,7 @@ def small_graph_data(draw):
     nnz = draw(st.integers(2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coo = COOMatrix.from_edges(n, n, rng.integers(0, n, nnz), rng.integers(0, n, nnz))
-    return GraphData(coo, self_loops=True), rng
+    return GraphData(coo), rng
 
 
 class TestSparseOpGradients:

@@ -32,7 +32,6 @@ from repro.resilience import (
     no_faults,
     parse_profile,
     validate_graph,
-    validation_level,
 )
 from repro.resilience.faults import PROFILES
 from repro.sparse import COOMatrix
@@ -169,14 +168,6 @@ class TestValidationBoundary:
         after_first = counter.value
         ensure_structure_validated(small_graph)
         assert counter.value == after_first >= before
-
-    def test_validation_level_env(self, repro_env):
-        repro_env(REPRO_VALIDATE=None)
-        assert validation_level() == "basic"
-        repro_env(REPRO_VALIDATE="FULL")
-        assert validation_level() == "full"
-        with pytest.raises(ConfigError, match="REPRO_VALIDATE"):
-            repro_env(REPRO_VALIDATE="paranoid")
 
     def test_graphdata_warm_rejects_nan_features(self, small_graph):
         features = np.ones((small_graph.num_rows, 3))

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import core, obs, serve
-from repro.core import get_plan_cache, plancache
+from repro.core import get_plan_cache
 from repro.errors import (
     ConfigError,
     RequestTimeoutError,
@@ -44,16 +44,10 @@ def _run(coro):
     return asyncio.run(coro)
 
 
-async def _serve_all(graph, payloads, config=None, *, tenants=None, **kwargs):
+async def _serve_all(graph, payloads, config=None, **kwargs):
     service = serve.InferenceService(graph, config=config, **kwargs)
-    tenants = tenants or [""] * len(payloads)
     async with service:
-        results = await asyncio.gather(
-            *[
-                service.propagate(p, tenant=t)
-                for p, t in zip(payloads, tenants)
-            ]
-        )
+        results = await asyncio.gather(*[service.propagate(p) for p in payloads])
     return results, service
 
 
@@ -155,6 +149,20 @@ class TestBatchingEquivalence:
 
         with pytest.raises(ConfigError, match="model"):
             _run(main())
+
+    @pytest.mark.parametrize("dtype", ["str", "bool", "complex", "object"])
+    def test_non_numeric_features_rejected(self, small_graph, rng, dtype):
+        """Features are checked like propagate columns: refused, not cast."""
+        graph = _graph(small_graph)
+        features = rng.standard_normal((graph.num_vertices, 4))
+        bad = {
+            "str": features.astype(str),
+            "bool": features > 0,
+            "complex": features + 1j,
+            "object": features.astype(object),
+        }[dtype]
+        with pytest.raises(ConfigError, match="features must be integers or floats"):
+            serve.InferenceService(graph, model=GCN(4, 8, 3), features=bad)
 
 
 class TestAdmissionControl:
@@ -345,11 +353,10 @@ class TestPredictMemo:
         assert not np.array_equal(changed, logits)  # the edits took effect
         np.testing.assert_array_equal(rows, logits)
 
-    def test_mixed_kinds_and_tenants_bit_identical(self, small_graph, rng):
+    def test_mixed_kinds_bit_identical(self, small_graph, rng):
         graph, features, model, logits = self._setup(small_graph, rng)
         columns = [rng.standard_normal(graph.num_vertices) for _ in range(6)]
         ids = [rng.integers(0, graph.num_vertices, 3) for _ in range(6)]
-        tenants = ["acme", "globex"] * 3
 
         async def main():
             async with serve.InferenceService(
@@ -358,9 +365,8 @@ class TestPredictMemo:
             ) as service:
                 return await asyncio.gather(*[
                     call
-                    for c, i, t in zip(columns, ids, tenants)
-                    for call in (service.propagate(c, tenant=t),
-                                 service.predict(i, tenant=t))
+                    for c, i in zip(columns, ids)
+                    for call in (service.propagate(c), service.predict(i))
                 ])
 
         with no_faults():
@@ -391,21 +397,6 @@ class TestFaultRecovery:
             results, _ = _run(_serve_all(graph, columns))
         for ref, result in zip(refs, results):
             np.testing.assert_array_equal(ref, result)
-
-
-class TestTenantNamespaces:
-    def test_tenants_get_disjoint_plan_keys(self, small_graph, rng):
-        graph = _graph(small_graph)
-        column = rng.standard_normal(graph.num_vertices)
-        # Same structural launch under two tenants: isolated key spaces.
-        _run(
-            _serve_all(
-                graph, [column, column], tenants=["acme", "globex"],
-            )
-        )
-        namespaces = {key[0] for key in get_plan_cache()._entries}
-        assert {"acme", "globex"} <= namespaces
-        assert plancache._namespace.get() == ""  # scope never leaks
 
 
 class TestServeObservability:

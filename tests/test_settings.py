@@ -21,10 +21,10 @@ ROOT = Path(__file__).resolve().parents[1]
     "name,value",
     [
         ("REPRO_OBS", "flase"),
-        ("REPRO_VALIDATE", "paranoid"),
         # names not in the table fail whatever their value: a misspelt
         # name, and variables the program no longer reads
         ("REPRO_PLAN_CAHCE", "off"),
+        ("REPRO_VALIDATE", "paranoid"),
         ("REPRO_EXEC_WORKERS", "two"),
         ("REPRO_EXEC_WORKERS", "-2"),
         ("REPRO_EXEC_WORKERS", "4"),
@@ -96,11 +96,11 @@ def test_cli_prints_every_variable_and_rejects_bad_values():
     assert "REPRO_SERVE_MAX_BATCH is not a repro setting" in out.stderr
 
     del env["REPRO_FAULT_SEED"], env["REPRO_SERVE_MAX_BATCH"]
-    env["REPRO_VALIDAET"] = "off"
+    env["REPRO_FAULT_SEDE"] = "3"
     out = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 2
-    assert "REPRO_VALIDAET is not a repro setting" in out.stderr
-    assert "did you mean REPRO_VALIDATE?" in out.stderr
+    assert "REPRO_FAULT_SEDE is not a repro setting" in out.stderr
+    assert "did you mean REPRO_FAULT_SEED?" in out.stderr
 
 
 @pytest.mark.parametrize("script", ["chaos_check.py", "chaos_serve.py"])

@@ -74,8 +74,6 @@ class TestGenerators:
             gen.power_law(10, -1.0)
         with pytest.raises(ConfigError):
             gen.road_grid(1)
-        with pytest.raises(ConfigError):
-            gen.rmat(4, 4, a=0.9, b=0.1, c=0.1)
 
     def test_rmat_size(self):
         g = gen.rmat(8, 8, seed=0)

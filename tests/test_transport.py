@@ -130,9 +130,9 @@ class TestProtocol:
 
 
 def _request(priority: str = "standard", deadline_p: float | None = None,
-             tag: str = "") -> _Request:
+             tag: str = "propagate") -> _Request:
     return _Request(
-        kind="propagate", payload=np.zeros(1), tenant=tag, future=None,
+        kind=tag, payload=np.zeros(1), future=None,
         t_admit_s=0.0, t_admit_p=0.0,
         priority=resolve_priority(priority), deadline_p=deadline_p,
     )
@@ -144,21 +144,21 @@ class TestDeadlineScheduler:
         s.put_nowait(_request("bulk", tag="b"))
         s.put_nowait(_request("standard", tag="s"))
         s.put_nowait(_request("interactive", tag="i"))
-        assert [s.get_nowait().tenant for _ in range(3)] == ["i", "s", "b"]
+        assert [s.get_nowait().kind for _ in range(3)] == ["i", "s", "b"]
 
     def test_edf_within_a_class(self):
         s = DeadlineScheduler(maxsize=8)
         s.put_nowait(_request(deadline_p=30.0, tag="late"))
         s.put_nowait(_request(deadline_p=10.0, tag="soon"))
         s.put_nowait(_request(deadline_p=20.0, tag="mid"))
-        assert [s.get_nowait().tenant for _ in range(3)] == ["soon", "mid", "late"]
+        assert [s.get_nowait().kind for _ in range(3)] == ["soon", "mid", "late"]
 
     def test_no_deadline_sorts_last_fifo(self):
         s = DeadlineScheduler(maxsize=8)
         s.put_nowait(_request(tag="first"))
         s.put_nowait(_request(tag="second"))
         s.put_nowait(_request(deadline_p=5.0, tag="urgent"))
-        assert [s.get_nowait().tenant for _ in range(3)] == [
+        assert [s.get_nowait().kind for _ in range(3)] == [
             "urgent", "first", "second",
         ]
 
@@ -169,7 +169,7 @@ class TestDeadlineScheduler:
         s.put_nowait(_request(deadline_p=100.0, tag="alive"))
         s.put_nowait(_request(tag="forever"))
         expired = s.pop_expired(now_p=50.0)
-        assert sorted(r.tenant for r in expired) == ["dead", "dying"]
+        assert sorted(r.kind for r in expired) == ["dead", "dying"]
         assert s.qsize() == 2
 
     def test_bounded_admission(self):
@@ -198,9 +198,10 @@ class TestDeadlineScheduler:
         drained = list(s.drain_pending())
         assert len(drained) == 3 and s.qsize() == 0
 
-    def test_unknown_priority_rejected(self):
+    @pytest.mark.parametrize("priority", ["express", ["x"], {"a": 1}, 0])
+    def test_unknown_priority_rejected(self, priority):
         with pytest.raises(ConfigError, match="unknown priority"):
-            resolve_priority("express")
+            resolve_priority(priority)
 
 
 # ----------------------------------------------------------------- breaker
@@ -285,7 +286,12 @@ class TestTransportRoundTrip:
         model = GCN(12, 8, 5, seed=2)
         model.eval()
         logits = np.asarray(model(graph, Tensor(features)).data)
-        columns = rng.standard_normal((4, graph.num_vertices))
+        # columns travel in their own dtype: ints and float32 too
+        columns = [
+            *rng.standard_normal((2, graph.num_vertices)),
+            rng.integers(-5, 5, graph.num_vertices),
+            rng.standard_normal(graph.num_vertices).astype(np.float32),
+        ]
 
         async def main():
             service = serve.InferenceService(
@@ -305,9 +311,29 @@ class TestTransportRoundTrip:
         with no_faults():
             outs = _run(main())
         for c, out in zip(columns, outs[:4]):
-            np.testing.assert_array_equal(out, _serial(graph, c))
+            np.testing.assert_array_equal(out, _serial(graph, c.astype(float)))
         for i, out in enumerate(outs[4:]):
             np.testing.assert_array_equal(out, logits[[i, i + 3]])
+
+    @pytest.mark.parametrize("dtype", ["<U32", "complex128", "bool", "object"])
+    def test_client_columns_are_checked_as_in_process(self, small_graph, rng, dtype):
+        """Columns the service refuses in-process are refused over TCP too."""
+        graph = GraphData(small_graph)
+        column = rng.standard_normal(graph.num_vertices).astype(dtype)
+
+        async def main():
+            service = serve.InferenceService(graph)
+            async with service:
+                with pytest.raises(ConfigError):
+                    await service.propagate(column)
+            async with ServeTransport(service, port=0) as transport:
+                async with ServeClient(port=transport.port) as client:
+                    with pytest.raises(ConfigError):
+                        await client.propagate(column)
+            return service.stats.requests
+
+        with no_faults():
+            assert _run(main()) == 0
 
     def test_health_and_ready_probes(self, small_graph):
         graph = GraphData(small_graph)
@@ -719,10 +745,14 @@ class TestDeadlinePropagation:
 
         async def main():
             service = serve.InferenceService(graph)
+            async with service:
+                with pytest.raises(ConfigError, match="unknown priority"):
+                    await service.propagate(column, priority=["x"])
             async with ServeTransport(service, port=0) as transport:
                 async with ServeClient(port=transport.port) as client:
-                    with pytest.raises(ConfigError, match="unknown priority"):
-                        await client.propagate(column, priority="express")
+                    for bad in ("express", ["x"]):
+                        with pytest.raises(ConfigError, match="unknown priority"):
+                            await client.propagate(column, priority=bad)
 
         with no_faults():
             _run(main())

@@ -6,7 +6,7 @@ a repeat call must hand back the memoized result itself, not a re-run.
 
 from __future__ import annotations
 
-from repro.core.autotune import DEFAULT_CACHE_SIZES, autotune
+from repro.core.autotune import CACHE_SIZES, autotune
 
 
 class TestAutotuneStrategy:
@@ -16,5 +16,5 @@ class TestAutotuneStrategy:
         assert r2 is r1
         # the memoized result is the exhaustive one: every candidate was
         # simulated and the winner is the fastest of them
-        assert len(r1.trials) == 2 * len(DEFAULT_CACHE_SIZES)
+        assert len(r1.trials) == 2 * len(CACHE_SIZES)
         assert r1.time_us == min(r1.trials.values())
