@@ -353,7 +353,8 @@ class TestPredictMemo:
         assert not np.array_equal(changed, logits)  # the edits took effect
         np.testing.assert_array_equal(rows, logits)
 
-    def test_mixed_kinds_bit_identical(self, small_graph, rng):
+    def test_mixed_kinds_and_tenants_bit_identical(self, small_graph, rng):
+        """Callers once split by tenant now share batches with mixed kinds."""
         graph, features, model, logits = self._setup(small_graph, rng)
         columns = [rng.standard_normal(graph.num_vertices) for _ in range(6)]
         ids = [rng.integers(0, graph.num_vertices, 3) for _ in range(6)]

@@ -198,8 +198,12 @@ class TestDeadlineScheduler:
         drained = list(s.drain_pending())
         assert len(drained) == 3 and s.qsize() == 0
 
-    @pytest.mark.parametrize("priority", ["express", ["x"], {"a": 1}, 0])
-    def test_unknown_priority_rejected(self, priority):
+    def test_unknown_priority_rejected(self):
+        with pytest.raises(ConfigError, match="unknown priority"):
+            resolve_priority("express")
+
+    @pytest.mark.parametrize("priority", [["x"], {"a": 1}, 0])
+    def test_non_string_priority_rejected(self, priority):
         with pytest.raises(ConfigError, match="unknown priority"):
             resolve_priority(priority)
 
