@@ -12,8 +12,9 @@ twice —
 and asserts the chaos run is **bit-identical**: every sweep row of both
 passes equal, every epoch loss equal, same test accuracy.  It then
 asserts the chaos run actually exercised the recovery paths (>=1
-plan-cache invalidation, >=1 checkpoint restore), so a regression that
-silently disables injection fails the gate too.  The warm sweep pass is
+plan-cache invalidation, >=1 checkpoint restore, counted from the
+trace's ``resilience.*`` events), so a regression that silently
+disables injection fails the gate too.  The warm sweep pass is
 what reaches ``plancache.poison``: the site is consulted on every cache
 hit, and a cold pass has none.
 
@@ -90,18 +91,20 @@ def main(argv: list[str] | None = None) -> int:
     with no_faults():
         base_sweeps, base_train = run_phase()
 
-    metrics = obs.get_metrics()
-    before = {
-        name: metrics.counter(name).value
-        for name in ("resilience.fault_injected", "resilience.plan_invalidated",
-                     "resilience.checkpoint_restore")
-    }
     with contextlib.ExitStack() as stack:
         stack.enter_context(obs.trace_to(args.trace))
         stack.enter_context(fault_profile("chaos", seed=seed))
         tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="chaos-ckpt-"))
         chaos_sweeps, chaos_train = run_phase(checkpoint_dir=tmp)
-    fired = {name: metrics.counter(name).value - v for name, v in before.items()}
+    records, dropped = obs.read_trace_lenient(args.trace)
+    if dropped:
+        print(f"warning: {dropped} corrupt trace line(s) skipped", file=sys.stderr)
+    counts = obs.resilience_summary(records)
+    fired = {
+        name: counts[name]
+        for name in ("resilience.fault_injected", "resilience.plan_invalidated",
+                     "resilience.checkpoint_restore")
+    }
 
     failures: list[str] = []
     for n, (base_sweep, chaos_sweep) in enumerate(zip(base_sweeps, chaos_sweeps)):
@@ -138,15 +141,11 @@ def main(argv: list[str] | None = None) -> int:
             profile_trace,
         )
 
-        records, dropped = obs.read_trace_lenient(args.trace)
         report = format_profile_report(profile_trace(records))
         timeline = format_timeline(records)
         Path(args.profile).write_text(
             report + "\n\n" + timeline + "\n", encoding="utf-8"
         )
-        if dropped:
-            print(f"warning: {dropped} corrupt trace line(s) skipped",
-                  file=sys.stderr)
 
     print(f"chaos check (seed {seed}):")
     for name, count in fired.items():

@@ -163,8 +163,6 @@ def segment_chaos(graph, columns, refs, *, quick: bool, seed: int) -> dict:
     from repro.serve import ServeClient
 
     per_worker = 25 if quick else 60
-    metrics = obs.get_metrics()
-    retries_before = metrics.counter("serve.client_retries").value
 
     async def worker(port: int, wid: int, tally: dict):
         async with ServeClient(port=port, retries=4) as client:
@@ -185,9 +183,10 @@ def segment_chaos(graph, columns, refs, *, quick: bool, seed: int) -> dict:
                         tally["ok"] = tally.get("ok", 0) + 1
                     else:
                         tally["corrupt"] = tally.get("corrupt", 0) + 1
+            tally["client_retries"] += client.retried
 
     async def main(port: int):
-        tally = {"latencies": []}
+        tally = {"latencies": [], "client_retries": 0}
         await asyncio.gather(
             *[worker(port, w, tally) for w in range(CHAOS_WORKERS)]
         )
@@ -206,8 +205,7 @@ def segment_chaos(graph, columns, refs, *, quick: bool, seed: int) -> dict:
         "typed_errors": tally.get("typed", {}),
         "untyped_errors": tally.get("untyped", 0),
         "untyped_kinds": tally.get("untyped_kinds", []),
-        "client_retries": metrics.counter("serve.client_retries").value
-        - retries_before,
+        "client_retries": tally["client_retries"],
         "p50_ms": obs.percentile(latencies, 50),
         "p99_ms": obs.percentile(latencies, 99),
         "faults_fired": fired,
@@ -477,7 +475,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(e))
         args.seed = CHAOS_SEED if env_seed is None else env_seed
 
-    obs.reset_metrics()
     with no_faults():  # fixture + references stay clean under env chaos
         dataset_key, graph, columns = _build_fixture(args.quick, seed=0)
         refs = _serial_reference(graph, columns)

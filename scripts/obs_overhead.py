@@ -4,8 +4,7 @@
 The instrumentation contract is "off means free": with no sink
 installed (the production default), every ``obs.span(...)`` falls
 through a couple of attribute checks, and with ``REPRO_OBS=off`` even
-those checks short-circuit on one cached module-level bool and
-``get_metrics()`` hands back shared no-op instruments.
+those checks short-circuit on one cached module-level bool.
 
 This script measures that claim: it runs the warm Fig-4 quick sweep
 (plan cache hot, so kernel launches — and therefore span crossings —

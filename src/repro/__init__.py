@@ -9,7 +9,7 @@ for GNN Kernels* (HPDC 2024), on a simulated GPU substrate:
 * :mod:`repro.sparse` — formats, generators, Table-1 dataset stand-ins,
 * :mod:`repro.nn` — autograd + GCN/GIN/GAT training stack,
 * :mod:`repro.bench` — one experiment module per paper table/figure,
-* :mod:`repro.obs` — span tracing, metrics, and run-diff tooling.
+* :mod:`repro.obs` — span tracing and run-diff tooling.
 """
 
 __version__ = "1.0.0"

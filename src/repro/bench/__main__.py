@@ -7,7 +7,6 @@ Usage::
     python -m repro.bench fig03 --quick           # fast subset
     python -m repro.bench all --quick             # everything, quick mode
     python -m repro.bench fig03 --trace t.jsonl   # + JSONL span trace
-    python -m repro.bench fig03 --metrics m.json  # + metrics snapshot
 
 A ``--trace`` run records one span per sweep point (kernel × dataset ×
 feature length) plus the kernel/stage spans beneath it and a final
@@ -40,9 +39,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace", metavar="PATH", help="stream obs spans to a JSONL trace file"
     )
-    parser.add_argument(
-        "--metrics", metavar="PATH", help="write a metrics.json snapshot on exit"
-    )
     args = parser.parse_args(argv)
 
     if not args.experiment:
@@ -62,8 +58,6 @@ def main(argv: list[str] | None = None) -> int:
             print(result.render())
             print()
             failures.extend((exp_id, row) for row in result.failures())
-    if args.metrics:
-        obs.write_metrics_json(args.metrics)
     if failures:
         # Per-point failures never abort a sweep mid-grid; they are
         # summarized here and turn the exit code non-zero at the end.

@@ -63,7 +63,6 @@ def run_experiment(exp_id: str, *, quick: bool = False) -> ExperimentResult:
         # config; the hit share tells how much simulation was replayed.
         hits, misses = cache.hits - hits0, cache.misses - misses0
         sp.set(rows=len(result.rows), plancache_hits=hits, plancache_misses=misses)
-    obs.get_metrics().counter("bench.experiments_run").inc()
     return result
 
 
@@ -81,11 +80,10 @@ def sweep_points(
     """Apply ``fn`` to every point in order, under one ``label`` span.
 
     With ``error_row``, a point that raises no longer aborts the sweep:
-    the exception is recorded (``bench.point_failures`` counter and a
-    ``bench.point_error`` obs event) and ``error_row(point, exc)``
-    supplies the row that takes its place, so the rest of the grid
-    still runs and the failure is visible in the figure instead of
-    killing it.  Without ``error_row`` the exception propagates as
+    the exception is recorded (a ``bench.point_error`` obs event) and
+    ``error_row(point, exc)`` supplies the row that takes its place, so
+    the rest of the grid still runs and the failure is visible in the
+    figure instead of killing it.  Without ``error_row`` the exception propagates as
     before.
     """
     points = list(points)
@@ -97,7 +95,6 @@ def sweep_points(
             except Exception as e:  # noqa: BLE001 - recorded, surfaced in the row
                 if error_row is None:
                     raise
-                obs.get_metrics().counter("bench.point_failures").inc()
                 obs.event("bench.point_error", label=label, point=repr(point),
                           error=f"{type(e).__name__}: {e}")
                 rows.append(error_row(point, e))

@@ -97,10 +97,8 @@ def autotune(
         if hit is not None:
             _TUNE_CACHE.move_to_end(memo_key)
     if hit is not None:
-        obs.get_metrics().counter("plancache.tune.hit").inc()
         obs.event("tune.cache_hit", kind=kind)
         return hit
-    obs.get_metrics().counter("plancache.tune.miss").inc()
     obs.event("tune.cache_miss", kind=kind)
 
     result = _exhaustive(A, feature_length, kind, dev)
@@ -109,7 +107,6 @@ def autotune(
         _TUNE_CACHE.move_to_end(memo_key)
         while len(_TUNE_CACHE) > TUNE_CACHE_CAP:
             _TUNE_CACHE.popitem(last=False)
-            obs.get_metrics().counter("plancache.tune.evict").inc()
     return result
 
 

@@ -38,13 +38,15 @@ A second, much smaller map (:meth:`PlanCache.memo_lookup` /
 (:meth:`repro.kernels.base._Kernel.compute`), shared by all kernels
 of a kind.  Each slot keeps its operand objects alive and re-checks
 them with ``is``, so an id can never be recycled into a false hit; the
-caller decides what may be memoized.  :func:`clear_plan_cache` empties
+caller decides what may be memoized.  It counts its own hits and
+misses (``memo_hits`` / ``memo_misses``), as the launch map does
+(``hits`` / ``misses``).  :func:`clear_plan_cache` empties
 both maps.
 
 Integrity: whenever the fault injector's ``plancache.poison`` site is
 armed, every stored entry carries a content checksum that ``lookup``
-re-verifies; a mismatch invalidates the entry, counts
-``resilience.plan_invalidated`` and falls through to a miss so the
+re-verifies; a mismatch invalidates the entry, emits a
+``resilience.plan_invalidated`` event and falls through to a miss so the
 caller recomputes from the real pipeline instead of replaying
 corrupted state.  Otherwise the checksum machinery is entirely
 skipped, keeping the warm path at one dict probe.
@@ -63,7 +65,6 @@ from repro import obs
 from repro.gpusim.cost import CostReport
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import KernelTrace
-from repro.obs import get_metrics
 
 #: Entries kept per process.  Each entry holds one trace + cost report
 #: (a few arrays of per-warp counters); benchmarks sweep at most a few
@@ -144,15 +145,16 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     def lookup(self, key: PlanKey) -> CachedLaunch | None:
-        """Fetch a cached launch, counting the hit/miss in ``repro.obs``.
+        """Fetch a cached launch, counting the hit or miss.
 
         When integrity checks are active the entry's content checksum is
         re-verified first; a corrupted slot is invalidated and reported
         as a miss, so the caller transparently recomputes.
         """
-        metrics = get_metrics()
         verify = _integrity_checks_active()
         with self._lock:
             slot = self._entries.get(key)
@@ -165,24 +167,13 @@ class PlanCache:
                     del self._entries[key]
                     self.invalidations += 1
                     slot = None
-                    metrics.counter("resilience.plan_invalidated").inc()
                     obs.event("resilience.plan_invalidated", kind=_key_kind(key),
                               reason="checksum-mismatch")
             if slot is None:
                 self.misses += 1
-                metrics.counter("plancache.miss").inc()
-                # Per-kind attribution: which launch kinds miss tells the
-                # profiler where cold simulation time is going.  Only
-                # recorded while a trace sink is live — the f-string and
-                # extra probe stay off the untraced warm path.
-                if obs.tracing_enabled():
-                    metrics.counter(f"plancache.miss.{_key_kind(key)}").inc()
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            metrics.counter("plancache.hit").inc()
-            if obs.tracing_enabled():
-                metrics.counter(f"plancache.hit.{_key_kind(key)}").inc()
             return slot.entry
 
     def store(self, key: PlanKey, entry: CachedLaunch) -> None:
@@ -192,16 +183,16 @@ class PlanCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-            size = len(self._entries)
-        get_metrics().gauge("plancache.size").set(size)
 
     def memo_lookup(self, key: Hashable, operands: tuple) -> object | None:
         """The value stored under ``key`` for these very operand objects."""
         with self._lock:
             slot = self._memo.get(key)
             if slot is None or any(a is not b for a, b in zip(slot[0], operands)):
+                self.memo_misses += 1
                 return None
             self._memo.move_to_end(key)
+            self.memo_hits += 1
             return slot[1]
 
     def memo_store(self, key: Hashable, operands: tuple, value: object) -> None:
@@ -219,6 +210,8 @@ class PlanCache:
             self.hits = 0
             self.misses = 0
             self.invalidations = 0
+            self.memo_hits = 0
+            self.memo_misses = 0
 
 
 _default = PlanCache()

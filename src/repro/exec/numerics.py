@@ -127,19 +127,24 @@ def segment_softmax(
     return ex / full_sum[rows]
 
 
+#: GAT attention's leaky-ReLU slope (the GAT paper's 0.2); the nn path's
+#: ``leaky_relu`` uses it too
+LEAKY_RELU_SLOPE = 0.2
+
+
 def gat_edge_softmax_serial(
     A: COOMatrix,
     el: np.ndarray,
     er: np.ndarray,
 ) -> np.ndarray:
-    """Fused-GAT edge pipeline: leaky-relu (slope 0.2) scores + per-row softmax.
+    """Fused-GAT edge pipeline: leaky-relu scores + per-row softmax.
 
     ``A`` must be CSR-ordered so each row's edges form one contiguous
     segment.
     """
     rows, cols = A.rows, A.cols
     scores = el[rows] + er[cols]
-    scores = np.where(scores > 0, scores, 0.2 * scores)
+    scores = np.where(scores > 0, scores, LEAKY_RELU_SLOPE * scores)
     if not A.nnz:
         return scores
     bounds = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])

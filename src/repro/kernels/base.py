@@ -86,23 +86,18 @@ def cost_span_attrs(cost: CostReport) -> dict[str, float | int | str]:
     }
 
 
-#: per-kind span and metric names, interned once (these sit on the warm hot path)
-_KIND_METRIC_NAMES: dict[str, tuple[str, str, str, str]] = {}
+#: per-kind span names, interned once (these sit on the warm hot path)
+_KIND_SPAN_NAMES: dict[str, str] = {}
 
 
-def _kind_metric_names(kind: str) -> tuple[str, str, str, str]:
-    names = _KIND_METRIC_NAMES.get(kind)
-    if names is None:
-        names = _KIND_METRIC_NAMES[kind] = (
-            f"kernel.{kind}",
-            f"kernel.{kind}.calls",
-            f"kernel.{kind}.time_us",
-            f"kernel.{kind}.dram_mb",
-        )
-    return names
+def _kind_span_name(kind: str) -> str:
+    name = _KIND_SPAN_NAMES.get(kind)
+    if name is None:
+        name = _KIND_SPAN_NAMES[kind] = f"kernel.{kind}"
+    return name
 
 
-def _finish_kernel_span(sp, kind: str, cost: CostReport, trace: KernelTrace) -> None:
+def _finish_kernel_span(sp, cost: CostReport, trace: KernelTrace) -> None:
     if obs.tracing_enabled():
         launch = trace.launch
         sp.set(**cost_span_attrs(cost))
@@ -118,11 +113,6 @@ def _finish_kernel_span(sp, kind: str, cost: CostReport, trace: KernelTrace) -> 
             shared_mem_per_cta=launch.shared_mem_per_cta,
         )
     sp.add_sim_us(cost.time_us)
-    metrics = obs.get_metrics()
-    _, calls, time_us, dram_mb = _kind_metric_names(kind)
-    metrics.counter(calls).inc()
-    metrics.histogram(time_us).observe(cost.time_us)
-    metrics.histogram(dram_mb).observe(cost.dram_bytes / 1e6)
 
 
 @dataclass
@@ -220,7 +210,7 @@ class _Kernel(abc.ABC):
         pc = _plan_cache()
         kind = self.kind
         with obs.span(
-            _kind_metric_names(kind)[0], kind=kind, kernel=self.name, format=self.format,
+            _kind_span_name(kind), kind=kind, kernel=self.name, format=self.format,
             rows=A.num_rows, nnz=A.nnz, f=int(feature_length),
         ) as sp:
             key = pc.plan_key(A.structure_token, self.cache_token(), kind, feature_length, dev)
@@ -235,7 +225,7 @@ class _Kernel(abc.ABC):
                 plan = pc.CachedLaunch(cost, trace)
                 cache.store(key, plan)
             sp.set(cached=cached)
-            _finish_kernel_span(sp, kind, plan.cost, plan.trace)
+            _finish_kernel_span(sp, plan.cost, plan.trace)
         return plan
 
     def _launch(
@@ -352,12 +342,9 @@ def _memoized_output(
         return compute(A, *operands)
     cache = _plan_cache().get_plan_cache()
     key = (kind, A.structure_token, *map(id, operands))
-    metrics = obs.get_metrics()
     hit = cache.memo_lookup(key, operands)
     if hit is not None:
-        metrics.counter("kernels.output_memo.hit").inc()
         return hit.copy()
-    metrics.counter("kernels.output_memo.miss").inc()
     out = compute(A, *operands)
     out.setflags(write=False)
     cache.memo_store(key, operands, out)

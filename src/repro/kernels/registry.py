@@ -75,7 +75,6 @@ def _lookup(table: dict, kind: str, name: str):
             f"unknown {kind} kernel {name!r}; known: {sorted(table)}"
         ) from None
     obs.event("kernel.dispatch", kind=kind, kernel=name)
-    obs.get_metrics().counter(f"registry.{kind}.dispatch").inc()
     return factory()
 
 

@@ -36,13 +36,17 @@ class NodeClassificationData:
         return int(self.features.shape[1])
 
 
-def smooth_labels(coo: COOMatrix, num_classes: int, rounds: int = 3, seed: int = 0) -> np.ndarray:
+#: majority-vote propagation rounds that smooth the random labels
+SMOOTHING_ROUNDS = 3
+
+
+def smooth_labels(coo: COOMatrix, num_classes: int, seed: int = 0) -> np.ndarray:
     """Random labels smoothed by majority-vote propagation over ``coo``."""
     if num_classes < 2:
         raise ConfigError("need at least 2 classes")
     rng = default_rng(seed)
     labels = rng.integers(0, num_classes, size=coo.num_rows)
-    for _ in range(rounds):
+    for _ in range(SMOOTHING_ROUNDS):
         votes = np.zeros((coo.num_rows, num_classes))
         np.add.at(votes, coo.rows, np.eye(num_classes)[labels[coo.cols]])
         # Keep own vote with weight 1 to stabilize isolated vertices.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import AutogradError
+from repro.exec.numerics import LEAKY_RELU_SLOPE
 from repro.nn.tensor import Tensor
 from repro.utils.rng import default_rng
 
@@ -20,9 +21,9 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
+def leaky_relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    scale = np.where(mask, 1.0, negative_slope)
+    scale = np.where(mask, 1.0, LEAKY_RELU_SLOPE)
     out = Tensor(x.data * scale, parents=(x,))
 
     def backward(g: np.ndarray) -> None:
@@ -32,13 +33,14 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     return out
 
 
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    neg = alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0)
+def elu(x: Tensor) -> Tensor:
+    """ELU with alpha 1."""
+    neg = np.exp(np.minimum(x.data, 0.0)) - 1.0
     out_data = np.where(x.data > 0, x.data, neg)
     out = Tensor(out_data, parents=(x,))
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate_grad(g * np.where(x.data > 0, 1.0, neg + alpha))
+        x.accumulate_grad(g * np.where(x.data > 0, 1.0, neg + 1.0))
 
     out._backward = backward
     return out
@@ -61,15 +63,16 @@ def dropout(x: Tensor, p: float, *, training: bool, rng: np.random.Generator | N
     return out
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - logsumexp
     out = Tensor(out_data, parents=(x,))
     softmax = np.exp(out_data)
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate_grad(g - softmax * g.sum(axis=axis, keepdims=True))
+        x.accumulate_grad(g - softmax * g.sum(axis=-1, keepdims=True))
 
     out._backward = backward
     return out

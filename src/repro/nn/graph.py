@@ -95,7 +95,6 @@ class GraphData:
         event so traces record what entered the training loop.
         """
         report = validate_graph(self.coo, features).raise_if_invalid()
-        obs.get_metrics().counter("resilience.graphs_validated").inc()
         obs.event("resilience.validated", **report.to_dict())
         return report
 

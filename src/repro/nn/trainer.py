@@ -18,7 +18,6 @@ budget raises :class:`~repro.errors.TrainingDivergedError`.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -79,7 +78,6 @@ class Trainer:
     def train_epoch(self, epoch: int) -> EpochRecord:
         self.model.train()
         self.clock.reset()
-        t0 = time.perf_counter()
         with obs.span("train.epoch", epoch=epoch, model=type(self.model).__name__) as sp:
             with simulate(self.clock):
                 x = Tensor(self.data.features)
@@ -96,11 +94,6 @@ class Trainer:
             sp.add_sim_us(self.clock.total_us)
             sp.set(loss=float(loss.data), train_acc=train_acc, val_acc=val_acc,
                    buckets=dict(self.clock.buckets))
-        metrics = obs.get_metrics()
-        metrics.histogram("train.epoch_sim_us").observe(self.clock.total_us)
-        # Wall vs simulated: the regress gate reads only sim
-        # (deterministic); wall time is a metric for humans.
-        metrics.histogram("train.epoch_wall_ms").observe((time.perf_counter() - t0) * 1e3)
         return EpochRecord(
             epoch=epoch,
             loss=float(loss.data),
@@ -127,7 +120,6 @@ class Trainer:
         snapshot, history = loaded
         snapshot.restore(self.model, self.optimizer)
         result.history = [EpochRecord(**rec) for rec in history]
-        obs.get_metrics().counter("resilience.checkpoint_restore").inc()
         obs.event("resilience.checkpoint_restore", epoch=snapshot.epoch,
                   reason="resume", directory=str(manager.directory))
         return snapshot.epoch + 1
@@ -181,7 +173,6 @@ class Trainer:
                             f"{MAX_ROLLBACKS} rollback(s)"
                         )
                     snapshot.restore(self.model, self.optimizer)
-                    obs.get_metrics().counter("resilience.checkpoint_restore").inc()
                     obs.event("resilience.checkpoint_restore", epoch=epoch,
                               reason="nan-loss-rollback", attempt=rollbacks)
                     continue  # replay the epoch from the restored state

@@ -1,4 +1,4 @@
-"""Unified observability: span tracing, metrics, exporters, run gating.
+"""Unified observability: span tracing, exporters, run gating.
 
 The paper's whole argument is quantitative — which phase of which
 kernel moved how many bytes in how many simulated microseconds — and
@@ -8,17 +8,15 @@ place they flow through:
 * :func:`span` — nestable contextvar-scoped tracer; kernels, the
   GNNOne stage pipeline, the trainer and the benchmark harness all emit
   spans carrying wall time, simulated time, and CostReport fields.
-* :func:`get_metrics` — process-global counters / gauges / histograms.
-* :func:`trace_to` / :func:`capture` / :func:`render_tree` /
-  :func:`write_metrics_json` — JSONL stream, in-memory, console tree,
-  and flat snapshot exporters.
+* :func:`trace_to` / :func:`capture` / :func:`render_tree` — JSONL
+  stream, in-memory and console-tree exporters.
 * ``python -m repro.obs`` — summarize a trace, render a deep
   per-kernel profile (``profile``) or per-worker timeline
   (``timeline``), and snapshot/gate perf baselines (``baseline`` /
   ``regress``, the one way to compare two runs).
 
-``REPRO_OBS=off`` kills the whole layer: spans short-circuit on one
-cached bool and :func:`get_metrics` returns shared no-op instruments.
+``REPRO_OBS=off`` kills the whole layer: spans and events
+short-circuit on one cached bool.
 
 Tracing is off (and free) until a sink is installed::
 
@@ -37,6 +35,7 @@ from repro.obs.analysis import (
     format_serve_line,
     format_summary,
     format_tune_line,
+    percentile,
     plan_cache_summary,
     resilience_summary,
     serve_summary,
@@ -50,16 +49,6 @@ from repro.obs.export import (
     read_trace_lenient,
     render_tree,
     trace_to,
-    write_metrics_json,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_metrics,
-    percentile,
-    reset_metrics,
 )
 from repro.obs.profile import (
     ProfileRow,
@@ -98,6 +87,7 @@ __all__ = [
     "format_serve_line",
     "format_summary",
     "format_tune_line",
+    "percentile",
     "plan_cache_summary",
     "resilience_summary",
     "serve_summary",
@@ -110,7 +100,6 @@ __all__ = [
     "read_trace_lenient",
     "render_tree",
     "trace_to",
-    "write_metrics_json",
     "ProfileRow",
     "format_profile_report",
     "format_timeline",
@@ -122,13 +111,6 @@ __all__ = [
     "format_regress_report",
     "load_baseline",
     "save_baseline",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_metrics",
-    "percentile",
-    "reset_metrics",
     "NULL_SPAN",
     "Span",
     "add_sink",

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.obs.metrics import percentile
 from repro.obs.spans import JsonDict
 
 #: attributes that identify *which* work a span measured (stable across
@@ -22,6 +21,23 @@ from repro.obs.spans import JsonDict
 #: work as the cold simulation, and runs with different cache states
 #: must stay comparable point-by-point.
 IDENTITY_ATTRS = ("kind", "kernel", "backend", "dataset", "f", "dim", "experiment", "model")
+
+
+def percentile(values: Iterable[float], q: float) -> float:
+    """Linear-interpolated percentile of ``values``, ``q`` in [0, 100].
+
+    ``0.0`` for no values.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    pos = (len(ordered) - 1) * q / 100.0
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = pos - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 def plan_cache_summary(records: Iterable[JsonDict]) -> tuple[int, int]:
@@ -105,10 +121,7 @@ def format_plan_cache_line(warm: int, total: int) -> str:
 
 
 def tune_summary(records: Iterable[JsonDict]) -> dict[str, int]:
-    """Count the autotune memo's ``tune.cache_hit``/``tune.cache_miss`` events.
-
-    These mirror the ``plancache.tune.hit``/``miss`` counters.
-    """
+    """Count the autotune memo's ``tune.cache_hit``/``tune.cache_miss`` events."""
     hits = misses = 0
     for rec in records:
         if rec.get("type") != "event":

@@ -1,14 +1,12 @@
-"""Trace and metrics exporters: JSONL event stream, console tree, JSON snapshot.
+"""Trace exporters: JSONL event stream and console tree.
 
-Three output shapes, matching three consumers:
+Two output shapes, matching two consumers:
 
 * :class:`JsonlWriter` / :func:`trace_to` — one JSON object per line,
   written as each span closes.  Machine-readable, append-only, and the
   input format of ``python -m repro.obs`` (summary / tree / diff).
 * :func:`render_tree` — the same records as an indented human-readable
   tree with wall and simulated time per span.
-* :func:`write_metrics_json` — a flat ``metrics.json`` snapshot of the
-  metrics registry.
 """
 
 from __future__ import annotations
@@ -152,12 +150,3 @@ def render_tree(records: list[JsonDict], *, max_depth: int | None = None) -> str
     walk(None, 0)
     return "\n".join(lines)
 
-
-def write_metrics_json(path: str | Path, registry=None) -> Path:
-    """Write a ``metrics.json`` snapshot of ``registry`` (default: global)."""
-    from repro.obs.metrics import get_metrics
-
-    reg = registry if registry is not None else get_metrics()
-    out = Path(path)
-    out.write_text(json.dumps(reg.snapshot(), indent=2, default=_json_default) + "\n")
-    return out

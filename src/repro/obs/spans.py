@@ -16,10 +16,9 @@ forward) pay one truthiness check.  Install a sink with
 :func:`add_sink`, :func:`repro.obs.export.trace_to` (JSONL file), or
 :func:`capture` (in-memory list, for tests).
 
-``REPRO_OBS=off`` is the process-wide kill switch: spans stay null even
-with sinks installed and the metrics registry degrades to a shared
-no-op (:mod:`repro.obs.metrics`), so a latency-critical run pays only
-the one boolean check per instrumentation point
+``REPRO_OBS=off`` is the process-wide kill switch: spans and events
+stay null even with sinks installed, so a latency-critical run pays
+only the one boolean check per instrumentation point
 (``scripts/obs_overhead.py`` pins the overhead under 2% on a warm
 fig04 sweep).
 """
@@ -45,8 +44,8 @@ _sinks: list["TraceSink"] = []
 
 #: cached kill-switch state — the hot paths check this one module-level
 #: value.  ``None`` until first resolved from ``REPRO_OBS``
-#: (:mod:`repro.settings`): at the first sink, metrics lookup or
-#: :func:`obs_enabled` call; re-read only via :func:`set_obs_enabled`.
+#: (:mod:`repro.settings`): at the first sink or :func:`obs_enabled`
+#: call; re-read only via :func:`set_obs_enabled`.
 _enabled: bool | None = None
 
 

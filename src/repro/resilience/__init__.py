@@ -20,7 +20,7 @@ Three legs, threaded through every execution layer:
   :mod:`repro.resilience.checkpoint`); degrade-to-unbatched with
   per-request retries in :mod:`repro.serve.service`.
 
-Every recovery emits ``resilience.*`` counters and obs events
+Every recovery emits ``resilience.*`` obs events
 (``fault_injected`` / ``plan_invalidated`` / ``checkpoint_restore``),
 surfaced by ``python -m repro.obs summary``.
 """

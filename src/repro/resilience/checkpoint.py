@@ -150,7 +150,6 @@ class CheckpointManager:
             "history": history,
         }
         self._meta_path(snapshot.epoch).write_text(json.dumps(meta, indent=1))
-        obs.get_metrics().counter("resilience.checkpoint_save").inc()
         obs.event("resilience.checkpoint_save", epoch=snapshot.epoch,
                   path=str(path))
         return path
@@ -200,7 +199,6 @@ class CheckpointManager:
             try:
                 return self.load(epoch)
             except ResilienceError as e:
-                obs.get_metrics().counter("resilience.checkpoint_corrupt").inc()
                 obs.event("resilience.checkpoint_corrupt", epoch=epoch,
                           error=str(e))
                 print(

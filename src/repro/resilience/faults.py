@@ -178,7 +178,6 @@ class FaultInjector:
             if fired:
                 self.fired[site] = self.fired.get(site, 0) + 1
         if fired:
-            obs.get_metrics().counter("resilience.fault_injected").inc()
             obs.event("resilience.fault_injected", site=site,
                       occurrence=occurrence, **attrs)
         return fired

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import obs
 from repro.errors import GraphValidationError
 from repro.utils.arrays import sorted_distinct
 
@@ -179,5 +178,4 @@ def ensure_structure_validated(coo: "COOMatrix") -> None:
         return
     report = validate_graph(coo)
     report.raise_if_invalid()
-    obs.get_metrics().counter("resilience.graphs_validated").inc()
     object.__setattr__(coo, _VALIDATED_ATTR, True)

@@ -21,9 +21,8 @@ Classic three-state machine:
 
 The breaker is event-loop-local like the service that owns it; time is
 injectable (``clock``) so tests drive transitions deterministically.
-Every transition emits a ``serve.breaker`` obs event and updates the
-``serve.breaker_state`` gauge (0 closed / 1 half-open / 2 open) so a
-trace shows exactly when — and for how long — the service was lame.
+Every transition emits a ``serve.breaker`` obs event, so a trace shows
+exactly when — and for how long — the service was lame.
 """
 
 from __future__ import annotations
@@ -37,9 +36,6 @@ from repro.errors import ConfigError
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
-
-#: gauge encoding of states (monotone in "how broken").
-STATE_GAUGE = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
 
 class CircuitBreaker:
@@ -122,8 +118,6 @@ class CircuitBreaker:
             self.transitions["half_open"] += 1
         else:
             self.transitions["close"] += 1
-        obs.get_metrics().gauge("serve.breaker_state").set(STATE_GAUGE[state])
-        obs.get_metrics().counter(f"serve.breaker.{state}").inc()
         obs.event("serve.breaker", state=state, previous=previous, reason=reason)
 
     def snapshot(self) -> dict:

@@ -98,6 +98,8 @@ class ServeClient:
         self.host = host
         self.port = int(port)
         self.retries = int(retries)
+        #: attempts re-sent after a lost connection, over the client's life
+        self.retried = 0
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task | None = None
@@ -216,7 +218,7 @@ class ServeClient:
                 last_err = e
                 if attempt > self.retries:
                     break
-                obs.get_metrics().counter("serve.client_retries").inc()
+                self.retried += 1
                 obs.event(
                     "serve.client_retry", request_id=request_id,
                     attempt=attempt, reason=str(e),

@@ -44,7 +44,7 @@ import asyncio
 #: priority class name -> strict rank (lower runs first).
 PRIORITY_CLASSES: dict[str, int] = {"interactive": 0, "standard": 1, "bulk": 2}
 
-#: rank -> name, for metrics/events.
+#: rank -> name, for spans and events.
 PRIORITY_NAMES: tuple[str, ...] = tuple(
     sorted(PRIORITY_CLASSES, key=PRIORITY_CLASSES.get)
 )

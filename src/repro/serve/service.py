@@ -48,11 +48,13 @@ gracefully — the in-flight batch completes, queued requests get a
 typed :class:`~repro.errors.ServiceClosedError`, nothing is lost or
 corrupted — which is also what the transport's SIGTERM handler calls.
 
-Every request/batch/shed/degrade is visible in ``repro.obs``: counters
-and latency/occupancy histograms for live SLO monitoring, the
-``serve.breaker_state`` gauge, plus ``serve.request`` / ``serve.queue``
-/ ``serve.batch`` spans (the first two emitted retroactively via
+Every request/batch/shed/degrade is counted in
+:attr:`InferenceService.stats` (a :class:`ServeStats`, which
+:meth:`InferenceService.health` reports) and is visible in a
+``repro.obs`` trace: ``serve.request`` / ``serve.queue`` /
+``serve.batch`` spans (the first two emitted retroactively via
 :func:`repro.obs.emit_span`, since a request's lifecycle crosses tasks)
+and ``serve.shed`` / ``serve.degraded`` / ``serve.breaker`` / ... events,
 so ``python -m repro.obs summary`` and ``timeline`` reconstruct the
 serving picture from a trace.
 """
@@ -93,6 +95,9 @@ from repro.serve.scheduler import (
 #: chaos site consulted once per fused launch and once per unbatched
 #: attempt (see :mod:`repro.resilience.faults`).
 FAULT_SITE = "serve.batch_fail"
+
+#: request kind -> payload ndim: ``(|V|, k)`` columns, 1-D node ids
+_PAYLOAD_NDIM = {"propagate": 2, "predict": 1}
 
 
 def _bucket(width: int) -> int:
@@ -253,8 +258,6 @@ class InferenceService:
                     ServiceClosedError("service stopped with the request pending")
                 )
         self.stats.drained += rejected
-        if rejected:
-            obs.get_metrics().counter("serve.drain_rejected").inc(rejected)
         obs.event("serve.drain", rejected=rejected)
 
     async def __aenter__(self) -> "InferenceService":
@@ -375,15 +378,23 @@ class InferenceService:
         fails the future with :class:`~repro.errors.RequestTimeoutError`
         if it is still unresolved when the budget runs out.  A predict
         request comes back already resolved with its logit rows.
-        Admission rejections raise synchronously, typed.
+        Admission rejections raise synchronously, typed, and so does a
+        ``kind`` other than ``propagate``/``predict`` or a payload that is
+        not an array of the kind's ``ndim``
+        (:class:`~repro.errors.ConfigError`).
         """
+        ndim = _PAYLOAD_NDIM.get(kind) if isinstance(kind, str) else None
+        if ndim is None or getattr(payload, "ndim", None) != ndim:
+            raise ConfigError(
+                f"submit_nowait takes kind 'propagate' with (|V|, k) columns or "
+                f"'predict' with 1-D node ids, got {kind!r} with "
+                f"{getattr(payload, 'shape', type(payload).__name__)}"
+            )
         if not self._running or self._scheduler is None:
             raise ServiceClosedError("service is not running (use 'async with')")
-        metrics = obs.get_metrics()
         if not self.breaker.allow():
             retry_after = self.breaker.retry_after_ms()
             self.stats.breaker_fastfail += 1
-            metrics.counter("serve.breaker_fastfail").inc()
             obs.event("serve.breaker_fastfail", kind=kind, retry_after_ms=retry_after)
             raise CircuitOpenError(
                 f"circuit open: retry in {retry_after:.0f} ms",
@@ -421,15 +432,11 @@ class InferenceService:
             except asyncio.QueueFull:
                 depth = self._scheduler.qsize()
                 self.stats.shed += 1
-                metrics.counter("serve.shed").inc()
                 obs.event("serve.shed", kind=kind, queue_depth=depth)
                 raise ServiceOverloadedError(
                     f"queue full ({depth} pending): request shed", queue_depth=depth
                 ) from None
-            metrics.histogram("serve.queue_depth").observe(self._scheduler.qsize())
         self.stats.requests += 1
-        metrics.counter("serve.requests").inc()
-        metrics.counter(f"serve.priority.{PRIORITY_NAMES[rank]}.requests").inc()
         if kind == "predict":
             rows = self._logits[payload]
             req.t_drain_p = now_p  # never queued
@@ -446,7 +453,6 @@ class InferenceService:
         if req.future.done():
             return
         self.stats.timeouts += 1
-        obs.get_metrics().counter("serve.timeouts").inc()
         obs.event("serve.timeout", kind=req.kind)
         req.future.set_exception(
             RequestTimeoutError(
@@ -458,12 +464,10 @@ class InferenceService:
 
     def _shed_expired(self, expired: list[_Request]) -> None:
         """Fail already-expired requests pre-launch, typed and accounted."""
-        metrics = obs.get_metrics()
         for req in expired:
             if req.future.done():
                 continue
             self.stats.deadline_shed += 1
-            metrics.counter("serve.deadline_shed").inc()
             obs.event(
                 "serve.deadline_shed", kind=req.kind,
                 priority=PRIORITY_NAMES[req.priority],
@@ -547,7 +551,6 @@ class InferenceService:
 
     def _resolve(self, requests: list[_Request], outcomes: list[Any]) -> None:
         """Scatter per-request outcomes and close out SLO accounting."""
-        metrics = obs.get_metrics()
         now_p = time.perf_counter()
         for req, outcome in zip(requests, outcomes):
             failed = isinstance(outcome, BaseException)
@@ -559,7 +562,6 @@ class InferenceService:
             latency_ms = (now_p - req.t_admit_p) * 1e3
             queued_ms = (req.t_drain_p - req.t_admit_p) * 1e3
             self.stats.latencies_ms.append(latency_ms)
-            metrics.histogram("serve.latency_ms").observe(latency_ms)
             obs.emit_span(
                 "serve.request", start_s=req.t_admit_s, wall_ms=latency_ms,
                 status="error" if failed else "ok", kind=req.kind,
@@ -582,11 +584,8 @@ class InferenceService:
         whole batch's requests.
         """
         injector = faults.get_injector()
-        metrics = obs.get_metrics()
         self.stats.batches += 1
         self.stats.fused_requests += len(requests)
-        metrics.counter("serve.batches").inc()
-        metrics.histogram("serve.batch_occupancy").observe(len(requests))
         with obs.span(
             "serve.batch", kind="propagate", occupancy=len(requests),
             worker="serve",
@@ -598,7 +597,6 @@ class InferenceService:
                 return results
             except Exception:
                 self.stats.degraded += 1
-                metrics.counter("serve.degraded").inc()
                 obs.event("serve.degraded", kind="propagate",
                           occupancy=len(requests))
                 sp.set(degraded=True)
@@ -628,7 +626,6 @@ class InferenceService:
 
     def _run_single(self, req: _Request, injector) -> Any:
         """Unbatched execution with retries (the degraded path)."""
-        metrics = obs.get_metrics()
         attempts = 1 + self.config.retries
         for attempt in range(attempts):
             try:
@@ -639,6 +636,5 @@ class InferenceService:
                 if attempt == attempts - 1:
                     return e
                 self.stats.retries += 1
-                metrics.counter("serve.retries").inc()
             except Exception as e:
                 return e

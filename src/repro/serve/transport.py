@@ -10,10 +10,11 @@ transport's job is strictly the network edge:
   opens with an exact-match version handshake so protocol evolution has
   a seam.
 * **Idempotent execution** — request frames carry a client-generated
-  ``id``.  The transport keeps an in-flight table and an LRU of the
-  last :data:`DEDUP_CAP` finished responses: a retried id joins the
-  in-flight execution or replays the cached response, so a client
-  retry after a dropped connection is **never double-executed**.  The
+  ``id``.  The transport keeps an in-flight table and the last
+  :data:`DEDUP_CAP` finished responses, evicted oldest first in the
+  order they finished (a replay does not refresh one): a retried id
+  joins the in-flight execution or replays the cached response, so a
+  client retry after a dropped connection is **never double-executed**.  The
   response is cached the moment it exists — before any write is
   attempted — so a connection that dies mid-response still leaves the
   result behind for the retry to collect.
@@ -75,7 +76,8 @@ SLOW_PEER_SECONDS = 0.005
 #: deadline a storm-hit request is collapsed to (expires pre-launch)
 STORM_DEADLINE_MS = 0.01
 
-#: finished responses kept for replay to a retried request id (LRU)
+#: finished responses kept for replay to a retried request id (evicted
+#: in insertion order)
 DEDUP_CAP = 1024
 
 #: ops a request frame may carry (hello is handled by the handshake)
@@ -260,7 +262,6 @@ class ServeTransport:
     ) -> None:
         """Dispatch one request frame; its response lands in the outbox."""
         rpc = (str(frame.get("op")), time.time(), time.perf_counter())
-        obs.get_metrics().counter("serve.rpc").inc()
         op = frame.get("op")
         request_id = frame.get("id")
         if op in ("health", "ready"):
@@ -290,13 +291,11 @@ class ServeTransport:
         # request body is executed exactly once.
         cached = self._responses.get(request_id)
         if cached is not None:
-            obs.get_metrics().counter("serve.dedup_hit").inc()
             obs.event("serve.dedup_hit", op=str(op), request_id=request_id)
             self._send(conn, cached[0], cached[1], rpc)
             return
         inflight = self._inflight.get(request_id)
         if inflight is not None:
-            obs.get_metrics().counter("serve.dedup_join").inc()
             inflight.add_done_callback(
                 lambda fut, c=conn, rid=request_id, r=rpc:
                     self._finish(c, rid, fut, r)

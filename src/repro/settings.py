@@ -72,7 +72,7 @@ def _var(env: str, kind: str, default: Any) -> Any:
 class Settings:
     """The resolved value of every ``REPRO_*`` variable."""
 
-    #: observability kill switch: off = spans and metrics are no-ops
+    #: observability kill switch: off = spans and events are no-ops
     obs: bool = _var("REPRO_OBS", "bool", True)
     #: fault injection: chaos, storm, none or ``site=rate,...`` pairs
     fault_profile: str | None = _var("REPRO_FAULT_PROFILE", "text", None)

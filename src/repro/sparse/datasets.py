@@ -28,6 +28,10 @@ from repro.sparse import generators as gen
 from repro.sparse.coo import COOMatrix
 
 
+#: generator seed of every dataset stand-in
+DATASET_SEED = 7
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """Metadata + generator recipe for one Table-1 stand-in."""
@@ -42,9 +46,8 @@ class DatasetSpec:
     labeled: bool
     build: Callable[[int], COOMatrix]
 
-    def load(self, seed: int = 7) -> "LoadedDataset":
-        coo = self.build(seed)
-        return LoadedDataset(spec=self, coo=coo)
+    def load(self) -> "LoadedDataset":
+        return LoadedDataset(spec=self, coo=self.build(DATASET_SEED))
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,9 @@ def get_spec(key: str) -> DatasetSpec:
 
 
 @lru_cache(maxsize=32)
-def load_dataset(key: str, seed: int = 7) -> LoadedDataset:
-    """Load (generate) a dataset, memoized per (key, seed)."""
-    return get_spec(key).load(seed)
+def load_dataset(key: str) -> LoadedDataset:
+    """Load (generate) a dataset, memoized per key."""
+    return get_spec(key).load()
 
 
 def table1_rows() -> list[dict[str, object]]:

@@ -23,22 +23,17 @@ class TestCli:
         with pytest.raises(BenchmarkError):
             main(["fig99"])
 
-    def test_trace_and_metrics_outputs(self, tmp_path, capsys):
-        import json
-
+    def test_trace_output(self, tmp_path, capsys):
         from repro import obs
 
         trace = tmp_path / "t.jsonl"
-        metrics = tmp_path / "m.json"
-        assert main(["fig09", "--quick", "--trace", str(trace),
-                     "--metrics", str(metrics)]) == 0
+        assert main(["fig09", "--quick", "--trace", str(trace)]) == 0
         records = obs.read_trace(trace)
         names = {r["name"] for r in records}
         assert "bench.experiment" in names and "kernel.spmm" in names
         (result_event,) = [r for r in records if r["name"] == "experiment.result"]
         assert result_event["attrs"]["experiment"] == "fig09"
         assert result_event["attrs"]["rows"]  # replayable record of the table
-        assert json.loads(metrics.read_text())["counters"]
         # tracing is torn down after the run
         assert not obs.tracing_enabled()
         # and the trace gates clean against a baseline folded from itself

@@ -1,4 +1,4 @@
-"""Observability layer: spans, metrics, exporters, trace analysis, CLI."""
+"""Observability layer: spans, exporters, trace analysis, CLI."""
 
 import json
 
@@ -74,55 +74,6 @@ class TestSpans:
         assert [r["name"] for r in records] == ["in"]
 
 
-class TestMetrics:
-    def test_counter_gauge(self):
-        reg = obs.MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc(2.5)
-        reg.gauge("g").set(7)
-        snap = reg.snapshot()
-        assert snap["counters"]["c"] == 3.5
-        assert snap["gauges"]["g"] == 7.0
-        with pytest.raises(ValueError):
-            reg.counter("c").inc(-1)
-
-    def test_histogram_percentiles(self):
-        h = obs.Histogram("h")
-        for v in range(1, 101):  # 1..100
-            h.observe(v)
-        assert h.count == 100
-        assert h.mean == pytest.approx(50.5)
-        assert h.percentile(50) == pytest.approx(50.5)
-        assert h.percentile(95) == pytest.approx(95.05)
-        assert h.max == 100.0
-        assert h.percentile(0) == 1.0 and h.percentile(100) == 100.0
-        with pytest.raises(ValueError):
-            h.percentile(101)
-
-    def test_empty_histogram(self):
-        h = obs.Histogram("h")
-        assert h.summary() == {
-            "count": 0.0, "total": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0
-        }
-
-    def test_registry_reset(self):
-        reg = obs.MetricsRegistry()
-        reg.counter("c").inc()
-        reg.reset()
-        assert reg.snapshot()["counters"] == {}
-
-    def test_kernel_calls_feed_global_metrics(self, small_graph, rng):
-        from repro import core
-
-        obs.reset_metrics()
-        vals = rng.standard_normal(small_graph.nnz)
-        X = rng.standard_normal((small_graph.num_cols, 8))
-        core.spmm(small_graph, vals, X)
-        snap = obs.get_metrics().snapshot()
-        assert snap["counters"]["kernel.spmm.calls"] == 1.0
-        assert snap["histograms"]["kernel.spmm.time_us"]["count"] == 1.0
-
-
 class TestExport:
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -167,13 +118,6 @@ class TestExport:
         assert "kernel=gnnone" in lines[0]
         assert obs.render_tree(records, max_depth=1).count("\n") == 0
 
-    def test_write_metrics_json(self, tmp_path):
-        reg = obs.MetricsRegistry()
-        reg.histogram("h").observe(2.0)
-        out = obs.write_metrics_json(tmp_path / "m.json", reg)
-        doc = json.loads(out.read_text())
-        assert doc["histograms"]["h"]["count"] == 1.0
-
 
 def _fake_point(name, kernel, dataset, f, sim_us):
     return {
@@ -195,6 +139,15 @@ class TestAnalysis:
         assert rows[0].key == "bench.spmm kernel=dgl dataset=G3 f=16"  # heaviest first
         assert rows[1].sim_us == 40.0 and rows[1].count == 2
         assert "bench.spmm" in obs.format_summary(rows)
+
+    def test_percentile(self):
+        values = list(range(100, 0, -1))  # 100..1, unsorted on purpose
+        assert obs.percentile(values, 50) == pytest.approx(50.5)
+        assert obs.percentile(values, 95) == pytest.approx(95.05)
+        assert obs.percentile(values, 0) == 1.0 and obs.percentile(values, 100) == 100.0
+        assert obs.percentile([], 50) == 0.0
+        with pytest.raises(ValueError):
+            obs.percentile(values, 101)
 
 
 class TestCli:

@@ -243,7 +243,7 @@ class TestBaselineRegress:
 
 
 class TestKillSwitch:
-    def test_set_obs_enabled_off_nulls_spans_and_metrics(self):
+    def test_set_obs_enabled_off_nulls_spans_and_events(self):
         try:
             set_obs_enabled(False)
             assert not obs.obs_enabled()
@@ -251,18 +251,11 @@ class TestKillSwitch:
                 with obs.span("x", a=1) as sp:
                     assert sp is obs.NULL_SPAN
                 obs.event("tick")
+                obs.emit_span("y", start_s=0.0, wall_ms=1.0)
             assert records == []
-            counter = obs.get_metrics().counter("c")
-            counter.inc()
-            hist = obs.get_metrics().histogram("h")
-            hist.observe(5.0)
         finally:
             set_obs_enabled(None)
         assert obs.obs_enabled()
-        # The real registry never saw the killed instruments.
-        snap = obs.get_metrics().snapshot()
-        assert snap["counters"].get("c", 0) == 0
-        assert "h" not in snap["histograms"]
 
     def test_env_switch(self, repro_env):
         from repro.obs import spans

@@ -116,15 +116,13 @@ class TestReplayFidelity:
     def test_hit_and_miss_counters(self, small_graph, rng):
         vals = rng.standard_normal(small_graph.nnz)
         X = rng.standard_normal((small_graph.num_cols, 8))
-        obs.reset_metrics()
         kernel = GnnOneSpMM()
-        for _ in range(4):
-            kernel(small_graph, vals, X)
-        counters = obs.get_metrics().snapshot()["counters"]
-        assert counters["plancache.miss"] == 1
-        assert counters["plancache.hit"] == 3
+        with obs.capture() as records:
+            for _ in range(4):
+                kernel(small_graph, vals, X)
         cache = get_plan_cache()
         assert (cache.hits, cache.misses) == (3, 1)
+        assert obs.plan_cache_summary(records) == (3, 4)
 
 
 class TestKeyInvalidation:
@@ -375,11 +373,8 @@ def _read_only(*arrays):
 
 
 def _memo_counters():
-    counters = obs.get_metrics().snapshot()["counters"]
-    return (
-        counters.get("kernels.output_memo.hit", 0),
-        counters.get("kernels.output_memo.miss", 0),
-    )
+    cache = get_plan_cache()
+    return cache.memo_hits, cache.memo_misses
 
 
 def _spmm(A, vals, X):
@@ -400,7 +395,6 @@ class TestReferenceMemo:
             rng.standard_normal((small_graph.num_cols, 8)),
         )
         Xr, = _read_only(rng.standard_normal((small_graph.num_rows, 8)))
-        obs.reset_metrics()
         first = spmm_kernel("gnnone")(small_graph, vals, X).output
         second = spmm_kernel("cusparse")(small_graph, vals, X).output
         assert _memo_counters() == (1, 1)
@@ -417,7 +411,6 @@ class TestReferenceMemo:
     def test_mutated_writeable_operand_recomputes(self, small_graph, rng):
         vals = rng.standard_normal(small_graph.nnz)
         X = rng.standard_normal((small_graph.num_cols, 4))
-        obs.reset_metrics()
         before = _spmm(small_graph, vals, X)
         X *= 2.0
         after = _spmm(small_graph, vals, X)
@@ -460,10 +453,10 @@ class TestReferenceMemo:
             _spmm(small_graph, vals, X)
             assert len(get_plan_cache()._memo) <= MEMO_CAPACITY
         assert len(get_plan_cache()._memo) == MEMO_CAPACITY
-        obs.reset_metrics()
+        hits, misses = _memo_counters()
         _spmm(small_graph, vals, operands[0])      # evicted: recompute
         _spmm(small_graph, vals, operands[-1])     # most recent: hit
-        assert _memo_counters() == (1, 1)
+        assert _memo_counters() == (hits + 1, misses + 1)
 
     def test_clear_plan_cache_empties_the_memo(self, small_graph, rng):
         vals, X = _read_only(
@@ -474,7 +467,7 @@ class TestReferenceMemo:
         assert len(get_plan_cache()._memo) == 1
         clear_plan_cache()
         assert len(get_plan_cache()._memo) == 0
-        obs.reset_metrics()
+        assert _memo_counters() == (0, 0)
         _spmm(small_graph, vals, X)
         assert _memo_counters() == (0, 1)
 

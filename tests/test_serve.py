@@ -242,6 +242,37 @@ class TestAdmissionControl:
 
         _run(main())
 
+    @pytest.mark.parametrize("kind, ndim", [
+        ("predcit", 2), ("predcit", 1), (["propagate"], 2),
+        ("propagate", 1), ("predict", 2),
+    ])
+    def test_submit_nowait_rejects_unknown_kind_and_wrong_ndim(
+        self, small_graph, rng, kind, ndim
+    ):
+        """Refused before admission: nothing is queued, launched or
+        charged to the breaker."""
+        graph = _graph(small_graph)
+        features = rng.standard_normal((graph.num_vertices, 4))
+        model = GCN(4, 4, 3, seed=0)
+        payload = (
+            rng.standard_normal((graph.num_vertices, 1)) if ndim == 2
+            else np.array([1, 2])
+        )
+
+        async def main():
+            async with serve.InferenceService(
+                graph, model=model, features=features
+            ) as service:
+                for _ in range(3):  # the breaker's default threshold
+                    with pytest.raises(ConfigError, match="submit_nowait takes"):
+                        service.submit_nowait(kind, payload)
+                await asyncio.sleep(0.01)
+            return service
+
+        service = _run(main())
+        assert service.stats.requests == 0 and service.stats.batches == 0
+        assert service.breaker.state == "closed"
+
     @pytest.mark.parametrize("dtype", ["str", "bool", "complex"])
     def test_non_numeric_columns_rejected(self, small_graph, rng, dtype):
         """Strings, bools and complex values are refused, not cast."""
