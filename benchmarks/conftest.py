@@ -24,10 +24,9 @@ def _cold_plan_cache():
     revisit the same launch structures and should benefit, exactly as
     a paper-regeneration run would.
     """
-    from repro.core import clear_plan_cache, clear_tune_cache
+    from repro.core import clear_plan_cache
 
     clear_plan_cache()
-    clear_tune_cache()
     yield
 
 

@@ -28,12 +28,11 @@ def run_snapshot(trace_path: str, *, epochs: int = 2, seed: int = 11) -> None:
     """The canonical workload, traced to ``trace_path``."""
     from repro import obs
     from repro.bench.harness import run_experiment
-    from repro.core import clear_plan_cache, clear_tune_cache
+    from repro.core import clear_plan_cache
     from repro.nn import GAT, GCN, GraphData, Trainer, synthesize
     from repro.sparse.datasets import load_dataset
 
     clear_plan_cache()
-    clear_tune_cache()
     with obs.trace_to(trace_path):
         with obs.span("experiment", experiment="perf_snapshot"):
             run_experiment("fig04", quick=True)

@@ -1,7 +1,7 @@
 """GNNOne public API: unified sparse kernels with backend dispatch."""
 
 from repro.core.api import sddmm, spmm, spmv
-from repro.core.autotune import TuneResult, autotune, clear_tune_cache
+from repro.core.autotune import TuneResult, autotune
 from repro.core.plancache import PlanCache, clear_plan_cache, get_plan_cache
 from repro.kernels.gnnone.planner import UnifiedLoadPlan, plan_unified_load
 
@@ -11,7 +11,6 @@ __all__ = [
     "spmv",
     "TuneResult",
     "autotune",
-    "clear_tune_cache",
     "UnifiedLoadPlan",
     "plan_unified_load",
     "PlanCache",

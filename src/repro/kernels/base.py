@@ -129,14 +129,17 @@ class KernelResult:
 
 
 def check_numeric(**operands: np.ndarray) -> None:
-    """Reject operands that are not integer or float arrays.
+    """Reject operands that are not rectangular integer or float arrays.
 
     The launch casts every operand to float64, which would drop a
     complex value's imaginary part and parse strings, bools and objects
     as numbers.
     """
     for name, op in operands.items():
-        dtype = np.asarray(op).dtype
+        try:
+            dtype = np.asarray(op).dtype
+        except ValueError as e:  # ragged nesting
+            raise FormatError(f"{name} must be a rectangular array: {e}") from None
         if dtype.kind not in "iuf":
             raise FormatError(f"{name} must hold integers or floats, got dtype {dtype}")
 

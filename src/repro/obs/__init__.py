@@ -34,14 +34,12 @@ from repro.obs.analysis import (
     format_resilience_line,
     format_serve_line,
     format_summary,
-    format_tune_line,
     percentile,
     plan_cache_summary,
     resilience_summary,
     serve_summary,
     span_key,
     summarize,
-    tune_summary,
 )
 from repro.obs.export import (
     JsonlWriter,
@@ -86,12 +84,10 @@ __all__ = [
     "format_resilience_line",
     "format_serve_line",
     "format_summary",
-    "format_tune_line",
     "percentile",
     "plan_cache_summary",
     "resilience_summary",
     "serve_summary",
-    "tune_summary",
     "RESILIENCE_EVENTS",
     "span_key",
     "summarize",

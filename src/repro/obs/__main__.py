@@ -27,12 +27,10 @@ from repro.obs.analysis import (
     format_resilience_line,
     format_serve_line,
     format_summary,
-    format_tune_line,
     plan_cache_summary,
     resilience_summary,
     serve_summary,
     summarize,
-    tune_summary,
 )
 from repro.obs.export import read_trace_lenient, render_tree
 from repro.obs.spans import JsonDict
@@ -125,7 +123,6 @@ def main(argv: list[str] | None = None) -> int:
             print(format_plan_cache_line(*plan_cache_summary(records)))
             print(format_resilience_line(resilience_summary(records)))
             print(format_serve_line(serve_summary(records)))
-            print(format_tune_line(tune_summary(records)))
             return 0
         if args.command == "tree":
             print(render_tree(_read(args.trace), max_depth=args.max_depth))

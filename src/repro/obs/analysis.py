@@ -120,28 +120,6 @@ def format_plan_cache_line(warm: int, total: int) -> str:
     )
 
 
-def tune_summary(records: Iterable[JsonDict]) -> dict[str, int]:
-    """Count the autotune memo's ``tune.cache_hit``/``tune.cache_miss`` events."""
-    hits = misses = 0
-    for rec in records:
-        if rec.get("type") != "event":
-            continue
-        name = rec.get("name")
-        if name == "tune.cache_hit":
-            hits += 1
-        elif name == "tune.cache_miss":
-            misses += 1
-    return {"hits": hits, "misses": misses}
-
-
-def format_tune_line(stats: dict[str, int]) -> str:
-    """Human-readable autotuning footer for ``summary``."""
-    total = stats["hits"] + stats["misses"]
-    if total == 0:
-        return "tune: no autotuning activity in trace"
-    return f"tune: {stats['hits']}/{total} cache hit(s)"
-
-
 #: resilience event names counted by :func:`resilience_summary`, in the
 #: order the summary line reports them.
 RESILIENCE_EVENTS = (

@@ -54,6 +54,7 @@ from repro.errors import (
     RetriesExhaustedError,
 )
 from repro.serve import protocol
+from repro.serve.scheduler import check_deadline
 
 #: first retry's backoff step, doubled per further attempt
 BACKOFF_BASE_MS = 5.0
@@ -137,12 +138,13 @@ class ServeClient:
         """Remote :meth:`InferenceService.propagate`; bit-identical result.
 
         Columns travel in their own dtype, so the server's
-        :meth:`~InferenceService.validate_columns` is the one check on
-        both paths.  The returned array is a zero-copy view of the
-        receive buffer and is read-only; ``.copy()`` it if you need to
-        mutate.
+        :meth:`~InferenceService.submit_nowait` is the one check on both
+        paths; only a ragged nesting, which has no wire form, is refused
+        here (:class:`~repro.errors.ConfigError`).  The returned array is
+        a zero-copy view of the receive buffer and is read-only;
+        ``.copy()`` it if you need to mutate.
         """
-        header, payload = protocol.array_header(np.asarray(columns))
+        header, payload = protocol.array_header(columns)
         frame = {"op": "propagate", "payload": header}
         return await self._call(
             frame, payload, priority=priority, deadline_ms=deadline_ms
@@ -157,11 +159,12 @@ class ServeClient:
     ) -> np.ndarray:
         """Remote :meth:`InferenceService.predict` (read-only result).
 
-        Ids travel in their own dtype: the server rejects non-integer
-        ids with a typed error instead of the client truncating them.
+        Ids travel in their own dtype and shape: the server rejects
+        non-integer ids with a typed error instead of the client
+        truncating them, and a scalar id gets one row back, as
+        in-process.
         """
-        ids = np.atleast_1d(np.asarray(node_ids))
-        header, payload = protocol.array_header(ids)
+        header, payload = protocol.array_header(node_ids)
         frame = {"op": "predict", "payload": header}
         return await self._call(
             frame, payload, priority=priority, deadline_ms=deadline_ms
@@ -191,6 +194,7 @@ class ServeClient:
         deadline_ms: float | None,
     ) -> np.ndarray:
         """One logical request: mint the id once, retry transport failures."""
+        check_deadline(deadline_ms)  # the budget is checked as in-process
         request_id = self._next_id()
         frame["id"] = request_id
         if priority is not None:

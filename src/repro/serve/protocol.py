@@ -91,15 +91,21 @@ def decode_array(obj: Any) -> np.ndarray:
     return arr.reshape(shape).copy()  # writable, owns its memory
 
 
-def array_header(arr: np.ndarray) -> tuple[dict[str, Any], memoryview]:
+def array_header(values) -> tuple[dict[str, Any], memoryview]:
     """The hot-path form: a tiny JSON header + the raw bytes to attach.
 
-    The returned memoryview aliases ``arr`` (made contiguous first) —
+    The returned memoryview aliases ``values`` (made contiguous first) —
     hand it straight to the stream writer; nothing is copied and no
-    text codec touches the payload.  An object array has no byte form
-    (its buffer holds pointers), so it is refused, typed.
+    text codec touches the payload.  A ragged nesting or an object
+    array has no byte form (the latter's buffer holds pointers), so
+    either is refused, typed.
     """
-    arr = np.ascontiguousarray(arr)
+    try:
+        arr = np.asarray(values)
+    except ValueError as e:  # ragged nesting
+        raise ConfigError(f"cannot send a ragged array over the wire: {e}") from None
+    if not arr.flags.c_contiguous:
+        arr = np.ascontiguousarray(arr)
     if arr.dtype.hasobject:
         raise ConfigError(f"cannot send a {arr.dtype} array over the wire")
     header = {"__nd__": 2, "dtype": arr.dtype.str, "shape": list(arr.shape)}

@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ConfigError
@@ -61,6 +62,19 @@ def resolve_priority(priority: str | None) -> int:
             f"{sorted(PRIORITY_CLASSES)}"
         )
     return PRIORITY_CLASSES[name]
+
+
+def check_deadline(deadline_ms: float | None) -> None:
+    """``ConfigError`` unless ``deadline_ms`` is ``None`` or a finite number.
+
+    NaN would poison the EDF heap's ordering, and ``True`` is an int.
+    """
+    if deadline_ms is not None and (
+        isinstance(deadline_ms, bool)
+        or not isinstance(deadline_ms, numbers.Real)
+        or not math.isfinite(deadline_ms)
+    ):
+        raise ConfigError(f"deadline_ms must be a finite number, got {deadline_ms!r}")
 
 
 class SchedulerClosed(Exception):

@@ -62,8 +62,6 @@ serving picture from a trace.
 from __future__ import annotations
 
 import asyncio
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -89,15 +87,13 @@ from repro.serve.scheduler import (
     PRIORITY_NAMES,
     DeadlineScheduler,
     SchedulerClosed,
+    check_deadline,
     resolve_priority,
 )
 
 #: chaos site consulted once per fused launch and once per unbatched
 #: attempt (see :mod:`repro.resilience.faults`).
 FAULT_SITE = "serve.batch_fail"
-
-#: request kind -> payload ndim: ``(|V|, k)`` columns, 1-D node ids
-_PAYLOAD_NDIM = {"propagate": 2, "predict": 1}
 
 
 def _bucket(width: int) -> int:
@@ -277,10 +273,8 @@ class InferenceService:
     ) -> np.ndarray:
         """One step of normalized aggregation ``Y = Â X`` for the caller's
         feature column(s); shape ``(|V|,)`` or ``(|V|, k)``, mirrored back."""
-        x, squeeze = self.validate_columns(columns)
         return await self.submit_nowait(
-            "propagate", x, priority=priority, deadline_ms=deadline_ms,
-            squeeze=squeeze,
+            "propagate", columns, priority=priority, deadline_ms=deadline_ms
         )
 
     async def predict(
@@ -296,17 +290,14 @@ class InferenceService:
         changing the model's parameters or the caller's feature array in
         place afterwards does not change the answers.
         """
-        ids, squeeze = self.validate_ids(node_ids)
         return await self.submit_nowait(
-            "predict", ids, priority=priority, deadline_ms=deadline_ms,
-            squeeze=squeeze,
+            "predict", node_ids, priority=priority, deadline_ms=deadline_ms
         )
 
     def validate_columns(self, columns) -> tuple[np.ndarray, bool]:
         """``(x, squeeze)``: propagate columns as a float ``(|V|, k)`` array.
 
-        ``squeeze`` records a 1-D input, whose answer is 1-D again.  The
-        one check for in-process and wire requests alike.
+        ``squeeze`` records a 1-D input, whose answer is 1-D again.
         """
         x = _float_array(columns, "propagate columns")
         squeeze = x.ndim == 1
@@ -364,11 +355,10 @@ class InferenceService:
     def submit_nowait(
         self,
         kind: str,
-        payload: np.ndarray,
+        payload,
         *,
         priority: str | None = None,
         deadline_ms: float | None = None,
-        squeeze: bool = False,
     ) -> "asyncio.Future[Any]":
         """Admit one request synchronously; the future is the response.
 
@@ -378,18 +368,19 @@ class InferenceService:
         fails the future with :class:`~repro.errors.RequestTimeoutError`
         if it is still unresolved when the budget runs out.  A predict
         request comes back already resolved with its logit rows.
-        Admission rejections raise synchronously, typed, and so does a
-        ``kind`` other than ``propagate``/``predict`` or a payload that is
-        not an array of the kind's ``ndim``
+        This is the one admission check for in-process and wire requests
+        alike: the payload goes through :meth:`validate_columns` or
+        :meth:`validate_ids`, so a rejection raises synchronously, typed,
+        before anything is queued or charged to the breaker.  So does a
+        ``kind`` other than ``propagate``/``predict``
         (:class:`~repro.errors.ConfigError`).
         """
-        ndim = _PAYLOAD_NDIM.get(kind) if isinstance(kind, str) else None
-        if ndim is None or getattr(payload, "ndim", None) != ndim:
+        if not isinstance(kind, str) or kind not in ("propagate", "predict"):
             raise ConfigError(
-                f"submit_nowait takes kind 'propagate' with (|V|, k) columns or "
-                f"'predict' with 1-D node ids, got {kind!r} with "
-                f"{getattr(payload, 'shape', type(payload).__name__)}"
+                f"submit_nowait takes kind 'propagate' or 'predict', got {kind!r}"
             )
+        validate = self.validate_columns if kind == "propagate" else self.validate_ids
+        payload, squeeze = validate(payload)
         if not self._running or self._scheduler is None:
             raise ServiceClosedError("service is not running (use 'async with')")
         if not self.breaker.allow():
@@ -401,17 +392,9 @@ class InferenceService:
                 retry_after_ms=retry_after,
             )
         rank = resolve_priority(priority)
+        check_deadline(deadline_ms)
         if deadline_ms is None:
             deadline_ms = self.config.timeout_ms
-        elif (
-            isinstance(deadline_ms, bool)
-            or not isinstance(deadline_ms, numbers.Real)
-            or not math.isfinite(deadline_ms)
-        ):
-            # NaN would poison the EDF heap's ordering; True is an int.
-            raise ConfigError(
-                f"deadline_ms must be a finite number, got {deadline_ms!r}"
-            )
         if deadline_ms is not None and deadline_ms <= 0:
             deadline_ms = None  # 0 disables, as ServeConfig.timeout_ms does
         loop = asyncio.get_running_loop()

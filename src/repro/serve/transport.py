@@ -333,14 +333,8 @@ class ServeTransport:
             if injector.fire(FAULT_DEADLINE_STORM, op=op):
                 deadline_ms = STORM_DEADLINE_MS
             payload = protocol.decode_payload(frame.get("payload"), attachment)
-            validate = (
-                self.service.validate_columns if op == "propagate"
-                else self.service.validate_ids
-            )
-            x, squeeze = validate(payload)
             return self.service.submit_nowait(
-                op, x, priority=priority, deadline_ms=deadline_ms,
-                squeeze=squeeze,
+                op, payload, priority=priority, deadline_ms=deadline_ms
             )
         except ReproError as e:
             self._cache_and_send(

@@ -1,13 +1,24 @@
-"""Shared fixtures: small graphs and operand factories."""
+"""Shared fixtures: small graphs, operand factories and the leak check."""
 
 from __future__ import annotations
+
+import asyncio
+import gc
+import itertools
+import json
+import os
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro import settings
-from repro.core import clear_plan_cache, clear_tune_cache
+from repro import core, settings
+from repro.core import clear_plan_cache
+from repro.nn import GCN, GraphData
+from repro.nn.tensor import Tensor
 from repro.resilience import faults
+from repro.serve import InferenceService, ServeClient, ServeConfig, ServeTransport, protocol
 from repro.sparse import COOMatrix, generators
 
 
@@ -21,10 +32,33 @@ def _cold_plan_cache():
     Tests that want warm behaviour exercise it within their own body.
     """
     clear_plan_cache()
-    clear_tune_cache()
     yield
     clear_plan_cache()
-    clear_tune_cache()
+
+
+def _open_fds() -> dict[str, str]:
+    """This process's open file descriptors and what each points at."""
+    fds = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            fds[fd] = os.readlink(f"/proc/self/fd/{fd}")
+        except FileNotFoundError:  # the descriptor that listed the directory
+            pass
+    return fds
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _no_leaks():
+    """Fail a test module that leaves a thread or an open file descriptor behind."""
+    threads = set(threading.enumerate())
+    fds = _open_fds() if os.path.isdir("/proc/self/fd") else None
+    yield
+    gc.collect()  # close what only garbage still holds
+    leaked = [t.name for t in threading.enumerate() if t not in threads]
+    if fds is not None:
+        leaked += [f"fd {fd} -> {target}" for fd, target in _open_fds().items()
+                   if fds.get(fd) != target]
+    assert not leaked, f"left behind: {leaked}"
 
 
 @pytest.fixture(autouse=True)
@@ -112,3 +146,97 @@ def make_operands(coo: COOMatrix, F: int, rng: np.random.Generator):
         rng.standard_normal((coo.num_rows, F)),
         rng.standard_normal(coo.num_cols),
     )
+
+
+# ---------------------------------------------------------------- serving
+
+
+@pytest.fixture(scope="module")
+def served():
+    """Serving, started once per module on one background event loop.
+
+    ``service`` has a GCN model over a 60-vertex graph, ``bare`` has no
+    model, ``transport`` puts ``service`` on TCP and ``client`` is
+    connected to it; ``run(coro)`` runs a coroutine on the loop.
+    """
+    graph = GraphData(generators.power_law(60, 4.0, seed=3))
+    features = np.random.default_rng(0).standard_normal((graph.num_vertices, 6))
+    model = GCN(6, 8, 4, seed=1)
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, name="served-loop")
+    thread.start()
+
+    def run(coro):
+        return asyncio.run_coroutine_threadsafe(coro, loop).result(timeout=60)
+
+    async def start():
+        service = InferenceService(
+            graph, model=model, features=features,
+            config=ServeConfig(max_batch=8, max_delay_us=2_000),
+        )
+        transport = await ServeTransport(service, port=0).start()
+        return SimpleNamespace(
+            service=service, transport=transport, bare=await InferenceService(graph).start(),
+            client=await ServeClient(port=transport.port).connect(),
+        )
+
+    s = run(start())
+    s.run, s.graph, s.model, s.features = run, graph, model, features
+    s.logits = np.asarray(model.eval()(graph, Tensor(features)).data)
+    s.columns = np.random.default_rng(1).standard_normal((graph.num_vertices, 2))
+    try:
+        yield s
+    finally:
+        async def stop():
+            await s.client.close()
+            await s.transport.shutdown()
+            await s.bare.close()
+
+        run(stop())
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "the serving loop did not stop"
+        loop.run_until_complete(loop.shutdown_default_executor())
+        loop.close()
+
+
+def serial(graph: GraphData, column: np.ndarray) -> np.ndarray:
+    """One propagate column computed alone: a width-1 ``core.spmm``."""
+    out, _ = core.spmm(graph.coo, graph.gcn_edge_values, column[:, None])
+    return out[:, 0].copy()
+
+
+async def submit(service, kind, payload, **kwargs):
+    """``service.submit_nowait`` from inside the loop, awaited."""
+    return await service.submit_nowait(kind, payload, **kwargs)
+
+
+_IDS = itertools.count()
+
+
+async def frame(port: int, message: dict, attachment: bytes = b"") -> tuple[dict, bytes]:
+    """Send one raw request frame and return the answer frame and its
+    attachment; a typed error frame is raised as its error."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        await protocol.write_frame(writer, protocol.hello_frame())
+        await protocol.read_frame(reader)
+        # a fresh id: the transport replays the answer to a repeated one
+        body = json.dumps({"id": f"f{next(_IDS)}", **message, "bin": len(attachment)})
+        writer.write(len(body).to_bytes(4, "big") + body.encode() + attachment)
+        await writer.drain()
+        answer, attached = await protocol.read_frame(reader)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    if not answer["ok"]:
+        raise protocol.error_from_frame(answer)
+    return answer, attached
+
+
+def wire(s, op: str, payload, **fields) -> tuple[dict, bytes]:
+    """A raw ``op`` frame carrying ``payload`` as a binary attachment."""
+    arr = np.asarray(payload)
+    header = {"__nd__": 2, "dtype": arr.dtype.str, "shape": list(arr.shape)}
+    return s.run(frame(s.transport.port, {"op": op, "payload": header, **fields},
+                       arr.tobytes()))

@@ -6,7 +6,6 @@ import pytest
 from repro import core, obs
 from repro.errors import BenchmarkError, ConfigError, FormatError
 from repro.gpusim.device import get_device
-from repro.kernels.base import reference_sddmm, reference_spmm
 from repro.kernels.gnnone import (
     ABLATION_BASELINE,
     ABLATION_DATA_REUSE,
@@ -19,38 +18,28 @@ from repro.kernels.gnnone import (
     GnnOneSpMM,
 )
 from tests.conftest import make_operands
-from tests.oracles import reference_spmv
+from tests.oracles import assert_path, core_path
 
 
 class TestApi:
+    """Fixed-graph cases of the differential path and boundary tables."""
+
     def test_spmm_default_backend(self, small_graph, rng):
-        vals, X, _, _ = make_operands(small_graph, 16, rng)
-        out, report = core.spmm(small_graph, vals, X)
-        np.testing.assert_allclose(out, reference_spmm(small_graph, vals, X))
-        assert report.kernel_name.startswith("gnnone")
+        assert core_path("spmm", small_graph, rng, 16)[1].kernel_name.startswith("gnnone")
 
     def test_spmm_baseline_backend(self, small_graph, rng):
-        vals, X, _, _ = make_operands(small_graph, 16, rng)
-        out, report = core.spmm(small_graph, vals, X, backend="ge-spmm")
-        np.testing.assert_allclose(out, reference_spmm(small_graph, vals, X))
+        _, report = core_path("spmm", small_graph, rng, 16, backend="ge-spmm")
         assert report.kernel_name == "ge-spmm"
 
     def test_spmm_custom_config(self, small_graph, rng):
-        vals, X, _, _ = make_operands(small_graph, 16, rng)
-        out, report = core.spmm(
-            small_graph, vals, X, config=GnnOneConfig(cache_size=64)
-        )
+        _, report = core_path("spmm", small_graph, rng, 16, config=GnnOneConfig(cache_size=64))
         assert "c64" in report.kernel_name
 
     def test_sddmm(self, small_graph, rng):
-        _, X, Xr, _ = make_operands(small_graph, 16, rng)
-        out, _ = core.sddmm(small_graph, Xr, X)
-        np.testing.assert_allclose(out, reference_sddmm(small_graph, Xr, X))
+        core_path("sddmm", small_graph, rng, 16)
 
     def test_spmv(self, small_graph, rng):
-        vals, _, _, x = make_operands(small_graph, 4, rng)
-        out, _ = core.spmv(small_graph, vals, x)
-        np.testing.assert_allclose(out, reference_spmv(small_graph, vals, x))
+        core_path("spmv", small_graph, rng)
 
     def test_unknown_backend(self, small_graph, rng):
         vals, X, _, _ = make_operands(small_graph, 16, rng)
@@ -81,7 +70,7 @@ class TestApi:
             with pytest.raises(FormatError, match="integers or floats"):
                 call()
         out, _ = core.spmm(small_graph, vals, X.astype(np.int32))  # ints are fine
-        np.testing.assert_allclose(out, reference_spmm(small_graph, vals, X.astype(np.int32)))
+        assert_path("spmm", out, small_graph, (vals, X.astype(np.int32)))
 
     def test_top_level_reexports(self, small_graph, rng):
         import repro

@@ -14,17 +14,14 @@ from repro.kernels.gnnone.fused import (
     unfused_gat_pipeline_time_us,
 )
 from repro.sparse import generators
-from tests.oracles import reference_spmv
+from tests.oracles import assert_path, operands
 
 
 class TestFusedGAT:
     def test_numerics_match_unfused_composition(self, small_graph, rng):
-        el = rng.standard_normal(small_graph.num_rows)
-        er = rng.standard_normal(small_graph.num_cols)
-        X = rng.standard_normal((small_graph.num_cols, 16))
-        res = GnnOneFusedGATLayer()(small_graph, el, er, X)
-        _, Y = fused_gat_attention_numerics(small_graph, el, er, X)
-        np.testing.assert_allclose(res.output, Y)
+        """A fixed-graph case of the differential path table."""
+        ops = operands("fused-gat", small_graph, 16, rng)
+        assert_path("fused-gat", GnnOneFusedGATLayer()(small_graph, *ops).output, small_graph, ops)
 
     def test_operands_that_do_not_fit_are_refused(self, small_graph, rng):
         el = rng.standard_normal(small_graph.num_rows)
@@ -80,10 +77,8 @@ class TestFusedGAT:
 class TestSpMVSurvey:
     @pytest.mark.parametrize("name", ["csr-scalar", "csr-vector", "binned"])
     def test_new_kernels_correct(self, small_graph, rng, name):
-        vals = rng.standard_normal(small_graph.nnz)
-        x = rng.standard_normal(small_graph.num_cols)
-        res = spmv_kernel(name)(small_graph, vals, x)
-        np.testing.assert_allclose(res.output, reference_spmv(small_graph, vals, x))
+        ops = operands("spmv", small_graph, 1, rng)
+        assert_path("spmv", spmv_kernel(name)(small_graph, *ops).output, small_graph, ops)
 
     def test_csr_scalar_slowest_on_skew(self, rng):
         g = generators.power_law(3000, 12.0, seed=5)

@@ -3,9 +3,11 @@
 GNNOne and every baseline return the base-class ``compute`` (the
 ``repro.exec`` engine), so a launch's output does not depend on whether
 the plan cache simulated it (miss) or replayed it (hit), nor on which
-kernel of a kind ran.  Every check is ``np.array_equal``, never a
-tolerance; operands are both read-only (memoized) and writeable.  A
-price-only ``simulate`` gives every kernel's launch cost and trace.
+kernel of a kind ran.  Every output check is ``np.array_equal``; only
+the engine output's agreement with the independent oracle
+(``tests.oracles.assert_path``) takes a tolerance.  Operands are both
+read-only (memoized) and writeable.  A price-only ``simulate`` gives
+every kernel's launch cost and trace.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.kernels.registry import (
     spmv_kernel_names,
 )
 from repro.resilience import no_faults
+from tests.oracles import assert_path, operands
 
 ROOT = Path(__file__).resolve().parents[1]
 F = 32
@@ -43,28 +46,16 @@ REGISTRY = {"spmm": spmm_kernel, "sddmm": sddmm_kernel, "spmv": spmv_kernel}
 
 
 def _operands(kind, A, read_only):
-    rng = np.random.default_rng(5)
-    if kind == "spmm":
-        ops = (rng.standard_normal(A.nnz), rng.standard_normal((A.num_cols, F)))
-    elif kind == "fused-gat":
-        ops = (
-            rng.standard_normal(A.num_rows),
-            rng.standard_normal(A.num_cols),
-            rng.standard_normal((A.num_cols, F)),
-        )
-    elif kind == "sddmm":
-        ops = (rng.standard_normal((A.num_rows, F)), rng.standard_normal((A.num_cols, F)))
-    else:
-        ops = (rng.standard_normal(A.nnz), rng.standard_normal(A.num_cols))
-    if read_only:
-        for op in ops:
-            op.setflags(write=False)
+    ops = operands(kind, A, F, np.random.default_rng(5))
+    for op in ops:
+        op.setflags(write=not read_only)
     return ops
 
 
 @pytest.mark.parametrize("read_only", [True, False], ids=["read-only", "writeable"])
 @pytest.mark.parametrize("kind,name", KERNELS, ids=[f"{k}-{n}" for k, n in KERNELS])
 def test_cold_and_warm_outputs_are_the_engine_output(kind, name, read_only, medium_graph):
+    """A fixed-graph case of the differential path table."""
     A = medium_graph
     ops = _operands(kind, A, read_only)
     kernel = REGISTRY[kind](name)
@@ -74,9 +65,8 @@ def test_cold_and_warm_outputs_are_the_engine_output(kind, name, read_only, medi
         hits = cache.hits
         warm = kernel(A, *ops)
         assert cache.hits == hits + 1
-        expect = getattr(get_engine(), kind)(A, *ops)
-    assert np.array_equal(cold.output, expect)
-    assert np.array_equal(warm.output, expect)
+    assert_path(kind, cold.output, A, ops)
+    assert np.array_equal(warm.output, cold.output)
     assert cold.output is not warm.output
 
 

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import KernelLaunchError
 from repro.kernels import (
     reference_sddmm,
-    reference_spmm,
     sddmm_kernel,
     sddmm_kernel_names,
     spmm_kernel,
@@ -22,30 +21,30 @@ from repro.kernels.baselines import (
 )
 from repro.sparse import generators
 from tests.conftest import make_operands
-from tests.oracles import reference_spmv, star as star_graph
+from tests.oracles import assert_path, operands, star as star_graph
 
 
 class TestAllBaselinesNumerics:
+    """Fixed-graph cases of the differential path table."""
+
     @pytest.mark.parametrize("name", spmm_kernel_names())
     @pytest.mark.parametrize("F", [6, 32])
     def test_spmm(self, small_graph, rng, name, F):
-        vals, X, _, _ = make_operands(small_graph, F, rng)
-        res = spmm_kernel(name)(small_graph, vals, X)
-        np.testing.assert_allclose(res.output, reference_spmm(small_graph, vals, X))
+        ops = operands("spmm", small_graph, F, rng)
+        res = spmm_kernel(name)(small_graph, *ops)
+        assert_path("spmm", res.output, small_graph, ops)
         assert res.time_us > 0
 
     @pytest.mark.parametrize("name", sddmm_kernel_names())
     @pytest.mark.parametrize("F", [6, 32])
     def test_sddmm(self, small_graph, rng, name, F):
-        vals, X, Xr, _ = make_operands(small_graph, F, rng)
-        res = sddmm_kernel(name)(small_graph, Xr, X)
-        np.testing.assert_allclose(res.output, reference_sddmm(small_graph, Xr, X))
+        ops = operands("sddmm", small_graph, F, rng)
+        assert_path("sddmm", sddmm_kernel(name)(small_graph, *ops).output, small_graph, ops)
 
     @pytest.mark.parametrize("name", spmv_kernel_names())
     def test_spmv(self, small_graph, rng, name):
-        vals, _, _, x = make_operands(small_graph, 4, rng)
-        res = spmv_kernel(name)(small_graph, vals, x)
-        np.testing.assert_allclose(res.output, reference_spmv(small_graph, vals, x))
+        ops = operands("spmv", small_graph, 1, rng)
+        assert_path("spmv", spmv_kernel(name)(small_graph, *ops).output, small_graph, ops)
 
 
 class TestRegistry:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, FormatError
-from repro.kernels.base import reference_sddmm, reference_spmm
+from repro.kernels.base import reference_spmm
 from repro.kernels.gnnone import (
     CONSECUTIVE,
     ROUND_ROBIN,
@@ -13,70 +13,59 @@ from repro.kernels.gnnone import (
     GnnOneSpMM,
     GnnOneSpMV,
 )
+from repro.sparse import COOMatrix
 from tests.conftest import make_operands
-from tests.oracles import chain as chain_graph, reference_spmv, segment_sum_spmm, star as star_graph
+from tests.oracles import assert_close, assert_path, chain as chain_graph, operands
+from tests.oracles import segment_sum_spmm, star as star_graph
 
 
 class TestNumericalCorrectness:
+    """Fixed-graph cases of the differential path table."""
+
     @pytest.mark.parametrize("F", [1, 6, 16, 32, 64, 100])
     def test_spmm_matches_reference(self, small_graph, rng, F):
-        vals, X, _, _ = make_operands(small_graph, F, rng)
-        res = GnnOneSpMM()(small_graph, vals, X)
-        np.testing.assert_allclose(res.output, reference_spmm(small_graph, vals, X))
+        ops = operands("spmm", small_graph, F, rng)
+        assert_path("spmm", GnnOneSpMM()(small_graph, *ops).output, small_graph, ops)
 
     @pytest.mark.parametrize("F", [1, 6, 16, 32, 64])
     def test_sddmm_matches_reference(self, small_graph, rng, F):
-        vals, X, Xr, _ = make_operands(small_graph, F, rng)
-        res = GnnOneSDDMM()(small_graph, Xr, X)
-        np.testing.assert_allclose(res.output, reference_sddmm(small_graph, Xr, X))
+        ops = operands("sddmm", small_graph, F, rng)
+        assert_path("sddmm", GnnOneSDDMM()(small_graph, *ops).output, small_graph, ops)
 
     def test_spmv_matches_reference(self, small_graph, rng):
-        vals, _, _, x = make_operands(small_graph, 4, rng)
-        res = GnnOneSpMV()(small_graph, vals, x)
-        np.testing.assert_allclose(res.output, reference_spmv(small_graph, vals, x))
+        ops = operands("spmv", small_graph, 1, rng)
+        assert_path("spmv", GnnOneSpMV()(small_graph, *ops).output, small_graph, ops)
 
     @pytest.mark.parametrize("schedule", [CONSECUTIVE, ROUND_ROBIN])
     @pytest.mark.parametrize("cache", [32, 128, 256])
     def test_all_configs_numerically_identical(self, small_graph, rng, schedule, cache):
-        vals, X, _, _ = make_operands(small_graph, 32, rng)
-        cfg = GnnOneConfig(cache_size=cache, schedule=schedule)
-        res = GnnOneSpMM(cfg)(small_graph, vals, X)
-        np.testing.assert_allclose(res.output, reference_spmm(small_graph, vals, X))
+        ops = operands("spmm", small_graph, 32, rng)
+        out = GnnOneSpMM(GnnOneConfig(cache_size=cache, schedule=schedule))(small_graph, *ops)
+        assert_path("spmm", out.output, small_graph, ops)
 
     def test_unsorted_coo_handled(self, rng):
-        from repro.sparse import COOMatrix
-
         coo = COOMatrix(10, 10, np.array([5, 1, 3]), np.array([2, 4, 0]))
         assert not coo.is_csr_ordered()
-        vals = rng.standard_normal(3)
-        X = rng.standard_normal((10, 8))
-        res = GnnOneSpMM()(coo, vals, X)
-        np.testing.assert_allclose(res.output, reference_spmm(coo, vals, X))
+        ops = operands("spmm", coo, 8, rng)
+        assert_path("spmm", GnnOneSpMM()(coo, *ops).output, coo, ops)
 
     def test_empty_graph(self, rng):
-        from repro.sparse import COOMatrix
-
         coo = COOMatrix(4, 4, np.array([], dtype=np.int32), np.array([], dtype=np.int32))
-        X = rng.standard_normal((4, 8))
-        res = GnnOneSpMM()(coo, np.zeros(0), X)
+        res = GnnOneSpMM()(coo, np.zeros(0), rng.standard_normal((4, 8)))
         assert np.all(res.output == 0)
 
     def test_segment_sum_standalone(self, medium_graph, rng):
-        vals = rng.standard_normal(medium_graph.nnz)
-        X = rng.standard_normal((medium_graph.num_cols, 16))
-        np.testing.assert_allclose(
-            segment_sum_spmm(medium_graph, vals, X),
-            reference_spmm(medium_graph, vals, X),
-        )
+        vals, X = operands("spmm", medium_graph, 16, rng)
+        want = reference_spmm(medium_graph, vals, X)
+        assert_close(segment_sum_spmm(medium_graph, vals, X), want)
 
 
 class TestInputValidation:
     def test_spmm_shape_checks(self, small_graph, rng):
         X = rng.standard_normal((small_graph.num_cols, 8))
-        with pytest.raises(FormatError):
-            GnnOneSpMM()(small_graph, np.zeros(3), X)
-        with pytest.raises(FormatError):
-            GnnOneSpMM()(small_graph, np.zeros(small_graph.nnz), X[:-1])
+        for vals, feats in ((np.zeros(3), X), (np.zeros(small_graph.nnz), X[:-1])):
+            with pytest.raises(FormatError):
+                GnnOneSpMM()(small_graph, vals, feats)
 
     def test_sddmm_shape_checks(self, small_graph, rng):
         X = rng.standard_normal((small_graph.num_rows, 8))
@@ -85,14 +74,10 @@ class TestInputValidation:
             GnnOneSDDMM()(small_graph, X, Y)  # feature mismatch
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            GnnOneConfig(cache_size=100)
-        with pytest.raises(ConfigError):
-            GnnOneConfig(schedule="zigzag")
-        with pytest.raises(ConfigError):
-            GnnOneConfig(vector_width=5)
-        with pytest.raises(ConfigError):
-            GnnOneConfig(threads_per_cta=100)
+        for bad in (dict(cache_size=100), dict(schedule="zigzag"), dict(vector_width=5),
+                    dict(threads_per_cta=100)):
+            with pytest.raises(ConfigError):
+                GnnOneConfig(**bad)
 
 
 class TestTraceStructure:

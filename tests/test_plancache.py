@@ -1,18 +1,15 @@
 """Structural plan cache: replay fidelity, key invalidation, fast paths."""
 
 import dataclasses
-import importlib
 import sys
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import autotune, clear_plan_cache, get_plan_cache
-from repro.core.autotune import clear_tune_cache
 from repro.core.plancache import MEMO_CAPACITY, CachedLaunch, PlanCache, plan_key
 from repro.exec import get_engine
 from repro.gpusim import A100, V100
@@ -26,10 +23,7 @@ from repro.kernels.gnnone import (
 from repro.kernels.registry import sddmm_kernel, spmm_kernel
 from repro.resilience import no_faults
 from repro.sparse import COOMatrix
-from tests.oracles import segment_sum_spmm
-
-# the module, not the function ``repro.core`` re-exports under its name
-autotune_module = importlib.import_module("repro.core.autotune")
+from tests.oracles import assert_path, graph_and_dim, operands, segment_sum_spmm
 
 
 @pytest.fixture(autouse=True)
@@ -39,16 +33,8 @@ def _no_faults(_fresh_injector):
         yield
 
 
-@st.composite
-def graph_and_dim(draw):
-    n = draw(st.integers(2, 30))
-    nnz = draw(st.integers(1, 120))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = rng.integers(0, n, nnz)
-    cols = rng.integers(0, n, nnz)
-    coo = COOMatrix.from_edges(n, n, rows, cols)
-    F = draw(st.sampled_from([1, 4, 8, 16, 32]))
-    return coo, F, rng
+#: widths the replay tests draw
+PLAN_WIDTHS = (1, 4, 8, 16, 32)
 
 
 def _cost_fields(cost):
@@ -57,7 +43,7 @@ def _cost_fields(cost):
 
 
 class TestReplayFidelity:
-    @given(data=graph_and_dim())
+    @given(data=graph_and_dim(PLAN_WIDTHS))
     @settings(max_examples=25, deadline=None)
     def test_warm_cost_report_equals_fresh_simulation(self, data):
         """A cache hit replays exactly what a from-scratch run computes."""
@@ -74,7 +60,7 @@ class TestReplayFidelity:
         assert warm.time_us == fresh.time_us
         np.testing.assert_array_equal(warm.output, fresh.output)
 
-    @given(data=graph_and_dim())
+    @given(data=graph_and_dim(PLAN_WIDTHS))
     @settings(max_examples=25, deadline=None)
     def test_warm_numerics_track_fresh_inputs(self, data):
         """Hits recompute numerics from the actual operands, not the cache."""
@@ -225,19 +211,24 @@ class TestPlanCacheLRU:
 
 
 class TestAutotuneMemo:
+    """Tuning keeps no memo of its own: a repeat search replays the plan cache."""
+
     def test_tune_result_memoized_per_structure(self, small_graph):
         r1 = autotune(small_graph, 16, "spmm")
-        r2 = autotune(small_graph, 16, "spmm")
-        assert r2 is r1
+        cache = get_plan_cache()
+        hits, misses = cache.hits, cache.misses
+        assert autotune(small_graph, 16, "spmm") == r1
+        assert (cache.hits - hits, cache.misses - misses) == (8, 0)
 
     def test_memo_respects_kind_and_feature_length(self, small_graph):
         spmm16 = autotune(small_graph, 16, "spmm")
-        assert autotune(small_graph, 32, "spmm") is not spmm16
-        assert autotune(small_graph, 16, "sddmm") is not spmm16
+        misses = get_plan_cache().misses
+        assert autotune(small_graph, 32, "spmm").trials != spmm16.trials
+        assert autotune(small_graph, 16, "sddmm").trials != spmm16.trials
+        assert get_plan_cache().misses == misses + 16  # no trial is shared
 
     def test_cleared_memo_retunes_to_the_same_result(self, small_graph):
         r1 = autotune(small_graph, 16, "spmm")
-        clear_tune_cache()
         clear_plan_cache()
         r2 = autotune(small_graph, 16, "spmm")   # a fresh search, fresh simulations
         assert r2 is not r1
@@ -245,31 +236,7 @@ class TestAutotuneMemo:
 
 
 class TestTuneCacheBounds:
-    def test_lru_cap_enforced(self, monkeypatch):
-        from repro.sparse import generators
-
-        monkeypatch.setattr(autotune_module, "TUNE_CACHE_CAP", 2)
-        clear_tune_cache()
-        for seed in (1, 2, 3):
-            A = generators.power_law(64, 3.0, seed=seed)
-            autotune(A, 8, "spmm")
-        assert len(autotune_module._TUNE_CACHE) == 2
-
-    def test_lru_evicts_oldest(self, monkeypatch):
-        from repro.sparse import generators
-
-        monkeypatch.setattr(autotune_module, "TUNE_CACHE_CAP", 2)
-        clear_tune_cache()
-        graphs = [generators.power_law(64, 3.0, seed=s) for s in (1, 2)]
-        first = [autotune(A, 8, "spmm") for A in graphs]
-        # touch graph 0, then insert a third: graph 1 must evict
-        assert autotune(graphs[0], 8, "spmm") is first[0]
-        autotune(generators.power_law(64, 3.0, seed=3), 8, "spmm")
-        assert autotune(graphs[0], 8, "spmm") is first[0]  # still resident
-        assert autotune(graphs[1], 8, "spmm") is not first[1]  # evicted
-
     def test_thread_safety_under_concurrent_tuning(self, small_graph):
-        clear_tune_cache()
         results, errors = [], []
 
         def work():
@@ -283,22 +250,17 @@ class TestTuneCacheBounds:
             t.start()
         for t in threads:
             t.join()
-        assert not errors
-        assert len({id(r.config) for r in results}) >= 1
+        assert not errors and len(results) == 8
         assert len({r.config for r in results}) == 1
-        assert len(autotune_module._TUNE_CACHE) == 1
+        assert len({tuple(r.trials.items()) for r in results}) == 1
 
     def test_cache_hit_events_surfaced(self, small_graph, tmp_path):
+        """A repeat search shows in the trace as eight plan-cache hits."""
         trace = tmp_path / "t.jsonl"
         with obs.trace_to(trace):
             autotune(small_graph, 8, "spmm")
             autotune(small_graph, 8, "spmm")
-        records = obs.read_trace(trace)
-        stats = obs.tune_summary(records)
-        assert stats["misses"] == 1
-        assert stats["hits"] == 1
-        line = obs.format_tune_line(stats)
-        assert line.startswith("tune: 1/2 cache hit(s)")
+        assert obs.plan_cache_summary(obs.read_trace(trace)) == (8, 16)
 
 
 class TestStructuralMemos:
@@ -323,7 +285,7 @@ class TestStructuralMemos:
         same = COOMatrix.from_edges(4, 4, [0, 1], [1, 2])
         assert same.structure_token == a.structure_token
 
-    @given(data=graph_and_dim())
+    @given(data=graph_and_dim(PLAN_WIDTHS))
     @settings(max_examples=25, deadline=None)
     def test_csr_replay_spmm_matches_segment_sum(self, data):
         """The fast warm-path numerics pin to the validation-grade mirror."""
@@ -346,24 +308,21 @@ class TestStructuralMemos:
 
 
 class TestSpmvAndSddmmCaching:
-    def test_spmv_warm_replay(self, small_graph, rng):
-        vals = rng.standard_normal(small_graph.nnz)
-        x = rng.standard_normal(small_graph.num_cols)
-        kernel = GnnOneSpMV()
-        cold = kernel(small_graph, vals, x)
-        warm = kernel(small_graph, vals, x)
+    """Fixed-graph cases of the differential path table's cold/warm check."""
+
+    @staticmethod
+    def _replay(kind, kernel, graph, rng):
+        ops = operands(kind, graph, 8, rng)
+        cold, warm = kernel(graph, *ops), kernel(graph, *ops)
         assert warm.time_us == cold.time_us
         assert get_plan_cache().hits >= 1
-        np.testing.assert_array_equal(warm.output, cold.output)
+        assert_path(kind, warm.output, graph, ops)
+
+    def test_spmv_warm_replay(self, small_graph, rng):
+        self._replay("spmv", GnnOneSpMV(), small_graph, rng)
 
     def test_sddmm_warm_replay(self, small_graph, rng):
-        Xr = rng.standard_normal((small_graph.num_rows, 8))
-        Yc = rng.standard_normal((small_graph.num_cols, 8))
-        kernel = GnnOneSDDMM()
-        cold = kernel(small_graph, Xr, Yc)
-        warm = kernel(small_graph, Xr, Yc)
-        assert warm.time_us == cold.time_us
-        assert get_plan_cache().hits >= 1
+        self._replay("sddmm", GnnOneSDDMM(), small_graph, rng)
 
 
 def _read_only(*arrays):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim import A100
-from repro.kernels.base import reference_sddmm, reference_spmm
 from repro.kernels.gnnone import (
     CONSECUTIVE,
     ROUND_ROBIN,
@@ -14,75 +13,50 @@ from repro.kernels.gnnone import (
     GnnOneSpMM,
 )
 from repro.kernels.registry import sddmm_kernel, spmm_kernel
-from repro.sparse import COOMatrix
-from tests.oracles import to_dense
+from tests.oracles import assert_close, assert_path, graph_and_dim, operands, to_dense
 
 
-@st.composite
-def graph_and_dim(draw):
-    n = draw(st.integers(2, 30))
-    nnz = draw(st.integers(1, 120))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = rng.integers(0, n, nnz)
-    cols = rng.integers(0, n, nnz)
-    coo = COOMatrix.from_edges(n, n, rows, cols)
-    F = draw(st.sampled_from([1, 3, 6, 8, 16, 32, 48]))
-    return coo, F, rng
+def _agrees(kind, kernel, data):
+    coo, F, rng = data
+    ops = operands(kind, coo, F, rng)
+    assert_path(kind, kernel(coo, *ops).output, coo, ops)
 
 
 class TestKernelNumericsProperties:
+    """Kernel-by-kernel cases of the differential path table, plus dense references."""
+
     @given(data=graph_and_dim())
     @settings(max_examples=40, deadline=None)
     def test_gnnone_spmm_equals_dense_reference(self, data):
         coo, F, rng = data
-        vals = rng.standard_normal(coo.nnz)
-        X = rng.standard_normal((coo.num_cols, F))
-        got = GnnOneSpMM()(coo, vals, X).output
-        want = to_dense(coo, vals) @ X
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        vals, X = operands("spmm", coo, F, rng)
+        assert_close(GnnOneSpMM()(coo, vals, X).output, to_dense(coo, vals) @ X)
 
     @given(data=graph_and_dim())
     @settings(max_examples=40, deadline=None)
     def test_gnnone_sddmm_equals_dense_reference(self, data):
         coo, F, rng = data
-        X = rng.standard_normal((coo.num_rows, F))
-        Y = rng.standard_normal((coo.num_cols, F))
-        got = GnnOneSDDMM()(coo, X, Y).output
-        dense = X @ Y.T
-        want = dense[coo.rows, coo.cols]
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        X, Y = operands("sddmm", coo, F, rng)
+        assert_close(GnnOneSDDMM()(coo, X, Y).output, (X @ Y.T)[coo.rows, coo.cols])
 
     @given(data=graph_and_dim(), cache=st.sampled_from([32, 64, 128, 256]),
            sched=st.sampled_from([CONSECUTIVE, ROUND_ROBIN]))
     @settings(max_examples=30, deadline=None)
     def test_config_never_changes_numerics(self, data, cache, sched):
-        coo, F, rng = data
-        vals = rng.standard_normal(coo.nnz)
-        X = rng.standard_normal((coo.num_cols, F))
-        cfg = GnnOneConfig(cache_size=cache, schedule=sched)
-        got = GnnOneSpMM(cfg)(coo, vals, X).output
-        np.testing.assert_allclose(got, reference_spmm(coo, vals, X), atol=1e-9)
+        _agrees("spmm", GnnOneSpMM(GnnOneConfig(cache_size=cache, schedule=sched)), data)
 
     @given(data=graph_and_dim(),
            name=st.sampled_from(["ge-spmm", "cusparse", "huang", "gnnadvisor",
                                  "featgraph", "yang-nzsplit"]))
     @settings(max_examples=30, deadline=None)
     def test_baseline_spmm_agrees(self, data, name):
-        coo, F, rng = data
-        vals = rng.standard_normal(coo.nnz)
-        X = rng.standard_normal((coo.num_cols, F))
-        got = spmm_kernel(name)(coo, vals, X).output
-        np.testing.assert_allclose(got, reference_spmm(coo, vals, X), atol=1e-9)
+        _agrees("spmm", spmm_kernel(name), data)
 
     @given(data=graph_and_dim(),
            name=st.sampled_from(["dgl", "dgsparse", "featgraph", "cusparse"]))
     @settings(max_examples=30, deadline=None)
     def test_baseline_sddmm_agrees(self, data, name):
-        coo, F, rng = data
-        X = rng.standard_normal((coo.num_rows, F))
-        Y = rng.standard_normal((coo.num_cols, F))
-        got = sddmm_kernel(name)(coo, X, Y).output
-        np.testing.assert_allclose(got, reference_sddmm(coo, X, Y), atol=1e-9)
+        _agrees("sddmm", sddmm_kernel(name), data)
 
 
 class TestCostModelProperties:

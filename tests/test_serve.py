@@ -29,19 +29,29 @@ from repro.nn import GCN, GraphData
 from repro.nn.tensor import Tensor
 from repro.resilience.faults import fault_profile, no_faults
 from repro.serve.service import _bucket
+from tests.conftest import serial as _serial, submit
 
 
 def _graph(coo) -> GraphData:
     return GraphData(coo)
 
 
-def _serial(graph: GraphData, column: np.ndarray) -> np.ndarray:
-    out, _ = core.spmm(graph.coo, graph.gcn_edge_values, column[:, None])
-    return out[:, 0].copy()
-
-
 def _run(coro):
     return asyncio.run(coro)
+
+
+def _gather(served, kind: str, payloads: list) -> list:
+    """``kind`` requests for every payload, pending together on ``served``."""
+    async def main():
+        return await asyncio.gather(*[getattr(served.service, kind)(p) for p in payloads])
+
+    return served.run(main())
+
+
+async def _mixed(served, columns, ids):
+    """Propagates and predicts pending together; propagate answers first."""
+    return await asyncio.gather(*[served.service.propagate(c) for c in columns],
+                                *[served.service.predict(i) for i in ids])
 
 
 async def _serve_all(graph, payloads, config=None, **kwargs):
@@ -80,33 +90,30 @@ class TestBucket:
 
 
 class TestBatchingEquivalence:
+    """Cases over the module's ``served`` service; the differential suite
+    draws the full mix of widths and kinds, in-process and over TCP."""
+
     @given(
         widths=st.lists(st.integers(1, 3), min_size=1, max_size=10),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=15, deadline=None)
-    def test_batched_equals_serial(self, small_graph, widths, seed):
+    def test_batched_equals_serial(self, served, widths, seed):
         """Any mix of pending column widths slices back bit-identically."""
-        graph = _graph(small_graph)
         rng = np.random.default_rng(seed)
-        payloads = [
-            rng.standard_normal((graph.num_vertices, w)) for w in widths
-        ]
-        config = serve.ServeConfig(max_batch=len(payloads), max_delay_us=50_000)
-        results, service = _run(_serve_all(graph, payloads, config))
+        payloads = [rng.standard_normal((served.graph.num_vertices, w)) for w in widths]
+        admitted = served.service.stats.requests
+        results = _gather(served, "propagate", payloads)
         for payload, result in zip(payloads, results):
             assert result.shape == payload.shape
             for j in range(payload.shape[1]):
-                np.testing.assert_array_equal(
-                    result[:, j], _serial(graph, payload[:, j])
-                )
-        assert service.stats.requests == len(payloads)
+                np.testing.assert_array_equal(result[:, j], _serial(served.graph, payload[:, j]))
+        assert served.service.stats.requests - admitted == len(payloads)
 
-    def test_single_request_matches_direct_launch(self, small_graph, rng):
-        graph = _graph(small_graph)
-        column = rng.standard_normal(graph.num_vertices)
-        results, _ = _run(_serve_all(graph, [column]))
-        np.testing.assert_array_equal(results[0], _serial(graph, column))
+    def test_single_request_matches_direct_launch(self, served, rng):
+        column = rng.standard_normal(served.graph.num_vertices)
+        (result,) = _gather(served, "propagate", [column])
+        np.testing.assert_array_equal(result, _serial(served.graph, column))
 
     def test_unbatched_mode_also_identical(self, small_graph, rng):
         graph = _graph(small_graph)
@@ -117,38 +124,15 @@ class TestBatchingEquivalence:
             np.testing.assert_array_equal(result, _serial(graph, column))
         assert service.stats.mean_occupancy == 1.0
 
-    def test_predict_equals_standalone_forward(self, small_graph, rng):
-        graph = _graph(small_graph)
-        features = rng.standard_normal((graph.num_vertices, 12))
-        model = GCN(12, 8, 5, seed=2)
-        model.eval()
-        logits = np.asarray(model(graph, Tensor(features)).data)
-
-        async def main():
-            service = serve.InferenceService(
-                graph, model=model, features=features
-            )
-            async with service:
-                rows = await asyncio.gather(
-                    *[service.predict([i, i + 2]) for i in range(8)],
-                    service.predict(3),
-                )
-            return rows
-
-        *rows, scalar = _run(main())
+    def test_predict_equals_standalone_forward(self, served):
+        *rows, scalar = _gather(served, "predict", [[i, i + 2] for i in range(8)] + [3])
         for i, row in enumerate(rows):
-            np.testing.assert_array_equal(row, logits[[i, i + 2]])
-        np.testing.assert_array_equal(scalar, logits[3])
+            np.testing.assert_array_equal(row, served.logits[[i, i + 2]])
+        np.testing.assert_array_equal(scalar, served.logits[3])
 
-    def test_predict_without_model_rejected(self, small_graph):
-        graph = _graph(small_graph)
-
-        async def main():
-            async with serve.InferenceService(graph) as service:
-                await service.predict([0])
-
+    def test_predict_without_model_rejected(self, served):
         with pytest.raises(ConfigError, match="model"):
-            _run(main())
+            served.run(served.bare.predict([0]))
 
     @pytest.mark.parametrize("dtype", ["str", "bool", "complex", "object"])
     def test_non_numeric_features_rejected(self, small_graph, rng, dtype):
@@ -219,90 +203,50 @@ class TestAdmissionControl:
 
         _run(main())
 
-    def test_shape_validation(self, small_graph, rng):
-        graph = _graph(small_graph)
-        features = rng.standard_normal((graph.num_vertices, 4))
-        model = GCN(4, 4, 3, seed=0)
+    def test_shape_validation(self, served, rng):
         # Non-integer ids are rejected, never truncated or parsed into
-        # another node's row.
+        # another node's row; ragged nesting is a typed error too.
         bad_ids = [[1.7], np.array([2.9]), True, ["3"], np.array([1], object)]
-
-        async def main():
-            async with serve.InferenceService(
-                graph, model=model, features=features
-            ) as service:
-                with pytest.raises(ConfigError, match="columns"):
-                    await service.propagate(rng.standard_normal(7))
-                for ids in bad_ids:
-                    with pytest.raises(ConfigError, match="integers"):
-                        await service.predict(ids)
-                # ragged nesting is a typed error, not numpy's ValueError
-                with pytest.raises(ConfigError, match="1-D"):
-                    await service.predict([[1], [2, 3]])
-
-        _run(main())
+        with pytest.raises(ConfigError, match="columns"):
+            served.run(served.service.propagate(rng.standard_normal(7)))
+        for ids in bad_ids:
+            with pytest.raises(ConfigError, match="integers"):
+                served.run(served.service.predict(ids))
+        with pytest.raises(ConfigError, match="1-D"):
+            served.run(served.service.predict([[1], [2, 3]]))
 
     @pytest.mark.parametrize("kind, ndim", [
         ("predcit", 2), ("predcit", 1), (["propagate"], 2),
         ("propagate", 1), ("predict", 2),
     ])
-    def test_submit_nowait_rejects_unknown_kind_and_wrong_ndim(
-        self, small_graph, rng, kind, ndim
-    ):
+    def test_submit_nowait_rejects_unknown_kind_and_wrong_ndim(self, served, kind, ndim):
         """Refused before admission: nothing is queued, launched or
         charged to the breaker."""
-        graph = _graph(small_graph)
-        features = rng.standard_normal((graph.num_vertices, 4))
-        model = GCN(4, 4, 3, seed=0)
-        payload = (
-            rng.standard_normal((graph.num_vertices, 1)) if ndim == 2
-            else np.array([1, 2])
-        )
-
-        async def main():
-            async with serve.InferenceService(
-                graph, model=model, features=features
-            ) as service:
-                for _ in range(3):  # the breaker's default threshold
-                    with pytest.raises(ConfigError, match="submit_nowait takes"):
-                        service.submit_nowait(kind, payload)
-                await asyncio.sleep(0.01)
-            return service
-
-        service = _run(main())
-        assert service.stats.requests == 0 and service.stats.batches == 0
-        assert service.breaker.state == "closed"
+        payload = served.columns[:, :1] if ndim == 2 else np.array([1, 2])
+        stats = served.service.stats
+        before = (stats.requests, stats.batches)
+        for _ in range(3):  # the breaker's default threshold
+            with pytest.raises(ConfigError):
+                served.run(submit(served.service, kind, payload))
+        assert (stats.requests, stats.batches) == before
+        assert served.service.breaker.state == "closed"
 
     @pytest.mark.parametrize("dtype", ["str", "bool", "complex"])
-    def test_non_numeric_columns_rejected(self, small_graph, rng, dtype):
+    def test_non_numeric_columns_rejected(self, served, dtype):
         """Strings, bools and complex values are refused, not cast."""
-        graph = _graph(small_graph)
-        column = rng.standard_normal(graph.num_vertices)
-        bad = {
-            "str": np.array(["1.5"] * graph.num_vertices),
-            "bool": column > 0,
-            "complex": column + 1j,
-        }[dtype]
+        column = served.columns[:, 0]
+        bad = {"str": column.astype(str), "bool": column > 0, "complex": column + 1j}[dtype]
+        admitted = served.service.stats.requests
+        with pytest.raises(ConfigError, match="integers or floats"):
+            served.run(served.service.propagate(bad))
+        assert served.service.stats.requests == admitted
 
-        async def main():
-            async with serve.InferenceService(graph) as service:
-                with pytest.raises(ConfigError, match="integers or floats"):
-                    await service.propagate(bad)
-            return service
-
-        service = _run(main())
-        assert service.stats.requests == 0
-
-    def test_int_and_float32_columns_answered_in_float64(self, small_graph, rng):
-        graph = _graph(small_graph)
-        ints = rng.integers(-5, 5, graph.num_vertices)
-        singles = rng.standard_normal(graph.num_vertices).astype(np.float32)
-        results, _ = _run(_serve_all(graph, [ints, singles]))
-        for column, result in zip((ints, singles), results):
+    def test_int_and_float32_columns_answered_in_float64(self, served, rng):
+        V = served.graph.num_vertices
+        columns = [rng.integers(-5, 5, V), rng.standard_normal(V).astype(np.float32)]
+        for column, result in zip(columns, _gather(served, "propagate", columns)):
             assert result.dtype == np.float64
-            np.testing.assert_array_equal(
-                result, _serial(graph, column.astype(np.float64))
-            )
+            np.testing.assert_array_equal(result, _serial(served.graph, column.astype(np.float64)))
 
 
 class TestPredictMemo:
@@ -316,57 +260,40 @@ class TestPredictMemo:
         logits = np.asarray(model.eval()(graph, Tensor(features)).data).copy()
         return graph, features, model, logits
 
-    def test_predicts_launch_no_kernel(self, small_graph, rng):
-        graph, features, model, logits = self._setup(small_graph, rng)
-        ids = [rng.integers(0, graph.num_vertices, 5) for _ in range(50)]
+    def test_predicts_launch_no_kernel(self, served, rng):
+        ids = [rng.integers(0, served.graph.num_vertices, 5) for _ in range(50)]
         cache = get_plan_cache()
 
         async def main():
-            async with serve.InferenceService(
-                graph, model=model, features=features
-            ) as service:
-                before = (cache.hits, cache.misses)
-                with obs.capture() as records:
-                    rows = [await service.predict(i) for i in ids]
-                return before, (cache.hits, cache.misses), records, rows
+            return [await served.service.predict(i) for i in ids]
 
-        with no_faults():
-            before, after, records, rows = _run(main())
-        assert after == before
+        with no_faults(), obs.capture() as records:
+            before = (cache.hits, cache.misses)
+            rows = served.run(main())
+        assert (cache.hits, cache.misses) == before
         assert not [r for r in records if r.get("name", "").startswith("kernel.")]
         assert sum(r.get("name") == "serve.request" for r in records) == 50
         for i, row in zip(ids, rows):
-            np.testing.assert_array_equal(row, logits[i])
+            np.testing.assert_array_equal(row, served.logits[i])
 
-    def test_batch_faults_touch_only_propagate(self, small_graph, rng):
-        graph, features, model, logits = self._setup(small_graph, rng)
-        columns = [rng.standard_normal(graph.num_vertices) for _ in range(4)]
-
-        async def main():
-            service = serve.InferenceService(graph, model=model, features=features)
-            async with service:
-                alone = await asyncio.gather(
-                    *[service.predict([i, i + 1]) for i in range(10)]
-                )
-                batches_alone = service.stats.batches
-                mixed = await asyncio.gather(
-                    *[service.propagate(c) for c in columns],
-                    *[service.predict(i) for i in range(10)],
-                )
-            return service, alone, batches_alone, mixed
-
+    def test_batch_faults_touch_only_propagate(self, served, rng):
+        columns = [rng.standard_normal(served.graph.num_vertices) for _ in range(4)]
+        stats = served.service.stats
+        before = (stats.batches, stats.fused_requests, stats.degraded, stats.requests)
         with fault_profile("serve.batch_fail=1", seed=3):
-            service, alone, batches_alone, mixed = _run(main())
+            alone = _gather(served, "predict", [[i, i + 1] for i in range(10)])
+            batches_alone = stats.batches - before[0]
+            mixed = served.run(_mixed(served, columns, list(range(10))))
         for i, row in enumerate(alone):
-            np.testing.assert_array_equal(row, logits[[i, i + 1]])
+            np.testing.assert_array_equal(row, served.logits[[i, i + 1]])
         for column, result in zip(columns, mixed[:4]):
-            np.testing.assert_array_equal(result, _serial(graph, column))
+            np.testing.assert_array_equal(result, _serial(served.graph, column))
         for i, row in enumerate(mixed[4:]):
-            np.testing.assert_array_equal(row, logits[i])
+            np.testing.assert_array_equal(row, served.logits[i])
         assert batches_alone == 0
-        assert service.stats.fused_requests == len(columns)
-        assert 1 <= service.stats.degraded <= service.stats.batches
-        assert service.stats.requests == 10 + len(columns) + 10
+        assert stats.fused_requests - before[1] == len(columns)
+        assert 1 <= stats.degraded - before[2] <= stats.batches - before[0]
+        assert stats.requests - before[3] == 10 + len(columns) + 10
 
     def test_serves_a_snapshot_taken_at_construction(self, small_graph, rng):
         graph, features, model, logits = self._setup(small_graph, rng)
@@ -384,69 +311,61 @@ class TestPredictMemo:
         assert not np.array_equal(changed, logits)  # the edits took effect
         np.testing.assert_array_equal(rows, logits)
 
-    def test_mixed_kinds_and_tenants_bit_identical(self, small_graph, rng):
+    def test_mixed_kinds_and_tenants_bit_identical(self, served, rng):
         """Callers once split by tenant now share batches with mixed kinds."""
-        graph, features, model, logits = self._setup(small_graph, rng)
-        columns = [rng.standard_normal(graph.num_vertices) for _ in range(6)]
-        ids = [rng.integers(0, graph.num_vertices, 3) for _ in range(6)]
+        columns = [rng.standard_normal(served.graph.num_vertices) for _ in range(6)]
+        ids = [rng.integers(0, served.graph.num_vertices, 3) for _ in range(6)]
+        service = served.service
 
         async def main():
-            async with serve.InferenceService(
-                graph, model=model, features=features,
-                config=serve.ServeConfig(max_batch=8, max_delay_us=50_000),
-            ) as service:
-                return await asyncio.gather(*[
-                    call
-                    for c, i in zip(columns, ids)
-                    for call in (service.propagate(c), service.predict(i))
-                ])
+            return await asyncio.gather(*[
+                call for c, i in zip(columns, ids)
+                for call in (service.propagate(c), service.predict(i))
+            ])
 
         with no_faults():
-            outs = _run(main())
+            outs = served.run(main())
         for k, (column, i) in enumerate(zip(columns, ids)):
-            np.testing.assert_array_equal(outs[2 * k], _serial(graph, column))
-            np.testing.assert_array_equal(outs[2 * k + 1], logits[i])
+            np.testing.assert_array_equal(outs[2 * k], _serial(served.graph, column))
+            np.testing.assert_array_equal(outs[2 * k + 1], served.logits[i])
 
 
 class TestFaultRecovery:
-    def test_batch_fault_degrades_and_recovers(self, small_graph, rng):
-        """A certain-fire serve fault slows responses, never corrupts them."""
-        graph = _graph(small_graph)
-        columns = [rng.standard_normal(graph.num_vertices) for _ in range(6)]
-        refs = [_serial(graph, c) for c in columns]
-        with fault_profile("serve.batch_fail=1", seed=3):
-            results, service = _run(_serve_all(graph, columns))
+    @staticmethod
+    def _answers_under(served, rng, profile, seed, n):
+        """``n`` propagates under a fault profile, each bit-identical to its
+        serial launch."""
+        columns = [rng.standard_normal(served.graph.num_vertices) for _ in range(n)]
+        refs = [_serial(served.graph, c) for c in columns]
+        with fault_profile(profile, seed=seed):
+            results = _gather(served, "propagate", columns)
         for ref, result in zip(refs, results):
             np.testing.assert_array_equal(ref, result)
-        assert service.stats.degraded >= 1
-        assert service.stats.retries >= 1
 
-    def test_chaos_profile_zero_wrong_responses(self, small_graph, rng):
-        graph = _graph(small_graph)
-        columns = [rng.standard_normal(graph.num_vertices) for _ in range(10)]
-        refs = [_serial(graph, c) for c in columns]
-        with fault_profile("chaos", seed=99):
-            results, _ = _run(_serve_all(graph, columns))
-        for ref, result in zip(refs, results):
-            np.testing.assert_array_equal(ref, result)
+    def test_batch_fault_degrades_and_recovers(self, served, rng):
+        """A certain-fire serve fault slows responses, never corrupts them."""
+        stats = served.service.stats
+        degraded, retries = stats.degraded, stats.retries
+        self._answers_under(served, rng, "serve.batch_fail=1", 3, 6)
+        assert stats.degraded > degraded and stats.retries > retries
+
+    def test_chaos_profile_zero_wrong_responses(self, served, rng):
+        self._answers_under(served, rng, "chaos", 99, 10)
 
 
 class TestServeObservability:
-    def test_summary_and_timeline_handle_serve_spans(self, small_graph, rng):
-        graph = _graph(small_graph)
-        columns = [rng.standard_normal(graph.num_vertices) for _ in range(5)]
+    def test_summary_and_timeline_handle_serve_spans(self, served, rng):
+        columns = [rng.standard_normal(served.graph.num_vertices) for _ in range(5)]
         with obs.capture() as records:
-            _run(_serve_all(graph, columns))
+            _gather(served, "propagate", columns)
         stats = obs.serve_summary(records)
         assert stats["requests"] == 5
         assert stats["batches"] >= 1
         assert stats["p99_ms"] >= stats["p50_ms"] > 0
-        line = obs.format_serve_line(stats)
-        assert "5 request(s)" in line
+        assert "5 request(s)" in obs.format_serve_line(stats)
         # serve.request spans overlap freely (async lifecycles); the
         # timeline must still render every lane without raising.
-        rendered = obs.format_timeline(records)
-        assert "serve" in rendered
+        assert "serve" in obs.format_timeline(records)
 
     def test_serve_footer_on_empty_trace(self):
         line = obs.format_serve_line(obs.serve_summary([]))

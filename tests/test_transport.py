@@ -10,12 +10,11 @@ graceful shutdown accounts for every admitted request.
 from __future__ import annotations
 
 import asyncio
-import json
 
 import numpy as np
 import pytest
 
-from repro import core, serve
+from repro import serve
 from repro.errors import (
     ConfigError,
     ConnectionLostError,
@@ -29,8 +28,7 @@ from repro.errors import (
     ServiceClosedError,
     error_from_code,
 )
-from repro.nn import GCN, GraphData
-from repro.nn.tensor import Tensor
+from repro.nn import GraphData
 from repro.resilience.faults import fault_profile, no_faults
 from repro.serve import protocol
 from repro.serve import transport as transport_mod
@@ -43,15 +41,19 @@ from repro.serve.scheduler import (
 )
 from repro.serve.service import _Request
 from repro.serve.transport import ServeTransport
+from tests.conftest import frame, serial as _serial, submit, wire
+
+
+@pytest.fixture(autouse=True)
+def _no_faults(_fresh_injector):
+    """Exact counts and bytes need a fault-free run; a test that wants
+    faults swaps in its own profile."""
+    with no_faults():
+        yield
 
 
 def _run(coro):
     return asyncio.run(coro)
-
-
-def _serial(graph: GraphData, column: np.ndarray) -> np.ndarray:
-    out, _ = core.spmm(graph.coo, graph.gcn_edge_values, column[:, None])
-    return out[:, 0].copy()
 
 
 # ---------------------------------------------------------------- protocol
@@ -282,97 +284,60 @@ class TestCircuitBreaker:
 
 
 class TestTransportRoundTrip:
-    def test_propagate_and_predict_bit_identical_over_the_wire(
-        self, small_graph, rng
-    ):
-        graph = GraphData(small_graph)
-        features = rng.standard_normal((graph.num_vertices, 12))
-        model = GCN(12, 8, 5, seed=2)
-        model.eval()
-        logits = np.asarray(model(graph, Tensor(features)).data)
+    """Round trips over the module's ``served`` transport; the differential
+    suite's boundary table holds the full bad-input matrix."""
+
+    def test_propagate_and_predict_bit_identical_over_the_wire(self, served, rng):
+        V = served.graph.num_vertices
         # columns travel in their own dtype: ints and float32 too
         columns = [
-            *rng.standard_normal((2, graph.num_vertices)),
-            rng.integers(-5, 5, graph.num_vertices),
-            rng.standard_normal(graph.num_vertices).astype(np.float32),
+            *rng.standard_normal((2, V)), rng.integers(-5, 5, V),
+            rng.standard_normal(V).astype(np.float32),
         ]
+        client = served.client
 
         async def main():
-            service = serve.InferenceService(
-                graph, model=model, features=features
+            return await asyncio.gather(
+                *[client.propagate(c) for c in columns],
+                *[client.predict([i, i + 3]) for i in range(4)],
             )
-            async with ServeTransport(service, port=0) as transport:
-                async with ServeClient(port=transport.port) as client:
-                    outs = await asyncio.gather(
-                        *[client.propagate(c) for c in columns],
-                        *[client.predict([i, i + 3]) for i in range(4)],
-                    )
-                    # the client sends ids as given; the server rejects
-                    with pytest.raises(ConfigError, match="integers"):
-                        await client.predict([1.7])
-            return outs
 
         with no_faults():
-            outs = _run(main())
+            outs = served.run(main())
+            # the client sends ids as given; the server rejects
+            with pytest.raises(ConfigError, match="integers"):
+                served.run(client.predict([1.7]))
         for c, out in zip(columns, outs[:4]):
-            np.testing.assert_array_equal(out, _serial(graph, c.astype(float)))
+            np.testing.assert_array_equal(out, _serial(served.graph, c.astype(float)))
         for i, out in enumerate(outs[4:]):
-            np.testing.assert_array_equal(out, logits[[i, i + 3]])
+            np.testing.assert_array_equal(out, served.logits[[i, i + 3]])
 
     @pytest.mark.parametrize("dtype", ["<U32", "complex128", "bool", "object"])
-    def test_client_columns_are_checked_as_in_process(self, small_graph, rng, dtype):
+    def test_client_columns_are_checked_as_in_process(self, served, dtype):
         """Columns the service refuses in-process are refused over TCP too."""
-        graph = GraphData(small_graph)
-        column = rng.standard_normal(graph.num_vertices).astype(dtype)
+        column = served.columns[:, 0].astype(dtype)
+        admitted = served.service.stats.requests
+        for target in (served.service, served.client):
+            with pytest.raises(ConfigError):
+                served.run(target.propagate(column))
+        assert served.service.stats.requests == admitted
 
-        async def main():
-            service = serve.InferenceService(graph)
-            async with service:
-                with pytest.raises(ConfigError):
-                    await service.propagate(column)
-            async with ServeTransport(service, port=0) as transport:
-                async with ServeClient(port=transport.port) as client:
-                    with pytest.raises(ConfigError):
-                        await client.propagate(column)
-            return service.stats.requests
-
-        with no_faults():
-            assert _run(main()) == 0
-
-    def test_health_and_ready_probes(self, small_graph):
-        graph = GraphData(small_graph)
-
-        async def main():
-            service = serve.InferenceService(graph)
-            async with ServeTransport(service, port=0) as transport:
-                async with ServeClient(port=transport.port) as client:
-                    return await client.health(), await client.ready()
-
-        with no_faults():
-            health, ready = _run(main())
+    def test_health_and_ready_probes(self, served):
+        health = served.run(served.client.health())
         assert health["running"] and health["ready"]
         assert health["breaker"]["state"] == "closed"
-        assert ready == {"ready": True}
+        assert served.run(served.client.ready()) == {"ready": True}
 
-    def test_handshake_refuses_wrong_proto_version(self, small_graph):
-        graph = GraphData(small_graph)
-
+    def test_handshake_refuses_wrong_proto_version(self, served):
         async def main():
-            service = serve.InferenceService(graph)
-            async with ServeTransport(service, port=0) as transport:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", transport.port
-                )
-                await protocol.write_frame(
-                    writer, {"op": "hello", "proto": 999}
-                )
-                answer, _ = await protocol.read_frame(reader)
-                writer.close()
-                await writer.wait_closed()
-                return answer
+            reader, writer = await asyncio.open_connection("127.0.0.1", served.transport.port)
+            await protocol.write_frame(writer, {"op": "hello", "proto": 999})
+            answer, _ = await protocol.read_frame(reader)
+            writer.close()
+            await writer.wait_closed()
+            return answer
 
-        with no_faults():
-            answer = _run(main())
+        answer = served.run(main())
         assert answer["ok"] is False
         assert answer["error"]["code"] == "transport.protocol"
 
@@ -399,100 +364,38 @@ class TestTransportRoundTrip:
             with pytest.raises(ProtocolError, match="server speaks proto"):
                 _run(main())
 
-    def test_unknown_op_and_bad_payload_are_typed(self, small_graph, rng):
-        graph = GraphData(small_graph)
-        features = rng.standard_normal((graph.num_vertices, 4))
-        model = GCN(4, 4, 3, seed=0)
-
-        async def roundtrip(frame, attachment=b"", **service_kwargs):
-            service = serve.InferenceService(graph, **service_kwargs)
-            async with ServeTransport(service, port=0) as transport:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", transport.port
-                )
-                await protocol.write_frame(writer, protocol.hello_frame())
-                await protocol.read_frame(reader)  # handshake answer
-                await protocol.write_frame(writer, frame, attachment)
-                answer, _ = await protocol.read_frame(reader)
-                writer.close()
-                await writer.wait_closed()
-                return answer
-
-        with no_faults():
-            unknown = _run(roundtrip({"op": "transmogrify", "id": "r1"}))
-            header, payload = protocol.array_header(np.zeros(3))
-            misshapen = _run(roundtrip(
-                {"op": "propagate", "id": "r2", "payload": header},
-                bytes(payload),
-            ))
-            no_model = _run(roundtrip(
-                {"op": "predict", "id": "r3",
-                 "payload": protocol.encode_array(np.array([0]))},
-            ))
-            header, payload = protocol.array_header(np.array([1.7]))
-            float_ids = _run(roundtrip(
-                {"op": "predict", "id": "r4", "payload": header},
-                bytes(payload), model=model, features=features,
-            ))
-        assert unknown["error"]["code"] == "transport.protocol"
-        assert misshapen["error"]["code"] == "config.invalid"
-        assert no_model["error"]["code"] == "config.invalid"
-        assert float_ids["error"]["code"] == "config.invalid"
-        assert "integers" in float_ids["error"]["message"]
+    def test_unknown_op_and_bad_payload_are_typed(self, served):
+        with pytest.raises(ProtocolError, match="unknown op"):
+            served.run(frame(served.transport.port, {"op": "transmogrify"}))
+        with pytest.raises(ConfigError, match="columns"):
+            wire(served, "propagate", np.zeros(3))
+        with pytest.raises(ConfigError, match="integers"):
+            wire(served, "predict", np.array([1.7]))
+        with pytest.raises(ConfigError, match="model"):
+            served.run(submit(served.bare, "predict", np.array([0])))
 
     @pytest.mark.parametrize("dtype", ["<U3", "|b1", "<c16"])
-    def test_non_numeric_column_attachment_rejected(self, small_graph, dtype):
+    def test_non_numeric_column_attachment_rejected(self, served, dtype):
         """A string, bool or complex attachment is refused, not cast."""
-        graph = GraphData(small_graph)
-        column = np.ones(graph.num_vertices).astype(dtype)
-        header = {"__nd__": 2, "dtype": column.dtype.str,
-                  "shape": list(column.shape)}
+        admitted = served.service.stats.requests
+        with pytest.raises(ConfigError, match="integers or floats"):
+            wire(served, "propagate", np.ones(served.graph.num_vertices).astype(dtype))
+        assert served.service.stats.requests == admitted
 
+    def test_garbage_frame_gets_typed_answer_then_hangup(self, served):
         async def main():
-            service = serve.InferenceService(graph)
-            async with ServeTransport(service, port=0) as transport:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", transport.port
-                )
-                await protocol.write_frame(writer, protocol.hello_frame())
-                await protocol.read_frame(reader)  # handshake answer
-                await protocol.write_frame(
-                    writer, {"op": "propagate", "id": "r1", "payload": header},
-                    column.tobytes(),
-                )
-                answer, _ = await protocol.read_frame(reader)
-                writer.close()
-                await writer.wait_closed()
-                return answer, service.stats.requests
+            reader, writer = await asyncio.open_connection("127.0.0.1", served.transport.port)
+            await protocol.write_frame(writer, protocol.hello_frame())
+            await protocol.read_frame(reader)
+            writer.write(len(b"not json").to_bytes(4, "big") + b"not json")
+            await writer.drain()
+            answer, _ = await protocol.read_frame(reader)
+            tail = await reader.read(64)  # server hangs up after answering
+            writer.close()
+            await writer.wait_closed()
+            return answer, tail
 
-        with no_faults():
-            answer, admitted = _run(main())
-        assert answer["ok"] is False
-        assert answer["error"]["code"] == "config.invalid"
-        assert "integers or floats" in answer["error"]["message"]
-        assert admitted == 0
-
-    def test_garbage_frame_gets_typed_answer_then_hangup(self, small_graph):
-        graph = GraphData(small_graph)
-
-        async def main():
-            service = serve.InferenceService(graph)
-            async with ServeTransport(service, port=0) as transport:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", transport.port
-                )
-                await protocol.write_frame(writer, protocol.hello_frame())
-                await protocol.read_frame(reader)
-                writer.write(len(b"not json").to_bytes(4, "big") + b"not json")
-                await writer.drain()
-                answer, _ = await protocol.read_frame(reader)
-                tail = await reader.read(64)  # server hangs up after answering
-                writer.close()
-                await writer.wait_closed()
-                return answer, tail
-
-        with no_faults():
-            answer, tail = _run(main())
+        answer, tail = served.run(main())
         assert answer["error"]["code"] == "transport.protocol"
         assert tail == b""
 
@@ -501,74 +404,45 @@ class TestTransportRoundTrip:
 
 
 class TestIdempotency:
-    def test_duplicate_id_executes_once_and_replays(self, small_graph, rng):
-        graph = GraphData(small_graph)
-        column = rng.standard_normal(graph.num_vertices)
-
-        async def main():
-            service = serve.InferenceService(graph)
-            async with ServeTransport(service, port=0) as transport:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", transport.port
-                )
-                await protocol.write_frame(writer, protocol.hello_frame())
-                await protocol.read_frame(reader)
-                header, payload = protocol.array_header(column)
-                frame = {"op": "propagate", "id": "dup-1", "payload": header}
-                await protocol.write_frame(writer, frame, bytes(payload))
-                first, a1 = await protocol.read_frame(reader)
-                await protocol.write_frame(writer, frame, bytes(payload))
-                second, a2 = await protocol.read_frame(reader)
-                writer.close()
-                await writer.wait_closed()
-                return first, a1, second, a2, service.stats.requests
-
+    def test_duplicate_id_executes_once_and_replays(self, served, rng):
+        column = rng.standard_normal(served.graph.num_vertices)
+        executed = served.service.stats.requests
         with no_faults():
-            first, a1, second, a2, executed = _run(main())
-        assert executed == 1  # the duplicate never re-entered the service
-        out1 = protocol.decode_payload(first["result"], a1)
-        out2 = protocol.decode_payload(second["result"], a2)
-        np.testing.assert_array_equal(out1, _serial(graph, column))
-        np.testing.assert_array_equal(out2, out1)
+            outs = [
+                protocol.decode_payload(answer["result"], attached)
+                for answer, attached in (
+                    wire(served, "propagate", column, id="dup-1") for _ in range(2)
+                )
+            ]
+        # the duplicate never re-entered the service
+        assert served.service.stats.requests == executed + 1
+        np.testing.assert_array_equal(outs[0], _serial(served.graph, column))
+        np.testing.assert_array_equal(outs[1], outs[0])
 
-    def test_retry_after_dropped_response_collects_cached_result(
-        self, small_graph, rng
-    ):
+    def test_retry_after_dropped_response_collects_cached_result(self, served, rng):
         """net.conn_drop kills the connection *after* execution; the
         client's reconnect-and-retry must land the cached response, not
         a second execution."""
-        graph = GraphData(small_graph)
-        column = rng.standard_normal(graph.num_vertices)
+        column = rng.standard_normal(served.graph.num_vertices)
+        executed = served.service.stats.requests
 
         async def main():
-            service = serve.InferenceService(graph)
-            async with ServeTransport(service, port=0) as transport:
-                with fault_profile("net.conn_drop=1", seed=7):
-                    async with ServeClient(port=transport.port,
-                                           retries=6) as client:
-                        out = await client.propagate(column)
-                return out, service.stats.requests
+            async with ServeClient(port=served.transport.port, retries=6) as client:
+                return await client.propagate(column)
 
-        out, executed = _run(main())
-        np.testing.assert_array_equal(out, _serial(graph, column))
-        assert executed == 1  # retried over the wire, executed once
+        with fault_profile("net.conn_drop=1", seed=7):
+            out = served.run(main())
+        np.testing.assert_array_equal(out, _serial(served.graph, column))
+        # retried over the wire, executed once
+        assert served.service.stats.requests == executed + 1
 
-    def test_dedup_cache_is_bounded(self, small_graph, rng, monkeypatch):
-        graph = GraphData(small_graph)
-        column = rng.standard_normal(graph.num_vertices)
+    def test_dedup_cache_is_bounded(self, served, rng, monkeypatch):
+        column = rng.standard_normal(served.graph.num_vertices)
         monkeypatch.setattr(transport_mod, "DEDUP_CAP", 4)
-
-        async def main():
-            service = serve.InferenceService(graph)
-            transport = ServeTransport(service, port=0)
-            async with transport:
-                async with ServeClient(port=transport.port) as client:
-                    for _ in range(10):
-                        await client.propagate(column)
-                return len(transport._responses)
-
         with no_faults():
-            assert _run(main()) <= 4
+            for _ in range(10):
+                served.run(served.client.propagate(column))
+        assert len(served.transport._responses) <= 4
 
 
 # ---------------------------------------------------------------- shutdown
@@ -657,106 +531,44 @@ class TestGracefulShutdown:
 
 
 class TestDeadlinePropagation:
-    def test_hopeless_deadline_is_typed_deadline_or_timeout(
-        self, small_graph, rng
-    ):
-        graph = GraphData(small_graph)
-        columns = rng.standard_normal((6, graph.num_vertices))
+    def test_hopeless_deadline_is_typed_deadline_or_timeout(self, served, rng):
+        columns = rng.standard_normal((6, served.graph.num_vertices))
+        stats = served.service.stats
+        before = stats.deadline_shed + stats.timeouts
 
         async def main():
-            service = serve.InferenceService(
-                graph, config=serve.ServeConfig(
-                    max_batch=1, max_delay_us=0
-                )
-            )
-            async with ServeTransport(service, port=0) as transport:
-                async with ServeClient(port=transport.port) as client:
-                    doomed = [
-                        asyncio.ensure_future(client.propagate(
-                            c, priority="bulk", deadline_ms=0.02
-                        ))
-                        for c in columns
-                    ]
-                    results = await asyncio.gather(
-                        *doomed, return_exceptions=True
-                    )
-                return results, service.stats
+            return await asyncio.gather(*[
+                served.client.propagate(c, priority="bulk", deadline_ms=0.02)
+                for c in columns
+            ], return_exceptions=True)
 
         with no_faults():
-            results, stats = _run(main())
+            results = served.run(main())
         typed = 0
         for r in results:
-            assert isinstance(
-                r, (DeadlineExceededError, RequestTimeoutError, np.ndarray)
-            )
+            assert isinstance(r, (DeadlineExceededError, RequestTimeoutError, np.ndarray))
             typed += not isinstance(r, np.ndarray)
         # at least one went through a deadline path, not silent success
-        assert typed + stats.deadline_shed + stats.timeouts >= 1
+        assert typed + stats.deadline_shed + stats.timeouts - before >= 1
 
-    def test_non_finite_and_boolean_deadlines_are_refused(self, small_graph, rng):
+    def test_non_finite_and_boolean_deadlines_are_refused(self, served):
         """json.loads turns NaN/Infinity into floats and true into an int."""
-        graph = GraphData(small_graph)
-        header, payload = protocol.array_header(
-            rng.standard_normal(graph.num_vertices)
-        )
+        admitted = served.service.stats.requests
+        for bad in (float("nan"), float("inf"), float("-inf"), True):
+            with pytest.raises(ProtocolError, match="deadline_ms"):
+                wire(served, "propagate", served.columns, deadline_ms=bad)
+        assert served.service.stats.requests == admitted
 
-        async def main():
-            service = serve.InferenceService(graph)
-            answers = []
-            async with ServeTransport(service, port=0) as transport:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", transport.port
-                )
-                await protocol.write_frame(writer, protocol.hello_frame())
-                await protocol.read_frame(reader)
-                for i, literal in enumerate(("NaN", "Infinity", "-Infinity", "true")):
-                    body = (
-                        f'{{"op":"propagate","id":"r{i}","deadline_ms":{literal},'
-                        f'"payload":{json.dumps(header)},"bin":{len(payload)}}}'
-                    ).encode()
-                    writer.write(len(body).to_bytes(4, "big") + body + bytes(payload))
-                    await writer.drain()
-                    answers.append((await protocol.read_frame(reader))[0])
-                writer.close()
-                await writer.wait_closed()
-            return answers, service.stats.requests
+    def test_in_process_deadline_must_be_finite(self, served):
+        admitted = served.service.stats.requests
+        for bad in (float("nan"), float("inf"), True):
+            with pytest.raises(ConfigError, match="deadline_ms"):
+                served.run(submit(served.service, "propagate", served.columns,
+                                  deadline_ms=bad))
+        assert served.service.stats.requests == admitted
 
-        with no_faults():
-            answers, admitted = _run(main())
-        assert [a["error"]["code"] for a in answers] == ["transport.protocol"] * 4
-        assert admitted == 0
-
-    def test_in_process_deadline_must_be_finite(self, small_graph, rng):
-        graph = GraphData(small_graph)
-        column = rng.standard_normal(graph.num_vertices)
-
-        async def main():
-            service = serve.InferenceService(graph)
-            async with service:
-                for bad in (float("nan"), float("inf"), True):
-                    with pytest.raises(ConfigError, match="deadline_ms"):
-                        service.submit_nowait(
-                            "propagate", column[:, None], deadline_ms=bad
-                        )
-                return service.stats.requests
-
-        with no_faults():
-            assert _run(main()) == 0
-
-    def test_priority_is_validated_over_the_wire(self, small_graph, rng):
-        graph = GraphData(small_graph)
-        column = rng.standard_normal(graph.num_vertices)
-
-        async def main():
-            service = serve.InferenceService(graph)
-            async with service:
-                with pytest.raises(ConfigError, match="unknown priority"):
-                    await service.propagate(column, priority=["x"])
-            async with ServeTransport(service, port=0) as transport:
-                async with ServeClient(port=transport.port) as client:
-                    for bad in ("express", ["x"]):
-                        with pytest.raises(ConfigError, match="unknown priority"):
-                            await client.propagate(column, priority=bad)
-
-        with no_faults():
-            _run(main())
+    def test_priority_is_validated_over_the_wire(self, served):
+        for target, bad in ((served.service, ["x"]), (served.client, "express"),
+                            (served.client, ["x"])):
+            with pytest.raises(ConfigError, match="unknown priority"):
+                served.run(target.propagate(served.columns, priority=bad))
