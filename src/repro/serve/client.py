@@ -144,11 +144,7 @@ class ServeClient:
         a zero-copy view of the receive buffer and is read-only;
         ``.copy()`` it if you need to mutate.
         """
-        header, payload = protocol.array_header(columns)
-        frame = {"op": "propagate", "payload": header}
-        return await self._call(
-            frame, payload, priority=priority, deadline_ms=deadline_ms
-        )
+        return await self._call("propagate", columns, priority, deadline_ms)
 
     async def predict(
         self,
@@ -164,11 +160,7 @@ class ServeClient:
         truncating them, and a scalar id gets one row back, as
         in-process.
         """
-        header, payload = protocol.array_header(node_ids)
-        frame = {"op": "predict", "payload": header}
-        return await self._call(
-            frame, payload, priority=priority, deadline_ms=deadline_ms
-        )
+        return await self._call("predict", node_ids, priority, deadline_ms)
 
     async def health(self) -> dict[str, Any]:
         """The service's full health snapshot, over the wire."""
@@ -186,17 +178,14 @@ class ServeClient:
         return f"{self._id_prefix}-{next(self._seq)}"
 
     async def _call(
-        self,
-        frame: dict[str, Any],
-        payload: bytes | memoryview,
-        *,
-        priority: str | None,
-        deadline_ms: float | None,
+        self, op: str, values, priority: str | None, deadline_ms: float | None
     ) -> np.ndarray:
-        """One logical request: mint the id once, retry transport failures."""
+        """One logical ``op`` request carrying ``values``: mint the id once,
+        retry transport failures."""
+        header, payload = protocol.array_header(values)
         check_deadline(deadline_ms)  # the budget is checked as in-process
         request_id = self._next_id()
-        frame["id"] = request_id
+        frame = {"op": op, "payload": header, "id": request_id}
         if priority is not None:
             frame["priority"] = priority
         t_start = time.perf_counter()

@@ -340,13 +340,14 @@ class InferenceService:
         """Liveness/readiness snapshot (what the transport probes serve).
 
         ``ready`` means "a request admitted now would be scheduled":
-        running, breaker not fast-failing, queue not saturated.
+        running, breaker not fast-failing, queue not saturated.  Reading
+        it changes no breaker state (only an admission half-opens one).
         """
         depth = self._scheduler.qsize() if self._scheduler is not None else 0
         full = self._scheduler.full() if self._scheduler is not None else True
         return {
             "running": self._running,
-            "ready": self._running and self.breaker.allow() and not full,
+            "ready": self._running and self.breaker.retry_after_ms() == 0.0 and not full,
             "queue_depth": depth,
             "breaker": self.breaker.snapshot(),
             "stats": self.stats.to_dict(),

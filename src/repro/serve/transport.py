@@ -15,9 +15,9 @@ transport's job is strictly the network edge:
   order they finished (a replay does not refresh one): a retried id
   joins the in-flight execution or replays the cached response, so a
   client retry after a dropped connection is **never double-executed**.  The
-  response is cached the moment it exists — before any write is
-  attempted — so a connection that dies mid-response still leaves the
-  result behind for the retry to collect.
+  response is cached as it is written, so a connection that dies
+  mid-response still leaves the result for the retry; a frame reusing
+  an id for another op, payload header or attachment is refused, typed.
 * **Deadline/priority propagation** — frames carry ``deadline_ms``
   (remaining budget, recomputed by the client per attempt) and
   ``priority``, handed straight to the service's
@@ -53,6 +53,7 @@ import asyncio
 import contextlib
 import math
 import time
+import zlib
 from collections import OrderedDict, deque
 from typing import Any
 
@@ -108,6 +109,13 @@ class _Connection:
         self.wakeup.set()
 
 
+def _fingerprint(request: tuple) -> tuple:
+    """What a reused request id must repeat: the op, the payload header
+    and the CRC-32 of the attachment (the cache keeps no payload bytes)."""
+    op, header, attachment = request
+    return op, header, zlib.crc32(attachment)
+
+
 class ServeTransport:
     """TCP server exposing one :class:`InferenceService`.
 
@@ -132,9 +140,10 @@ class ServeTransport:
         self._server: asyncio.AbstractServer | None = None
         self._conns: set[_Connection] = set()
         self._conn_tasks: set[asyncio.Task] = set()
-        self._inflight: dict[str, asyncio.Future] = {}
+        #: id -> (future, request) and id -> (frame, attachment, fingerprint)
+        self._inflight: dict[str, tuple[asyncio.Future, tuple]] = {}
         self._responses: OrderedDict[
-            str, tuple[dict[str, Any], bytes | memoryview]
+            str, tuple[dict[str, Any], bytes | memoryview, tuple]
         ] = OrderedDict()
         self._shutting_down = False
 
@@ -168,7 +177,8 @@ class ServeTransport:
         await self.service.close()
         if self._inflight:
             await asyncio.gather(
-                *self._inflight.values(), return_exceptions=True
+                *(future for future, _ in self._inflight.values()),
+                return_exceptions=True,
             )
         await asyncio.sleep(0)  # let future callbacks enqueue their frames
         # Flush each connection's outbox, then hang up; the closed
@@ -270,55 +280,54 @@ class ServeTransport:
             self._send(conn, {"id": request_id, "ok": True, "health": body}, rpc=rpc)
             return
         if op not in _REQUEST_OPS:
-            self._send(
-                conn,
-                protocol.error_frame(request_id, ProtocolError(f"unknown op {op!r}")),
-                rpc=rpc,
-            )
+            self._refuse(conn, request_id, f"unknown op {op!r}", rpc)
             return
         if not isinstance(request_id, str) or not request_id:
-            self._send(
-                conn,
-                protocol.error_frame(
-                    request_id,
-                    ProtocolError(f"op {op!r} requires a non-empty string id"),
-                ),
-                rpc=rpc,
-            )
+            self._refuse(conn, request_id, f"op {op!r} requires a non-empty string id", rpc)
             return
         # Idempotency: a finished id replays its cached response; an
         # in-flight id joins the existing execution.  Either way the
-        # request body is executed exactly once.
+        # request body is executed exactly once, and only a frame that
+        # repeats the request the id first carried gets its answer.
+        request = (op, frame.get("payload"), attachment)
         cached = self._responses.get(request_id)
+        inflight = self._inflight.get(request_id)
+        if cached is not None or inflight is not None:
+            seen = cached[2] if cached is not None else _fingerprint(inflight[1])
+            if seen != _fingerprint(request):
+                self._refuse(conn, request_id, f"id {request_id!r} names another request", rpc)
+                return
         if cached is not None:
             obs.event("serve.dedup_hit", op=str(op), request_id=request_id)
             self._send(conn, cached[0], cached[1], rpc)
             return
-        inflight = self._inflight.get(request_id)
         if inflight is not None:
-            inflight.add_done_callback(
-                lambda fut, c=conn, rid=request_id, r=rpc:
-                    self._finish(c, rid, fut, r)
-            )
-            return
-        future = self._execute(conn, frame, op, request_id, attachment, rpc)
-        if future is None:
-            return  # admission failed; typed error frame already queued
-        self._inflight[request_id] = future
+            future = inflight[0]
+        else:
+            future = self._execute(conn, frame, request_id, request, rpc)
+            if future is None:
+                return  # admission failed; typed error frame already queued
+            self._inflight[request_id] = (future, request)
         future.add_done_callback(
-            lambda fut, c=conn, rid=request_id, r=rpc: self._finish(c, rid, fut, r)
+            lambda fut, c=conn, rid=request_id, r=rpc, q=request:
+                self._finish(c, rid, fut, r, q)
         )
+
+    def _refuse(self, conn: _Connection, request_id: Any, reason: str, rpc: tuple) -> None:
+        """Answer one frame with a typed protocol error; nothing runs."""
+        self._send(conn, protocol.error_frame(request_id, ProtocolError(reason)), rpc=rpc)
 
     def _execute(
         self,
         conn: _Connection,
         frame: dict[str, Any],
-        op: str,
         request_id: str,
-        attachment: bytes,
+        request: tuple,
         rpc: tuple,
     ) -> "asyncio.Future | None":
-        """Validate and admit one request; returns the service future."""
+        """Validate and admit one ``(op, payload header, attachment)``
+        request; returns the service future."""
+        op, header, attachment = request
         injector = faults.get_injector()
         deadline_ms = frame.get("deadline_ms")
         priority = frame.get("priority")
@@ -332,20 +341,15 @@ class ServeTransport:
                 raise ProtocolError(f"bad deadline_ms {deadline_ms!r}")
             if injector.fire(FAULT_DEADLINE_STORM, op=op):
                 deadline_ms = STORM_DEADLINE_MS
-            payload = protocol.decode_payload(frame.get("payload"), attachment)
+            payload = protocol.decode_payload(header, attachment)
             return self.service.submit_nowait(
                 op, payload, priority=priority, deadline_ms=deadline_ms
             )
-        except ReproError as e:
+        except Exception as e:
+            if not isinstance(e, ReproError):  # defensive: never leak an untyped crash
+                e = ReproError(f"internal error: {type(e).__name__}: {e}")
             self._cache_and_send(
-                conn, request_id, protocol.error_frame(request_id, e), b"", rpc
-            )
-            return None
-        except Exception as e:  # defensive: never leak an untyped crash
-            wrapped = ReproError(f"internal error: {type(e).__name__}: {e}")
-            self._cache_and_send(
-                conn, request_id, protocol.error_frame(request_id, wrapped),
-                b"", rpc,
+                conn, request_id, protocol.error_frame(request_id, e), b"", rpc, request
             )
             return None
 
@@ -355,18 +359,16 @@ class ServeTransport:
         request_id: str,
         future: "asyncio.Future",
         rpc: tuple,
+        request: tuple,
     ) -> None:
         """Future callback: turn one outcome into a cached, queued frame."""
         self._inflight.pop(request_id, None)
-        if future.cancelled():
-            exc: BaseException | None = ReproError("request cancelled")
-        else:
-            exc = future.exception()
+        exc = ReproError("request cancelled") if future.cancelled() else future.exception()
         if exc is None:
             message, attachment = protocol.result_frame(request_id, future.result())
         else:
             message, attachment = protocol.error_frame(request_id, exc), b""
-        self._cache_and_send(conn, request_id, message, attachment, rpc)
+        self._cache_and_send(conn, request_id, message, attachment, rpc, request)
 
     def _cache_and_send(
         self,
@@ -375,13 +377,18 @@ class ServeTransport:
         message: dict[str, Any],
         attachment: bytes | memoryview,
         rpc: tuple,
+        request: tuple,
     ) -> None:
-        # Cache before any write is attempted: a response lost to a
-        # dropped connection replays to the retry, never re-executes.
-        self._responses[request_id] = (message, attachment)
-        while len(self._responses) > DEDUP_CAP:
-            self._responses.popitem(last=False)
-        self._send(conn, message, attachment, rpc)
+        # Cached in the write's own loop step, whether or not the write
+        # succeeds: a response lost to a dropped connection replays to
+        # the retry, never re-executes.  The CRC runs once the frame is
+        # queued, off the response's latency path.
+        try:
+            self._send(conn, message, attachment, rpc)
+        finally:
+            self._responses[request_id] = (message, attachment, _fingerprint(request))
+            while len(self._responses) > DEDUP_CAP:
+                self._responses.popitem(last=False)
 
     # -------------------------------------------------------------- writing
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: small graphs, operand factories and the leak check."""
+"""Shared fixtures: small graphs, operand factories, the leak check and ``--full``."""
 
 from __future__ import annotations
 
@@ -20,6 +20,17 @@ from repro.nn.tensor import Tensor
 from repro.resilience import faults
 from repro.serve import InferenceService, ServeClient, ServeConfig, ServeTransport, protocol
 from repro.sparse import COOMatrix, generators
+
+
+def pytest_addoption(parser):
+    parser.addoption("--full", action="store_true",
+                     help="check the paper claims on the full sweeps instead of the quick subset")
+
+
+@pytest.fixture(scope="session")
+def quick_mode(request) -> bool:
+    """False under ``--full``: the paper-claim experiments run their full sweeps."""
+    return not request.config.getoption("--full")
 
 
 @pytest.fixture(autouse=True)

@@ -11,7 +11,8 @@ Two tables; the next kernel or serving path is registered by adding a row.
   the engine output, and the engine output agrees with the kind's
   independent oracle (:data:`tests.oracles.ORACLES`) within
   :data:`tests.oracles.TOL`.  Serving adds two paths, in-process and
-  over TCP, for any drawn batch of request widths and kinds.
+  over TCP, for any drawn batch of request widths, kinds and column
+  dtypes.
 * ``BOUNDARIES`` pairs each public boundary with each bad-input class;
   the pair either works or raises the named :mod:`repro.errors` error.
 
@@ -26,7 +27,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import core
@@ -98,6 +99,7 @@ PATHS = [
 
 @pytest.mark.parametrize("kind, kernel, api", PATHS)
 @given(A=graphs(), F=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+@example(A=generators.power_law(500, 8.0, seed=42), F=100, seed=0)  # several warps, F > 64
 @settings(max_examples=10, deadline=None)
 def test_every_path_is_the_engine_output(kind, kernel, api, A, F, seed):
     writeable = operands(kind, A, F, np.random.default_rng(seed))
@@ -108,14 +110,20 @@ def test_every_path_is_the_engine_output(kind, kernel, api, A, F, seed):
     assert_close(expect, ORACLES[kind](A, *writeable))
     cache = core.get_plan_cache()
     core.clear_plan_cache()
-    outputs = [kernel()(A, *writeable).output]  # cold
+    cold = kernel()(A, *writeable)
+    assert cold.time_us > 0
     hits = cache.hits
-    outputs += [kernel()(A, *ops).output for ops in (writeable, read_only, read_only)]
+    outputs = [cold.output] + [kernel()(A, *ops).output
+                               for ops in (writeable, read_only, read_only)]
     assert cache.hits == hits + 3  # every later launch replays the plan
     if api is not None:
-        outputs += [api(A, *writeable)[0], api(A, *read_only)[0]]
+        for ops in (writeable, read_only):
+            out, report = api(A, *ops)
+            assert report == cold.cost  # the kernel the call names, launched
+            outputs.append(out)
     for out in outputs:
         assert np.array_equal(out, expect)
+    assert len({id(out) for out in outputs}) == len(outputs)  # never a shared buffer
 
 
 # ---------------------------------------------------------------- serving
@@ -125,39 +133,51 @@ def test_served_logits_agree_with_the_oracle(served):
     assert_close(served.logits, gcn_oracle(served.graph, served.model, served.features))
 
 
-#: a request: its kind and width (0 is a 1-D column or a scalar id)
+#: a request: its kind, width (0 is a 1-D column or a scalar id) and the
+#: dtype of its columns (they travel over TCP in their own dtype)
 REQUESTS = st.lists(
-    st.tuples(st.sampled_from(["propagate", "predict"]), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["propagate", "predict"]), st.integers(0, 3),
+              st.sampled_from(["float64", "float32", "int64"])),
     min_size=1, max_size=8,
 )
+
+
+def _columns(rng, shape, dtype):
+    if dtype == "int64":
+        return rng.integers(-5, 5, shape)
+    return rng.standard_normal(shape).astype(dtype)
 
 
 @pytest.mark.parametrize("via", ["in-process", "tcp"])
 @given(batch=REQUESTS, seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_serving_paths_are_the_engine_output(served, via, batch, seed):
-    """Concurrent requests share batches; each answer is bit-identical to
-    its own engine launch (propagate) or its logit rows (predict)."""
+    """Concurrent requests share batches; each is admitted once, and its
+    answer is bit-identical to its own float64 engine launch (propagate)
+    or its logit rows (predict)."""
     rng = np.random.default_rng(seed)
     V = served.graph.num_vertices
     payloads = [
-        rng.standard_normal((V, width) if width else V) if kind == "propagate"
+        _columns(rng, (V, width) if width else V, dtype) if kind == "propagate"
         else (rng.integers(0, V, width) if width else int(rng.integers(V)))
-        for kind, width in batch
+        for kind, width, dtype in batch
     ]
     target = served.service if via == "in-process" else served.client
 
     async def send():
         return await asyncio.gather(*[
-            getattr(target, kind)(payload) for (kind, _), payload in zip(batch, payloads)
+            getattr(target, kind)(payload) for (kind, *_), payload in zip(batch, payloads)
         ])
 
+    admitted = served.service.stats.requests
+    answers = served.run(send())
+    assert served.service.stats.requests - admitted == len(batch)
     coo, values = served.graph.coo, served.graph.gcn_edge_values
-    for (kind, _), payload, answer in zip(batch, payloads, served.run(send())):
+    for (kind, *_), payload, answer in zip(batch, payloads, answers):
         if kind == "predict":
             assert np.array_equal(answer, served.logits[payload])
         else:
-            assert answer.shape == payload.shape
+            assert answer.shape == payload.shape and answer.dtype == np.float64
             assert_path("spmm", answer.reshape(V, -1), coo, (values, payload.reshape(V, -1)))
 
 
@@ -205,6 +225,10 @@ CASES = {
         "-inf": (float("-inf"), False), "bool": (True, False),
     },
     "no-model": {"ids": (np.array([0]), False)},
+    "kind": {"unknown": ("transmogrify", False), "misspelt": ("predcit", False),
+             "list": (["propagate"], False)},
+    "priority": {"unknown": ("express", False), "list": (["x"], False),
+                 "dict": ({"a": 1}, False), "int": (0, False), "bulk": ("bulk", True)},
     "autotune": {
         "bool-width": ((True,), False), "float-width": ((2.5,), False),
         "zero-width": ((0,), False), "str-width": (("8",), False),
@@ -244,20 +268,20 @@ FUSED = GnnOneFusedGATLayer()
 
 #: boundary -> (input kind, call with one case's input, the typed error it raises)
 TABLE = {
-    "core.spmm-X": ("array", lambda s, f: core.spmm(G, VALS, f(XC)), FormatError),
-    "core.spmm-edge_values": ("array", lambda s, f: core.spmm(G, f(VALS), XC), FormatError),
-    "core.sddmm-X": ("array", lambda s, f: core.sddmm(G, f(XR), XC), FormatError),
-    "core.sddmm-Y": ("array", lambda s, f: core.sddmm(G, XR, f(XC)), FormatError),
-    "core.spmv-x": ("array", lambda s, f: core.spmv(G, VALS, f(XV)), FormatError),
-    "core.spmv-edge_values": ("array", lambda s, f: core.spmv(G, f(VALS), XV), FormatError),
+    "core.spmm-X": ("array", lambda s, f: core.spmm(G, VALS, f(XC))[0], FormatError),
+    "core.spmm-edge_values": ("array", lambda s, f: core.spmm(G, f(VALS), XC)[0], FormatError),
+    "core.sddmm-X": ("array", lambda s, f: core.sddmm(G, f(XR), XC)[0], FormatError),
+    "core.sddmm-Y": ("array", lambda s, f: core.sddmm(G, XR, f(XC))[0], FormatError),
+    "core.spmv-x": ("array", lambda s, f: core.spmv(G, VALS, f(XV))[0], FormatError),
+    "core.spmv-edge_values": ("array", lambda s, f: core.spmv(G, f(VALS), XV)[0], FormatError),
     "kernels.spmm": ("array", lambda s, f: _every(lambda k: k(G, VALS, f(XC)), SPMM),
                      FormatError),
     "kernels.sddmm": ("array", lambda s, f: _every(lambda k: k(G, f(XR), XC), SDDMM),
                       FormatError),
     "kernels.spmv": ("array", lambda s, f: _every(lambda k: k(G, VALS, f(XV)), SPMV),
                      FormatError),
-    "fused-gat-el": ("array", lambda s, f: FUSED(G, f(EL), ER, XC), FormatError),
-    "fused-gat-X": ("array", lambda s, f: FUSED(G, EL, ER, f(XC)), FormatError),
+    "fused-gat-el": ("array", lambda s, f: FUSED(G, f(EL), ER, XC).output, FormatError),
+    "fused-gat-X": ("array", lambda s, f: FUSED(G, EL, ER, f(XC)).output, FormatError),
     "core.autotune": ("autotune", lambda s, args: core.autotune(G, *args), ConfigError),
     "service.propagate": (
         "array", lambda s, f: s.run(s.service.propagate(f(s.columns))), ConfigError),
@@ -276,6 +300,16 @@ TABLE = {
         "no-model", lambda s, ids: s.run(s.bare.predict(ids)), ConfigError),
     "service.submit_nowait-predict-bare": (
         "no-model", lambda s, ids: s.run(submit(s.bare, "predict", ids)), ConfigError),
+    "service.submit_nowait-kind": (
+        "kind", lambda s, kind: s.run(submit(s.service, kind, s.columns)), ConfigError),
+    "service.propagate-priority": (
+        "priority", lambda s, p: s.run(s.service.propagate(s.columns, priority=p)),
+        ConfigError),
+    "client.propagate-priority": (
+        "priority", lambda s, p: s.run(s.client.propagate(s.columns, priority=p)),
+        ConfigError),
+    "wire.propagate-priority": (
+        "priority", lambda s, p: wire(s, "propagate", s.columns, priority=p), ConfigError),
     "service.propagate-deadline": (
         "deadline", lambda s, d: s.run(s.service.propagate(s.columns, deadline_ms=d)),
         ConfigError),
@@ -306,7 +340,9 @@ def test_each_boundary_works_or_raises_typed(served, call, value, error):
     no request, and its breaker stays closed for every other caller."""
     admitted = served.service.stats.requests
     if error is None:
-        call(served, value)
+        out = call(served, value)
+        if isinstance(out, np.ndarray):  # a numeric input is answered in float64
+            assert out.dtype == np.float64
     else:
         with pytest.raises(error):
             call(served, value)

@@ -1,20 +1,29 @@
-"""Integration tests: every experiment runs (quick mode) and the paper's
-headline qualitative claims hold on the quick subset."""
+"""The paper's claims (Figs 3-12, Table 1) on the experiments' results.
+
+Each experiment runs once, on the quick subset; ``--full`` (see
+``conftest.py``) runs the paper's full sweeps instead (minutes, the
+numbers in EXPERIMENTS.md) and adds the two claims only the full suite
+can show.  ``python -m repro.bench <id>`` prints the same tables.
+"""
 
 import numpy as np
 import pytest
 
 from repro.bench import run_experiment
+from repro.sparse.datasets import load_dataset
+
+#: Sputnik's |V|^2-block SDDMM grid fails above sqrt(2^31) scaled vertices
+SPUTNIK_LIMIT = int((2**31 - 1) ** 0.5)
 
 
 @pytest.fixture(scope="module")
-def fig03():
-    return run_experiment("fig03", quick=True)
+def fig03(quick_mode):
+    return run_experiment("fig03", quick=quick_mode)
 
 
 @pytest.fixture(scope="module")
-def fig04():
-    return run_experiment("fig04", quick=True)
+def fig04(quick_mode):
+    return run_experiment("fig04", quick=quick_mode)
 
 
 class TestFig03SDDMM:
@@ -34,17 +43,21 @@ class TestFig03SDDMM:
         gm = {d: np.exp(np.mean(np.log(v))) for d, v in by_dim.items()}
         assert gm[6] > gm[32]
 
-    def test_sputnik_runs_on_small_v_datasets(self, fig03):
-        # quick keys are all below the 46341-vertex failure line
-        cells = [row.get("sputnik") for row in fig03.rows]
-        assert all(isinstance(c, float) for c in cells)
+    def test_sputnik_runs_on_small_v_datasets(self, fig03, quick_mode):
+        # every quick key is below the failure line; in the full sweep
+        # Sputnik records ERR (or OOM) above it
+        for row in fig03.rows:
+            small = quick_mode or load_dataset(row["dataset"]).coo.num_rows < SPUTNIK_LIMIT
+            assert isinstance(row["sputnik"], float) == small, row["dataset"]
 
 
 class TestFig04SpMM:
-    def test_gnnone_wins_everywhere(self, fig04):
+    def test_gnnone_wins_everywhere(self, fig04, quick_mode):
         for base in ("ge-spmm", "cusparse", "featgraph", "gnnadvisor"):
-            vals = fig04.numeric_column(base)
-            assert np.all(vals > 1.0), base
+            if quick_mode:
+                assert np.all(fig04.numeric_column(base) > 1.0), base
+            else:  # the full sweep has one near-tie (GE-SpMM 0.97x, G8 dim 32)
+                assert fig04.geomean(base) > 1.0, base
         # Huang is the closest competitor; on dense bandwidth-bound cells
         # (Reddit dim 32) it ties GNNOne within noise — the paper reports
         # a ~1.0x minimum there too.
@@ -57,6 +70,7 @@ class TestFig04SpMM:
         assert fig04.geomean("huang") < fig04.geomean("featgraph")
 
     def test_dim16_beats_dim32_for_ge_spmm(self, fig04):
+        # speedups grow as the feature length shrinks (paper: dims 16/6 >> 32)
         by_dim = {}
         for row in fig04.rows:
             if isinstance(row["ge-spmm"], float):
@@ -65,22 +79,32 @@ class TestFig04SpMM:
 
 
 class TestTrainingExperiments:
-    def test_fig05_accuracy_identical(self):
-        res = run_experiment("fig05", quick=True)
+    def test_fig05_accuracy_identical(self, quick_mode):
+        res = run_experiment("fig05", quick=quick_mode)
         assert all(row["match"] for row in res.rows)
+        assert all(row["gnnone_acc"] == row["dgl_acc"] for row in res.rows)
         assert all(row["gnnone_acc"] > 0.2 for row in res.rows)
 
-    def test_fig06_gat_beats_both_baselines(self):
-        res = run_experiment("fig06", quick=True)
-        assert res.geomean("speedup_dgl") > 1.0
+    def test_fig06_gat_beats_both_baselines(self, quick_mode):
+        # paper: 3.68x over DGL, 2.01x over dgNN (despite dgNN's fusion)
+        res = run_experiment("fig06", quick=quick_mode)
+        assert res.geomean("speedup_dgl") > 1.5
         assert res.geomean("speedup_dgnn") > 1.0
+        if not quick_mode:
+            # Across the full suite dgNN's fusion puts it ahead of DGL (the
+            # paper's ordering); on the single quick dataset dgSparse's
+            # vertex-parallel SDDMM imbalance can mask the fusion gain.
+            assert res.geomean("speedup_dgnn") < res.geomean("speedup_dgl")
 
-    def test_fig07_oom_boundary(self):
-        res = run_experiment("fig07", quick=True)
+    def test_fig07_oom_boundary(self, quick_mode):
+        res = run_experiment("fig07", quick=quick_mode)
+        assert res.geomean("speedup") > 1.0
         cells = {(r["dataset"], r["model"]): r for r in res.rows}
+        # GNNOne's single format trains GCN on uk-2002 where DGL OOMs
         g17 = cells[("G17", "GCN")]
         assert g17["dgl_ms"] == "OOM"
         assert g17["gnnone_ms"] != "OOM"
+        # kmer and uk-2005: everyone OOMs
         for key in ("G16", "G18"):
             assert cells[(key, "GCN")]["gnnone_ms"] == "OOM"
             assert cells[(key, "GCN")]["dgl_ms"] == "OOM"
@@ -89,29 +113,45 @@ class TestTrainingExperiments:
 
 
 class TestDesignChoiceExperiments:
-    def test_fig08_ablation_order(self):
-        res = run_experiment("fig08", quick=True)
+    def test_fig08_ablation_order(self, quick_mode):
+        # paper: data reuse 2.78x, total 4.59x; each step helps
+        res = run_experiment("fig08", quick=quick_mode)
+        assert 1.5 < res.geomean("reuse_speedup") < 4.5
+        assert res.geomean("total_speedup") > res.geomean("reuse_speedup")
         for row in res.rows:
             assert row["baseline_us"] > row["reuse_us"] > row["float4_us"]
 
-    def test_fig09_cache(self):
-        res = run_experiment("fig09", quick=True)
-        assert res.geomean("speedup") > 1.0
+    def test_fig09_cache(self, quick_mode):
+        # paper: 1.31x from caching 128 vs 32 NZEs per warp
+        res = run_experiment("fig09", quick=quick_mode)
+        assert 1.0 < res.geomean("speedup") < 2.0
 
-    def test_fig10_consecutive(self):
-        res = run_experiment("fig10", quick=True)
+    def test_fig10_consecutive(self, quick_mode):
+        # load only, Consecutive is never slower (paper: ~10% faster);
+        # "including reduction would have provided even better performance"
+        res = run_experiment("fig10", quick=quick_mode)
         assert res.geomean("load_speedup") >= 1.0
+        assert res.geomean("full_speedup") >= res.geomean("load_speedup")
         assert res.geomean("full_speedup") > 1.0
 
-    def test_fig11_load_dominates(self):
-        res = run_experiment("fig11", quick=True)
+    def test_fig11_load_dominates(self, quick_mode):
+        # Observation #2: data load is the dominant phase for both kernels
+        res = run_experiment("fig11", quick=quick_mode)
         fracs = res.numeric_column("load_fraction")
         assert np.all(fracs > 0.5)
+        assert float(np.mean(fracs)) > 0.7
 
-    def test_fig12_coo_wins(self):
-        res = run_experiment("fig12", quick=True)
+    def test_fig12_coo_wins(self, quick_mode):
+        # paper: COO comparable or better everywhere (1.74x/2.09x on the
+        # dense datasets); the Merge-SpMV crash on G10 is a recorded error
+        res = run_experiment("fig12", quick=quick_mode)
         assert res.geomean("speedup_vs_merge") >= 1.0
+        if not quick_mode:
+            g10 = next(r for r in res.rows if r["dataset"] == "G10")
+            assert g10["merge_us"] == "ERR"
 
     def test_table01(self):
         res = run_experiment("table01")
         assert len(res.rows) == 19
+        reddit = next(r for r in res.rows if r["key"] == "G14")
+        assert reddit["scaled_edges"] > 100_000

@@ -1,4 +1,4 @@
-"""Baseline kernels: numerics, distinguishing mechanisms, failure modes."""
+"""Baseline kernels: registry, distinguishing mechanisms, failure modes."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.kernels import (
     sddmm_kernel_names,
     spmm_kernel,
     spmm_kernel_names,
-    spmv_kernel,
     spmv_kernel_names,
 )
 from repro.kernels.baselines import (
@@ -21,30 +20,7 @@ from repro.kernels.baselines import (
 )
 from repro.sparse import generators
 from tests.conftest import make_operands
-from tests.oracles import assert_path, operands, star as star_graph
-
-
-class TestAllBaselinesNumerics:
-    """Fixed-graph cases of the differential path table."""
-
-    @pytest.mark.parametrize("name", spmm_kernel_names())
-    @pytest.mark.parametrize("F", [6, 32])
-    def test_spmm(self, small_graph, rng, name, F):
-        ops = operands("spmm", small_graph, F, rng)
-        res = spmm_kernel(name)(small_graph, *ops)
-        assert_path("spmm", res.output, small_graph, ops)
-        assert res.time_us > 0
-
-    @pytest.mark.parametrize("name", sddmm_kernel_names())
-    @pytest.mark.parametrize("F", [6, 32])
-    def test_sddmm(self, small_graph, rng, name, F):
-        ops = operands("sddmm", small_graph, F, rng)
-        assert_path("sddmm", sddmm_kernel(name)(small_graph, *ops).output, small_graph, ops)
-
-    @pytest.mark.parametrize("name", spmv_kernel_names())
-    def test_spmv(self, small_graph, rng, name):
-        ops = operands("spmv", small_graph, 1, rng)
-        assert_path("spmv", spmv_kernel(name)(small_graph, *ops).output, small_graph, ops)
+from tests.oracles import star as star_graph
 
 
 class TestRegistry:

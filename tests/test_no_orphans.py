@@ -2,8 +2,8 @@
 
 Two AST scans.  The first lists every top-level function and class and
 every public method under ``src/repro`` and looks for a reference to its
-name in the product code: ``src/``, ``scripts/``, ``e2ebench/``,
-``examples/`` and ``benchmarks/``.  A name referenced only by its own
+name in the product code: ``src/``, ``scripts/``, ``e2ebench/`` and
+``examples/``.  A name referenced only by its own
 definition (and by ``tests/``, which the scan does not read) is an
 orphan.  Package
 re-exports (``from x import name`` and ``__all__``) are not references,
@@ -32,7 +32,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PRODUCT_DIRS = ("src", "scripts", "e2ebench", "examples", "benchmarks")
+PRODUCT_DIRS = ("src", "scripts", "e2ebench", "examples")
 
 #: names kept although no product code refers to them, each with its reason
 ALLOWED = {

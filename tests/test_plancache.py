@@ -14,16 +14,11 @@ from repro.core.plancache import MEMO_CAPACITY, CachedLaunch, PlanCache, plan_ke
 from repro.exec import get_engine
 from repro.gpusim import A100, V100
 from repro.kernels.base import reference_spmm
-from repro.kernels.gnnone import (
-    GnnOneConfig,
-    GnnOneSDDMM,
-    GnnOneSpMM,
-    GnnOneSpMV,
-)
+from repro.kernels.gnnone import GnnOneConfig, GnnOneSDDMM, GnnOneSpMM
 from repro.kernels.registry import sddmm_kernel, spmm_kernel
 from repro.resilience import no_faults
 from repro.sparse import COOMatrix
-from tests.oracles import assert_path, graph_and_dim, operands, segment_sum_spmm
+from tests.oracles import graph_and_dim, operands, segment_sum_spmm
 
 
 @pytest.fixture(autouse=True)
@@ -305,24 +300,6 @@ class TestStructuralMemos:
         assert perm is not None
         np.testing.assert_array_equal(indptr, [0, 1, 2, 3, 3])
         np.testing.assert_array_equal(cols, unsorted.cols[perm])
-
-
-class TestSpmvAndSddmmCaching:
-    """Fixed-graph cases of the differential path table's cold/warm check."""
-
-    @staticmethod
-    def _replay(kind, kernel, graph, rng):
-        ops = operands(kind, graph, 8, rng)
-        cold, warm = kernel(graph, *ops), kernel(graph, *ops)
-        assert warm.time_us == cold.time_us
-        assert get_plan_cache().hits >= 1
-        assert_path(kind, warm.output, graph, ops)
-
-    def test_spmv_warm_replay(self, small_graph, rng):
-        self._replay("spmv", GnnOneSpMV(), small_graph, rng)
-
-    def test_sddmm_warm_replay(self, small_graph, rng):
-        self._replay("sddmm", GnnOneSDDMM(), small_graph, rng)
 
 
 def _read_only(*arrays):

@@ -2,9 +2,11 @@
 
 The load-bearing property is bit-identity: a response served out of a
 micro-batched fused launch must equal — to the last bit — the response
-the same request would get from its own serial launch.  Everything else
-(shedding, timeouts, degrades) is about failing loudly instead of
-answering wrongly.
+the same request would get from its own serial launch.  The
+differential suite (``test_differential.py``) checks it for any batch;
+here it is checked unbatched, under faults and for the predict memo.
+Everything else (shedding, timeouts, degrades) is about failing loudly
+instead of answering wrongly.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import core, obs, serve
 from repro.core import get_plan_cache
@@ -29,7 +29,7 @@ from repro.nn import GCN, GraphData
 from repro.nn.tensor import Tensor
 from repro.resilience.faults import fault_profile, no_faults
 from repro.serve.service import _bucket
-from tests.conftest import serial as _serial, submit
+from tests.conftest import serial as _serial
 
 
 def _graph(coo) -> GraphData:
@@ -90,30 +90,7 @@ class TestBucket:
 
 
 class TestBatchingEquivalence:
-    """Cases over the module's ``served`` service; the differential suite
-    draws the full mix of widths and kinds, in-process and over TCP."""
-
-    @given(
-        widths=st.lists(st.integers(1, 3), min_size=1, max_size=10),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_batched_equals_serial(self, served, widths, seed):
-        """Any mix of pending column widths slices back bit-identically."""
-        rng = np.random.default_rng(seed)
-        payloads = [rng.standard_normal((served.graph.num_vertices, w)) for w in widths]
-        admitted = served.service.stats.requests
-        results = _gather(served, "propagate", payloads)
-        for payload, result in zip(payloads, results):
-            assert result.shape == payload.shape
-            for j in range(payload.shape[1]):
-                np.testing.assert_array_equal(result[:, j], _serial(served.graph, payload[:, j]))
-        assert served.service.stats.requests - admitted == len(payloads)
-
-    def test_single_request_matches_direct_launch(self, served, rng):
-        column = rng.standard_normal(served.graph.num_vertices)
-        (result,) = _gather(served, "propagate", [column])
-        np.testing.assert_array_equal(result, _serial(served.graph, column))
+    """Cases the differential suite's serving table does not draw."""
 
     def test_unbatched_mode_also_identical(self, small_graph, rng):
         graph = _graph(small_graph)
@@ -123,16 +100,6 @@ class TestBatchingEquivalence:
         for column, result in zip(columns, results):
             np.testing.assert_array_equal(result, _serial(graph, column))
         assert service.stats.mean_occupancy == 1.0
-
-    def test_predict_equals_standalone_forward(self, served):
-        *rows, scalar = _gather(served, "predict", [[i, i + 2] for i in range(8)] + [3])
-        for i, row in enumerate(rows):
-            np.testing.assert_array_equal(row, served.logits[[i, i + 2]])
-        np.testing.assert_array_equal(scalar, served.logits[3])
-
-    def test_predict_without_model_rejected(self, served):
-        with pytest.raises(ConfigError, match="model"):
-            served.run(served.bare.predict([0]))
 
     @pytest.mark.parametrize("dtype", ["str", "bool", "complex", "object"])
     def test_non_numeric_features_rejected(self, small_graph, rng, dtype):
@@ -202,52 +169,6 @@ class TestAdmissionControl:
                 await service.propagate(column)  # stopped
 
         _run(main())
-
-    def test_shape_validation(self, served, rng):
-        # Non-integer ids are rejected, never truncated or parsed into
-        # another node's row; ragged nesting is a typed error too.
-        bad_ids = [[1.7], np.array([2.9]), True, ["3"], np.array([1], object)]
-        with pytest.raises(ConfigError, match="columns"):
-            served.run(served.service.propagate(rng.standard_normal(7)))
-        for ids in bad_ids:
-            with pytest.raises(ConfigError, match="integers"):
-                served.run(served.service.predict(ids))
-        with pytest.raises(ConfigError, match="1-D"):
-            served.run(served.service.predict([[1], [2, 3]]))
-
-    @pytest.mark.parametrize("kind, ndim", [
-        ("predcit", 2), ("predcit", 1), (["propagate"], 2),
-        ("propagate", 1), ("predict", 2),
-    ])
-    def test_submit_nowait_rejects_unknown_kind_and_wrong_ndim(self, served, kind, ndim):
-        """Refused before admission: nothing is queued, launched or
-        charged to the breaker."""
-        payload = served.columns[:, :1] if ndim == 2 else np.array([1, 2])
-        stats = served.service.stats
-        before = (stats.requests, stats.batches)
-        for _ in range(3):  # the breaker's default threshold
-            with pytest.raises(ConfigError):
-                served.run(submit(served.service, kind, payload))
-        assert (stats.requests, stats.batches) == before
-        assert served.service.breaker.state == "closed"
-
-    @pytest.mark.parametrize("dtype", ["str", "bool", "complex"])
-    def test_non_numeric_columns_rejected(self, served, dtype):
-        """Strings, bools and complex values are refused, not cast."""
-        column = served.columns[:, 0]
-        bad = {"str": column.astype(str), "bool": column > 0, "complex": column + 1j}[dtype]
-        admitted = served.service.stats.requests
-        with pytest.raises(ConfigError, match="integers or floats"):
-            served.run(served.service.propagate(bad))
-        assert served.service.stats.requests == admitted
-
-    def test_int_and_float32_columns_answered_in_float64(self, served, rng):
-        V = served.graph.num_vertices
-        columns = [rng.integers(-5, 5, V), rng.standard_normal(V).astype(np.float32)]
-        for column, result in zip(columns, _gather(served, "propagate", columns)):
-            assert result.dtype == np.float64
-            np.testing.assert_array_equal(result, _serial(served.graph, column.astype(np.float64)))
-
 
 class TestPredictMemo:
     """Predict answers are rows of one forward run at construction."""
