@@ -11,6 +11,7 @@ from typing import Callable, Iterable
 import numpy as np
 from hypothesis import strategies as st
 
+from repro import core
 from repro.errors import ConfigError
 from repro.exec import get_engine
 from repro.kernels.base import reference_sddmm, reference_spmm
@@ -102,6 +103,15 @@ def assert_path(kind: str, out: np.ndarray, A: COOMatrix, ops: tuple) -> None:
     expect = engine_output(kind, A, ops)
     assert np.array_equal(out, expect)
     assert_close(expect, ORACLES[kind](A, *ops))
+
+
+def core_path(kind: str, A: COOMatrix, rng: np.random.Generator, F: int = 4, **kwargs):
+    """``repro.core.<kind>`` on fresh operands, checked by :func:`assert_path`;
+    returns its ``(output, report)``."""
+    ops = operands(kind, A, F, rng)
+    out, report = getattr(core, kind)(A, *ops, **kwargs)
+    assert_path(kind, out, A, ops)
+    return out, report
 
 
 def operands(kind: str, A: COOMatrix, F: int, rng: np.random.Generator) -> tuple:

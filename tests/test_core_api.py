@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import core, obs
-from repro.errors import BenchmarkError, ConfigError
+from repro.errors import BenchmarkError, ConfigError, FormatError
 from repro.gpusim.device import get_device
 from repro.kernels.gnnone import (
     ABLATION_BASELINE,
@@ -18,9 +18,29 @@ from repro.kernels.gnnone import (
     GnnOneSpMM,
 )
 from tests.conftest import make_operands
+from tests.oracles import assert_path, core_path
 
 
 class TestApi:
+    """Fixed-graph cases of the differential path and boundary tables."""
+
+    def test_spmm_default_backend(self, small_graph, rng):
+        assert core_path("spmm", small_graph, rng, 16)[1].kernel_name.startswith("gnnone")
+
+    def test_spmm_baseline_backend(self, small_graph, rng):
+        _, report = core_path("spmm", small_graph, rng, 16, backend="ge-spmm")
+        assert report.kernel_name == "ge-spmm"
+
+    def test_spmm_custom_config(self, small_graph, rng):
+        _, report = core_path("spmm", small_graph, rng, 16, config=GnnOneConfig(cache_size=64))
+        assert "c64" in report.kernel_name
+
+    def test_sddmm(self, small_graph, rng):
+        core_path("sddmm", small_graph, rng, 16)
+
+    def test_spmv(self, small_graph, rng):
+        core_path("spmv", small_graph, rng)
+
     def test_unknown_backend(self, small_graph, rng):
         vals, X, _, _ = make_operands(small_graph, 16, rng)
         with pytest.raises(BenchmarkError):
@@ -35,13 +55,29 @@ class TestApi:
                 small_graph, *operands, backend="dgl", config=GnnOneConfig(cache_size=32)
             )
 
+    @pytest.mark.parametrize("dtype", [complex, str, bool, object])
+    def test_non_numeric_operands_are_refused(self, small_graph, rng, dtype):
+        """Casting to float64 would drop an imaginary part or parse strings."""
+        vals, X, Xr, x = make_operands(small_graph, 4, rng)
+        calls = [
+            lambda: core.spmm(small_graph, vals.astype(dtype), X),
+            lambda: core.spmm(small_graph, vals, X.astype(dtype)),
+            lambda: core.sddmm(small_graph, Xr.astype(dtype), X),
+            lambda: core.sddmm(small_graph, Xr, X.astype(dtype)),
+            lambda: core.spmv(small_graph, vals, x.astype(dtype)),
+        ]
+        for call in calls:
+            with pytest.raises(FormatError, match="integers or floats"):
+                call()
+        out, _ = core.spmm(small_graph, vals, X.astype(np.int32))  # ints are fine
+        assert_path("spmm", out, small_graph, (vals, X.astype(np.int32)))
+
     def test_top_level_reexports(self, small_graph, rng):
         import repro
 
         vals, X, _, _ = make_operands(small_graph, 16, rng)
-        out, report = repro.spmm(small_graph, vals, X)
+        out, _ = repro.spmm(small_graph, vals, X)
         assert out.shape == (small_graph.num_rows, 16)
-        assert report.kernel_name.startswith("gnnone")  # the default backend
 
 
 class TestUnifiedLoadPlan:

@@ -1,13 +1,13 @@
-"""Every kernel's launch is priced once, and no baseline computes with an oracle.
+"""Every kernel's output is the engine output, cold or warm.
 
 GNNOne and every baseline return the base-class ``compute`` (the
-``repro.exec`` engine), so a launch's output does not depend on the
-plan-cache state or on which kernel of a kind ran; the differential
-suite (``test_differential.py``) checks that output, cold and warm, on
-read-only and writeable operands.  Here: a price-only ``simulate`` gives
-every kernel's launch cost and trace, no baseline names a
-``reference_*`` oracle, and the engine refuses SDDMM operands that do
-not fit.
+``repro.exec`` engine), so a launch's output does not depend on whether
+the plan cache simulated it (miss) or replayed it (hit), nor on which
+kernel of a kind ran.  Every output check is ``np.array_equal``; only
+the engine output's agreement with the independent oracle
+(``tests.oracles.assert_path``) takes a tolerance.  Operands are both
+read-only (memoized) and writeable.  A price-only ``simulate`` gives
+every kernel's launch cost and trace.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import clear_plan_cache
+from repro.core import clear_plan_cache, get_plan_cache
 from repro.errors import FormatError
 from repro.exec import get_engine
 from repro.kernels.gnnone import GnnOneFusedGATLayer
@@ -32,18 +32,45 @@ from repro.kernels.registry import (
     spmv_kernel_names,
 )
 from repro.resilience import no_faults
-from tests.oracles import operands
+from tests.oracles import assert_path, operands
 
 ROOT = Path(__file__).resolve().parents[1]
 F = 32
 
-PRICED = (
+KERNELS = (
     [("spmm", name) for name in spmm_kernel_names()]
     + [("sddmm", name) for name in sddmm_kernel_names()]
     + [("spmv", name) for name in spmv_kernel_names()]
-    + [("fused-gat", "gnnone")]
 )
 REGISTRY = {"spmm": spmm_kernel, "sddmm": sddmm_kernel, "spmv": spmv_kernel}
+
+
+def _operands(kind, A, read_only):
+    ops = operands(kind, A, F, np.random.default_rng(5))
+    for op in ops:
+        op.setflags(write=not read_only)
+    return ops
+
+
+@pytest.mark.parametrize("read_only", [True, False], ids=["read-only", "writeable"])
+@pytest.mark.parametrize("kind,name", KERNELS, ids=[f"{k}-{n}" for k, n in KERNELS])
+def test_cold_and_warm_outputs_are_the_engine_output(kind, name, read_only, medium_graph):
+    """A fixed-graph case of the differential path table."""
+    A = medium_graph
+    ops = _operands(kind, A, read_only)
+    kernel = REGISTRY[kind](name)
+    cache = get_plan_cache()
+    with no_faults():
+        cold = kernel(A, *ops)
+        hits = cache.hits
+        warm = kernel(A, *ops)
+        assert cache.hits == hits + 1
+    assert_path(kind, cold.output, A, ops)
+    assert np.array_equal(warm.output, cold.output)
+    assert cold.output is not warm.output
+
+
+PRICED = KERNELS + [("fused-gat", "gnnone")]
 
 
 @pytest.mark.parametrize("kind,name", PRICED, ids=[f"{k}-{n}" for k, n in PRICED])
@@ -52,7 +79,7 @@ def test_simulate_is_the_launch_cost_and_trace(kind, name, medium_graph):
     A = medium_graph
     kernel = GnnOneFusedGATLayer() if kind == "fused-gat" else REGISTRY[kind](name)
     feature_length = 1 if kind == "spmv" else F
-    ops = operands(kind, A, F, np.random.default_rng(5))
+    ops = _operands(kind, A, read_only=False)
     with no_faults():
         cold_plan = kernel.simulate(A, feature_length)
         warm_plan = kernel.simulate(A, feature_length)
