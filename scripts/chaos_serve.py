@@ -338,6 +338,16 @@ def segment_breaker(graph, columns, *, quick: bool, seed: int) -> dict:
 # ------------------------------------------------------------- segment 4
 
 
+def _cause_chain(error: BaseException) -> list[str]:
+    """Type names down ``error``'s cause chain (``__context__`` where
+    ``raise ... from None`` hid the cause)."""
+    names = []
+    while error is not None:
+        names.append(type(error).__name__)
+        error = error.__cause__ if error.__cause__ is not None else error.__context__
+    return names
+
+
 def segment_drain(graph, columns, refs, *, quick: bool) -> dict:
     """Graceful shutdown mid-traffic: typed rejections, zero losses."""
     from repro.errors import ConnectionLostError, ServiceClosedError
@@ -348,6 +358,9 @@ def segment_drain(graph, columns, refs, *, quick: bool) -> dict:
     outcome = {
         "ok": 0, "rejected": 0, "conn_lost": 0, "other": 0, "corrupt": 0,
         "other_kinds": [],
+        # each unexpected error's cause chain, outermost first, so a
+        # failed gate names the OS error under the typed one
+        "other_causes": [],
     }
 
     async def main(handle):
@@ -362,6 +375,7 @@ def segment_drain(graph, columns, refs, *, quick: bool) -> dict:
                 except Exception as e:  # noqa: BLE001 — tallied, gate fails on it
                     outcome["other"] += 1
                     outcome["other_kinds"].append(type(e).__name__)
+                    outcome["other_causes"].append(" <- ".join(_cause_chain(e)))
                 else:
                     if np.array_equal(out, refs[i % len(refs)]):
                         outcome["ok"] += 1
@@ -515,6 +529,8 @@ def main(argv: list[str] | None = None) -> int:
     dr = report["drain"]
     print(f"drain: {dr['ok']} served, {dr['rejected']} typed rejection(s), "
           f"{dr['conn_lost']} conn-lost, {dr['accounted']}/{dr['inflight']} accounted")
+    for chain in dr["other_causes"][:4]:
+        print(f"drain: unexpected {chain}")
     if args.trace:
         print(f"trace -> {args.trace}")
     print(f"wrote {args.out}")

@@ -28,11 +28,9 @@ def streaming_sectors(num_elements: int | np.ndarray, elem_bytes: int) -> np.nda
     return np.ceil(n * elem_bytes / SECTOR_BYTES)
 
 
-def per_warp_counts(
-    warp_ids: np.ndarray, n_warps: int, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Histogram ``warp_ids`` (optionally weighted) into ``n_warps`` bins."""
-    return np.bincount(warp_ids, weights=weights, minlength=n_warps).astype(np.float64)
+def per_warp_counts(warp_ids: np.ndarray, n_warps: int) -> np.ndarray:
+    """Histogram ``warp_ids`` into ``n_warps`` bins."""
+    return np.bincount(warp_ids, minlength=n_warps).astype(np.float64)
 
 
 def unique_per_warp(

@@ -16,8 +16,9 @@ reliability decisions:
   timeout are the module constants below.
 * **Idempotency** — the request ``id`` is minted once per logical call
   and reused verbatim across retries; the server deduplicates on it, so
-  a retry after a dropped response collects the cached result instead
-  of executing twice.
+  a retry after a dropped response collects the stored result instead
+  of executing twice (past the server's replay budget it re-executes,
+  to the same bits).
 * **Deadline propagation** — the caller's ``deadline_ms`` is a total
   budget for the logical call.  Each attempt sends the *remaining*
   budget (so the server's scheduler sheds work nobody is waiting for),

@@ -46,7 +46,7 @@ requests fast-fail with :class:`~repro.errors.CircuitOpenError` until a
 half-open probe succeeds.  :meth:`InferenceService.close` drains
 gracefully — the in-flight batch completes, queued requests get a
 typed :class:`~repro.errors.ServiceClosedError`, nothing is lost or
-corrupted — which is also what the transport's SIGTERM handler calls.
+corrupted — which is also what :meth:`ServeTransport.shutdown` calls.
 
 Every request/batch/shed/degrade is counted in
 :attr:`InferenceService.stats` (a :class:`ServeStats`, which

@@ -10,14 +10,18 @@ transport's job is strictly the network edge:
   opens with an exact-match version handshake so protocol evolution has
   a seam.
 * **Idempotent execution** — request frames carry a client-generated
-  ``id``.  The transport keeps an in-flight table and the last
-  :data:`DEDUP_CAP` finished responses, evicted oldest first in the
-  order they finished (a replay does not refresh one): a retried id
-  joins the in-flight execution or replays the cached response, so a
-  client retry after a dropped connection is **never double-executed**.  The
-  response is cached as it is written, so a connection that dies
-  mid-response still leaves the result for the retry; a frame reusing
-  an id for another op, payload header or attachment is refused, typed.
+  ``id``.  One table keyed by id keeps each request with its service
+  future while in flight and its response frame once finished: a
+  retried id joins the in-flight execution or replays the stored
+  frame, so a client retry after a dropped connection is **not
+  double-executed**.  The response is stored before it is written, so
+  a connection that dies mid-response still leaves it for the retry.
+  A frame reusing an id is compared by value (op, payload header,
+  attachment bytes); one naming another request is refused, typed.
+  Finished entries are held within :data:`REPLAY_BUDGET_BYTES`,
+  evicted oldest-finished first (a replay does not refresh one); every
+  op is a pure read, so a retry whose entry was evicted re-executes
+  to the same bits.
 * **Deadline/priority propagation** — frames carry ``deadline_ms``
   (remaining budget, recomputed by the client per attempt) and
   ``priority``, handed straight to the service's
@@ -28,13 +32,14 @@ transport's job is strictly the network edge:
 * **Probes** — ``health`` and ``ready`` ops answer from
   :meth:`InferenceService.health` without touching the request queue,
   so a load balancer can probe a saturated service.
-* **Graceful shutdown** — :meth:`ServeTransport.shutdown` (also the
-  installed SIGTERM/SIGINT handler) stops accepting, closes the service
-  (its graceful drain completes the in-flight batch and fails queued
-  requests with a typed :class:`~repro.errors.ServiceClosedError`),
-  flushes every pending response frame — real results and typed
-  rejections alike — then closes the connections.  Every admitted
-  request resolves; none are silently dropped.
+* **Graceful shutdown** — :meth:`ServeTransport.shutdown` stops
+  accepting, closes the service (its graceful drain completes the
+  in-flight batch and fails queued requests with a typed
+  :class:`~repro.errors.ServiceClosedError`), then reads every frame
+  each connection has already received and answers it — a frame read
+  during the drain gets ``ServiceClosedError`` — flushes every response
+  frame and closes the connections.  No frame the server received goes
+  unanswered.
 
 Chaos: the injector's network sites fire at the response edge —
 ``net.conn_drop`` (connection aborted instead of the response write),
@@ -52,8 +57,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import math
+import socket
 import time
-import zlib
 from collections import OrderedDict, deque
 from typing import Any
 
@@ -77,9 +82,19 @@ SLOW_PEER_SECONDS = 0.005
 #: deadline a storm-hit request is collapsed to (expires pre-launch)
 STORM_DEADLINE_MS = 0.01
 
-#: finished responses kept for replay to a retried request id (evicted
-#: in insertion order)
-DEDUP_CAP = 1024
+#: bytes of finished requests and responses held for replay to a
+#: retried id.  A client retries after its backoff: with the default 3
+#: retries the steps (BACKOFF_BASE_MS doubling, under BACKOFF_CAP_MS)
+#: sum to 35 ms, and at the loaded serve rate on G2 (about 2,700
+#: propagates/s, each a 158-KB column in and one out) about 30 MB
+#: finish in that time.  An entry evicted sooner costs only a
+#: re-execution, to the same bits.
+REPLAY_BUDGET_BYTES = 32 << 20
+
+#: what one finished entry is charged beyond its attachments: about the
+#: size of its Python objects (id, headers, response frame), so entries
+#: without attachments are bounded too
+_ENTRY_BYTES = 1024
 
 #: ops a request frame may carry (hello is handled by the handshake)
 _REQUEST_OPS = ("propagate", "predict", "health", "ready")
@@ -108,12 +123,26 @@ class _Connection:
         self.outbox.append((message, attachment, rpc))
         self.wakeup.set()
 
+    def stop_reading(self) -> None:
+        """Shut the socket's read side.  The bytes already received stay
+        readable (Linux), then the read loop meets end-of-file."""
+        sock = self.writer.get_extra_info("socket")
+        if sock is not None:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RD)
 
-def _fingerprint(request: tuple) -> tuple:
-    """What a reused request id must repeat: the op, the payload header
-    and the CRC-32 of the attachment (the cache keeps no payload bytes)."""
-    op, header, attachment = request
-    return op, header, zlib.crc32(attachment)
+
+class _Entry:
+    """One request id: the request it named, its service future while in
+    flight, its ``(message, attachment)`` response frame once finished."""
+
+    __slots__ = ("request", "future", "response", "nbytes")
+
+    def __init__(self, request: tuple):
+        self.request = request
+        self.future: asyncio.Future | None = None
+        self.response: tuple[dict[str, Any], bytes | memoryview] | None = None
+        self.nbytes = 0
 
 
 class ServeTransport:
@@ -140,11 +169,10 @@ class ServeTransport:
         self._server: asyncio.AbstractServer | None = None
         self._conns: set[_Connection] = set()
         self._conn_tasks: set[asyncio.Task] = set()
-        #: id -> (future, request) and id -> (frame, attachment, fingerprint)
-        self._inflight: dict[str, tuple[asyncio.Future, tuple]] = {}
-        self._responses: OrderedDict[
-            str, tuple[dict[str, Any], bytes | memoryview, tuple]
-        ] = OrderedDict()
+        #: request id -> entry; finished entries in the order they finished
+        self._requests: OrderedDict[str, _Entry] = OrderedDict()
+        #: bytes the finished entries are charged
+        self._held = 0
         self._shutting_down = False
 
     # ------------------------------------------------------------ lifecycle
@@ -162,9 +190,9 @@ class ServeTransport:
 
     async def shutdown(self) -> None:
         """Graceful stop: no new connections, the service drains (the
-        in-flight batch completes, queued requests fail typed), pending
-        response frames flush, then the connections close.  Zero
-        admitted requests are lost."""
+        in-flight batch completes, queued requests fail typed), every
+        frame a connection has received is answered, the response frames
+        flush, then the connections close."""
         if self._shutting_down:
             return
         self._shutting_down = True
@@ -173,24 +201,16 @@ class ServeTransport:
             server.close()
         # Drain the service: every pending future resolves — a real
         # result for the in-flight batch, ServiceClosedError for the
-        # still-queued rest — so every response frame enqueues now.
+        # still-queued rest — and its done callbacks queue the frames.
         await self.service.close()
-        if self._inflight:
-            await asyncio.gather(
-                *(future for future, _ in self._inflight.values()),
-                return_exceptions=True,
-            )
-        await asyncio.sleep(0)  # let future callbacks enqueue their frames
-        # Flush each connection's outbox, then hang up; the closed
-        # sockets surface as connection-lost to the blocked read loops.
+        pending = [e.future for e in self._requests.values() if e.response is None]
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+        # From here a frame is answered as it is read (the closed service
+        # refuses it at once).  Each read loop reads what its socket has
+        # received, meets end-of-file, flushes its outbox and hangs up.
         for conn in list(self._conns):
-            conn.closing = True
-            conn.wakeup.set()
-        for conn in list(self._conns):
-            if conn.writer_task is not None:
-                with contextlib.suppress(Exception):
-                    await conn.writer_task
-            conn.writer.close()
+            conn.stop_reading()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         obs.event("serve.transport_stop", host=self.host, port=self.port)
@@ -250,10 +270,9 @@ class ServeTransport:
         return True
 
     async def _read_loop(self, conn: _Connection) -> None:
-        # Deliberately not gated on shutdown: during a graceful drain a
-        # straggler request still gets a typed serve.closed answer
-        # instead of silence.
-        while not conn.closing:
+        # Reads until the stream ends, shutdown included: a frame that
+        # arrives during the drain gets a typed serve.closed answer.
+        while True:
             try:
                 frame, attachment = await protocol.read_frame(conn.reader)
             except ConnectionLostError:
@@ -285,49 +304,33 @@ class ServeTransport:
         if not isinstance(request_id, str) or not request_id:
             self._refuse(conn, request_id, f"op {op!r} requires a non-empty string id", rpc)
             return
-        # Idempotency: a finished id replays its cached response; an
-        # in-flight id joins the existing execution.  Either way the
-        # request body is executed exactly once, and only a frame that
-        # repeats the request the id first carried gets its answer.
+        # Idempotency: an id runs once.  A frame repeating the request
+        # the id first carried joins its execution or replays its frame.
         request = (op, frame.get("payload"), attachment)
-        cached = self._responses.get(request_id)
-        inflight = self._inflight.get(request_id)
-        if cached is not None or inflight is not None:
-            seen = cached[2] if cached is not None else _fingerprint(inflight[1])
-            if seen != _fingerprint(request):
-                self._refuse(conn, request_id, f"id {request_id!r} names another request", rpc)
-                return
-        if cached is not None:
-            obs.event("serve.dedup_hit", op=str(op), request_id=request_id)
-            self._send(conn, cached[0], cached[1], rpc)
+        entry = self._requests.get(request_id)
+        if entry is None:
+            entry = self._requests[request_id] = _Entry(request)
+            self._admit(request_id, entry, frame)
+        elif entry.request != request:
+            self._refuse(conn, request_id, f"id {request_id!r} names another request", rpc)
             return
-        if inflight is not None:
-            future = inflight[0]
+        elif entry.response is not None:
+            obs.event("serve.dedup_hit", op=str(op), request_id=request_id)
+        if entry.response is not None:
+            self._send(conn, *entry.response, rpc)
         else:
-            future = self._execute(conn, frame, request_id, request, rpc)
-            if future is None:
-                return  # admission failed; typed error frame already queued
-            self._inflight[request_id] = (future, request)
-        future.add_done_callback(
-            lambda fut, c=conn, rid=request_id, r=rpc, q=request:
-                self._finish(c, rid, fut, r, q)
-        )
+            entry.future.add_done_callback(
+                lambda _, c=conn, e=entry, r=rpc: self._send(c, *e.response, r)
+            )
 
     def _refuse(self, conn: _Connection, request_id: Any, reason: str, rpc: tuple) -> None:
         """Answer one frame with a typed protocol error; nothing runs."""
         self._send(conn, protocol.error_frame(request_id, ProtocolError(reason)), rpc=rpc)
 
-    def _execute(
-        self,
-        conn: _Connection,
-        frame: dict[str, Any],
-        request_id: str,
-        request: tuple,
-        rpc: tuple,
-    ) -> "asyncio.Future | None":
-        """Validate and admit one ``(op, payload header, attachment)``
-        request; returns the service future."""
-        op, header, attachment = request
+    def _admit(self, request_id: str, entry: _Entry, frame: dict[str, Any]) -> None:
+        """Validate and submit the entry's ``(op, payload header,
+        attachment)`` request; a refusal finishes the entry at once."""
+        op, header, attachment = entry.request
         injector = faults.get_injector()
         deadline_ms = frame.get("deadline_ms")
         priority = frame.get("priority")
@@ -342,53 +345,47 @@ class ServeTransport:
             if injector.fire(FAULT_DEADLINE_STORM, op=op):
                 deadline_ms = STORM_DEADLINE_MS
             payload = protocol.decode_payload(header, attachment)
-            return self.service.submit_nowait(
+            entry.future = self.service.submit_nowait(
                 op, payload, priority=priority, deadline_ms=deadline_ms
             )
         except Exception as e:
             if not isinstance(e, ReproError):  # defensive: never leak an untyped crash
                 e = ReproError(f"internal error: {type(e).__name__}: {e}")
-            self._cache_and_send(
-                conn, request_id, protocol.error_frame(request_id, e), b"", rpc, request
-            )
-            return None
+            self._finish(request_id, entry, protocol.error_frame(request_id, e))
+            return
+        entry.future.add_done_callback(lambda fut: self._resolve(request_id, entry, fut))
+
+    def _resolve(self, request_id: str, entry: _Entry, future: "asyncio.Future") -> None:
+        """Future callback: turn one outcome into the entry's frame."""
+        exc = ReproError("request cancelled") if future.cancelled() else future.exception()
+        if exc is None:
+            self._finish(request_id, entry, *protocol.result_frame(request_id, future.result()))
+        else:
+            self._finish(request_id, entry, protocol.error_frame(request_id, exc))
 
     def _finish(
         self,
-        conn: _Connection,
         request_id: str,
-        future: "asyncio.Future",
-        rpc: tuple,
-        request: tuple,
-    ) -> None:
-        """Future callback: turn one outcome into a cached, queued frame."""
-        self._inflight.pop(request_id, None)
-        exc = ReproError("request cancelled") if future.cancelled() else future.exception()
-        if exc is None:
-            message, attachment = protocol.result_frame(request_id, future.result())
-        else:
-            message, attachment = protocol.error_frame(request_id, exc), b""
-        self._cache_and_send(conn, request_id, message, attachment, rpc, request)
-
-    def _cache_and_send(
-        self,
-        conn: _Connection,
-        request_id: str,
+        entry: _Entry,
         message: dict[str, Any],
-        attachment: bytes | memoryview,
-        rpc: tuple,
-        request: tuple,
+        attachment: bytes | memoryview = b"",
     ) -> None:
-        # Cached in the write's own loop step, whether or not the write
-        # succeeds: a response lost to a dropped connection replays to
-        # the retry, never re-executes.  The CRC runs once the frame is
-        # queued, off the response's latency path.
-        try:
-            self._send(conn, message, attachment, rpc)
-        finally:
-            self._responses[request_id] = (message, attachment, _fingerprint(request))
-            while len(self._responses) > DEDUP_CAP:
-                self._responses.popitem(last=False)
+        """Store a request's response frame, before any write of it, so a
+        response lost to a dropped connection replays to the retry; then
+        hold the finished entries within :data:`REPLAY_BUDGET_BYTES`,
+        evicting the oldest-finished first."""
+        entry.future, entry.response = None, (message, attachment)
+        entry.nbytes = _ENTRY_BYTES + len(entry.request[2]) + len(attachment)
+        self._held += entry.nbytes
+        requests = self._requests
+        requests.move_to_end(request_id)
+        while self._held > REPLAY_BUDGET_BYTES:
+            oldest_id, oldest = next(iter(requests.items()))
+            if oldest.response is None:
+                requests.move_to_end(oldest_id)  # in flight: never evicted
+                continue
+            del requests[oldest_id]
+            self._held -= oldest.nbytes
 
     # -------------------------------------------------------------- writing
 
@@ -459,7 +456,7 @@ class ServeTransport:
                     except (ConnectionError, OSError) as e:
                         raise ConnectionLostError(str(e)) from None
         except ConnectionLostError:
-            conn.closing = True  # responses stay cached for retries
+            conn.closing = True  # responses stay stored for retries
 
     async def _chaos_edge(self, conn: _Connection, injector) -> None:
         """Consult the network chaos sites before one response write."""

@@ -6,7 +6,6 @@ import pytest
 from repro.gpusim.device import SECTOR_BYTES
 from repro.gpusim.memory import (
     feature_row_sectors,
-    per_warp_counts,
     streaming_sectors,
     unique_per_warp,
 )
@@ -46,12 +45,6 @@ class TestUniquePerWarp:
 
     def test_empty(self):
         assert list(unique_per_warp(np.array([], dtype=int), np.array([], dtype=int), 3)) == [0, 0, 0]
-
-
-class TestPerWarpCounts:
-    def test_weighted(self):
-        out = per_warp_counts(np.array([0, 0, 2]), 3, weights=np.array([1.0, 2.0, 5.0]))
-        assert list(out) == [3.0, 0.0, 5.0]
 
 
 class TestSegmentSectorsExact:

@@ -10,6 +10,7 @@ graceful shutdown accounts for every admitted request.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 import numpy as np
 import pytest
@@ -443,13 +444,26 @@ class TestIdempotency:
         # retried over the wire, executed once
         assert served.service.stats.requests == executed + 1
 
-    def test_dedup_cache_is_bounded(self, served, rng, monkeypatch):
-        column = rng.standard_normal(served.graph.num_vertices)
-        monkeypatch.setattr(transport_mod, "DEDUP_CAP", 4)
-        with no_faults():
-            for _ in range(10):
-                served.run(served.client.propagate(column))
-        assert len(served.transport._responses) <= 4
+    def test_replay_table_is_bounded_by_bytes(self, served, rng, monkeypatch):
+        """The finished entries stay within the byte budget; a retry of an
+        evicted id runs once more to the same bytes, and a reused id with
+        a changed attachment is still refused once its entry finished."""
+        monkeypatch.setattr(transport_mod, "REPLAY_BUDGET_BYTES", 8_000)
+        columns = rng.standard_normal((11, served.graph.num_vertices))
+        executed = served.service.stats.requests
+        first = wire(served, "propagate", columns[0], id="evict-1")
+        for column in columns[1:]:  # 10 x 960 attachment bytes, past the budget
+            served.run(served.client.propagate(column))
+        table = served.transport._requests
+        finished = [e for e in table.values() if e.response is not None]
+        held = sum(transport_mod._ENTRY_BYTES + len(e.request[2]) + len(e.response[1])
+                   for e in finished)
+        assert held <= 8_000 and "evict-1" not in table
+        assert wire(served, "propagate", columns[0], id="evict-1") == first
+        assert served.service.stats.requests == executed + 12
+        with pytest.raises(ProtocolError, match="evict-1"):
+            wire(served, "propagate", columns[1], id="evict-1")
+        assert served.service.stats.requests == executed + 12
 
 
 # ---------------------------------------------------------------- shutdown
@@ -500,6 +514,36 @@ class TestGracefulShutdown:
         assert sum(outcome.values()) == 16
         assert outcome["other"] == 0
         assert outcome["rejected"] >= 1  # the drain rejected the queue, typed
+
+    def test_frames_received_during_the_drain_are_each_answered(self, small_graph, rng):
+        """Frames that reach the socket while the service drains are read
+        and answered serve.closed, in order, before the connection closes."""
+        graph = GraphData(small_graph)
+        columns = rng.standard_normal((8, graph.num_vertices))
+
+        async def main():
+            service = serve.InferenceService(graph)
+            transport = await ServeTransport(service, port=0).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", transport.port)
+            await protocol.write_frame(writer, protocol.hello_frame())
+            await protocol.read_frame(reader)
+            await service.close()
+            for i, column in enumerate(columns):
+                header, body = protocol.array_header(column)
+                protocol.write_frame_nowait(
+                    writer, {"op": "propagate", "id": f"late-{i}", "payload": header}, body)
+            await transport.shutdown()
+            answers = []
+            with contextlib.suppress(ConnectionLostError):
+                while True:
+                    answers.append((await protocol.read_frame(reader))[0])
+            writer.close()
+            await writer.wait_closed()
+            return answers
+
+        answers = _run(main())
+        assert [a["id"] for a in answers] == [f"late-{i}" for i in range(8)]
+        assert {protocol.error_from_frame(a).code for a in answers} == {"serve.closed"}
 
     def test_shutdown_is_idempotent_and_frees_the_port(self, small_graph):
         graph = GraphData(small_graph)
