@@ -231,3 +231,128 @@ class TestInstrumentation:
         (rec,) = [r for r in records if r["name"] == "engine.plan"]
         assert rec["attrs"]["cache_size"] == 128
         assert "load_balance" in rec["attrs"]
+
+
+def _rec(rtype, name, span_id, parent_id=None, wall_ms=1.0, sim_us=None,
+         status="ok", **attrs):
+    rec = {"type": rtype, "name": name, "span_id": span_id,
+           "parent_id": parent_id, "start_s": 100.0 + span_id, "attrs": attrs}
+    if rtype == "span":
+        rec.update(wall_ms=wall_ms, sim_us=sim_us, status=status)
+    return rec
+
+
+_LAUNCH = {"kind": "spmm", "kernel": "gnnone", "format": "coo", "f": 8}
+_GOLDEN_RECORDS = [
+    _rec("span", "kernel.spmm", 1, 20, wall_ms=0.5, status="error",
+         error="SimulatedFault", **_LAUNCH),
+    _rec("span", "gnnone.stage1", 2, 3, wall_ms=0.4),
+    _rec("span", "kernel.spmm", 3, 20, wall_ms=2.0, sim_us=10.0, cached=False,
+         cost_wall_ms=0.75, dram_bytes=2e6,
+         kind_cycles={"load": 600.0, "compute": 300.0, "reduce": 60.0,
+                      "store": 40.0},
+         counters={"load_instrs": 100.0}, occupancy_warps_per_sm=32,
+         sm_imbalance=1.25, **_LAUNCH),
+    _rec("event", "resilience.plan_invalidated", 4, 20),
+    _rec("span", "kernel.spmm", 5, 20, wall_ms=0.25, sim_us=10.0, cached=True,
+         dram_bytes=2e6,
+         kind_cycles={"load": 600.0, "compute": 300.0, "reduce": 60.0,
+                      "store": 40.0},
+         counters={"load_instrs": 100.0}, occupancy_warps_per_sm=32,
+         sm_imbalance=1.5, **_LAUNCH),
+    _rec("span", "train.epoch", 10, wall_ms=2.0, sim_us=5.0, status="error",
+         model="GCN", error="SimulatedFault"),
+    _rec("span", "bench.spmm", 20, wall_ms=3.0, sim_us=20.0, kernel="gnnone",
+         dataset="G3", f=8, outcome="ok"),
+    _rec("event", "resilience.fault_injected", 21, site="plancache.poison"),
+    _rec("event", "resilience.checkpoint_save", 22),
+    _rec("event", "resilience.checkpoint_restore", 23),
+    _rec("span", "serve.batch", 30, wall_ms=0.5, sim_us=4.0, kind="propagate",
+         occupancy=2),
+    _rec("span", "serve.request", 31, wall_ms=1.0, kind="propagate"),
+    _rec("span", "serve.request", 32, wall_ms=3.0, kind="propagate"),
+    _rec("span", "serve.rpc", 33, wall_ms=1.5, op="propagate"),
+    _rec("event", "serve.shed", 34),
+    _rec("event", "serve.degraded", 35),
+    _rec("event", "serve.timeout", 36),
+    _rec("event", "serve.deadline_shed", 37),
+    _rec("event", "serve.breaker", 38, state="open"),
+    _rec("event", "serve.client_retry", 39),
+]
+
+_GOLDEN_SUMMARY = """\
+span                                                              count         sim us    wall ms  err
+------------------------------------------------------------------------------------------------------
+bench.spmm kernel=gnnone dataset=G3 f=8                               1           20.0       3.00    0
+kernel.spmm kind=spmm kernel=gnnone f=8                               3           20.0       2.75    1
+train.epoch model=GCN                                                 1            5.0       2.00    1
+serve.batch kind=propagate                                            1            4.0       0.50    0
+serve.request kind=propagate                                          2            0.0       4.00    0
+serve.rpc                                                             1            0.0       1.50    0
+gnnone.stage1                                                         1            0.0       0.40    0
+7 span identities, 49.0 total simulated us
+plan cache: 1/2 kernel launches replayed from cache (50% hit rate)
+resilience: 1 fault(s) injected, 1 plan invalidation(s), 1 checkpoint restore(s), 1 checkpoint save(s)
+serve: 2 request(s) served, 1 shed, 1 batch(es) at 2.0 mean occupancy, latency p50 2.00 ms / p99 2.98 ms, 1 timeout(s), 1 degrade(s)-to-unbatched, 1 deadline-shed, 1 breaker transition(s), 1 rpc(s), 1 client retry(ies)
+"""
+
+_GOLDEN_PROFILE = """\
+kernel identity                                               n  warm       sim us   wall ms  DRAM MB  ld%  cp%  rd%  st%  occ   imb
+------------------------------------------------------------------------------------------------------------------------------------
+kernel.spmm kind=spmm kernel=gnnone f=8                       2   50%         20.0      2.25     4.00  60%  30%   6%   4%   32  1.50
+
+top 1 hotspots by simulated time:
+  1. kernel.spmm kind=spmm kernel=gnnone f=8  20.0 us (100.0% of total)
+
+cold-path planning wall time (host, saved on warm replays):
+  kernel.spmm kind=spmm kernel=gnnone f=8: stage1 0.40ms, cost-model 0.75ms
+
+1 kernel identities, 20.0 total simulated us, 1/2 warm launches
+"""
+
+_GOLDEN_BASELINE = """\
+{
+  "identities": {
+    "bench.spmm kernel=gnnone dataset=G3 f=8": {
+      "count": 1,
+      "sim_us_median": 20.0
+    },
+    "kernel.spmm kind=spmm kernel=gnnone f=8": {
+      "count": 2,
+      "sim_us_median": 10.0
+    },
+    "serve.batch kind=propagate": {
+      "count": 1,
+      "sim_us_median": 4.0
+    }
+  },
+  "label": "golden",
+  "runs": 1,
+  "schema_version": 2
+}
+"""
+
+
+class TestGoldenViews:
+    """Every trace view, as exact text, over one hand-built trace."""
+
+    @pytest.fixture()
+    def trace(self, tmp_path):
+        path = tmp_path / "golden.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in _GOLDEN_RECORDS))
+        return path
+
+    def test_summary_text(self, trace, capsys):
+        assert obs_main(["summary", str(trace)]) == 0
+        assert capsys.readouterr().out == _GOLDEN_SUMMARY
+
+    def test_profile_text(self, trace, capsys):
+        assert obs_main(["profile", str(trace)]) == 0
+        assert capsys.readouterr().out == _GOLDEN_PROFILE
+
+    def test_baseline_document(self, trace, tmp_path, capsys):
+        out = tmp_path / "golden.json"
+        assert obs_main(["baseline", str(trace), "-o", str(out),
+                         "--label", "golden"]) == 0
+        assert capsys.readouterr().out == f"baseline {out}: 3 identities from 1 run(s)\n"
+        assert out.read_text() == _GOLDEN_BASELINE
