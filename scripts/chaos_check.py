@@ -20,8 +20,8 @@ hit, and a cold pass has none.
 
 The chaos phase streams an obs trace to ``--trace`` (default
 ``chaos_trace.jsonl``) for ``python -m repro.obs summary``, and the
-deep profiler renders that trace's per-kernel breakdown and
-timeline to ``--profile`` (default ``chaos_profile.txt``).
+deep profiler renders that trace's per-kernel breakdown to
+``--profile`` (default ``chaos_profile.txt``).
 
 Usage::
 
@@ -99,7 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     records, dropped = obs.read_trace_lenient(args.trace)
     if dropped:
         print(f"warning: {dropped} corrupt trace line(s) skipped", file=sys.stderr)
-    counts = obs.resilience_summary(records)
+    fold = obs.fold_trace(records)
+    counts = fold.resilience()
     fired = {
         name: counts[name]
         for name in ("resilience.fault_injected", "resilience.plan_invalidated",
@@ -130,21 +131,13 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(f"chaos run never exercised {name} (seed {seed})")
 
     if args.profile:
-        # The same trace the summary reads also feeds the deep profiler:
-        # the chaos run's per-kernel breakdown and timeline land
-        # next to the trace as a build artifact.
+        # The same fold the summary reads also feeds the deep profiler:
+        # the chaos run's per-kernel breakdown lands next to the trace
+        # as a build artifact.
         from pathlib import Path
 
-        from repro.obs.profile import (
-            format_profile_report,
-            format_timeline,
-            profile_trace,
-        )
-
-        report = format_profile_report(profile_trace(records))
-        timeline = format_timeline(records)
         Path(args.profile).write_text(
-            report + "\n\n" + timeline + "\n", encoding="utf-8"
+            obs.format_profile_report(fold) + "\n", encoding="utf-8"
         )
 
     print(f"chaos check (seed {seed}):")

@@ -7,8 +7,9 @@ through a couple of attribute checks, and with ``REPRO_OBS=off`` even
 those checks short-circuit on one cached module-level bool.
 
 This script measures that claim: it runs the warm Fig-4 quick sweep
-(plan cache hot, so kernel launches — and therefore span crossings —
-dominate) with the obs layer enabled versus killed, and reports the
+(plan cache hot, and a sweep point only prices its launch, so span
+crossings are a large share of each point) with the obs layer enabled
+versus killed, and reports the
 overhead as the median, over interleaved on/off pairs, of each pair's
 on/off time ratio.  A pair's two samples run back to back, so host
 drift cancels inside the ratio, and the median ignores the odd pair a
@@ -28,7 +29,7 @@ import sys
 import time
 
 DEFAULT_THRESHOLD_PCT = 2.0
-#: on/off pairs; each takes ~30 ms, and on a shared 2-vCPU host the
+#: on/off pairs; each takes under 1 ms, and on a shared 2-vCPU host the
 #: median of 15 still swung from -1% to +6% between runs
 DEFAULT_REPEATS = 101
 
@@ -37,7 +38,7 @@ def _sample(inner: int, dataset_key: str, feature_lengths: tuple[int, ...],
             kernels: tuple[str, ...]) -> float:
     """One timed sample: ``inner`` back-to-back warm sweeps.
 
-    A single warm quick sweep runs in ~1 ms — below what perf_counter
+    A single warm quick sweep runs in ~35 us — below what perf_counter
     sampling can compare at the percent level — so each sample times a
     batch.
     """

@@ -3,10 +3,12 @@
 
 Runs the quick Fig-4 SpMM and Fig-3 SDDMM sweeps, a 2-epoch GCN fit and
 a 2-epoch GAT fit — the same workload every time, on every machine —
-with full obs tracing, and writes one JSONL trace.  That trace is the single input to the whole
-observability tool-chain:
+with full obs tracing, and writes one JSONL trace.  That trace is the
+single input to the whole observability tool-chain, whose views all
+format one fold of it (``repro.obs.fold_trace``):
 
     PYTHONPATH=src python scripts/perf_snapshot.py -o perf_trace.jsonl
+    python -m repro.obs summary  perf_trace.jsonl     # per-identity table
     python -m repro.obs profile  perf_trace.jsonl     # deep breakdown
     python -m repro.obs baseline perf_trace.jsonl -o baselines/quick.json
     python -m repro.obs regress  baselines/quick.json perf_trace.jsonl \

@@ -38,10 +38,10 @@ There is one numerics path.  GNNOne and every baseline take their
 output from the base-class :meth:`_Kernel.compute`, which runs the
 execution engine (:mod:`repro.exec`); a kernel's identity shows only in
 its trace.  ``compute`` memoizes the engine output per read-only
-operand set, so the kernels of one figure sweep share one output per
-dataset.  :func:`reference_spmm` and :func:`reference_sddmm` are
-independent scipy/einsum oracles for tests and checks; no kernel
-returns them.
+operand set, so the kernels of one sweep over shared operands share
+one output per dataset.  :func:`reference_spmm` and
+:func:`reference_sddmm` are independent scipy/einsum oracles for tests
+and checks; no kernel returns them.
 """
 
 from __future__ import annotations
@@ -334,12 +334,14 @@ def _memoized_output(
 ) -> np.ndarray:
     """``compute(A, *operands)`` once per (topology, operand objects); a fresh copy per call.
 
-    GNNOne and its baselines all compute through here, so a figure
-    sweep, which launches every kernel of a kind on the same shared
-    read-only operands, computes each output once.  Results are memoized
-    in the plan cache's identity memo (cleared by ``clear_plan_cache``)
-    only when every operand is read-only down its whole ``.base`` chain;
-    anything writeable could change between calls and always recomputes.
+    GNNOne and its baselines all compute through here, so a sweep that
+    launches every kernel of a kind on the same shared read-only
+    operands (the e2ebench sweep, over
+    :func:`repro.bench.harness.sweep_operands`) computes each output
+    once.  Results are memoized in the plan cache's identity memo
+    (cleared by ``clear_plan_cache``) only when every operand is
+    read-only down its whole ``.base`` chain; anything writeable could
+    change between calls and always recomputes.
     """
     if not all(_read_only(op) for op in operands):
         return compute(A, *operands)

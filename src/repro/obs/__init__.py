@@ -10,10 +10,12 @@ place they flow through:
   spans carrying wall time, simulated time, and CostReport fields.
 * :func:`trace_to` / :func:`capture` / :func:`render_tree` — JSONL
   stream, in-memory and console-tree exporters.
-* ``python -m repro.obs`` — summarize a trace, render a deep
-  per-kernel profile (``profile``) or per-worker timeline
-  (``timeline``), and snapshot/gate perf baselines (``baseline`` /
-  ``regress``, the one way to compare two runs).
+* :func:`fold_trace` — the one grouping of a trace: a row per span
+  identity plus event counts, which every view formats.
+* ``python -m repro.obs`` — summarize a trace, render its span tree or
+  a deep per-kernel profile (``profile``), and snapshot/gate perf
+  baselines (``baseline`` / ``regress``, the one way to compare two
+  runs).
 
 ``REPRO_OBS=off`` kills the whole layer: spans and events
 short-circuit on one cached bool.
@@ -23,38 +25,30 @@ Tracing is off (and free) until a sink is installed::
     from repro import obs
     with obs.trace_to("run.jsonl"):
         core.spmm(A, w, X)                      # spans stream to the file
-    records = obs.read_trace("run.jsonl")
+    records, dropped = obs.read_trace_lenient("run.jsonl")
     print(obs.render_tree(records))
+    print(obs.format_summary(obs.fold_trace(records)))
 """
 
 from repro.obs.analysis import (
     RESILIENCE_EVENTS,
-    KeySummary,
+    IdentityRow,
+    TraceFold,
+    fold_trace,
     format_plan_cache_line,
     format_resilience_line,
     format_serve_line,
     format_summary,
     percentile,
-    plan_cache_summary,
-    resilience_summary,
-    serve_summary,
     span_key,
-    summarize,
 )
 from repro.obs.export import (
     JsonlWriter,
-    read_trace,
     read_trace_lenient,
     render_tree,
     trace_to,
 )
-from repro.obs.profile import (
-    ProfileRow,
-    format_profile_report,
-    format_timeline,
-    profile_trace,
-    timeline_lanes,
-)
+from repro.obs.profile import format_profile_report
 from repro.obs.regress import (
     RegressReport,
     baseline_from_traces,
@@ -79,28 +73,21 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "KeySummary",
+    "IdentityRow",
+    "TraceFold",
+    "fold_trace",
     "format_plan_cache_line",
     "format_resilience_line",
     "format_serve_line",
     "format_summary",
     "percentile",
-    "plan_cache_summary",
-    "resilience_summary",
-    "serve_summary",
     "RESILIENCE_EVENTS",
     "span_key",
-    "summarize",
     "JsonlWriter",
-    "read_trace",
     "read_trace_lenient",
     "render_tree",
     "trace_to",
-    "ProfileRow",
     "format_profile_report",
-    "format_timeline",
-    "profile_trace",
-    "timeline_lanes",
     "RegressReport",
     "baseline_from_traces",
     "compare_to_baseline",

@@ -5,7 +5,6 @@ Usage::
     python -m repro.obs summary t.jsonl          # per-identity aggregate
     python -m repro.obs tree t.jsonl             # indented span tree
     python -m repro.obs profile t.jsonl          # deep per-kernel breakdown
-    python -m repro.obs timeline t.jsonl         # per-worker span gantt
     python -m repro.obs baseline t.jsonl ... -o baselines/quick.json
     python -m repro.obs regress baselines/quick.json t.jsonl --fail-on-regress
 
@@ -22,16 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.obs.analysis import (
-    format_plan_cache_line,
-    format_resilience_line,
-    format_serve_line,
-    format_summary,
-    plan_cache_summary,
-    resilience_summary,
-    serve_summary,
-    summarize,
-)
+from repro.obs.analysis import fold_trace, format_summary
 from repro.obs.export import read_trace_lenient, render_tree
 from repro.obs.spans import JsonDict
 
@@ -61,29 +51,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_tree = sub.add_parser("tree", help="render the span tree")
     p_tree.add_argument("trace", help="JSONL trace file")
-    p_tree.add_argument("--max-depth", type=int, default=None)
 
     p_profile = sub.add_parser(
         "profile", help="deep per-kernel breakdown (counters, stages, hotspots)"
     )
     p_profile.add_argument("trace", help="JSONL trace file")
-    p_profile.add_argument(
-        "--top", type=int, default=10, help="hotspots to list (default 10)"
-    )
-    p_profile.add_argument(
-        "--limit", type=int, default=40, help="table rows to show (default 40)"
-    )
-
-    p_timeline = sub.add_parser(
-        "timeline", help="per-worker span timeline (ASCII gantt)"
-    )
-    p_timeline.add_argument("trace", help="JSONL trace file")
-    p_timeline.add_argument(
-        "--width", type=int, default=80, help="columns in the gantt strip"
-    )
-    p_timeline.add_argument(
-        "--detail", action="store_true", help="also list every span with offsets"
-    )
 
     p_baseline = sub.add_parser(
         "baseline", help="snapshot per-identity simulated-time stats from N runs"
@@ -118,29 +90,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "summary":
-            records = _read(args.trace)
-            print(format_summary(summarize(records)))
-            print(format_plan_cache_line(*plan_cache_summary(records)))
-            print(format_resilience_line(resilience_summary(records)))
-            print(format_serve_line(serve_summary(records)))
+            print(format_summary(fold_trace(_read(args.trace))))
             return 0
         if args.command == "tree":
-            print(render_tree(_read(args.trace), max_depth=args.max_depth))
+            print(render_tree(_read(args.trace)))
             return 0
         if args.command == "profile":
-            from repro.obs.profile import format_profile_report, profile_trace
+            from repro.obs.profile import format_profile_report
 
-            rows = profile_trace(_read(args.trace))
-            print(format_profile_report(rows, top=args.top, limit=args.limit))
-            return 0
-        if args.command == "timeline":
-            from repro.obs.profile import format_timeline
-
-            print(
-                format_timeline(
-                    _read(args.trace), width=args.width, detail=args.detail
-                )
-            )
+            print(format_profile_report(fold_trace(_read(args.trace))))
             return 0
         if args.command == "baseline":
             from repro.obs.regress import baseline_from_traces, save_baseline

@@ -1,16 +1,20 @@
-"""Trace analysis: per-identity aggregation and subsystem summaries.
+"""Trace analysis: one fold of a trace into per-identity rows.
 
 Two runs of the same sweep are comparable point-by-point because every
 instrumented span carries an *identity*: its name plus the stable
 attributes (kernel, dataset, feature length, ...) that parameterize the
-work it measured.  :func:`summarize` folds a trace into one row per
-identity; :mod:`repro.obs.regress` joins a trace to a baseline on the
-same identity and flags every key whose simulated time regressed.
+work it measured.  :func:`fold_trace` is the one place a trace is
+grouped: a single pass builds one :class:`IdentityRow` per identity,
+plus event counts by name, and every view is formatting over that
+table — ``summary`` and its plan-cache / resilience / serve footers
+here, the per-kernel ``profile`` (:mod:`repro.obs.profile`) and the
+``baseline`` / ``regress`` gate (:mod:`repro.obs.regress`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.obs.spans import JsonDict
@@ -21,6 +25,12 @@ from repro.obs.spans import JsonDict
 #: work as the cold simulation, and runs with different cache states
 #: must stay comparable point-by-point.
 IDENTITY_ATTRS = ("kind", "kernel", "backend", "dataset", "f", "dim", "experiment", "model")
+
+#: the cost-model phase kinds, in pipeline order (see repro.gpusim.trace)
+STAGE_KINDS = ("load", "compute", "reduce", "store")
+
+#: planning-stage spans nested under a kernel launch (cold launches only)
+PLAN_STAGE_NAMES = ("gnnone.stage1", "gnnone.schedule", "gnnone.stage2")
 
 
 def percentile(values: Iterable[float], q: float) -> float:
@@ -40,20 +50,6 @@ def percentile(values: Iterable[float], q: float) -> float:
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
-def plan_cache_summary(records: Iterable[JsonDict]) -> tuple[int, int]:
-    """(warm, total) kernel launches in a trace, from ``cached`` attrs."""
-    warm = total = 0
-    for rec in records:
-        if rec.get("type") != "span":
-            continue
-        cached = rec.get("attrs", {}).get("cached")
-        if cached is None:
-            continue
-        total += 1
-        warm += bool(cached)
-    return warm, total
-
-
 def span_key(record: JsonDict) -> str:
     """Stable identity of a span for cross-run comparison."""
     attrs = record.get("attrs", {})
@@ -62,42 +58,181 @@ def span_key(record: JsonDict) -> str:
     return " ".join(parts)
 
 
+def _is_num(value: object) -> bool:
+    return isinstance(value, (int, float))
+
+
 @dataclass
-class KeySummary:
-    """Aggregate of every span sharing one identity key."""
+class IdentityRow:
+    """Every span sharing one identity, folded into what the views read."""
 
     key: str
+    name: str
     count: int = 0
+    errors: int = 0
     sim_us: float = 0.0
     wall_ms: float = 0.0
-    errors: int = 0
+    #: every numeric ``wall_ms`` (the serve latency percentiles)
+    walls: list[float] = field(default_factory=list)
+    #: numeric ``sim_us`` of the status-ok spans (the baseline median)
+    ok_sims: list[float] = field(default_factory=list)
+    #: numeric ``occupancy`` attrs (requests per fused serve batch)
+    occupancies: list[float] = field(default_factory=list)
+    # Kernel launches: the spans carrying a ``cached`` attr.  Dispatch
+    # and failed launches share a launch's identity but not these.
+    launches: int = 0
+    warm: int = 0
+    launch_wall_ms: float = 0.0
+    #: wall time of estimate_cost() on cold launches (plan-cache target)
+    cost_wall_ms: float = 0.0
+    #: planning-stage wall time charged through parent links, per stage
+    stage_wall_ms: dict[str, float] = field(default_factory=dict)
+    dram_bytes: float = 0.0
+    #: cost-model busy cycles per phase kind, summed over launches
+    kind_cycles: dict[str, float] = field(default_factory=dict)
+    #: aggregate warp counters (load_instrs, sectors, barriers, ...)
+    counters: dict[str, float] = field(default_factory=dict)
+    occupancy_warps: float = 0.0
+    sm_imbalance_max: float = 0.0
 
-    def fold(self, record: JsonDict) -> None:
+    def add(self, rec: JsonDict) -> None:
+        attrs = rec.get("attrs", {})
+        sim, wall = rec.get("sim_us"), rec.get("wall_ms")
         self.count += 1
-        sim = record.get("sim_us")
-        if isinstance(sim, (int, float)):
-            self.sim_us += sim
-        wall = record.get("wall_ms")
-        if isinstance(wall, (int, float)):
-            self.wall_ms += wall
-        if record.get("status") != "ok":
+        if rec.get("status") != "ok":
             self.errors += 1
+        elif _is_num(sim):
+            self.ok_sims.append(float(sim))
+        if _is_num(sim):
+            self.sim_us += sim
+        if _is_num(wall):
+            self.wall_ms += wall
+            self.walls.append(float(wall))
+        if _is_num(attrs.get("occupancy")):
+            self.occupancies.append(float(attrs["occupancy"]))
+        cached = attrs.get("cached")
+        if cached is None:
+            return
+        self.launches += 1
+        self.warm += bool(cached)
+        if _is_num(wall):
+            self.launch_wall_ms += wall
+        if _is_num(attrs.get("cost_wall_ms")):
+            self.cost_wall_ms += attrs["cost_wall_ms"]
+        if _is_num(attrs.get("dram_bytes")):
+            self.dram_bytes += attrs["dram_bytes"]
+        for kind, cycles in (attrs.get("kind_cycles") or {}).items():
+            self.kind_cycles[kind] = self.kind_cycles.get(kind, 0.0) + float(cycles)
+        for name, value in (attrs.get("counters") or {}).items():
+            self.counters[name] = self.counters.get(name, 0.0) + float(value)
+        if _is_num(attrs.get("occupancy_warps_per_sm")):
+            self.occupancy_warps = float(attrs["occupancy_warps_per_sm"])
+        if _is_num(attrs.get("sm_imbalance")):
+            self.sm_imbalance_max = max(self.sm_imbalance_max, float(attrs["sm_imbalance"]))
+
+    def stage_share(self, kind: str) -> float:
+        total = sum(self.kind_cycles.values())
+        return self.kind_cycles.get(kind, 0.0) / total if total > 0 else 0.0
 
 
-def summarize(records: Iterable[JsonDict]) -> list[KeySummary]:
-    """One row per span identity, heaviest simulated time first."""
-    table: dict[str, KeySummary] = {}
+#: resilience event names the ``summary`` footer counts, in its order
+RESILIENCE_EVENTS = (
+    "resilience.fault_injected",
+    "resilience.plan_invalidated",
+    "resilience.checkpoint_save",
+    "resilience.checkpoint_restore",
+)
+
+
+@dataclass
+class TraceFold:
+    """A trace folded once: one row per span identity, events by name."""
+
+    rows: dict[str, IdentityRow]
+    events: Counter
+
+    def named(self, name: str) -> list[IdentityRow]:
+        return [row for row in self.rows.values() if row.name == name]
+
+    def plan_cache(self) -> tuple[int, int]:
+        """(warm, total) kernel launches, from their ``cached`` attrs."""
+        rows = self.rows.values()
+        return sum(r.warm for r in rows), sum(r.launches for r in rows)
+
+    def resilience(self) -> dict[str, int]:
+        """Fault/recovery event counts (:data:`RESILIENCE_EVENTS`).
+
+        Every recovery path (:mod:`repro.resilience`) emits an obs
+        event, so a chaos run is auditable from the same file the
+        regression gate reads.
+        """
+        return {name: self.events[name] for name in RESILIENCE_EVENTS}
+
+    def serve(self) -> dict[str, float | int]:
+        """The inference service's activity.
+
+        ``serve.request`` spans carry per-request wall latency (emitted
+        retroactively via :func:`repro.obs.spans.emit_span` since a
+        request crosses tasks); ``serve.batch`` spans carry the
+        fused-launch occupancy; ``serve.rpc`` spans are the transport
+        edge; ``serve.*`` events count admission rejections, unbatched
+        fallbacks, pre-launch deadline sheds, breaker transitions and
+        client transport retries.
+        """
+        latencies = [w for row in self.named("serve.request") for w in row.walls]
+        occupancies = [o for row in self.named("serve.batch") for o in row.occupancies]
+        events = self.events
+        return {
+            "requests": len(latencies),
+            "shed": events["serve.shed"],
+            "timeouts": events["serve.timeout"],
+            "degraded": events["serve.degraded"],
+            "deadline_shed": events["serve.deadline_shed"],
+            "breaker_transitions": events["serve.breaker"],
+            "client_retries": events["serve.client_retry"],
+            "rpcs": sum(row.count for row in self.named("serve.rpc")),
+            "batches": len(occupancies),
+            "mean_occupancy": (sum(occupancies) / len(occupancies)) if occupancies else 0.0,
+            "p50_ms": percentile(latencies, 50),
+            "p99_ms": percentile(latencies, 99),
+        }
+
+
+def fold_trace(records: Iterable[JsonDict]) -> TraceFold:
+    """Group a trace by :func:`span_key` in one pass.
+
+    Planning-stage spans (:data:`PLAN_STAGE_NAMES`) close before the
+    launch span they nest under, so their wall time waits by parent id
+    until that launch arrives and is charged to its identity.
+    """
+    rows: dict[str, IdentityRow] = {}
+    events: Counter = Counter()
+    stage_walls: dict[object, dict[str, float]] = {}
     for rec in records:
+        if rec.get("type") == "event":
+            events[rec.get("name")] += 1
+            continue
         if rec.get("type") != "span":
             continue
         key = span_key(rec)
-        if key not in table:
-            table[key] = KeySummary(key)
-        table[key].fold(rec)
-    return sorted(table.values(), key=lambda s: (-s.sim_us, -s.wall_ms, s.key))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = IdentityRow(key, str(rec.get("name", "?")))
+        row.add(rec)
+        wall = rec.get("wall_ms")
+        if rec.get("name") in PLAN_STAGE_NAMES and _is_num(wall):
+            stage = str(rec["name"]).split(".", 1)[1]
+            pending = stage_walls.setdefault(rec.get("parent_id"), {})
+            pending[stage] = pending.get(stage, 0.0) + wall
+        if rec.get("attrs", {}).get("cached") is not None:
+            for stage, ms in stage_walls.pop(rec.get("span_id"), {}).items():
+                row.stage_wall_ms[stage] = row.stage_wall_ms.get(stage, 0.0) + ms
+    return TraceFold(rows, events)
 
 
-def format_summary(rows: list[KeySummary]) -> str:
+def format_summary(fold: TraceFold) -> str:
+    """The ``python -m repro.obs summary`` report: identities, then footers."""
+    rows = sorted(fold.rows.values(), key=lambda r: (-r.sim_us, -r.wall_ms, r.key))
     lines = [f"{'span':<64} {'count':>6} {'sim us':>14} {'wall ms':>10} {'err':>4}"]
     lines.append("-" * len(lines[0]))
     for row in rows:
@@ -107,6 +242,9 @@ def format_summary(rows: list[KeySummary]) -> str:
         )
     total_sim = sum(r.sim_us for r in rows)
     lines.append(f"{len(rows)} span identities, {total_sim:,.1f} total simulated us")
+    lines.append(format_plan_cache_line(*fold.plan_cache()))
+    lines.append(format_resilience_line(fold.resilience()))
+    lines.append(format_serve_line(fold.serve()))
     return "\n".join(lines)
 
 
@@ -118,31 +256,6 @@ def format_plan_cache_line(warm: int, total: int) -> str:
         f"plan cache: {warm}/{total} kernel launches replayed from cache "
         f"({warm / total:.0%} hit rate)"
     )
-
-
-#: resilience event names counted by :func:`resilience_summary`, in the
-#: order the summary line reports them.
-RESILIENCE_EVENTS = (
-    "resilience.fault_injected",
-    "resilience.plan_invalidated",
-    "resilience.checkpoint_save",
-    "resilience.checkpoint_restore",
-)
-
-
-def resilience_summary(records: Iterable[JsonDict]) -> dict[str, int]:
-    """Count fault/recovery events in a trace, by event name.
-
-    Every recovery path (:mod:`repro.resilience`) emits an obs event;
-    folding them out of the trace makes a chaos run auditable from the
-    same file the regression diffs read.
-    """
-    counts = dict.fromkeys(RESILIENCE_EVENTS, 0)
-    for rec in records:
-        name = rec.get("name")
-        if rec.get("type") == "event" and name in counts:
-            counts[name] += 1
-    return counts
 
 
 def format_resilience_line(counts: dict[str, int]) -> str:
@@ -157,64 +270,6 @@ def format_resilience_line(counts: dict[str, int]) -> str:
     if counts["resilience.checkpoint_save"]:
         parts.append(f"{counts['resilience.checkpoint_save']} checkpoint save(s)")
     return "resilience: " + ", ".join(parts)
-
-
-def serve_summary(records: Iterable[JsonDict]) -> dict[str, float | int]:
-    """Fold the inference service's spans/events out of a trace.
-
-    ``serve.request`` spans carry per-request wall latency (emitted
-    retroactively via :func:`repro.obs.spans.emit_span` since a request
-    crosses tasks); ``serve.batch`` spans carry the fused-launch
-    occupancy; ``serve.rpc`` spans are the transport edge;
-    ``serve.shed`` / ``serve.degraded`` / ``serve.deadline_shed`` /
-    ``serve.breaker`` / ``serve.client_retry`` events count admission
-    rejections, unbatched fallbacks, pre-launch deadline sheds, breaker
-    transitions, and client transport retries.
-    """
-    latencies: list[float] = []
-    occupancies: list[float] = []
-    shed = degraded = timeouts = 0
-    deadline_shed = breaker_transitions = client_retries = rpcs = 0
-    for rec in records:
-        name = rec.get("name", "")
-        if rec.get("type") == "span":
-            if name == "serve.request":
-                wall = rec.get("wall_ms")
-                if isinstance(wall, (int, float)):
-                    latencies.append(float(wall))
-            elif name == "serve.batch":
-                occ = rec.get("attrs", {}).get("occupancy")
-                if isinstance(occ, (int, float)):
-                    occupancies.append(float(occ))
-            elif name == "serve.rpc":
-                rpcs += 1
-        elif rec.get("type") == "event":
-            if name == "serve.shed":
-                shed += 1
-            elif name == "serve.degraded":
-                degraded += 1
-            elif name == "serve.timeout":
-                timeouts += 1
-            elif name == "serve.deadline_shed":
-                deadline_shed += 1
-            elif name == "serve.breaker":
-                breaker_transitions += 1
-            elif name == "serve.client_retry":
-                client_retries += 1
-    return {
-        "requests": len(latencies),
-        "shed": shed,
-        "timeouts": timeouts,
-        "degraded": degraded,
-        "deadline_shed": deadline_shed,
-        "breaker_transitions": breaker_transitions,
-        "client_retries": client_retries,
-        "rpcs": rpcs,
-        "batches": len(occupancies),
-        "mean_occupancy": (sum(occupancies) / len(occupancies)) if occupancies else 0.0,
-        "p50_ms": percentile(latencies, 50),
-        "p99_ms": percentile(latencies, 99),
-    }
 
 
 def format_serve_line(stats: dict[str, float | int]) -> str:

@@ -4,7 +4,7 @@ Two output shapes, matching two consumers:
 
 * :class:`JsonlWriter` / :func:`trace_to` — one JSON object per line,
   written as each span closes.  Machine-readable, append-only, and the
-  input format of ``python -m repro.obs`` (summary / tree / diff).
+  input format of ``python -m repro.obs``.
 * :func:`render_tree` — the same records as an indented human-readable
   tree with wall and simulated time per span.
 """
@@ -71,29 +71,15 @@ def trace_to(path: str | Path) -> Iterator[JsonlWriter]:
         writer.close()
 
 
-def read_trace(path: str | Path) -> list[JsonDict]:
-    """Parse a JSONL trace file back into records (blank lines ignored)."""
-    records: list[JsonDict] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: invalid trace line: {e}") from None
-    return records
-
-
 def read_trace_lenient(path: str | Path) -> tuple[list[JsonDict], int]:
-    """Like :func:`read_trace`, but skip unparseable lines.
+    """Parse a JSONL trace file back into records, skipping bad lines.
 
     A trace cut short by a crash (or a partially flushed last line)
     should still summarize; returns ``(records, dropped_lines)`` so the
-    CLI can surface a warning count instead of dying on line N.
-    Non-object lines (a bare number or string that *is* valid JSON)
-    count as dropped too — every record must be a JSON object.
+    CLI can surface a warning count instead of dying on line N.  Blank
+    lines are ignored; non-object lines (a bare number or string that
+    *is* valid JSON) count as dropped — every record must be a JSON
+    object.
     """
     records: list[JsonDict] = []
     dropped = 0
@@ -118,7 +104,7 @@ def read_trace_lenient(path: str | Path) -> tuple[list[JsonDict], int]:
 _TREE_ATTRS = ("kernel", "dataset", "f", "experiment", "epoch", "outcome", "error")
 
 
-def render_tree(records: list[JsonDict], *, max_depth: int | None = None) -> str:
+def render_tree(records: list[JsonDict]) -> str:
     """Render span records as an indented tree (children in close order)."""
     spans = [r for r in records if r.get("type") == "span"]
     children: dict[int | None, list[JsonDict]] = {}
@@ -131,8 +117,6 @@ def render_tree(records: list[JsonDict], *, max_depth: int | None = None) -> str
     lines: list[str] = []
 
     def walk(parent: int | None, depth: int) -> None:
-        if max_depth is not None and depth >= max_depth:
-            return
         for rec in children.get(parent, ()):  # already in close order
             attrs = rec.get("attrs", {})
             shown = " ".join(

@@ -25,7 +25,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.analysis import span_key
+from repro.obs.analysis import TraceFold, fold_trace
 from repro.obs.spans import JsonDict
 
 BASELINE_SCHEMA_VERSION = 2
@@ -33,43 +33,22 @@ BASELINE_SCHEMA_VERSION = 2
 #: default fractional tolerance on (deterministic) simulated time
 DEFAULT_SIM_RTOL = 1e-9
 
-
-@dataclass
-class IdentityStats:
-    """Per-identity sample stats over every span carrying sim time."""
-
-    count: int
-    sim_us_median: float
-
-    def to_json(self) -> dict[str, float | int]:
-        return {"count": self.count, "sim_us_median": self.sim_us_median}
-
-    @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> "IdentityStats":
-        return cls(count=int(doc["count"]),
-                   sim_us_median=float(doc["sim_us_median"]))
+#: regressions and improvements the report lists, each
+REPORT_LIMIT = 25
 
 
-def collect_identity_stats(
-    records: Iterable[JsonDict],
-) -> dict[str, IdentityStats]:
-    """Fold a trace into per-identity stats.
+def _identity_stats(fold: TraceFold) -> dict[str, dict[str, float | int]]:
+    """Per-identity count and median ``sim_us`` of the status-ok spans.
 
     Only spans carrying a numeric ``sim_us`` participate: those are the
     deterministic, machine-independent measurements (kernel launches,
     bench points, training epochs); setup/IO spans never enter the gate.
     """
-    samples: dict[str, list[float]] = {}
-    for rec in records:
-        if rec.get("type") != "span" or rec.get("status") != "ok":
-            continue
-        sim = rec.get("sim_us")
-        if not isinstance(sim, (int, float)):
-            continue
-        samples.setdefault(span_key(rec), []).append(float(sim))
     return {
-        key: IdentityStats(count=len(sims), sim_us_median=statistics.median(sims))
-        for key, sims in samples.items()
+        key: {"count": len(row.ok_sims),
+              "sim_us_median": statistics.median(row.ok_sims)}
+        for key, row in fold.rows.items()
+        if row.ok_sims
     }
 
 
@@ -82,12 +61,12 @@ def baseline_from_traces(
     runs by construction, and the regress gate says so loudly if they
     are not.
     """
-    stats = collect_identity_stats(chain.from_iterable(trace_records))
+    stats = _identity_stats(fold_trace(chain.from_iterable(trace_records)))
     return {
         "schema_version": BASELINE_SCHEMA_VERSION,
         "label": label,
         "runs": len(trace_records),
-        "identities": {key: stats[key].to_json() for key in sorted(stats)},
+        "identities": {key: stats[key] for key in sorted(stats)},
     }
 
 
@@ -151,15 +130,18 @@ def compare_to_baseline(
 ) -> RegressReport:
     """Gate one trace against a baseline document (see module docstring)."""
     base = {
-        key: IdentityStats.from_json(doc)
+        key: float(doc["sim_us_median"])
         for key, doc in baseline.get("identities", {}).items()
     }
-    current = collect_identity_stats(records)
+    current = {
+        key: stats["sim_us_median"]
+        for key, stats in _identity_stats(fold_trace(records)).items()
+    }
     report = RegressReport()
     report.added = sorted(set(current) - set(base))
     report.removed = sorted(set(base) - set(current))
     for key in sorted(set(base) & set(current)):
-        b, c = base[key].sim_us_median, current[key].sim_us_median
+        b, c = base[key], current[key]
         report.checked += 1
         if c > b * (1.0 + sim_rtol):
             report.sim_regressions.append(RegressFinding(key, b, c))
@@ -170,23 +152,21 @@ def compare_to_baseline(
     return report
 
 
-def format_regress_report(
-    report: RegressReport, *, label: str = "", limit: int = 25
-) -> str:
+def format_regress_report(report: RegressReport, *, label: str = "") -> str:
     lines = []
     header = f"regress check vs baseline{f' {label!r}' if label else ''}: "
     header += f"{report.checked} identities compared"
     lines.append(header)
     if report.sim_regressions:
         lines.append(f"SIMULATED-TIME REGRESSIONS ({len(report.sim_regressions)}):")
-        for f in report.sim_regressions[:limit]:
+        for f in report.sim_regressions[:REPORT_LIMIT]:
             lines.append(
                 f"  {f.key}: {f.base:,.3f} -> {f.current:,.3f} us "
                 f"({f.ratio:.4f}x)"
             )
     if report.sim_improvements:
         lines.append(f"simulated-time improvements ({len(report.sim_improvements)}):")
-        for f in report.sim_improvements[:limit]:
+        for f in report.sim_improvements[:REPORT_LIMIT]:
             lines.append(
                 f"  {f.key}: {f.base:,.3f} -> {f.current:,.3f} us "
                 f"({f.ratio:.4f}x)"

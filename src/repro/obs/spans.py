@@ -212,8 +212,8 @@ def emit_span(
     back in the first, so no single ``with`` block can bracket it.
     Callers time such regions themselves and report them here
     retroactively.  Parented under the current span of the *emitting*
-    task (usually none), so these render as top-level lanes in the
-    timeline rather than mis-nesting under an unrelated batch span.
+    task (usually none), so these render as top-level spans in the
+    tree rather than mis-nesting under an unrelated batch span.
     """
     if not _sinks or not _enabled:
         return

@@ -55,8 +55,8 @@ Every request/batch/shed/degrade is counted in
 ``serve.batch`` spans (the first two emitted retroactively via
 :func:`repro.obs.emit_span`, since a request's lifecycle crosses tasks)
 and ``serve.shed`` / ``serve.degraded`` / ``serve.breaker`` / ... events,
-so ``python -m repro.obs summary`` and ``timeline`` reconstruct the
-serving picture from a trace.
+so ``python -m repro.obs summary`` reconstructs the serving picture
+from a trace.
 """
 
 from __future__ import annotations
@@ -553,7 +553,7 @@ class InferenceService:
             )
             obs.emit_span(
                 "serve.queue", start_s=req.t_admit_s, wall_ms=queued_ms,
-                kind=req.kind, worker="queue",
+                kind=req.kind,
             )
 
     # ------------------------------------------------- synchronous numerics
@@ -572,7 +572,6 @@ class InferenceService:
         self.stats.fused_requests += len(requests)
         with obs.span(
             "serve.batch", kind="propagate", occupancy=len(requests),
-            worker="serve",
         ) as sp:
             try:
                 injector.maybe_raise(FAULT_SITE, occupancy=len(requests))

@@ -485,7 +485,6 @@ class ServeTransport:
             status="ok" if code == "ok" else "error",
             op=op,
             code=code,
-            worker="transport",
         )
 
     @staticmethod

@@ -7,7 +7,9 @@ import gc
 import itertools
 import json
 import os
+import tempfile
 import threading
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,17 +60,45 @@ def _open_fds() -> dict[str, str]:
     return fds
 
 
+def _pending_tasks() -> list[asyncio.Task]:
+    """Every asyncio task not yet done, on any loop, garbage included."""
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, asyncio.Task) and not obj.done()]
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _private_tempdir(tmp_path_factory):
+    """The run's own temp directory, for this process and its children.
+
+    ``_no_leaks`` lists it, so another process writing to the system
+    temp directory cannot fail a module.
+    """
+    path = str(tmp_path_factory.mktemp("tempdir"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tempfile, "tempdir", path)
+        mp.setenv("TMPDIR", path)
+        yield path
+
+
 @pytest.fixture(autouse=True, scope="module")
-def _no_leaks():
-    """Fail a test module that leaves a thread or an open file descriptor behind."""
+def _no_leaks(_private_tempdir):
+    """Fail a test module that leaves a thread, an open file descriptor,
+    a pending asyncio task or a new temp-directory entry behind."""
     threads = set(threading.enumerate())
     fds = _open_fds() if os.path.isdir("/proc/self/fd") else None
+    tasks = weakref.WeakSet(_pending_tasks())
+    temp = set(os.listdir(_private_tempdir))
     yield
+    # Scan for tasks first: a pending task on a closed loop is garbage
+    # that the collection below would destroy unseen.
+    leaked = [f"task {t.get_coro()!r}" for t in _pending_tasks() if t not in tasks]
     gc.collect()  # close what only garbage still holds
-    leaked = [t.name for t in threading.enumerate() if t not in threads]
+    leaked += [t.name for t in threading.enumerate() if t not in threads]
     if fds is not None:
         leaked += [f"fd {fd} -> {target}" for fd, target in _open_fds().items()
                    if fds.get(fd) != target]
+    leaked += [f"temp entry {name}"
+               for name in sorted(set(os.listdir(_private_tempdir)) - temp)]
     assert not leaked, f"left behind: {leaked}"
 
 

@@ -28,7 +28,8 @@ class TestCli:
 
         trace = tmp_path / "t.jsonl"
         assert main(["fig09", "--quick", "--trace", str(trace)]) == 0
-        records = obs.read_trace(trace)
+        records, dropped = obs.read_trace_lenient(trace)
+        assert dropped == 0
         names = {r["name"] for r in records}
         assert "bench.experiment" in names and "kernel.spmm" in names
         (result_event,) = [r for r in records if r["name"] == "experiment.result"]

@@ -36,7 +36,6 @@ PRODUCT_DIRS = ("src", "scripts", "e2ebench", "examples")
 
 #: names kept although no product code refers to them, each with its reason
 ALLOWED = {
-    "read_trace": "public obs API that README documents (strict trace reader)",
     "ServeClient.ready": "client call for the server's ready verb that README documents",
     "encode_array": "e2ebench/layers.py hooks it by name (wire.encode row)",
 }

@@ -82,7 +82,8 @@ class TestExport:
                 sp.add_sim_us(1.5)
                 with obs.span("b"):
                     pass
-        records = obs.read_trace(path)
+        records, dropped = obs.read_trace_lenient(path)
+        assert dropped == 0
         assert [r["name"] for r in records] == ["b", "a"]
         a = records[1]
         assert a["attrs"] == {"dataset": "G3", "f": 16}
@@ -97,14 +98,8 @@ class TestExport:
             with obs.span("np") as sp:
                 sp.set(scalar=np.float64(1.5), count=np.int64(3),
                        arr=np.array([1, 2]))
-        (rec,) = obs.read_trace(path)
+        (rec,), _ = obs.read_trace_lenient(path)
         assert rec["attrs"] == {"scalar": 1.5, "count": 3, "arr": [1, 2]}
-
-    def test_read_trace_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(ValueError, match="bad.jsonl:2"):
-            obs.read_trace(path)
 
     def test_render_tree_shape(self):
         with obs.capture() as records:
@@ -116,7 +111,6 @@ class TestExport:
         assert lines[0].startswith("root")
         assert lines[1].startswith("  child") and "sim=3.0us" in lines[1]
         assert "kernel=gnnone" in lines[0]
-        assert obs.render_tree(records, max_depth=1).count("\n") == 0
 
 
 def _fake_point(name, kernel, dataset, f, sim_us):
@@ -134,11 +128,13 @@ class TestAnalysis:
             _fake_point("bench.spmm", "gnnone", "G3", 16, 30.0),
             _fake_point("bench.spmm", "dgl", "G3", 16, 100.0),
         ]
-        rows = obs.summarize(records)
-        assert len(rows) == 2
-        assert rows[0].key == "bench.spmm kernel=dgl dataset=G3 f=16"  # heaviest first
-        assert rows[1].sim_us == 40.0 and rows[1].count == 2
-        assert "bench.spmm" in obs.format_summary(rows)
+        fold = obs.fold_trace(records)
+        assert len(fold.rows) == 2
+        row = fold.rows["bench.spmm kernel=gnnone dataset=G3 f=16"]
+        assert row.sim_us == 40.0 and row.count == 2
+        assert row.ok_sims == [10.0, 30.0]
+        lines = obs.format_summary(fold).splitlines()
+        assert lines[2].startswith("bench.spmm kernel=dgl dataset=G3 f=16")  # heaviest first
 
     def test_percentile(self):
         values = list(range(100, 0, -1))  # 100..1, unsorted on purpose

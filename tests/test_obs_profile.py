@@ -1,17 +1,13 @@
 """Deep profiler, baselines and the REPRO_OBS kill switch."""
 
 import json
+import statistics
 
 import pytest
 
 from repro import core, obs
 from repro.obs.__main__ import main as obs_main
-from repro.obs.profile import format_timeline, profile_trace, timeline_lanes
-from repro.obs.regress import (
-    baseline_from_traces,
-    collect_identity_stats,
-    compare_to_baseline,
-)
+from repro.obs.regress import baseline_from_traces, compare_to_baseline
 from repro.obs.spans import set_obs_enabled
 from repro.resilience import no_faults
 from tests.conftest import make_operands
@@ -69,21 +65,23 @@ class TestCounterAttachment:
 
 class TestProfile:
     def test_profile_folds_per_identity(self, small_graph, rng):
-        rows = profile_trace(run_workload(small_graph, rng, repeats=2))
+        fold = obs.fold_trace(run_workload(small_graph, rng, repeats=2))
+        rows = [row for row in fold.rows.values() if row.launches]
         assert len(rows) == 2  # two structures (f=8, f=4)
         for row in rows:
-            assert row.count == 3
-            assert row.warm == 2 and row.warm_share == pytest.approx(2 / 3)
-            assert row.sim_us > 0 and row.wall_ms > 0
+            assert row.launches == 3 and row.warm == 2
+            assert row.sim_us > 0 and row.launch_wall_ms > 0
             assert abs(sum(row.stage_share(k) for k in row.kind_cycles) - 1.0) < 1e-9
-        # Sorted heaviest-first by simulated time.
-        assert rows[0].sim_us >= rows[1].sim_us
+        # The report lists them heaviest-first by simulated time.
+        heavy, light = sorted(rows, key=lambda r: -r.sim_us)
+        report = obs.format_profile_report(fold)
+        assert report.index(heavy.key) < report.index(light.key)
 
     def test_plan_stage_wall_charged_to_kernel(self, small_graph, rng):
         records = run_workload(small_graph, rng, repeats=0)
-        rows = profile_trace(records)
+        rows = obs.fold_trace(records).rows.values()
         if any(r.get("name") == "gnnone.stage1" for r in records):
-            assert any(row.stage_wall_ms for row in rows)
+            assert any(row.stage_wall_ms for row in rows if row.launches)
 
     def test_profile_cli(self, small_graph, rng, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
@@ -94,17 +92,6 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "hotspots by simulated time" in out
         assert "kernel.spmm" in out
-
-    def test_timeline_lanes_and_cli(self, small_graph, rng, tmp_path, capsys):
-        records = run_workload(small_graph, rng)
-        lanes = timeline_lanes(records)
-        assert "main" in lanes and lanes["main"]
-        trace = tmp_path / "t.jsonl"
-        with open(trace, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-        assert obs_main(["timeline", str(trace), "--detail"]) == 0
-        assert "ms busy" in capsys.readouterr().out
 
 
 class TestBaselineRegress:
@@ -183,9 +170,11 @@ class TestBaselineRegress:
         one = json.loads((tmp_path / "both.json").read_text())
         assert (ab["runs"], one["runs"]) == (2, 1)
         assert ab["identities"] == one["identities"]
+        rows = obs.fold_trace(first + second).rows.values()
         assert ab["identities"] == {
-            key: stats.to_json()
-            for key, stats in collect_identity_stats(first + second).items()
+            row.key: {"count": len(row.ok_sims),
+                      "sim_us_median": statistics.median(row.ok_sims)}
+            for row in rows if row.ok_sims
         }
 
     def test_disjoint_traces_all_removed_all_added(self, tmp_path, capsys):
@@ -306,29 +295,3 @@ class TestLenientReader:
         captured = capsys.readouterr()
         assert "skipped 1 corrupt line(s)" in captured.err
         assert "span identities" in captured.out
-
-
-class TestTimelineOverlap:
-    def test_overlapping_async_spans_render(self):
-        """Retroactively-emitted serve spans overlap arbitrarily on one
-        lane; the busy union must never exceed the window and the render
-        must not raise."""
-        records = [
-            {"type": "span", "name": "serve.request", "span_id": i,
-             "parent_id": None, "start_s": 100.0 + 0.001 * (i % 3),
-             "wall_ms": 5.0 - i % 4, "sim_us": None, "status": "ok",
-             "attrs": {"kind": "propagate"}}
-            for i in range(8)
-        ]
-        records.append(
-            {"type": "span", "name": "serve.batch", "span_id": 99,
-             "parent_id": None, "start_s": 100.002, "wall_ms": 2.0,
-             "sim_us": 10.0, "status": "ok",
-             "attrs": {"worker": "serve", "occupancy": 8}}
-        )
-        rendered = format_timeline(records)
-        assert "serve" in rendered
-        for line in rendered.splitlines():
-            if "% busy" in line or "busy (" in line:
-                pct = int(line.rsplit("(", 1)[1].rstrip("%)"))
-                assert 0 <= pct <= 100

@@ -219,7 +219,7 @@ class TestTrainerResilience:
             reference = _make_trainer().fit(4)
         with fault_profile("train.loss_corrupt=1.0", seed=0), obs.capture() as records:
             result = _make_trainer().fit(4)
-        assert obs.resilience_summary(records)["resilience.checkpoint_restore"] > 0
+        assert obs.fold_trace(records).resilience()["resilience.checkpoint_restore"] > 0
         assert [r.loss for r in result.history] == [r.loss for r in reference.history]
         assert result.test_acc == reference.test_acc
 
@@ -375,14 +375,14 @@ class TestObsResilienceSummary:
             {"type": "span", "name": "resilience.plan_invalidated"},  # not an event
             {"type": "event", "name": "other.event"},
         ]
-        counts = obs.resilience_summary(records)
+        counts = obs.fold_trace(records).resilience()
         assert counts["resilience.fault_injected"] == 2
         assert counts["resilience.plan_invalidated"] == 1
         assert counts["resilience.checkpoint_restore"] == 1
         assert counts["resilience.checkpoint_save"] == 0
 
     def test_format_line(self):
-        counts = obs.resilience_summary([])
+        counts = obs.fold_trace([]).resilience()
         assert "no faults" in obs.format_resilience_line(counts)
         counts["resilience.fault_injected"] = 3
         counts["resilience.plan_invalidated"] = 2
@@ -396,6 +396,6 @@ class TestObsResilienceSummary:
             with fault_profile("plancache.poison=1.0", seed=0):
                 kernel(medium_graph, w, X)  # cold: stores a checksummed plan
                 kernel(medium_graph, w, X)  # warm: poison fires, plan recomputed
-        counts = obs.resilience_summary(records)
+        counts = obs.fold_trace(records).resilience()
         assert counts["resilience.fault_injected"] > 0
         assert counts["resilience.plan_invalidated"] > 0
